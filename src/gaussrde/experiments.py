@@ -33,7 +33,7 @@ from .gaussian import (CovarianceModel, brownian_model, bridge_model,
 from .lift import lift_piecewise_linear
 from .malliavin import (DEGENERACY_TAU, malliavin_matrix_2d,
                         malliavin_matrix_parseval, spectrum)
-from .rde import solve_flow_jacobian
+from .rde import ExplosionError, solve_flow_jacobian
 from .young import GridFunction1D, TimeGrid, rho_variation_2d, uniform_grid
 
 log = logging.getLogger("gaussrde")
@@ -469,9 +469,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
 
     Unless the config allows a degenerate scenario, the driver model must
     pass the Gaussian non-degeneracy probe at every evaluation time before
-    any sampling happens.  Individual sample failures are logged and
-    skipped; more than 1% of them fails the whole run.  Artifacts are
-    written when the config names them (rebased into `out_dir` if given).
+    any sampling happens.  Numerical sample failures (explosion, singular
+    matrices, floating-point errors) are logged and skipped; more than 1% of
+    them fails the whole run.  Any other exception propagates.  Artifacts
+    are written when the config names them (rebased into `out_dir` if given).
     """
     model = build_model(config)
     vf = build_fields(config)
@@ -503,7 +504,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
             flow, mats, records = _evaluate_sample(
                 k, batch.values[k], grid, model, vf, config.y0,
                 time_indices, pvar_p, config.tau)
-        except Exception as exc:
+        except (ExplosionError, np.linalg.LinAlgError, FloatingPointError) as exc:
             log.warning("sample %d aborted: %s", k, exc)
             return k, None, f"{type(exc).__name__}: {exc}"
         residual = None

@@ -228,32 +228,24 @@ def variance_of_linear_functional(weights: GridFunction1D, R: GridFunction2D) ->
     return float(young_integral_2d(weights, weights, R))
 
 
-def nondegeneracy_check(model: CovarianceModel, grid: TimeGrid, n_trials: int = 64,
-                        seed: int = 0, tol: float = 1e-12) -> dict:
-    """Probe whether nonzero increment weightings can have zero variance.
+def nondegeneracy_check(model: CovarianceModel, grid: TimeGrid,
+                        tol: float = 1e-12) -> dict:
+    """Decide whether a nonzero increment weighting can have zero variance.
 
-    Draws random weight vectors, evaluates their variance under the grid
-    kernel and reports the smallest relative Rayleigh quotient found together
-    with the exact minimum over the increment-covariance spectrum.  A pinned
-    or zero kernel shows a (numerically) zero direction.
+    The verdict reads the exact extreme eigenvalues of the increment
+    covariance on the grid: a pinned or zero kernel shows a (numerically)
+    zero direction.
     """
     R = kernel_eval(model, grid)
     box = R.rectangle_increments()
     box = 0.5 * (box + box.T)
     lam = np.linalg.eigvalsh(box)
     scale = max(float(lam[-1]), 0.0)
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(n_trials):
-        w = rng.standard_normal(grid.n - 1)
-        w /= np.linalg.norm(w)
-        worst = min(worst, float(w @ box @ w))
     degenerate = scale <= tol or lam[0] <= tol * scale
     return {
         "degenerate": bool(degenerate),
         "min_eigenvalue": float(lam[0]),
         "max_eigenvalue": float(lam[-1]),
-        "worst_sampled_variance": worst,
     }
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nilpotent import G2Element, g2_increment, g2_product
+from . import nilpotent
+from .nilpotent import G2Element, g2_increment
 from .young import GridFunction1D, TimeGrid
 
 
@@ -57,9 +58,7 @@ class RoughPath:
     def segment_increments(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-segment group increments, shapes (n-1, d) and (n-1, d, d)."""
         a, b = self.level1, self.level2
-        da = a[1:] - a[:-1]
-        db = b[1:] - b[:-1] - np.einsum("ij,ik->ijk", a[:-1], da)
-        return da, db
+        return nilpotent.increment(a[:-1], b[:-1], a[1:], b[1:])
 
 
 def _chain(grid: TimeGrid, da: np.ndarray, db: np.ndarray) -> RoughPath:
@@ -68,8 +67,7 @@ def _chain(grid: TimeGrid, da: np.ndarray, db: np.ndarray) -> RoughPath:
     a = np.zeros((n, d))
     b = np.zeros((n, d, d))
     np.cumsum(da, axis=0, out=a[1:])
-    cross = np.einsum("ij,ik->ijk", a[:-1], da)
-    np.cumsum(db + cross, axis=0, out=b[1:])
+    np.cumsum(db + nilpotent.tensor(a[:-1], da), axis=0, out=b[1:])
     return RoughPath(grid, a, b)
 
 
@@ -83,7 +81,7 @@ def lift_piecewise_linear(path: GridFunction1D) -> RoughPath:
     if x.ndim == 1:
         x = x[:, None]
     da = np.diff(x, axis=0)
-    db = 0.5 * np.einsum("ij,ik->ijk", da, da)
+    db = 0.5 * nilpotent.tensor(da, da)
     return _chain(path.grid, da, db)
 
 
@@ -106,9 +104,8 @@ def translate(X: RoughPath, h: GridFunction1D) -> RoughPath:
         )
     da, db = X.segment_increments()
     dh = np.diff(hv, axis=0)
-    cross = 0.5 * (np.einsum("ij,ik->ijk", da, dh)
-                   + np.einsum("ij,ik->ijk", dh, da)
-                   + np.einsum("ij,ik->ijk", dh, dh))
+    cross = 0.5 * (nilpotent.tensor(da, dh) + nilpotent.tensor(dh, da)
+                   + nilpotent.tensor(dh, dh))
     return _chain(X.grid, da + dh, db + cross)
 
 
@@ -123,13 +120,9 @@ def spacetime_lift(X: RoughPath) -> RoughPath:
     result satisfies the same symmetry constraint as any lift.
     """
     da, db = X.segment_increments()
-    m, d = da.shape
     dt = np.diff(X.grid.points)
     da2 = np.concatenate([dt[:, None], da], axis=1)
-    db2 = np.zeros((m, d + 1, d + 1))
-    db2[:, 0, 0] = 0.5 * dt ** 2
-    db2[:, 0, 1:] = 0.5 * dt[:, None] * da
-    db2[:, 1:, 0] = 0.5 * da * dt[:, None]
+    db2 = 0.5 * nilpotent.tensor(da2, da2)
     db2[:, 1:, 1:] = db
     return _chain(X.grid, da2, db2)
 

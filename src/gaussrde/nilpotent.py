@@ -10,6 +10,10 @@ Orientation convention used throughout the package:
     b[i, j] = integral of (x^i - x^i_start) dx^j  over the increment,
 
 so the group product accumulates the cross term ``left.a (x) right.a``.
+
+The formulas are written once, in array form over leading axes (level 1
+(..., d), level 2 (..., d, d)): one call covers an element, the segments of a
+path or all pairs of its grid points.  `G2Element` is the one-element view.
 """
 
 from __future__ import annotations
@@ -19,6 +23,40 @@ from dataclasses import dataclass
 import numpy as np
 
 GEOMETRIC_TOL = 1e-9
+
+
+def tensor(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Outer product over the last axis: (..., d), (..., d) -> (..., d, d)."""
+    return x[..., :, None] * y[..., None, :]
+
+
+def product(a1, b1, a2, b2) -> tuple[np.ndarray, np.ndarray]:
+    """Group product (a1 + a2, b1 + b2 + a1 (x) a2): the Chen relation."""
+    return a1 + a2, b1 + b2 + tensor(a1, a2)
+
+
+def increment(a_s, b_s, a_t, b_t) -> tuple[np.ndarray, np.ndarray]:
+    """Relative increment g_s^{-1} g_t: (da, b_t - b_s - a_s (x) da), da = a_t - a_s."""
+    da = a_t - a_s
+    return da, b_t - b_s - tensor(a_s, da)
+
+
+def area(a, b) -> np.ndarray:
+    """Signed area Anti(b - a (x) a / 2); the log coordinate of level 2."""
+    rest = b - 0.5 * tensor(a, a)
+    return 0.5 * (rest - np.swapaxes(rest, -1, -2))
+
+
+def norm(a, b) -> np.ndarray:
+    """Dilation-homogeneous norm max(|a|_2, |area|_F^(1/2)), shape (...)."""
+    return np.maximum(np.linalg.norm(a, axis=-1),
+                      np.sqrt(np.linalg.norm(area(a, b), axis=(-2, -1))))
+
+
+def residual(a, b) -> np.ndarray:
+    """Max |entry| of Sym(b) - a (x) a / 2, shape (...); ~0 exactly on paths."""
+    sym = 0.5 * (b + np.swapaxes(b, -1, -2))
+    return np.max(np.abs(sym - 0.5 * tensor(a, a)), axis=(-2, -1), initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -67,38 +105,25 @@ def _require_same_dim(g: G2Element, h: G2Element) -> None:
 
 
 def g2_product(g: G2Element, h: G2Element) -> G2Element:
-    """Group product (truncated tensor multiplication).
-
-    Concatenating the underlying increments gives level1 additivity and the
-    Chen cross term on level 2.  The product of geometric elements is
-    geometric.
-    """
+    """Group product; the product of geometric elements is geometric."""
     _require_same_dim(g, h)
-    level1 = g.level1 + h.level1
-    level2 = g.level2 + h.level2 + np.outer(g.level1, h.level1)
-    return G2Element(level1, level2)
+    return G2Element(*product(g.level1, g.level2, h.level1, h.level2))
 
 
 def g2_inverse(g: G2Element) -> G2Element:
-    """Group inverse: (-a, -b + a (x) a)."""
-    a = g.level1
-    return G2Element(-a, -g.level2 + np.outer(a, a))
+    """Group inverse (-a, -b + a (x) a), the increment from g to the identity."""
+    return g2_increment(g, g2_identity(g.dim))
 
 
 def g2_increment(g_s: G2Element, g_t: G2Element) -> G2Element:
     """Relative increment g_s^{-1} * g_t between two absolute elements."""
     _require_same_dim(g_s, g_t)
-    return g2_product(g2_inverse(g_s), g_t)
+    return G2Element(*increment(g_s.level1, g_s.level2, g_t.level1, g_t.level2))
 
 
 def geometricity_residual(g: G2Element) -> float:
-    """Max absolute entry of Sym(level2) - level1 (x) level1 / 2.
-
-    Zero (up to rounding) exactly for elements arising from paths.
-    """
-    a = g.level1
-    sym = 0.5 * (g.level2 + g.level2.T)
-    return float(np.max(np.abs(sym - 0.5 * np.outer(a, a)))) if a.size else 0.0
+    """Max absolute entry of Sym(level2) - level1 (x) level1 / 2."""
+    return float(residual(g.level1, g.level2))
 
 
 def log_map(g: G2Element, tol: float = GEOMETRIC_TOL) -> LogCoordinates:
@@ -116,10 +141,7 @@ def log_map(g: G2Element, tol: float = GEOMETRIC_TOL) -> LogCoordinates:
             f"element is not geometric: max symmetric-part residual {res:.3e} "
             f"exceeds tolerance {tol:.1e}"
         )
-    a = g.level1
-    area = g.level2 - 0.5 * np.outer(a, a)
-    area = 0.5 * (area - area.T)  # kill roundoff in the symmetric direction
-    return LogCoordinates(increment=a.copy(), area=area)
+    return LogCoordinates(g.level1.copy(), area(g.level1, g.level2))
 
 
 def homogeneous_norm(g: G2Element) -> float:
@@ -129,7 +151,4 @@ def homogeneous_norm(g: G2Element) -> float:
     lam.  This fixed representative of the (equivalence class of) homogeneous
     norms is used for every p-variation computation in the package.
     """
-    a = g.level1
-    area = g.level2 - 0.5 * np.outer(a, a)
-    area = 0.5 * (area - area.T)
-    return max(float(np.linalg.norm(a)), float(np.linalg.norm(area)) ** 0.5)
+    return float(norm(g.level1, g.level2))

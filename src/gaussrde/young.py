@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nilpotent
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -156,24 +158,13 @@ def _increment_norms(path) -> np.ndarray:
     Vector paths use the Euclidean norm of the increment; rough paths use the
     homogeneous norm of the group increment.
     """
-    if hasattr(path, "elements") or hasattr(path, "level2"):  # RoughPath
-        A = path.level1
-        B = path.level2
-        n = A.shape[0]
-        norms = np.zeros((n, n))
-        for i in range(n - 1):
-            a = A[i + 1:] - A[i]  # (m, d)
-            b = B[i + 1:] - B[i] - A[i][None, :, None] * a[:, None, :]
-            area = b - 0.5 * a[:, :, None] * a[:, None, :]
-            area = 0.5 * (area - np.swapaxes(area, 1, 2))
-            lvl1 = np.linalg.norm(a, axis=1)
-            lvl2 = np.sqrt(np.linalg.norm(area, axis=(1, 2)))
-            norms[i, i + 1:] = np.maximum(lvl1, lvl2)
-        return norms
+    if hasattr(path, "level2"):  # RoughPath
+        A, B = path.level1, path.level2
+        a, b = nilpotent.increment(A[:, None], B[:, None], A[None], B[None])
+        return np.triu(nilpotent.norm(a, b), 1)
     values = np.asarray(path.values, dtype=float)
     if values.ndim == 1:
         values = values[:, None]
-    n = values.shape[0]
     diffs = values[None, :, :] - values[:, None, :]
     return np.linalg.norm(diffs, axis=2)
 

@@ -539,3 +539,16 @@ def test_cli_module_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "subcommand" in proc.stdout.lower() or "usage" in proc.stdout.lower()
+
+
+def test_run_experiment_propagates_programming_errors(tmp_path, monkeypatch):
+    """Only numerical failures count as aborted samples; a bug surfaces."""
+    import gaussrde.experiments
+
+    def broken(*args, **kwargs):
+        raise TypeError("broken solver")
+
+    monkeypatch.setattr(gaussrde.experiments, "solve_flow_jacobian", broken)
+    cfg = load_config(write_config(tmp_path, ROTATION_CONFIG))
+    with pytest.raises(TypeError, match="broken solver"):
+        run_experiment(cfg)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from gaussrde import nilpotent
 from gaussrde import (
     G2Element,
     g2_identity,
@@ -108,3 +111,67 @@ def test_element_validation():
         G2Element(np.zeros(2), np.zeros((3, 3)))
     with pytest.raises(ValueError):
         G2Element(np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Array-form algebra on stacks against the one-element functions
+# ---------------------------------------------------------------------------
+finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def geometric_stacks(draw, count=1):
+    """`count` stacks of k geometric elements of dimension d, as (a, b) pairs."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 6))
+    out = []
+    for _ in range(count):
+        a = draw(hnp.arrays(float, (k, d), elements=finite))
+        s = draw(hnp.arrays(float, (k, d, d), elements=finite))
+        out.append((a, 0.5 * nilpotent.tensor(a, a) + 0.5 * (s - np.swapaxes(s, 1, 2))))
+    return out
+
+
+def elements(a, b):
+    return [G2Element(a[i], b[i]) for i in range(a.shape[0])]
+
+
+def assert_stack_equals(a, b, elems):
+    np.testing.assert_array_equal(a, np.array([g.level1 for g in elems]))
+    np.testing.assert_array_equal(b, np.array([g.level2 for g in elems]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometric_stacks(count=2))
+def test_array_product_and_increment_match_elementwise(stacks):
+    (a1, b1), (a2, b2) = stacks
+    g, h = elements(a1, b1), elements(a2, b2)
+    assert_stack_equals(*nilpotent.product(a1, b1, a2, b2),
+                        [g2_product(x, y) for x, y in zip(g, h)])
+    assert_stack_equals(*nilpotent.increment(a1, b1, a2, b2),
+                        [g2_increment(x, y) for x, y in zip(g, h)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometric_stacks())
+def test_array_area_norm_residual_match_elementwise(stacks):
+    (a, b), = stacks
+    g = elements(a, b)
+    np.testing.assert_array_equal(nilpotent.area(a, b),
+                                  np.array([log_map(x).area for x in g]))
+    np.testing.assert_array_equal(nilpotent.norm(a, b),
+                                  [homogeneous_norm(x) for x in g])
+    np.testing.assert_array_equal(nilpotent.residual(a, b),
+                                  [geometricity_residual(x) for x in g])
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometric_stacks(count=3))
+def test_chen_split_identity_on_stacks(stacks):
+    (a_s, b_s), (a_t, b_t), (a_u, b_u) = stacks
+    joined = nilpotent.product(*nilpotent.increment(a_s, b_s, a_t, b_t),
+                               *nilpotent.increment(a_t, b_t, a_u, b_u))
+    direct = nilpotent.increment(a_s, b_s, a_u, b_u)
+    np.testing.assert_allclose(joined[0], direct[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(joined[1], direct[1], rtol=0, atol=1e-10)
+    assert np.all(nilpotent.residual(*joined) < 1e-10)

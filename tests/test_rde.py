@@ -149,6 +149,24 @@ def test_jacobian_is_derivative_of_discrete_flow():
     assert np.allclose(flow.J[-1], fd, atol=1e-6)
 
 
+def test_flow_inverses_and_condition_match_per_step_values():
+    """Inverses and the condition number, taken once on the stacked
+    Jacobians, equal the values taken matrix by matrix."""
+    X, grid = brownian_driver(65, 2, seed=61)
+    y0 = np.array([0.4, -0.3])
+    rng = np.random.default_rng(63)
+    sheared = linear_fields(rng.standard_normal((2, 2, 2)),
+                            drift=(rng.standard_normal((2, 2)), np.zeros(2)))
+    for vf in (rotation_fields(), sheared):
+        rough = solve_flow_jacobian(X, vf, y0)
+        ode = solve_ode_reference(GridFunction1D(grid, X.level1), vf, y0)
+        for flow in (rough, ode):
+            np.testing.assert_array_equal(
+                flow.J_inv, [np.linalg.inv(j) for j in flow.J])
+            assert flow.max_condition == max(
+                1.0, *(float(np.linalg.cond(j)) for j in flow.J))
+
+
 def test_rde_matches_ode_oracle_on_smooth_path():
     X, grid = smooth_driver(257, amplitude=0.8)
     vf = rotation_fields()

@@ -5,14 +5,18 @@ from gaussrde import (
     GridFunction1D,
     GridFunction2D,
     TimeGrid,
+    homogeneous_norm,
+    lift_piecewise_linear,
     p_variation,
     p_variation_with_partition,
     rho_variation_2d,
+    spacetime_lift,
     uniform_grid,
     young_integral_1d,
     young_integral_2d,
 )
-from gaussrde.young import p_variation_bruteforce, rho_variation_partition_sum
+from gaussrde.young import (_increment_norms, p_variation_bruteforce,
+                            rho_variation_partition_sum)
 
 
 def brownian_kernel_sample(grid):
@@ -218,3 +222,32 @@ def test_rho_variation_guards():
         rho_variation_2d(R, 1.0, mode="exact")  # grid too large
     with pytest.raises(ValueError):
         rho_variation_2d(R, 1.0, mode="nonsense")
+
+
+def random_rough_lift(rng, n, d):
+    values = np.cumsum(rng.standard_normal((n, d)), axis=0)
+    values -= values[0]
+    return lift_piecewise_linear(GridFunction1D(uniform_grid(1.0, n), values))
+
+
+def test_rough_p_variation_matches_bruteforce():
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3):
+        for trial in range(6):
+            X = random_rough_lift(rng, int(rng.integers(2, 13)), d)
+            for p in (1.0, 2.2, 2.5, 3.5):
+                dp = p_variation(X, p)
+                brute = p_variation_bruteforce(X, p)
+                assert np.isclose(dp, brute, rtol=1e-10), (d, trial, p)
+
+
+def test_rough_increment_norms_match_elementwise_norm():
+    rng = np.random.default_rng(18)
+    for d in (1, 2, 3):
+        base = random_rough_lift(rng, 12, d)
+        for X in (base, spacetime_lift(base)):
+            norms = _increment_norms(X)
+            n = X.grid.n
+            expected = np.array([[homogeneous_norm(X.increment(i, j)) if i < j else 0.0
+                                  for j in range(n)] for i in range(n)])
+            np.testing.assert_array_equal(norms, expected)
