@@ -20,7 +20,8 @@ from .experiments import (ConfigError, RunError, build_fields, build_model,
                           variation_index)
 from .gaussian import cameron_martin_basis, sample_paths
 from .lift import lift_piecewise_linear, rough_path_to_csv
-from .malliavin import malliavin_matrix_2d, malliavin_matrix_parseval, spectrum
+from .malliavin import (malliavin_matrix_2d, malliavin_matrix_parseval,
+                        route_residual, spectrum)
 from .rde import ExplosionError, solve_flow_jacobian
 from .young import uniform_grid
 
@@ -160,8 +161,7 @@ def _cmd_malliavin(args) -> int:
     mat = malliavin_matrix_2d(flow, vf, model, t)
     basis = cameron_martin_basis(model, grid)
     other = malliavin_matrix_parseval(flow, vf, basis, t)
-    denom = max(np.linalg.norm(mat.sigma), np.linalg.norm(other.sigma), 1e-300)
-    residual = float(np.linalg.norm(mat.sigma - other.sigma) / denom)
+    residual = route_residual(mat.sigma, other.sigma)
     spec = spectrum(mat, tau=config.tau)
     print(f"sigma at t = {t} (2d-young route):")
     for row in mat.sigma:

@@ -32,7 +32,7 @@ from .gaussian import (CovarianceModel, brownian_model, bridge_model,
                        nondegeneracy_check, sample_paths, zero_model)
 from .lift import lift_piecewise_linear
 from .malliavin import (DEGENERACY_TAU, malliavin_matrix_2d,
-                        malliavin_matrix_parseval, spectrum)
+                        malliavin_matrix_parseval, route_residual, spectrum)
 from .rde import ExplosionError, solve_flow_jacobian
 from .young import GridFunction1D, TimeGrid, rho_variation_2d, uniform_grid
 
@@ -513,9 +513,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
             for it, mat in zip(time_indices, mats):
                 other = malliavin_matrix_parseval(flow, vf, basis,
                                                  grid.points[it])
-                denom = max(np.linalg.norm(mat.sigma), np.linalg.norm(other.sigma))
-                gap = np.linalg.norm(mat.sigma - other.sigma)
-                residual = max(residual, gap / denom if denom > 0 else gap)
+                residual = max(residual, route_residual(mat.sigma, other.sigma))
         return k, (records, residual), None
 
     results = [None] * config.count

@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .young import GridFunction1D, GridFunction2D, TimeGrid, p_variation_with_partition, rho_variation_2d, rho_variation_partition_sum
+from .young import (GridFunction1D, GridFunction2D, TimeGrid, p_variation_with_partition,
+                    rho_variation_2d, rho_variation_partition_sum, young_integral_2d)
 
 EIGENVALUE_CUTOFF = 1e-12
 
@@ -223,8 +224,6 @@ def variance_of_linear_functional(weights: GridFunction1D, R: GridFunction2D) ->
     Equals the 2D pairing of w with itself against the rectangle increments
     of R; nonnegative for any true covariance.
     """
-    from .young import young_integral_2d
-
     return float(young_integral_2d(weights, weights, R))
 
 

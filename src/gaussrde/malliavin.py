@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import VectorFieldSystem
 from .gaussian import CameronMartinBasis, CovarianceModel, kernel_eval
-from .rde import FlowResult
+from .rde import FlowResult, directional_derivative
 from .young import GridFunction1D, TimeGrid, young_integral_2d
 
 DEGENERACY_TAU = 1e-10
@@ -57,11 +57,10 @@ def _integrand_values(flow: FlowResult, vf: VectorFieldSystem, it: int) -> np.nd
     """Z[m, k, :] = J_{t<-s_m} V_k(Y_{s_m}) for grid indices m = 0..it."""
     if flow.J is None:
         raise ValueError("covariance routes need a Jacobian-carrying flow")
-    Jt = flow.J[it]
-    out = np.zeros((it + 1, vf.d, vf.e))
-    for m in range(it + 1):
-        out[m] = (Jt @ flow.J_inv[m] @ vf.val(flow.Y[m]).T).T
-    return out
+    V = np.array([vf.val(y) for y in flow.Y[:it + 1]])
+    Z = flow.J[it] @ flow.J_inv[:it + 1] @ V.transpose(0, 2, 1)
+    # C order keeps the summation order of the einsums that pair Z
+    return np.ascontiguousarray(Z.transpose(0, 2, 1))
 
 
 def _component_models(model, d: int) -> list[CovarianceModel]:
@@ -117,10 +116,9 @@ def malliavin_matrix_parseval(flow: FlowResult, vf: VectorFieldSystem, basis,
     sigma_t = sum_{k,n} D_h Y_t (x) D_h Y_t with h the n-th basis path
     embedded into driver component k and zero elsewhere.  `basis` is one
     CameronMartinBasis shared by all components or a list, one per component.
-    Computed through `directional_derivative`; independent of the 2D route.
+    One `directional_derivative` call per component on its whole basis;
+    independent of the 2D route.
     """
-    from .rde import directional_derivative
-
     if isinstance(basis, CameronMartinBasis):
         bases = [basis] * vf.d
     else:
@@ -132,12 +130,17 @@ def malliavin_matrix_parseval(flow: FlowResult, vf: VectorFieldSystem, basis,
         if not np.allclose(bk.grid.points, flow.grid.points,
                            rtol=1e-12, atol=1e-12):
             raise ValueError("basis grid does not match the flow grid")
-        for nidx in range(bk.size):
-            h = np.zeros((flow.grid.n, vf.d))
-            h[:, k] = bk.functions[:, nidx]
-            dh = directional_derivative(flow, vf, GridFunction1D(flow.grid, h), t)
-            raw += np.outer(dh, dh)
+        h = np.zeros((flow.grid.n, vf.d, bk.size))
+        h[:, k] = bk.functions
+        D = directional_derivative(flow, vf, GridFunction1D(flow.grid, h), t)
+        raw += D @ D.T
     return _finish(raw, t, "parseval-basis")
+
+
+def route_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius gap between two covariance matrices, relative to the larger."""
+    gap, denom = np.linalg.norm(a - b), max(np.linalg.norm(a), np.linalg.norm(b))
+    return float(gap / denom if denom > 0 else gap)
 
 
 @dataclass(frozen=True)

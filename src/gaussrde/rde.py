@@ -243,11 +243,13 @@ def solve_ode_reference(driver, vf: VectorFieldSystem, y0: np.ndarray,
 
 def directional_derivative(flow: FlowResult, vf: VectorFieldSystem,
                            h: GridFunction1D, t: float) -> np.ndarray:
-    """Derivative of Y_t along a Cameron-Martin direction h of the driver.
+    """Derivative of Y_t along Cameron-Martin directions h of the driver.
 
     Variation-of-constants: D_h Y_t = sum_i int_0^t J_{t<-s} V_i(Y_s) dh^i_s,
     evaluated as a left-point Young sum on the grid with J_{t<-s} taken from
-    the stored flow as J(t) J(s)^{-1}.
+    the stored flow as J(t) J(s)^{-1}.  `h.values` is (n,) when d = 1, (n, d)
+    for one direction, or (n, d, m) for a stack of m; the result is (e,), or
+    (e, m) with column j for direction j.  At t = 0 it is zero.
     """
     if flow.J is None:
         raise ValueError("directional derivative needs a Jacobian-carrying flow")
@@ -259,13 +261,9 @@ def directional_derivative(flow: FlowResult, vf: VectorFieldSystem,
         hv = hv[:, None]
     if hv.shape[1] != vf.d:
         raise ValueError(f"direction has {hv.shape[1]} components, driver has {vf.d}")
-    Jt = flow.J[it]
-    out = np.zeros(vf.e)
-    dh = np.diff(hv[:it + 1], axis=0)
-    for k in range(it):
-        Zk = Jt @ flow.J_inv[k] @ vf.val(flow.Y[k]).T
-        out += Zk @ dh[k]
-    return out
+    V = np.array([vf.val(y) for y in flow.Y[:it]]).reshape(it, vf.d, vf.e)
+    Z = flow.J[it] @ flow.J_inv[:it] @ V.transpose(0, 2, 1)
+    return np.einsum("kad,kd...->a...", Z, np.diff(hv[:it + 1], axis=0))
 
 
 def log_jacobian_diagnostic(flow: FlowResult, X: RoughPath, p: float) -> dict:

@@ -20,7 +20,8 @@ from gaussrde import (
     spectrum,
     uniform_grid,
 )
-from gaussrde.malliavin import _component_models, _integrand_values
+import gaussrde.malliavin as malliavin
+from gaussrde.malliavin import _component_models, _integrand_values, route_residual
 
 
 def brownian_flow(vf, y0, n=65, seed=70, d=None):
@@ -172,3 +173,60 @@ def test_integrand_values_terminal_point():
     it = grid.n - 1
     Z = _integrand_values(flow, vf, it)
     assert np.allclose(Z[it], vf.val(flow.Y[it]), atol=1e-10)
+
+
+def test_integrand_values_match_per_point_loop(monkeypatch):
+    # reference: the per-point loop that the stacked product replaced; the
+    # values and both routes built on them must agree with it bit for bit
+    def per_point(flow, vf, it):
+        out = np.zeros((it + 1, vf.d, vf.e))
+        for m in range(it + 1):
+            out[m] = (flow.J[it] @ flow.J_inv[m] @ vf.val(flow.Y[m]).T).T
+        return out
+
+    rng = np.random.default_rng(82)
+    cubic = polynomial_fields(c0=rng.standard_normal((3, 3)) * 0.4,
+                              c1=rng.standard_normal((3, 3, 3)) * 0.3,
+                              c2=rng.standard_normal((3, 3, 3, 3)) * 0.1)
+    cases = [(rotation_fields(), np.array([0.3, 0.3])),
+             (cubic, np.array([0.1, -0.2, 0.3]))]
+    for vf, y0 in cases:
+        flow, grid = brownian_flow(vf, y0, n=33, seed=83)
+        for it in (0, 11, grid.n - 1):
+            assert np.array_equal(_integrand_values(flow, vf, it),
+                                  per_point(flow, vf, it))
+        stacked = [malliavin_matrix_2d(flow, vf, fbm_model(0.4), t).sigma
+                   for t in (0.5, 1.0)]
+        stacked.append(malliavin_matrix_bm_reduction(flow, vf, 1.0).sigma)
+        with monkeypatch.context() as m:
+            m.setattr(malliavin, "_integrand_values", per_point)
+            looped = [malliavin_matrix_2d(flow, vf, fbm_model(0.4), t).sigma
+                      for t in (0.5, 1.0)]
+            looped.append(malliavin_matrix_bm_reduction(flow, vf, 1.0).sigma)
+        for a, b in zip(stacked, looped):
+            assert np.array_equal(a, b)
+
+
+def test_routes_agree_with_per_component_models():
+    # with different kernels per component, a basis embedded into the wrong
+    # component changes the Parseval sum; the matching one agrees with 2D
+    vf = rotation_fields()
+    models = [brownian_model(), fbm_model(0.4)]
+    grid = uniform_grid(1.0, 49)
+    batch = sample_paths(models, grid, 1, seed=84)
+    flow = solve_flow_jacobian(lift_piecewise_linear(batch.path(0)), vf,
+                               np.array([0.8, -0.3]))
+    bases = [cameron_martin_basis(m, grid) for m in models]
+    for t in (1.0, grid.points[24]):
+        direct = malliavin_matrix_2d(flow, vf, models, t)
+        matched = malliavin_matrix_parseval(flow, vf, bases, t)
+        swapped = malliavin_matrix_parseval(flow, vf, bases[::-1], t)
+        assert rel_gap(matched.sigma, direct.sigma) < 1e-10
+        assert rel_gap(swapped.sigma, direct.sigma) > 1e-3
+
+
+def test_route_residual():
+    a = np.array([[2.0, 0.0], [0.0, 1.0]])
+    assert route_residual(a, a) == 0.0
+    assert np.isclose(route_residual(a, 2 * a), 0.5)
+    assert route_residual(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0

@@ -6,9 +6,11 @@ from gaussrde import (
     ExplosionError,
     GridFunction1D,
     RoughPath,
+    VectorFieldSystem,
     brownian_model,
     constant_fields,
     directional_derivative,
+    fbm_model,
     lift_piecewise_linear,
     linear_fields,
     log_jacobian_diagnostic,
@@ -203,6 +205,50 @@ def test_directional_derivative_scalar_linear_is_exact():
         assert np.isclose(got[0], expected, rtol=1e-11)
     assert np.allclose(
         directional_derivative(flow, linear_fields(np.array([[[A]]])), h, 0.0), 0.0)
+
+
+def test_directional_derivative_matches_per_step_sum():
+    # reference: the per-step left-point sum that the stacked product replaced
+    def per_step(flow, vf, hv, t):
+        it = flow.grid.index_of(t)
+        out = np.zeros(vf.e)
+        dh = np.diff(hv[:it + 1], axis=0)
+        for k in range(it):
+            out += flow.J[it] @ flow.J_inv[k] @ vf.val(flow.Y[k]).T @ dh[k]
+        return out
+
+    grid = uniform_grid(1.0, 33)
+    custom = VectorFieldSystem(
+        e=2, d=1, value=lambda y: np.array([[np.sin(y[1]), 0.5 * np.cos(y[0])]]))
+    cases = [
+        (rotation_fields(), [fbm_model(0.4)] * 2),
+        (linear_fields(np.stack([np.diag([0.4, 0.1]), 0.3 * np.eye(2)]),
+                       drift=(np.diag([-0.2, 0.1]), np.array([0.1, 0.0]))),
+         [brownian_model()] * 2),
+        (custom, [brownian_model()]),
+    ]
+    rng = np.random.default_rng(66)
+    for vf, models in cases:
+        X = lift_piecewise_linear(sample_paths(models, grid, 1, seed=67).path(0))
+        flow = solve_flow_jacobian(X, vf, np.array([0.7, -0.4]))
+        stack = rng.standard_normal((grid.n, vf.d, 5)).cumsum(axis=0)
+        stack -= stack[0]
+        for t in (0.0, grid.points[13], 1.0):
+            got = directional_derivative(flow, vf, GridFunction1D(grid, stack), t)
+            assert got.shape == (vf.e, 5)
+            for j in range(5):
+                ref = per_step(flow, vf, stack[:, :, j], t)
+                one = directional_derivative(
+                    flow, vf, GridFunction1D(grid, stack[:, :, j]), t)
+                assert one.shape == (vf.e,)
+                assert np.allclose(one, ref, rtol=1e-12, atol=1e-14)
+                assert np.allclose(got[:, j], one, rtol=1e-13, atol=1e-15)
+                if vf.d == 1:
+                    flat = directional_derivative(
+                        flow, vf, GridFunction1D(grid, stack[:, 0, j]), t)
+                    assert np.array_equal(flat, one)
+            if t == 0.0:
+                assert np.array_equal(got, np.zeros((vf.e, 5)))
 
 
 def test_directional_derivative_matches_translation_fd():
