@@ -17,6 +17,7 @@ from gaussrde import (
     cameron_martin_basis,
     constant_fields,
     fbm_model,
+    kernel_eval,
     lift_piecewise_linear,
     linear_fields,
     malliavin_matrix_2d,
@@ -37,7 +38,7 @@ for model, name in ((brownian_model(), "brownian"), (fbm_model(0.4), "fbm 0.4"))
     basis = cameron_martin_basis(model, grid)
     batch = sample_paths([model] * 2, grid, 1, seed=21)
     flow = solve_flow_jacobian(lift_piecewise_linear(batch.path(0)), vf, y0)
-    direct = malliavin_matrix_2d(flow, vf, model, 1.0)
+    direct = malliavin_matrix_2d(flow, vf, kernel_eval(model, grid), 1.0)
     pars = malliavin_matrix_parseval(flow, vf, basis, 1.0)
     gap = np.linalg.norm(pars.sigma - direct.sigma) / np.linalg.norm(direct.sigma)
     print(f"{name:<9} route gap {gap:.2e}   lambda_min {direct.lambda_min:.4e}")
@@ -51,7 +52,7 @@ for stride in (8, 2):
     g = uniform_grid(1.0, idx.size)
     flow = solve_flow_jacobian(
         lift_piecewise_linear(GridFunction1D(g, base.values[0, idx, :])), vf, y0)
-    d = malliavin_matrix_2d(flow, vf, brownian_model(), 1.0)
+    d = malliavin_matrix_2d(flow, vf, kernel_eval(brownian_model(), g), 1.0)
     r = malliavin_matrix_bm_reduction(flow, vf, 1.0)
     gap = np.linalg.norm(r.sigma - d.sigma) / np.linalg.norm(d.sigma)
     print(f"  n={idx.size:<4d} relative gap {gap:.4f}")
@@ -62,7 +63,8 @@ vf_flat = constant_fields(np.array([[1.0, 0.0]]))
 batch = sample_paths([brownian_model()], grid, 1, seed=23)
 flow = solve_flow_jacobian(lift_piecewise_linear(batch.path(0)), vf_flat,
                            np.zeros(2))
-m = malliavin_matrix_2d(flow, vf_flat, brownian_model(), 1.0)
+m = malliavin_matrix_2d(flow, vf_flat, kernel_eval(brownian_model(), grid),
+                       1.0)
 print("\nconstant non-spanning fields:")
 print(m.sigma)
 print("verdict:", spectrum(m, scale=1.0).verdict, " det:", m.det)
@@ -73,7 +75,8 @@ vf1 = linear_fields(np.array([[[0.4]]]))
 batch = sample_paths([bridge_model(1.0)], grid, 1, seed=24)
 flow = solve_flow_jacobian(lift_piecewise_linear(batch.path(0)), vf1,
                            np.array([1.0]))
+bridge_kernel = kernel_eval(bridge_model(1.0), grid)
 for t in (0.5, 1.0):
-    m = malliavin_matrix_2d(flow, vf1, bridge_model(1.0), t)
+    m = malliavin_matrix_2d(flow, vf1, bridge_kernel, t)
     print(f"bridge t={t}: sigma={m.sigma[0, 0]:.4e}  "
           f"verdict={spectrum(m, scale=1.0).verdict}")

@@ -17,8 +17,8 @@ import numpy as np
 
 from .experiments import (ConfigError, RunError, build_fields, build_model,
                           check_conditions, load_config, run_experiment,
-                          variation_index)
-from .gaussian import cameron_martin_basis, sample_paths
+                          time_indices, variation_index)
+from .gaussian import cameron_martin_basis, kernel_eval, sample_paths
 from .lift import lift_piecewise_linear, rough_path_to_csv
 from .malliavin import (malliavin_matrix_2d, malliavin_matrix_parseval,
                         route_residual, spectrum)
@@ -156,9 +156,10 @@ def _cmd_solve(args) -> int:
 def _cmd_malliavin(args) -> int:
     config, model, vf, grid = _prepare(args)
     t = args.time if args.time is not None else config.times[-1]
+    time_indices(grid, [t])  # --time obeys the rule of the config's times
     path = _single_path(config, model, grid, args.index)
     flow = solve_flow_jacobian(lift_piecewise_linear(path), vf, config.y0)
-    mat = malliavin_matrix_2d(flow, vf, model, t)
+    mat = malliavin_matrix_2d(flow, vf, kernel_eval(model, grid), t)
     basis = cameron_martin_basis(model, grid)
     other = malliavin_matrix_parseval(flow, vf, basis, t)
     residual = route_residual(mat.sigma, other.sigma)

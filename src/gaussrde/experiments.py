@@ -98,6 +98,16 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"invalid config {path!r}: {exc}") from exc
 
 
+def time_indices(grid: TimeGrid, times) -> list[int]:
+    """Grid indices of evaluation times, each a grid point in (0, horizon]."""
+    if not times or any(t <= 0 or t > grid.horizon + 1e-12 for t in times):
+        raise ConfigError("evaluation times must lie in (0, horizon]")
+    try:
+        return [grid.index_of(t) for t in times]
+    except ValueError as exc:
+        raise ConfigError(f"evaluation times must be grid points: {exc}") from exc
+
+
 def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     if not parser.has_section("model"):
         raise ConfigError("config needs a [model] section")
@@ -143,8 +153,7 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
 
     times_text = exp_sec.get("times", str(horizon))
     times = tuple(float(t) for t in times_text.replace(",", " ").split())
-    if not times or any(t <= 0 or t > horizon + 1e-12 for t in times):
-        raise ConfigError("evaluation times must lie in (0, horizon]")
+    time_indices(uniform_grid(horizon, n), times)
     count = int(exp_sec.get("count", "1"))
     if count < 1:
         raise ConfigError("count must be >= 1")
@@ -442,15 +451,15 @@ class DensityReport:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_sample(k, values, grid, model, vf, y0, time_indices, pvar_p, tau):
+def _evaluate_sample(k, values, grid, kernel, vf, y0, indices, pvar_p, tau):
     """Full pipeline for one sample; returns per-time records."""
     X = lift_piecewise_linear(GridFunction1D(grid, values))
     flow = solve_flow_jacobian(X, vf, y0, pvar_index=pvar_p)
-    mats = [malliavin_matrix_2d(flow, vf, model, grid.points[it])
-            for it in time_indices]
+    mats = [malliavin_matrix_2d(flow, vf, kernel, grid.points[it])
+            for it in indices]
     scale = max(m.trace / vf.e for m in mats)
     records = []
-    for it, mat in zip(time_indices, mats):
+    for it, mat in zip(indices, mats):
         spec = spectrum(mat, tau=tau, scale=scale)
         records.append({
             "t": float(grid.points[it]),
@@ -477,13 +486,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     model = build_model(config)
     vf = build_fields(config)
     grid = uniform_grid(config.horizon, config.n)
-    try:
-        time_indices = [grid.index_of(t) for t in config.times]
-    except ValueError as exc:
-        raise ConfigError(f"evaluation times must be grid points: {exc}") from exc
+    indices = time_indices(grid, config.times)
 
     if not config.allow_degenerate:
-        for t, it in zip(config.times, time_indices):
+        for t, it in zip(config.times, indices):
             sub = TimeGrid(grid.points[:it + 1])
             rep = nondegeneracy_check(model, sub)
             if rep["degenerate"]:
@@ -498,38 +504,31 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
 
     n_check = min(10, config.count)
     basis = cameron_martin_basis(model, grid) if n_check else None
+    kernel = kernel_eval(model, grid)
 
     def work(k):
         try:
             flow, mats, records = _evaluate_sample(
-                k, batch.values[k], grid, model, vf, config.y0,
-                time_indices, pvar_p, config.tau)
+                k, batch.values[k], grid, kernel, vf, config.y0,
+                indices, pvar_p, config.tau)
         except (ExplosionError, np.linalg.LinAlgError, FloatingPointError) as exc:
             log.warning("sample %d aborted: %s", k, exc)
             return k, None, f"{type(exc).__name__}: {exc}"
         residual = None
         if k < n_check:
             residual = 0.0
-            for it, mat in zip(time_indices, mats):
+            for it, mat in zip(indices, mats):
                 other = malliavin_matrix_parseval(flow, vf, basis,
                                                  grid.points[it])
                 residual = max(residual, route_residual(mat.sigma, other.sigma))
         return k, (records, residual), None
 
-    results = [None] * config.count
-    failures = []
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            for k, payload, err in pool.map(work, range(config.count)):
-                results[k] = payload
-                if err is not None:
-                    failures.append((k, err))
+            outcomes = list(pool.map(work, range(config.count)))
     else:
-        for k in range(config.count):
-            _, payload, err = work(k)
-            results[k] = payload
-            if err is not None:
-                failures.append((k, err))
+        outcomes = [work(k) for k in range(config.count)]
+    failures = [(k, err) for k, _, err in outcomes if err is not None]
 
     aborted = len(failures)
     if aborted > 0.01 * config.count:
@@ -538,27 +537,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
             f"failure: sample {failures[0][0]}: {failures[0][1]}"
         )
 
-    rows = []
-    final_Y = []
-    lam_values = []
-    degenerate_rows = 0
-    total_rows = 0
-    oracle_res = []
-    for k in range(config.count):
-        if results[k] is None:
-            continue
-        records, residual = results[k]
-        if residual is not None:
-            oracle_res.append(residual)
-        for rec in records:
-            rows.append((k, rec))
-            lam_values.append(rec["lambda_min"])
-            total_rows += 1
-            if rec["verdict"] == "degenerate":
-                degenerate_rows += 1
-        final_Y.append(records[-1]["Y"])
-    final_Y = np.array(final_Y)
-    lam_values = np.array(lam_values)
+    done = [(k, payload) for k, payload, _ in outcomes if payload is not None]
+    rows = [(k, rec) for k, (records, _) in done for rec in records]
+    oracle_res = [res for _, (_, res) in done if res is not None]
+    final_Y = np.array([records[-1]["Y"] for _, (records, _) in done])
+    lam_values = np.array([rec["lambda_min"] for _, rec in rows])
+    total_rows = len(rows)
+    degenerate_rows = sum(rec["verdict"] == "degenerate" for _, rec in rows)
     frac_deg = degenerate_rows / total_rows if total_rows else float("nan")
     quantiles = {"q05": float(np.quantile(lam_values, 0.05)),
                  "q50": float(np.quantile(lam_values, 0.50)),

@@ -4,7 +4,9 @@ Route one pairs the variation-of-constants integrand Z_k(s) = J_{t<-s} V_k(Y_s)
 with itself against the rectangle increments of each component's covariance
 kernel (a 2D Young integral).  Route two expands the derivative over an
 orthonormal basis of the grid Cameron-Martin space and sums outer products
-of directional derivatives.  On a fixed grid the two are the same finite sum
+of directional derivatives.  Both read V(Y_s) from the flow; the kernel
+sample and the basis depend only on the driver law, so the caller builds
+them once per run.  On a fixed grid the two are the same finite sum
 rearranged, so their agreement is a floating-point identity and serves as
 the module's correctness certificate; neither route is ever shortcut through
 the other.
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import VectorFieldSystem
-from .gaussian import CameronMartinBasis, CovarianceModel, kernel_eval
+from .gaussian import CameronMartinBasis
 from .rde import FlowResult, directional_derivative
-from .young import GridFunction1D, TimeGrid, young_integral_2d
+from .young import GridFunction1D, GridFunction2D, TimeGrid, same_grid
 
 DEGENERACY_TAU = 1e-10
 
@@ -57,38 +59,45 @@ def _integrand_values(flow: FlowResult, vf: VectorFieldSystem, it: int) -> np.nd
     """Z[m, k, :] = J_{t<-s_m} V_k(Y_{s_m}) for grid indices m = 0..it."""
     if flow.J is None:
         raise ValueError("covariance routes need a Jacobian-carrying flow")
-    V = np.array([vf.val(y) for y in flow.Y[:it + 1]])
-    Z = flow.J[it] @ flow.J_inv[:it + 1] @ V.transpose(0, 2, 1)
+    if flow.V.shape[1:] != (vf.d, vf.e):
+        raise ValueError("flow was solved with fields of another shape")
+    Z = flow.J[it] @ flow.J_inv[:it + 1] @ flow.V[:it + 1].transpose(0, 2, 1)
     # C order keeps the summation order of the einsums that pair Z
     return np.ascontiguousarray(Z.transpose(0, 2, 1))
 
 
-def _component_models(model, d: int) -> list[CovarianceModel]:
-    if isinstance(model, CovarianceModel):
-        return [model] * d
-    models = list(model)
-    if len(models) != d:
-        raise ValueError(f"need {d} component models, got {len(models)}")
-    return models
+def _per_component(value, kind: type, d: int) -> list:
+    """One `kind` value shared by the d driver components, or a list of d."""
+    values = [value] * d if isinstance(value, kind) else list(value)
+    if len(values) != d:
+        raise ValueError(f"need {d} component {kind.__name__} values, "
+                         f"got {len(values)}")
+    return values
 
 
-def malliavin_matrix_2d(flow: FlowResult, vf: VectorFieldSystem, model,
+def _check_flow_grid(flow: FlowResult, *grids: TimeGrid) -> None:
+    if not all(same_grid(g, flow.grid) for g in grids):
+        raise ValueError("sample grid does not match the flow grid")
+
+
+def malliavin_matrix_2d(flow: FlowResult, vf: VectorFieldSystem, kernel,
                         t: float) -> MalliavinMatrix:
     """Covariance via the double-integral representation.
 
     sigma_t = sum_k int int Z_k(s) (x) Z_k(s') dR^(k)(s, s') over [0, t]^2,
-    evaluated with left-point values against rectangle increments of the
-    kernel restricted to the sub-grid up to t.  `model` is one covariance
-    model shared by all components or a list with one entry per component.
+    evaluated with left-point values against the leading [0, t]^2 block of
+    rectangle increments of `kernel`, the covariance sampled on the flow
+    grid (`kernel_eval(model, flow.grid)`): one shared by all components or
+    a list with one per component.
     """
     it = flow.grid.index_of(t)
-    models = _component_models(model, vf.d)
-    sub = TimeGrid(flow.grid.points[:it + 1])
+    kernels = _per_component(kernel, GridFunction2D, vf.d)
     Z = _integrand_values(flow, vf, it)
     raw = np.zeros((vf.e, vf.e))
-    for k, mk in enumerate(models):
-        Zk = GridFunction1D(sub, Z[:, k, :])
-        raw += young_integral_2d(Zk, Zk, kernel_eval(mk, sub))
+    for k, Rk in enumerate(kernels):
+        _check_flow_grid(flow, Rk.grid_s, Rk.grid_t)
+        box = Rk.rectangle_increments()[:it, :it]
+        raw += np.einsum("ia,ij,jb->ab", Z[:-1, k], box, Z[:-1, k])
     return _finish(raw, t, "2d-young")
 
 
@@ -119,17 +128,10 @@ def malliavin_matrix_parseval(flow: FlowResult, vf: VectorFieldSystem, basis,
     One `directional_derivative` call per component on its whole basis;
     independent of the 2D route.
     """
-    if isinstance(basis, CameronMartinBasis):
-        bases = [basis] * vf.d
-    else:
-        bases = list(basis)
-        if len(bases) != vf.d:
-            raise ValueError(f"need {vf.d} component bases, got {len(bases)}")
+    bases = _per_component(basis, CameronMartinBasis, vf.d)
     raw = np.zeros((vf.e, vf.e))
     for k, bk in enumerate(bases):
-        if not np.allclose(bk.grid.points, flow.grid.points,
-                           rtol=1e-12, atol=1e-12):
-            raise ValueError("basis grid does not match the flow grid")
+        _check_flow_grid(flow, bk.grid)
         h = np.zeros((flow.grid.n, vf.d, bk.size))
         h[:, k] = bk.functions
         D = directional_derivative(flow, vf, GridFunction1D(flow.grid, h), t)

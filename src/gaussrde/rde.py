@@ -48,15 +48,18 @@ class ExplosionError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Solution path with (optionally) the Jacobian flow along it.
+    """Solution path with its field values and (optionally) Jacobian flow.
 
-    J[i] is the derivative of Y at time t_i with respect to y0; J_inv[i] its
-    inverse, taken directly.  pvar holds the driver's p-variation when the
-    caller asked for it (metadata for growth diagnostics).
+    V[i] = V(Y_i) is the (d, e) array of driving fields (drift excluded) at
+    t_i, as the solver evaluated them.  J[i] is the derivative of Y at t_i
+    with respect to y0; J_inv[i] its inverse, taken directly.  pvar holds the
+    driver's p-variation when the caller asked for it (metadata for growth
+    diagnostics).
     """
 
     grid: TimeGrid
     Y: np.ndarray
+    V: np.ndarray
     J: np.ndarray | None = None
     J_inv: np.ndarray | None = None
     pvar: float | None = None
@@ -119,14 +122,15 @@ def _solve(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
     if vf.has_drift:
         inner = _solve(spacetime_lift(X), _augment_with_drift(vf), y0,
                        with_jacobian, None)
-        return FlowResult(X.grid, inner.Y, inner.J, inner.J_inv,
-                          pvar, pvar_index, inner.max_condition)
+        return FlowResult(X.grid, inner.Y, inner.V[:, 1:], inner.J,
+                          inner.J_inv, pvar, pvar_index, inner.max_condition)
 
     da, db = X.segment_increments()
     _check_geometric(da, db)
     n, e = X.grid.n, vf.e
     Y = np.zeros((n, e))
     Y[0] = y0
+    V = np.zeros((n, vf.d, e))
     J = Jinv = None
     max_cond = 1.0
     if with_jacobian:
@@ -136,13 +140,13 @@ def _solve(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
     jac = np.eye(e)
     for k in range(n - 1):
         a, b = da[k], db[k]
-        V = vf.val(y)
+        V[k] = Vk = vf.val(y)
         Vp = vf.jac(y)
-        step = a @ V + np.einsum("ji,iab,jb->a", b, Vp, V)
+        step = a @ Vk + np.einsum("ji,iab,jb->a", b, Vp, Vk)
         if with_jacobian:
             Vpp = vf.hess(y)
             M = (np.einsum("i,iab->ab", a, Vp)
-                 + np.einsum("ji,iagb,jg->ab", b, Vpp, V)
+                 + np.einsum("ji,iagb,jg->ab", b, Vpp, Vk)
                  + np.einsum("ji,iag,jgb->ab", b, Vp, Vp))
             jac = jac + M @ jac
         y = y + step
@@ -155,11 +159,12 @@ def _solve(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
                 raise ExplosionError(
                     f"Jacobian exploded at t = {t_next:.6g}", t_next)
             J[k + 1] = jac
+    V[-1] = vf.val(y)
     if with_jacobian:
         Jinv, max_cond = _inverses(J)
         if max_cond > CONDITION_LIMIT:
             warnings.warn(f"Jacobian condition number reached {max_cond:.3e}")
-    return FlowResult(X.grid, Y, J, Jinv, pvar, pvar_index, max_cond)
+    return FlowResult(X.grid, Y, V, J, Jinv, pvar, pvar_index, max_cond)
 
 
 def solve_rde(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
@@ -238,7 +243,8 @@ def solve_ode_reference(driver, vf: VectorFieldSystem, y0: np.ndarray,
         Y[k + 1] = y
         J[k + 1] = jac
     Jinv, max_cond = _inverses(J)
-    return FlowResult(grid, Y, J, Jinv, None, None, max_cond)
+    V = np.array([vf.val(y) for y in Y])
+    return FlowResult(grid, Y, V, J, Jinv, None, None, max_cond)
 
 
 def directional_derivative(flow: FlowResult, vf: VectorFieldSystem,
@@ -261,8 +267,9 @@ def directional_derivative(flow: FlowResult, vf: VectorFieldSystem,
         hv = hv[:, None]
     if hv.shape[1] != vf.d:
         raise ValueError(f"direction has {hv.shape[1]} components, driver has {vf.d}")
-    V = np.array([vf.val(y) for y in flow.Y[:it]]).reshape(it, vf.d, vf.e)
-    Z = flow.J[it] @ flow.J_inv[:it] @ V.transpose(0, 2, 1)
+    if flow.V.shape[1:] != (vf.d, vf.e):
+        raise ValueError("flow was solved with fields of another shape")
+    Z = flow.J[it] @ flow.J_inv[:it] @ flow.V[:it].transpose(0, 2, 1)
     return np.einsum("kad,kd...->a...", Z, np.diff(hv[:it + 1], axis=0))
 
 

@@ -98,7 +98,7 @@ class GridFunction2D:
         return v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]
 
 
-def _same_grid(a: TimeGrid, b: TimeGrid) -> bool:
+def same_grid(a: TimeGrid, b: TimeGrid) -> bool:
     return a.n == b.n and np.allclose(a.points, b.points, rtol=1e-12, atol=1e-12)
 
 
@@ -109,7 +109,7 @@ def young_integral_1d(f: GridFunction1D, g: GridFunction1D):
     against a scalar side gives a vector; two vector-valued functions of the
     same width are paired, sum_k of f_k dg^k, giving a scalar.
     """
-    if not _same_grid(f.grid, g.grid):
+    if not same_grid(f.grid, g.grid):
         raise ValueError("integrand and integrator must share a grid")
     fv, gv = f.values, g.values
     dg = gv[1:] - gv[:-1]
@@ -131,9 +131,9 @@ def young_integral_2d(f: GridFunction1D, g: GridFunction1D, R: GridFunction2D):
     For scalar f, g the result is a scalar; for e-vector-valued f, g it is the
     e x e matrix of pairings needed by the Malliavin covariance.
     """
-    if not _same_grid(f.grid, R.grid_s):
+    if not same_grid(f.grid, R.grid_s):
         raise ValueError("f must be sampled on R.grid_s")
-    if not _same_grid(g.grid, R.grid_t):
+    if not same_grid(g.grid, R.grid_t):
         raise ValueError("g must be sampled on R.grid_t")
     box = R.rectangle_increments()
     fl = f.values[:-1]
@@ -268,7 +268,7 @@ def rho_variation_2d(R: GridFunction2D, rho: float, mode: str = "diagonal-refine
     """
     if rho < 1:
         raise ValueError(f"rho must be >= 1, got {rho}")
-    if not _same_grid(R.grid_s, R.grid_t):
+    if not same_grid(R.grid_s, R.grid_t):
         raise ValueError("rho-variation requires the same grid on both axes")
     n = R.grid_s.n
     if mode == "exact":

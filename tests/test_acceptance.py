@@ -285,11 +285,12 @@ def test_criterion_07_malliavin_route_equivalence():
     worst = 0.0
     for _, vf, model, y0 in systems:
         basis = cameron_martin_basis(model, grid)
+        kernel = kernel_eval(model, grid)
         for k in range(10):
             batch = sample_paths([model] * vf.d, grid, 1, seed=3000 + k)
             flow = solve_flow_jacobian(lift_piecewise_linear(batch.path(0)),
                                        vf, y0)
-            direct = malliavin_matrix_2d(flow, vf, model, 1.0)
+            direct = malliavin_matrix_2d(flow, vf, kernel, 1.0)
             parseval = malliavin_matrix_parseval(flow, vf, basis, 1.0)
             rel = (np.linalg.norm(parseval.sigma - direct.sigma)
                    / max(np.linalg.norm(direct.sigma), 1e-300))
@@ -308,7 +309,8 @@ def test_criterion_07_malliavin_route_equivalence():
             g = uniform_grid(1.0, idx.size)
             X = lift_piecewise_linear(GridFunction1D(g, base.values[0, idx, :]))
             flow = solve_flow_jacobian(X, vf, y0)
-            direct = malliavin_matrix_2d(flow, vf, brownian_model(), 1.0)
+            direct = malliavin_matrix_2d(flow, vf,
+                                         kernel_eval(brownian_model(), g), 1.0)
             reduced = malliavin_matrix_bm_reduction(flow, vf, 1.0)
             sink.append(np.linalg.norm(reduced.sigma - direct.sigma)
                         / np.linalg.norm(direct.sigma))

@@ -85,6 +85,7 @@ def test_load_config_inline_comments(tmp_path):
     ("times = 0.5 1.0", "times = 1.5"),
     ("y0 = 1.0 0.0", "y0 = 1.0"),
     ("seed = 11", "threads = 0\nseed = 11"),
+    ("times = 0.5 1.0", "times = 0.3 1.0"),
 ])
 def test_load_config_rejects_bad_values(tmp_path, mutation):
     old, new = mutation
@@ -500,6 +501,14 @@ def test_cli_malliavin_report(tmp_path, capsys):
     assert len(payload["sigma"]) == 2
 
 
+def test_cli_malliavin_time_must_be_a_config_time(tmp_path, capsys):
+    # --time follows the rule of the config's times: a grid point in (0, T]
+    cfg = write_config(tmp_path, ROTATION_CONFIG)
+    for t in ("0.3", "0.0", "1.5"):
+        assert cli_main(["malliavin", "--config", cfg, "--time", t]) == 2
+        assert "config error: evaluation times" in capsys.readouterr().err
+
+
 def test_cli_density_outputs_table(tmp_path, capsys, monkeypatch):
     text = ROTATION_CONFIG.replace("count = 30", "count = 120")
     cfg = write_config(tmp_path, text)
@@ -552,3 +561,21 @@ def test_run_experiment_propagates_programming_errors(tmp_path, monkeypatch):
     cfg = load_config(write_config(tmp_path, ROTATION_CONFIG))
     with pytest.raises(TypeError, match="broken solver"):
         run_experiment(cfg)
+
+
+def test_run_experiment_samples_the_kernel_once(tmp_path, monkeypatch):
+    """The kernel sample depends only on the driver law: one per run."""
+    import gaussrde.experiments
+
+    calls = []
+    sample_kernel = gaussrde.experiments.kernel_eval
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sample_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(gaussrde.experiments, "kernel_eval", counting)
+    cfg = load_config(write_config(tmp_path, ROTATION_CONFIG))
+    report = run_experiment(cfg, out_dir=str(tmp_path / "out"))
+    assert report.count == 30 and report.oracle_checked == 10
+    assert len(calls) == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from gaussrde import (
     cameron_martin_basis,
     constant_fields,
     fbm_model,
+    kernel_eval,
     lift_piecewise_linear,
     linear_fields,
     malliavin_matrix_2d,
@@ -19,9 +22,11 @@ from gaussrde import (
     solve_rde,
     spectrum,
     uniform_grid,
+    young_integral_2d,
 )
 import gaussrde.malliavin as malliavin
-from gaussrde.malliavin import _component_models, _integrand_values, route_residual
+from gaussrde.malliavin import _integrand_values, _per_component, route_residual
+from gaussrde.young import GridFunction2D, TimeGrid
 
 
 def brownian_flow(vf, y0, n=65, seed=70, d=None):
@@ -49,7 +54,7 @@ def test_scalar_linear_covariance_telescopes():
                                    np.array([1.1]))
         for t in (1.0, grid.points[32]):
             it = grid.index_of(t)
-            mat = malliavin_matrix_2d(flow, vf, model, t)
+            mat = malliavin_matrix_2d(flow, vf, kernel_eval(model, grid), t)
             expected = (A * flow.Y[it, 0]) ** 2 * model(t, t)
             assert np.isclose(mat.sigma[0, 0], expected, rtol=1e-10)
             assert mat.method == "2d-young"
@@ -71,8 +76,9 @@ def test_routes_agree_to_rounding():
         batch = sample_paths([model] * vf.d, grid, 1, seed=72)
         flow = solve_flow_jacobian(lift_piecewise_linear(batch.path(0)), vf, y0)
         basis = cameron_martin_basis(model, grid)
+        kernel = kernel_eval(model, grid)
         for t in (1.0, grid.points[24]):
-            direct = malliavin_matrix_2d(flow, vf, model, t)
+            direct = malliavin_matrix_2d(flow, vf, kernel, t)
             parseval = malliavin_matrix_parseval(flow, vf, basis, t)
             assert parseval.method == "parseval-basis"
             assert rel_gap(parseval.sigma, direct.sigma) < 1e-10
@@ -89,7 +95,8 @@ def test_bm_reduction_gap_shrinks_with_mesh():
         grid = uniform_grid(1.0, idx.size)
         X = lift_piecewise_linear(GridFunction1D(grid, base.values[0, idx, :]))
         flow = solve_flow_jacobian(X, vf, y0)
-        direct = malliavin_matrix_2d(flow, vf, brownian_model(), 1.0)
+        direct = malliavin_matrix_2d(flow, vf, kernel_eval(brownian_model(), grid),
+                                     1.0)
         reduced = malliavin_matrix_bm_reduction(flow, vf, 1.0)
         assert reduced.method == "bm-reduction"
         gaps.append(rel_gap(reduced.sigma, direct.sigma))
@@ -102,7 +109,7 @@ def test_constant_fields_degenerate_covariance():
     # the covariance is rank one with top entry R(T, T)
     vf = constant_fields(np.array([[1.0, 0.0]]))
     flow, grid = brownian_flow(vf, np.zeros(2), n=33, seed=74, d=1)
-    mat = malliavin_matrix_2d(flow, vf, brownian_model(), 1.0)
+    mat = malliavin_matrix_2d(flow, vf, kernel_eval(brownian_model(), grid), 1.0)
     assert np.allclose(mat.sigma, np.array([[1.0, 0.0], [0.0, 0.0]]), atol=1e-12)
     assert mat.det <= 1e-12
     res = spectrum(mat)
@@ -117,8 +124,9 @@ def test_covariance_psd_and_symmetric():
         c2=rng.standard_normal((2, 2, 2, 2)) * 0.2,
     )
     for seed in range(76, 79):
-        flow, _ = brownian_flow(vf, np.array([0.1, -0.2]), seed=seed)
-        mat = malliavin_matrix_2d(flow, vf, brownian_model(), 1.0)
+        flow, grid = brownian_flow(vf, np.array([0.1, -0.2]), seed=seed)
+        mat = malliavin_matrix_2d(flow, vf, kernel_eval(brownian_model(), grid),
+                                  1.0)
         assert np.array_equal(mat.sigma, mat.sigma.T)
         assert mat.asymmetry < 1e-10
         assert mat.lambda_min >= -1e-10 * max(mat.trace, 1.0)
@@ -141,8 +149,8 @@ def test_spectrum_verdicts_and_scale():
 
 def test_spectrum_accepts_matrix_or_result():
     vf = rotation_fields()
-    flow, _ = brownian_flow(vf, np.array([1.0, 0.0]), seed=79)
-    mat = malliavin_matrix_2d(flow, vf, brownian_model(), 1.0)
+    flow, grid = brownian_flow(vf, np.array([1.0, 0.0]), seed=79)
+    mat = malliavin_matrix_2d(flow, vf, kernel_eval(brownian_model(), grid), 1.0)
     a = spectrum(mat)
     b = spectrum(mat.sigma)
     assert np.allclose(a.eigenvalues, b.eigenvalues)
@@ -154,16 +162,27 @@ def test_input_guards():
     batch = sample_paths([brownian_model()] * 2, grid, 1, seed=80)
     X = lift_piecewise_linear(batch.path(0))
     bare = solve_rde(X, vf, np.zeros(2))
+    kernel = kernel_eval(brownian_model(), grid)
     with pytest.raises(ValueError):
-        malliavin_matrix_2d(bare, vf, brownian_model(), 1.0)
+        malliavin_matrix_2d(bare, vf, kernel, 1.0)
     flow = solve_flow_jacobian(X, vf, np.zeros(2))
-    with pytest.raises(ValueError):
-        _component_models([brownian_model()], 2)
-    other = cameron_martin_basis(brownian_model(), uniform_grid(1.0, 9))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 2 component"):
+        _per_component([kernel], GridFunction2D, 2)
+    coarse = uniform_grid(1.0, 9)
+    other = cameron_martin_basis(brownian_model(), coarse)
+    with pytest.raises(ValueError, match="grid does not match"):
         malliavin_matrix_parseval(flow, vf, other, 1.0)
-    with pytest.raises(ValueError):
-        malliavin_matrix_2d(flow, vf, [brownian_model()] * 3, 1.0)
+    with pytest.raises(ValueError, match="need 2 component"):
+        malliavin_matrix_2d(flow, vf, [kernel] * 3, 1.0)
+    # a kernel sampled on another grid, in either argument, is rejected
+    shifted = uniform_grid(2.0, 17)
+    for wrong in (kernel_eval(brownian_model(), coarse),
+                  kernel_eval(brownian_model(), shifted),
+                  kernel_eval(brownian_model(), grid, shifted)):
+        with pytest.raises(ValueError, match="grid does not match"):
+            malliavin_matrix_2d(flow, vf, wrong, 1.0)
+        with pytest.raises(ValueError, match="grid does not match"):
+            malliavin_matrix_2d(flow, vf, [kernel, wrong], 1.0)
 
 
 def test_integrand_values_terminal_point():
@@ -195,12 +214,13 @@ def test_integrand_values_match_per_point_loop(monkeypatch):
         for it in (0, 11, grid.n - 1):
             assert np.array_equal(_integrand_values(flow, vf, it),
                                   per_point(flow, vf, it))
-        stacked = [malliavin_matrix_2d(flow, vf, fbm_model(0.4), t).sigma
+        kernel = kernel_eval(fbm_model(0.4), grid)
+        stacked = [malliavin_matrix_2d(flow, vf, kernel, t).sigma
                    for t in (0.5, 1.0)]
         stacked.append(malliavin_matrix_bm_reduction(flow, vf, 1.0).sigma)
         with monkeypatch.context() as m:
             m.setattr(malliavin, "_integrand_values", per_point)
-            looped = [malliavin_matrix_2d(flow, vf, fbm_model(0.4), t).sigma
+            looped = [malliavin_matrix_2d(flow, vf, kernel, t).sigma
                       for t in (0.5, 1.0)]
             looped.append(malliavin_matrix_bm_reduction(flow, vf, 1.0).sigma)
         for a, b in zip(stacked, looped):
@@ -217,8 +237,9 @@ def test_routes_agree_with_per_component_models():
     flow = solve_flow_jacobian(lift_piecewise_linear(batch.path(0)), vf,
                                np.array([0.8, -0.3]))
     bases = [cameron_martin_basis(m, grid) for m in models]
+    kernels = [kernel_eval(m, grid) for m in models]
     for t in (1.0, grid.points[24]):
-        direct = malliavin_matrix_2d(flow, vf, models, t)
+        direct = malliavin_matrix_2d(flow, vf, kernels, t)
         matched = malliavin_matrix_parseval(flow, vf, bases, t)
         swapped = malliavin_matrix_parseval(flow, vf, bases[::-1], t)
         assert rel_gap(matched.sigma, direct.sigma) < 1e-10
@@ -230,3 +251,62 @@ def test_route_residual():
     assert route_residual(a, a) == 0.0
     assert np.isclose(route_residual(a, 2 * a), 0.5)
     assert route_residual(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+
+
+def test_2d_route_matches_subgrid_young_integral():
+    # reference: the path the per-run kernel sample replaced, with the fields
+    # evaluated again at the states and the kernel sampled on the sub-grid up
+    # to t; the new sigma must equal it bit for bit
+    def subgrid_sigma(flow, vf, model, t):
+        it = flow.grid.index_of(t)
+        sub = TimeGrid(flow.grid.points[:it + 1])
+        V = np.array([vf.val(y) for y in flow.Y[:it + 1]])
+        Z = flow.J[it] @ flow.J_inv[:it + 1] @ V.transpose(0, 2, 1)
+        Z = np.ascontiguousarray(Z.transpose(0, 2, 1))
+        raw = np.zeros((vf.e, vf.e))
+        for k in range(vf.d):
+            Zk = GridFunction1D(sub, Z[:, k, :])
+            raw += young_integral_2d(Zk, Zk, kernel_eval(model, sub))
+        return malliavin._finish(raw, t, "2d-young").sigma
+
+    rng = np.random.default_rng(86)
+    models = (brownian_model(), fbm_model(0.4), fbm_model(0.7))
+    cases = 0
+    for d in (1, 2, 3):
+        for e in (1, 2, 3):
+            vf = polynomial_fields(c0=rng.standard_normal((d, e)) * 0.5,
+                                   c1=rng.standard_normal((d, e, e)) * 0.3,
+                                   c2=rng.standard_normal((d, e, e, e)) * 0.1)
+            y0 = rng.standard_normal(e) * 0.3
+            for n in (17, 65):
+                grid = uniform_grid(1.0, n)
+                for model in models:
+                    kernel = kernel_eval(model, grid)
+                    batch = sample_paths([model] * d, grid, 1,
+                                         seed=int(rng.integers(1 << 30)))
+                    flow = solve_flow_jacobian(
+                        lift_piecewise_linear(batch.path(0)), vf, y0)
+                    for t in (grid.points[n // 2 - 3], 1.0):
+                        got = malliavin_matrix_2d(flow, vf, kernel, t).sigma
+                        assert np.array_equal(got,
+                                              subgrid_sigma(flow, vf, model, t))
+                        cases += 1
+    assert cases == 108
+
+
+def test_routes_read_field_values_from_flow():
+    # after the solve, no route evaluates the fields again
+    vf = rotation_fields()
+    flow, grid = brownian_flow(vf, np.array([0.3, 0.3]), n=17, seed=87)
+
+    def unavailable(y):
+        raise AssertionError("fields evaluated after the solve")
+
+    blind = dataclasses.replace(vf, value=unavailable)
+    basis = cameron_martin_basis(brownian_model(), grid)
+    for t in (0.5, 1.0):
+        direct = malliavin_matrix_2d(flow, blind,
+                                     kernel_eval(brownian_model(), grid), t)
+        parseval = malliavin_matrix_parseval(flow, blind, basis, t)
+        malliavin_matrix_bm_reduction(flow, blind, t)
+        assert rel_gap(parseval.sigma, direct.sigma) < 1e-10

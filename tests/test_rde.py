@@ -251,6 +251,36 @@ def test_directional_derivative_matches_per_step_sum():
                 assert np.array_equal(got, np.zeros((vf.e, 5)))
 
 
+def test_flow_field_values_match_field_evaluation():
+    # reference: the per-state vf.val calls that the stored V replaced
+    grid = uniform_grid(1.0, 33)
+    rng = np.random.default_rng(68)
+    custom = VectorFieldSystem(
+        e=2, d=1, value=lambda y: np.array([[np.sin(y[1]), 0.5 * np.cos(y[0])]]))
+    cubic = polynomial_fields(c0=rng.standard_normal((2, 3)) * 0.4,
+                              c1=rng.standard_normal((2, 3, 3)) * 0.3,
+                              c2=rng.standard_normal((2, 3, 3, 3)) * 0.1)
+    cases = [
+        (rotation_fields(), [fbm_model(0.4)] * 2, np.array([0.7, -0.4])),
+        (linear_fields(np.stack([np.diag([0.4, 0.1]), 0.3 * np.eye(2)]),
+                       drift=(np.diag([-0.2, 0.1]), np.array([0.1, 0.0]))),
+         [brownian_model()] * 2, np.array([0.7, -0.4])),
+        (custom, [brownian_model()], np.array([0.7, -0.4])),
+        (cubic, [fbm_model(0.7)] * 2, np.array([0.1, -0.2, 0.3])),
+    ]
+    for vf, models, y0 in cases:
+        path = sample_paths(models, grid, 1, seed=69).path(0)
+        X = lift_piecewise_linear(path)
+        for flow in (solve_rde(X, vf, y0), solve_flow_jacobian(X, vf, y0),
+                     solve_ode_reference(path, vf, y0, substeps=2)):
+            assert flow.V.shape == (grid.n, vf.d, vf.e)
+            for m in range(grid.n):
+                assert np.array_equal(flow.V[m], vf.val(flow.Y[m]))
+    h = GridFunction1D(grid, np.zeros((grid.n, 2)))
+    with pytest.raises(ValueError, match="another shape"):
+        directional_derivative(flow, rotation_fields(), h, 1.0)
+
+
 def test_directional_derivative_matches_translation_fd():
     # commuting diagonal system keeps the left-point quadrature bias tiny
     A = np.stack([np.diag([0.4, 0.4]), np.diag([0.3, -0.2])])
