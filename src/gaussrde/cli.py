@@ -9,7 +9,6 @@ failure, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -47,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="full Monte Carlo pipeline with artifacts")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", help="directory for output artifacts")
-    run_p.add_argument("--threads", type=int, help="worker threads override")
 
     add("check", "verify ellipticity / Gaussian non-degeneracy / roughness index")
     add("sample", "write one sampled driver path as CSV", needs_out=True,
@@ -82,12 +80,7 @@ def _single_path(config, model, grid, index):
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        config = dataclasses.replace(config, threads=args.threads)
-    report = run_experiment(config, out_dir=args.out)
+    report = run_experiment(load_config(args.config), out_dir=args.out)
     print(f"samples: {report.count}  aborted: {report.aborted}")
     print(f"fraction degenerate: {report.fraction_degenerate:.4f}")
     if report.oracle_checked:

@@ -4,7 +4,8 @@ verdicts, density estimation, and artifact emission.
 A single INI-style config file describes the driver model, the vector
 fields, the evaluation protocol and the output paths; `run_experiment`
 executes the full pipeline deterministically (per-sample RNG streams are
-keyed by (seed, sample_index), so results do not depend on scheduling) and
+keyed by (seed, sample_index), and each sample's values do not depend on the
+chunk it is solved in) and
 emits one CSV row per (sample, evaluation time) plus a JSON summary.  The
 KDE and Kolmogorov-Smirnov helpers quantify how the empirical law of Y_t
 compares with a known reference when one exists.
@@ -18,7 +19,6 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,16 +29,20 @@ from .fields import (VectorFieldSystem, constant_fields, ellipticity_rank,
                      linear_fields, polynomial_fields, rotation_fields)
 from .gaussian import (CovarianceModel, brownian_model, bridge_model,
                        cameron_martin_basis, fbm_model, kernel_eval,
-                       nondegeneracy_check, sample_paths, zero_model)
+                       nondegeneracy_check, PathSample, sample_paths, zero_model)
 from .lift import lift_piecewise_linear
 from .malliavin import (DEGENERACY_TAU, malliavin_matrix_2d,
                         malliavin_matrix_parseval, route_residual, spectrum)
 from .rde import ExplosionError, solve_flow_jacobian
-from .young import GridFunction1D, TimeGrid, rho_variation_2d, uniform_grid
+from .young import TimeGrid, rho_variation_2d, uniform_grid
 
 log = logging.getLogger("gaussrde")
 
 MIN_HURST = 1.0 / 3.0
+# Samples lifted, solved and p-varied together.  Outputs do not depend on it.
+# A chunk's arrays take about 0.5 MB at d = e = 2, n = 65; with 32 samples the
+# peak memory of a run stays where the per-sample pipeline had it.
+CHUNK = 32
 
 
 class ConfigError(ValueError):
@@ -318,11 +322,7 @@ def check_conditions(config: ExperimentConfig) -> dict:
     vf = build_fields(config)
     grid = uniform_grid(config.horizon, config.n)
     rank = ellipticity_rank(vf, config.y0)
-    per_time = {}
-    for t in config.times:
-        it = grid.index_of(t)
-        sub = TimeGrid(grid.points[:it + 1])
-        per_time[t] = nondegeneracy_check(model, sub)
+    per_time = gaussian_gate(model, grid, config.times)
     gaussian_nondeg = not any(rep["degenerate"] for rep in per_time.values())
     estimate = rho_variation_2d(kernel_eval(model, grid), model.rho,
                                 mode="diagonal-refinement")
@@ -451,10 +451,8 @@ class DensityReport:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_sample(k, values, grid, kernel, vf, y0, indices, pvar_p, tau):
-    """Full pipeline for one sample; returns per-time records."""
-    X = lift_piecewise_linear(GridFunction1D(grid, values))
-    flow = solve_flow_jacobian(X, vf, y0, pvar_index=pvar_p)
+def _evaluate_sample(flow, vf, kernel, grid, indices, tau):
+    """Covariance, verdict and records of one solved sample, per time."""
     mats = [malliavin_matrix_2d(flow, vf, kernel, grid.points[it])
             for it in indices]
     scale = max(m.trace / vf.e for m in mats)
@@ -470,7 +468,24 @@ def _evaluate_sample(k, values, grid, kernel, vf, y0, indices, pvar_p, tau):
             "pvar_driver": flow.pvar,
             "log_norm_J": float(np.log(np.linalg.norm(flow.J[it], ord=2))),
         })
-    return flow, mats, records
+    return mats, records
+
+
+def _flows(batch: PathSample, vf: VectorFieldSystem, y0: np.ndarray, pvar_p: float):
+    """Each sample's index, flow and numerical failure (or None), lifted and
+    solved CHUNK samples at a time; a chunk is released once consumed."""
+    for lo in range(0, batch.n_samples, CHUNK):
+        paths = PathSample(batch.grid, batch.values[lo:lo + CHUNK], batch.seed)
+        flows = solve_flow_jacobian(lift_piecewise_linear(paths), vf, y0,
+                                    pvar_index=pvar_p)
+        for i, error in enumerate(flows.errors):
+            yield lo + i, flows.sample(i), error
+
+
+def gaussian_gate(model: CovarianceModel, grid: TimeGrid, times) -> dict:
+    """Gaussian non-degeneracy report per evaluation time, on [0, t]."""
+    return {t: nondegeneracy_check(model, TimeGrid(grid.points[:it + 1]))
+            for t, it in zip(times, time_indices(grid, times))}
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> DensityReport:
@@ -478,7 +493,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
 
     Unless the config allows a degenerate scenario, the driver model must
     pass the Gaussian non-degeneracy probe at every evaluation time before
-    any sampling happens.  Numerical sample failures (explosion, singular
+    any sampling happens.  Samples are lifted, solved and p-varied CHUNK at
+    a time; every per-sample value is independent of the chunking, so the
+    artifacts are too.  Numerical sample failures (explosion, singular
     matrices, floating-point errors) are logged and skipped; more than 1% of
     them fails the whole run.  Any other exception propagates.  Artifacts
     are written when the config names them (rebased into `out_dir` if given).
@@ -489,9 +506,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     indices = time_indices(grid, config.times)
 
     if not config.allow_degenerate:
-        for t, it in zip(config.times, indices):
-            sub = TimeGrid(grid.points[:it + 1])
-            rep = nondegeneracy_check(model, sub)
+        for t, rep in gaussian_gate(model, grid, config.times).items():
             if rep["degenerate"]:
                 raise ConfigError(
                     f"driver model {model.name!r} is degenerate on [0, {t}]; "
@@ -506,14 +521,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     basis = cameron_martin_basis(model, grid) if n_check else None
     kernel = kernel_eval(model, grid)
 
-    def work(k):
-        try:
-            flow, mats, records = _evaluate_sample(
-                k, batch.values[k], grid, kernel, vf, config.y0,
-                indices, pvar_p, config.tau)
-        except (ExplosionError, np.linalg.LinAlgError, FloatingPointError) as exc:
-            log.warning("sample %d aborted: %s", k, exc)
-            return k, None, f"{type(exc).__name__}: {exc}"
+    def work(k, flow, error):
+        if error is None:
+            try:
+                mats, records = _evaluate_sample(flow, vf, kernel, grid, indices,
+                                                 config.tau)
+            except (ExplosionError, np.linalg.LinAlgError, FloatingPointError) as exc:
+                error = exc
+        if error is not None:
+            log.warning("sample %d aborted: %s", k, error)
+            return k, None, f"{type(error).__name__}: {error}"
         residual = None
         if k < n_check:
             residual = 0.0
@@ -523,11 +540,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
                 residual = max(residual, route_residual(mat.sigma, other.sigma))
         return k, (records, residual), None
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(work, range(config.count)))
-    else:
-        outcomes = [work(k) for k in range(config.count)]
+    outcomes = [work(k, flow, error)
+                for k, flow, error in _flows(batch, vf, config.y0, pvar_p)]
     failures = [(k, err) for k, _, err in outcomes if err is not None]
 
     aborted = len(failures)

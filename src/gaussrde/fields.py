@@ -4,8 +4,12 @@ Layout conventions used across the solvers:
     value(y)[i, a]        component a of V_i at y
     jacobian(y)[i, a, b]  d V_i^a / d y^b
     hessian(y)[i, a, b, c]  d^2 V_i^a / (d y^b d y^c)
-Derivatives not supplied analytically fall back to central finite
-differences; the `derivative_mode` flag records which route a system uses.
+Every entry point also takes a (K, e) stack of states and returns the
+stacked values, with the sample axis in front: one call when the system
+declares that its callables broadcast over leading axes, one call per state
+otherwise.  Derivatives not supplied analytically fall back to central
+finite differences, state by state; the `derivative_mode` flag records which
+route a system uses.
 Builtin families are globally bounded or linear, so the step-2 scheme's
 explosion guard is a diagnostic, not a crutch.
 """
@@ -23,7 +27,12 @@ FD_STEP_HESS = 1.2e-4
 
 @dataclass(frozen=True)
 class VectorFieldSystem:
-    """Driving fields with first and second derivatives, plus optional drift."""
+    """Driving fields with first and second derivatives, plus optional drift.
+
+    `broadcasts` declares that every supplied callable maps a (..., e) stack
+    of states to its stacked values (a value that does not depend on the
+    state may come back unstacked).
+    """
 
     e: int
     d: int
@@ -34,6 +43,7 @@ class VectorFieldSystem:
     drift_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     drift_hessian: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "custom"
+    broadcasts: bool = False
 
     @property
     def derivative_mode(self) -> str:
@@ -48,40 +58,63 @@ class VectorFieldSystem:
     # Evaluation entry points used by the solvers; these dispatch to the
     # analytic callables when present and to finite differences otherwise.
 
+    def _eval(self, fn, y, shape: tuple, rowwise: bool = False) -> np.ndarray:
+        """fn at a state y (e,), or at each row of a stack (K, e), as a C-ordered
+        array of shape y.shape[:-1] + shape: the solver's products and sums
+        round alike for every row only when the layout does not depend on K."""
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 1 or (self.broadcasts and not rowwise):
+            out = np.asarray(fn(y), dtype=float)
+        else:
+            out = np.array([fn(row) for row in y], dtype=float)
+        if out.shape[out.ndim - len(shape):] != shape:
+            raise ValueError(f"field callable returned {out.shape}, expected {shape}")
+        full = y.shape[:-1] + shape
+        if out.shape == full:
+            return np.ascontiguousarray(out)
+        stacked = np.empty(full)
+        stacked[...] = out
+        return stacked
+
+    def _first(self, jacobian, value, y, shape: tuple) -> np.ndarray:
+        """Analytic first derivative of a map with values of `shape`, else
+        central differences of the map."""
+        full = shape + (self.e,)
+        if jacobian is not None:
+            return self._eval(jacobian, y, full)
+        return self._eval(lambda z: _fd_jacobian(value, z, shape), y, full,
+                          rowwise=True)
+
+    def _second(self, hessian, jacobian, value, y, shape: tuple) -> np.ndarray:
+        """Analytic second derivative, else differences of the first (or of
+        the map itself when no derivative is supplied)."""
+        full = shape + (self.e, self.e)
+        if hessian is not None:
+            return self._eval(hessian, y, full)
+        if jacobian is not None:
+            return self._eval(lambda z: _fd_jacobian(jacobian, z, shape + (self.e,)),
+                              y, full, rowwise=True)
+        return self._eval(lambda z: _fd_hessian(value, z, shape), y, full,
+                          rowwise=True)
+
     def val(self, y: np.ndarray) -> np.ndarray:
-        v = np.asarray(self.value(np.asarray(y, dtype=float)), dtype=float)
-        if v.shape != (self.d, self.e):
-            raise ValueError(f"value(y) returned {v.shape}, expected {(self.d, self.e)}")
-        return v
+        return self._eval(self.value, y, (self.d, self.e))
 
     def jac(self, y: np.ndarray) -> np.ndarray:
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(np.asarray(y, dtype=float)), dtype=float)
-        return _fd_jacobian(self.value, y, (self.d, self.e))
+        return self._first(self.jacobian, self.value, y, (self.d, self.e))
 
     def hess(self, y: np.ndarray) -> np.ndarray:
-        if self.hessian is not None:
-            return np.asarray(self.hessian(np.asarray(y, dtype=float)), dtype=float)
-        if self.jacobian is not None:
-            return _fd_jacobian(self.jacobian, y, (self.d, self.e, self.e),
-                                step=FD_STEP_JAC)
-        return _fd_hessian(self.value, y, (self.d, self.e))
+        return self._second(self.hessian, self.jacobian, self.value, y, (self.d, self.e))
 
     def drift_val(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(self.drift(np.asarray(y, dtype=float)), dtype=float)
+        return self._eval(self.drift, y, (self.e,))
 
     def drift_jac(self, y: np.ndarray) -> np.ndarray:
-        if self.drift_jacobian is not None:
-            return np.asarray(self.drift_jacobian(y), dtype=float)
-        return _fd_jacobian(lambda z: self.drift(z)[None, :], y, (1, self.e))[0]
+        return self._first(self.drift_jacobian, self.drift, y, (self.e,))
 
     def drift_hess(self, y: np.ndarray) -> np.ndarray:
-        if self.drift_hessian is not None:
-            return np.asarray(self.drift_hessian(y), dtype=float)
-        if self.drift_jacobian is not None:
-            return _fd_jacobian(lambda z: self.drift_jacobian(z)[None, :, :], y,
-                                (1, self.e, self.e), step=FD_STEP_JAC)[0]
-        return _fd_hessian(lambda z: self.drift(z)[None, :], y, (1, self.e))[0]
+        return self._second(self.drift_hessian, self.drift_jacobian, self.drift, y,
+                            (self.e,))
 
 
 def _fd_jacobian(fn, y, out_shape, step: float = FD_STEP_JAC) -> np.ndarray:
@@ -128,6 +161,12 @@ def _fd_hessian(fn, y, out_shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _apply(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A y for matrices (..., e, e) and states (..., e), one row at a time:
+    a matrix product would sum a stack of states in a size-dependent order."""
+    return (A * y[..., None, :]).sum(axis=-1)
+
+
 def linear_fields(A: np.ndarray, b: np.ndarray | None = None,
                   drift: tuple[np.ndarray, np.ndarray] | None = None) -> VectorFieldSystem:
     """Affine fields V_i(y) = A_i y + b_i; optional affine drift (A_0, b_0)."""
@@ -143,15 +182,15 @@ def linear_fields(A: np.ndarray, b: np.ndarray | None = None,
     if drift is not None:
         A0 = np.asarray(drift[0], dtype=float)
         b0 = np.asarray(drift[1], dtype=float)
-        kw = dict(drift=lambda y: A0 @ y + b0,
+        kw = dict(drift=lambda y: _apply(A0, y) + b0,
                   drift_jacobian=lambda y: A0,
                   drift_hessian=lambda y: np.zeros((e, e, e)))
     return VectorFieldSystem(
         e=e, d=d,
-        value=lambda y: A @ y + b,
+        value=lambda y: _apply(A, y[..., None, :]) + b,
         jacobian=lambda y: A,
         hessian=lambda y: zero_hess,
-        name="linear", **kw,
+        name="linear", broadcasts=True, **kw,
     )
 
 
@@ -166,7 +205,7 @@ def constant_fields(c: np.ndarray) -> VectorFieldSystem:
         value=lambda y: c,
         jacobian=lambda y: np.zeros((d, e, e)),
         hessian=lambda y: np.zeros((d, e, e, e)),
-        name="constant",
+        name="constant", broadcasts=True,
     )
 
 
@@ -191,10 +230,10 @@ def rotation_fields(omegas: np.ndarray = (1.0, 0.5),
     A = omegas[:, None, None] * ROTATION_GENERATOR[None, :, :]
     return VectorFieldSystem(
         e=2, d=d,
-        value=lambda y: A @ y + shifts,
+        value=lambda y: _apply(A, y[..., None, :]) + shifts,
         jacobian=lambda y: A,
         hessian=lambda y: np.zeros((d, 2, 2, 2)),
-        name="rotation",
+        name="rotation", broadcasts=True,
     )
 
 
@@ -236,16 +275,16 @@ def polynomial_fields(c0: np.ndarray, c1: np.ndarray | None = None,
         return u, s, sp
 
     def poly_val(u):
-        return (c0 + np.einsum("iab,b->ia", c1, u)
-                + np.einsum("iabc,b,c->ia", c2, u, u)
-                + np.einsum("iabcd,b,c,d->ia", c3, u, u, u))
+        return (c0 + np.einsum("iab,...b->...ia", c1, u)
+                + np.einsum("iabc,...b,...c->...ia", c2, u, u)
+                + np.einsum("iabcd,...b,...c,...d->...ia", c3, u, u, u))
 
     def poly_jac(u):
-        return (c1 + 2.0 * np.einsum("iabc,c->iab", c2, u)
-                + 3.0 * np.einsum("iabcd,c,d->iab", c3, u, u))
+        return (c1 + 2.0 * np.einsum("iabc,...c->...iab", c2, u)
+                + 3.0 * np.einsum("iabcd,...c,...d->...iab", c3, u, u))
 
     def poly_hess(u):
-        return 2.0 * c2 + 6.0 * np.einsum("iabcd,d->iabc", c3, u)
+        return 2.0 * c2 + 6.0 * np.einsum("iabcd,...d->...iabc", c3, u)
 
     def value(y):
         u, _, _ = squash(y)
@@ -253,17 +292,17 @@ def polynomial_fields(c0: np.ndarray, c1: np.ndarray | None = None,
 
     def jacobian(y):
         u, s, _ = squash(y)
-        return poly_jac(u) * s[None, None, :]
+        return poly_jac(u) * s[..., None, None, :]
 
     def hessian(y):
         u, s, sp = squash(y)
-        H = poly_hess(u) * s[None, None, :, None] * s[None, None, None, :]
+        H = poly_hess(u) * s[..., None, None, :, None] * s[..., None, None, None, :]
         J = poly_jac(u)
-        H += np.einsum("iab,bc->iabc", J * sp[None, None, :], np.eye(e))
+        H += np.einsum("...iab,bc->...iabc", J * sp[..., None, None, :], np.eye(e))
         return H
 
     return VectorFieldSystem(e=e, d=d, value=value, jacobian=jacobian,
-                             hessian=hessian, name="polynomial")
+                             hessian=hessian, name="polynomial", broadcasts=True)
 
 
 def ellipticity_rank(vf: VectorFieldSystem, y0: np.ndarray,

@@ -24,7 +24,11 @@ from .young import GridFunction1D, TimeGrid
 
 @dataclass(frozen=True)
 class RoughPath:
-    """Grid path in the step-2 group, stored as signatures from time 0."""
+    """Grid path in the step-2 group, stored as signatures from time 0.
+
+    Leading axes, if any, index a stack of paths on one grid: level 1
+    (K, n, d) and level 2 (K, n, d, d).
+    """
 
     grid: TimeGrid
     level1: np.ndarray
@@ -34,19 +38,18 @@ class RoughPath:
         a = np.asarray(self.level1, dtype=float)
         b = np.asarray(self.level2, dtype=float)
         n = self.grid.n
-        if a.ndim != 2 or a.shape[0] != n:
-            raise ValueError(f"level1 must be (n, d) with n = {n}, got {a.shape}")
-        d = a.shape[1]
-        if b.shape != (n, d, d):
-            raise ValueError(f"level2 must be {(n, d, d)}, got {b.shape}")
-        if np.any(a[0] != 0.0) or np.any(b[0] != 0.0):
+        if a.ndim < 2 or a.shape[-2] != n:
+            raise ValueError(f"level1 must be (..., n, d) with n = {n}, got {a.shape}")
+        if b.shape != a.shape + a.shape[-1:]:
+            raise ValueError(f"level2 must be {a.shape + a.shape[-1:]}, got {b.shape}")
+        if np.any(a[..., 0, :] != 0.0) or np.any(b[..., 0, :, :] != 0.0):
             raise ValueError("a rough path starts at the group identity")
         object.__setattr__(self, "level1", a)
         object.__setattr__(self, "level2", b)
 
     @property
     def dim(self) -> int:
-        return self.level1.shape[1]
+        return self.level1.shape[-1]
 
     def element(self, i: int) -> G2Element:
         return G2Element(self.level1[i], self.level2[i])
@@ -56,31 +59,34 @@ class RoughPath:
         return g2_increment(self.element(i), self.element(j))
 
     def segment_increments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-segment group increments, shapes (n-1, d) and (n-1, d, d)."""
+        """Per-segment group increments, shapes (..., n-1, d) and (..., n-1, d, d)."""
         a, b = self.level1, self.level2
-        return nilpotent.increment(a[:-1], b[:-1], a[1:], b[1:])
+        return nilpotent.increment(a[..., :-1, :], b[..., :-1, :, :],
+                                   a[..., 1:, :], b[..., 1:, :, :])
 
 
 def _chain(grid: TimeGrid, da: np.ndarray, db: np.ndarray) -> RoughPath:
     """Assemble signatures from per-segment increments via the group product."""
-    n, d = grid.n, da.shape[1]
-    a = np.zeros((n, d))
-    b = np.zeros((n, d, d))
-    np.cumsum(da, axis=0, out=a[1:])
-    np.cumsum(db + nilpotent.tensor(a[:-1], da), axis=0, out=b[1:])
+    lead, d = da.shape[:-2], da.shape[-1]
+    a = np.zeros(lead + (grid.n, d))
+    b = np.zeros(lead + (grid.n, d, d))
+    np.cumsum(da, axis=-2, out=a[..., 1:, :])
+    np.cumsum(db + nilpotent.tensor(a[..., :-1, :], da), axis=-3, out=b[..., 1:, :, :])
     return RoughPath(grid, a, b)
 
 
-def lift_piecewise_linear(path: GridFunction1D) -> RoughPath:
+def lift_piecewise_linear(path) -> RoughPath:
     """Canonical lift of the piecewise-linear interpolant of sampled values.
 
-    On a linear segment the iterated integral is dx (x) dx / 2, with no area;
-    all area in the lift comes from the Chen cross terms between segments.
+    `path` has a grid and values of shape (n,), (n, d), or (K, n, d) for a
+    stack of K paths (a `PathSample`), lifted together.  On a linear segment
+    the iterated integral is dx (x) dx / 2, with no area; all area in the
+    lift comes from the Chen cross terms between segments.
     """
     x = np.asarray(path.values, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    da = np.diff(x, axis=0)
+    da = np.diff(x, axis=-2)
     db = 0.5 * nilpotent.tensor(da, da)
     return _chain(path.grid, da, db)
 
@@ -112,18 +118,18 @@ def translate(X: RoughPath, h: GridFunction1D) -> RoughPath:
 def spacetime_lift(X: RoughPath) -> RoughPath:
     """Adjoin running time as component 0, for drift-augmented dynamics.
 
-    Per segment of length dt with increment (da, db) the augmented increment
-    has first level (dt, da) and second level
+    Works on a stack of paths.  Per segment of length dt with increment
+    (da, db) the augmented increment has first level (dt, da) and second level
         [[dt^2/2      , dt da_j / 2],
          [da_i dt / 2 , db_ij      ]],
     the time-time and time-space integrals of the linear interpolant.  The
     result satisfies the same symmetry constraint as any lift.
     """
     da, db = X.segment_increments()
-    dt = np.diff(X.grid.points)
-    da2 = np.concatenate([dt[:, None], da], axis=1)
+    dt = np.broadcast_to(np.diff(X.grid.points)[:, None], da.shape[:-1] + (1,))
+    da2 = np.concatenate([dt, da], axis=-1)
     db2 = 0.5 * nilpotent.tensor(da2, da2)
-    db2[:, 1:, 1:] = db
+    db2[..., 1:, 1:] = db
     return _chain(X.grid, da2, db2)
 
 

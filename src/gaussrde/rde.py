@@ -17,6 +17,9 @@ time, in one call on the stacked Jacobians after the steps; the adjoint
 transport equation would re-discretize and lose the inverse-consistency
 guarantee.
 
+The solver steps a stack of K driver paths at once, with the sample axis in
+front of every array; one path is the K = 1 case.
+
 Drift is folded in by solving along the time-augmented lift with the field
 collection (V_0, V_1, ..., V_d); no separate splitting scheme exists here.
 """
@@ -24,13 +27,13 @@ collection (V_0, V_1, ..., V_d); no separate splitting scheme exists here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import nilpotent
 from .fields import VectorFieldSystem
-from .lift import RoughPath, lift_piecewise_linear, spacetime_lift
+from .lift import RoughPath, spacetime_lift
 from .nilpotent import GEOMETRIC_TOL
 from .young import GridFunction1D, TimeGrid, p_variation
 
@@ -48,13 +51,19 @@ class ExplosionError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Solution path with its field values and (optionally) Jacobian flow.
+    """Solution paths with their field values and (optionally) Jacobian flows.
 
-    V[i] = V(Y_i) is the (d, e) array of driving fields (drift excluded) at
-    t_i, as the solver evaluated them.  J[i] is the derivative of Y at t_i
-    with respect to y0; J_inv[i] its inverse, taken directly.  pvar holds the
-    driver's p-variation when the caller asked for it (metadata for growth
-    diagnostics).
+    For one driver path Y is (n, e).  For a stack of K paths every array
+    and `pvar` and `max_condition` have the sample axis in front (Y is
+    (K, n, e)), and `sample(k)` is the one-path view of path k.
+    V[..., i, :, :] = V(Y_i) is the (d, e) array of driving fields (drift
+    excluded) at t_i, as the solver evaluated them.  J[..., i, :, :] is the
+    derivative of Y at t_i with respect to y0; J_inv its inverse, taken
+    directly; max_condition the largest condition number of J.  pvar holds
+    the driver's p-variation when the caller asked for it (metadata for
+    growth diagnostics).  For a stack, errors[k] is the numerical failure
+    (ExplosionError or LinAlgError) that aborted path k, or None; an aborted
+    path's arrays hold no solution.
     """
 
     grid: TimeGrid
@@ -62,19 +71,29 @@ class FlowResult:
     V: np.ndarray
     J: np.ndarray | None = None
     J_inv: np.ndarray | None = None
-    pvar: float | None = None
+    pvar: float | np.ndarray | None = None
     pvar_index: float | None = None
-    max_condition: float = 1.0
+    max_condition: float | np.ndarray = 1.0
+    errors: tuple = ()
 
     @property
     def final_state(self) -> np.ndarray:
-        return self.Y[-1]
+        return self.Y[..., -1, :]
 
     def transport(self, i: int, j: int) -> np.ndarray:
         """J_{t_j <- t_i} = J(t_j) J(t_i)^{-1}."""
         if self.J is None:
             raise ValueError("flow was solved without the Jacobian")
-        return self.J[j] @ self.J_inv[i]
+        return self.J[..., j, :, :] @ self.J_inv[..., i, :, :]
+
+    def sample(self, k: int) -> "FlowResult":
+        """View of path k of a stack."""
+        def pick(x):
+            return None if x is None else x[k]
+        pvar = None if self.pvar is None else float(self.pvar[k])
+        return FlowResult(self.grid, self.Y[k], self.V[k], pick(self.J),
+                          pick(self.J_inv), pvar, self.pvar_index,
+                          float(self.max_condition[k]))
 
 
 def _check_geometric(da: np.ndarray, db: np.ndarray) -> None:
@@ -86,85 +105,146 @@ def _check_geometric(da: np.ndarray, db: np.ndarray) -> None:
         )
 
 
-def _inverses(J: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverses of the stacked Jacobians and their largest condition number."""
-    return np.linalg.inv(J), max(1.0, float(np.linalg.cond(J).max()))
+def _inverses(J: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Inverses of K paths' stacked Jacobians (K, n, e, e), each path's
+    largest condition number, and each path's LinAlgError or None."""
+    errors = [None] * len(J)
+    try:
+        J_inv = np.linalg.inv(J)
+    except np.linalg.LinAlgError:
+        J_inv = np.zeros_like(J)
+        for k, Jk in enumerate(J):
+            try:
+                J_inv[k] = np.linalg.inv(Jk)
+            except np.linalg.LinAlgError as exc:
+                errors[k] = exc
+    return J_inv, np.maximum(1.0, np.linalg.cond(J).max(axis=-1)), errors
+
+
+def _sum_tail(products: np.ndarray, keep: int) -> np.ndarray:
+    """Sum over all axes after the first `keep`, in one C-ordered pass, so
+    that every sample's sum runs in the same order whatever the stack size."""
+    return products.reshape(products.shape[:keep] + (-1,)).sum(axis=-1)
 
 
 def _augment_with_drift(vf: VectorFieldSystem) -> VectorFieldSystem:
     """Field collection (V_0, V_1, ..., V_d) for the time-augmented driver."""
 
     def value(y):
-        return np.vstack([vf.drift_val(y)[None, :], vf.val(y)])
+        return np.concatenate([vf.drift_val(y)[..., None, :], vf.val(y)], axis=-2)
 
     def jacobian(y):
-        return np.concatenate([vf.drift_jac(y)[None], vf.jac(y)], axis=0)
+        return np.concatenate([vf.drift_jac(y)[..., None, :, :], vf.jac(y)], axis=-3)
 
     def hessian(y):
-        return np.concatenate([vf.drift_hess(y)[None], vf.hess(y)], axis=0)
+        return np.concatenate([vf.drift_hess(y)[..., None, :, :, :], vf.hess(y)],
+                              axis=-4)
 
     return VectorFieldSystem(e=vf.e, d=vf.d + 1, value=value,
                              jacobian=jacobian, hessian=hessian,
-                             name=vf.name + "+drift")
+                             name=vf.name + "+drift", broadcasts=vf.broadcasts)
 
 
 def _solve(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
            with_jacobian: bool, pvar_index: float | None) -> FlowResult:
+    """Step all paths of X, one path (n, d) or a stack (K, n, d), together.
+
+    Every step is a handful of array operations over the sample axis, so
+    each path's values do not depend on which other paths share the call.
+    A path whose state or Jacobian stops being finite, or whose state passes
+    EXPLOSION_NORM, is frozen at its last values and reported in `errors`;
+    so is a path with a singular Jacobian.  A single path raises instead.
+    """
     if vf.d != X.dim:
         raise ValueError(f"fields expect a {vf.d}-dimensional driver, "
                          f"path has dimension {X.dim}")
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (vf.e,):
         raise ValueError(f"y0 must have shape {(vf.e,)}, got {y0.shape}")
+    one = X.level1.ndim == 2
+    if one:
+        X = RoughPath(X.grid, X.level1[None], X.level2[None])
 
     pvar = p_variation(X, pvar_index) if pvar_index is not None else None
 
     if vf.has_drift:
         inner = _solve(spacetime_lift(X), _augment_with_drift(vf), y0,
                        with_jacobian, None)
-        return FlowResult(X.grid, inner.Y, inner.V[:, 1:], inner.J,
-                          inner.J_inv, pvar, pvar_index, inner.max_condition)
+        flow = replace(inner, V=inner.V[..., 1:, :], pvar=pvar,
+                       pvar_index=pvar_index)
+    else:
+        flow = _steps(X, vf, y0, with_jacobian, pvar, pvar_index)
+    if not one:
+        return flow
+    if flow.errors[0] is not None:
+        raise flow.errors[0]
+    return flow.sample(0)
 
+
+def _steps(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
+           with_jacobian: bool, pvar, pvar_index) -> FlowResult:
     da, db = X.segment_increments()
     _check_geometric(da, db)
-    n, e = X.grid.n, vf.e
-    Y = np.zeros((n, e))
-    Y[0] = y0
-    V = np.zeros((n, vf.d, e))
-    J = Jinv = None
-    max_cond = 1.0
+    (K, n), d, e = X.level1.shape[:2], vf.d, vf.e
+    Y = np.zeros((K, n, e))
+    Y[:, 0] = y0
+    V = np.zeros((K, n, d, e))
+    J = J_inv = None
+    max_cond = np.ones(K)
+    errors = [None] * K
+    y = Y[:, 0].copy()
+    jac = np.broadcast_to(np.eye(e), (K, e, e)).copy()
     if with_jacobian:
-        J = np.zeros((n, e, e))
-        J[0] = np.eye(e)
-    y = y0.copy()
-    jac = np.eye(e)
+        J = np.zeros((K, n, e, e))
+        J[:, 0] = jac
     for k in range(n - 1):
-        a, b = da[k], db[k]
-        V[k] = Vk = vf.val(y)
+        a, b = da[:, k], db[:, k]
+        V[:, k] = Vk = vf.val(y)
         Vp = vf.jac(y)
-        step = a @ Vk + np.einsum("ji,iab,jb->a", b, Vp, Vk)
+        Vp_ai = Vp.transpose(0, 2, 1, 3)
+        # sum_{j,i,b} b[j, i] V_i'(y)[a, b] V_j(y)[b], axes (K, a, j, i, b)
+        step = ((a[:, None, :] @ Vk)[:, 0]
+                + _sum_tail(b[:, None, :, :, None] * Vp_ai[:, :, None]
+                            * Vk[:, None, :, None], 2))
         if with_jacobian:
             Vpp = vf.hess(y)
-            M = (np.einsum("i,iab->ab", a, Vp)
-                 + np.einsum("ji,iagb,jg->ab", b, Vpp, Vk)
-                 + np.einsum("ji,iag,jgb->ab", b, Vp, Vp))
+            # sums over (j, i, g) of b[j, i] V_i''[a, g, b] V_j[g] and of
+            # b[j, i] V_i'[a, g] V_j'[g, b], axes (K, a, b, j, i, g)
+            M = (_sum_tail(a[:, None, None, :] * Vp.transpose(0, 2, 3, 1), 3)
+                 + _sum_tail(b[:, None, None, :, :, None]
+                             * Vpp.transpose(0, 2, 4, 1, 3)[:, :, :, None]
+                             * Vk[:, None, None, :, None, :], 3)
+                 + _sum_tail(b[:, None, None, :, :, None]
+                             * Vp_ai[:, :, None, None]
+                             * Vp.transpose(0, 3, 1, 2)[:, None, :, :, None], 3))
             jac = jac + M @ jac
         y = y + step
         t_next = float(X.grid.points[k + 1])
-        if not np.all(np.isfinite(y)) or np.linalg.norm(y) > EXPLOSION_NORM:
-            raise ExplosionError(f"state exploded at t = {t_next:.6g}", t_next)
-        Y[k + 1] = y
+        with np.errstate(over="ignore"):
+            blown = ~(np.linalg.norm(y, axis=-1) <= EXPLOSION_NORM)
+        bad = blown | ~np.isfinite(jac).all(axis=(-2, -1))
+        for row in np.flatnonzero(bad):
+            what = "state" if blown[row] else "Jacobian"
+            errors[row] = ExplosionError(f"{what} exploded at t = {t_next:.6g}",
+                                         t_next)
+            # frozen: no further increments, last finite values kept
+            da[row, k + 1:] = db[row, k + 1:] = 0.0
+            y[row] = Y[row, k]
+            if with_jacobian:
+                jac[row] = J[row, k]
+        Y[:, k + 1] = y
         if with_jacobian:
-            if not np.all(np.isfinite(jac)):
-                raise ExplosionError(
-                    f"Jacobian exploded at t = {t_next:.6g}", t_next)
-            J[k + 1] = jac
-    V[-1] = vf.val(y)
+            J[:, k + 1] = jac
+    V[:, -1] = vf.val(y)
     if with_jacobian:
-        Jinv, max_cond = _inverses(J)
-        if max_cond > CONDITION_LIMIT:
-            warnings.warn(f"Jacobian condition number reached {max_cond:.3e}")
-    return FlowResult(X.grid, Y, V, J, Jinv, pvar, pvar_index, max_cond)
+        J_inv, max_cond, singular = _inverses(J)
+        for k, exc in enumerate(singular):
+            errors[k] = errors[k] or exc
+        for cond, exc in zip(max_cond, errors):
+            if exc is None and cond > CONDITION_LIMIT:
+                warnings.warn(f"Jacobian condition number reached {cond:.3e}")
+    return FlowResult(X.grid, Y, V, J, J_inv, pvar, pvar_index, max_cond,
+                      tuple(errors))
 
 
 def solve_rde(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
@@ -242,9 +322,11 @@ def solve_ode_reference(driver, vf: VectorFieldSystem, y0: np.ndarray,
             raise ExplosionError(f"state exploded at t = {t_next:.6g}", t_next)
         Y[k + 1] = y
         J[k + 1] = jac
-    Jinv, max_cond = _inverses(J)
+    J_inv, max_cond, errors = _inverses(J[None])
+    if errors[0] is not None:
+        raise errors[0]
     V = np.array([vf.val(y) for y in Y])
-    return FlowResult(grid, Y, V, J, Jinv, None, None, max_cond)
+    return FlowResult(grid, Y, V, J, J_inv[0], None, None, float(max_cond[0]))
 
 
 def directional_derivative(flow: FlowResult, vf: VectorFieldSystem,

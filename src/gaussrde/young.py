@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,13 +94,27 @@ class GridFunction2D:
         object.__setattr__(self, "values", v)
 
     def rectangle_increments(self) -> np.ndarray:
-        """Double difference over all grid cells, shape (ns-1, nt-1)."""
-        v = self.values
-        return v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]
+        """Double difference over all grid cells, shape (ns-1, nt-1).
+
+        Taken once per sample and returned read-only: callers pair one
+        kernel sample with many integrands.
+        """
+        return self._box
+
+    @cached_property
+    def _box(self) -> np.ndarray:
+        box = _double_difference(self.values)
+        box.flags.writeable = False
+        return box
+
+
+def _double_difference(v: np.ndarray) -> np.ndarray:
+    return v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]
 
 
 def same_grid(a: TimeGrid, b: TimeGrid) -> bool:
-    return a.n == b.n and np.allclose(a.points, b.points, rtol=1e-12, atol=1e-12)
+    return a is b or (a.n == b.n and np.allclose(a.points, b.points,
+                                                 rtol=1e-12, atol=1e-12))
 
 
 def young_integral_1d(f: GridFunction1D, g: GridFunction1D):
@@ -152,53 +167,78 @@ def young_integral_2d(f: GridFunction1D, g: GridFunction1D, R: GridFunction2D):
 # ---------------------------------------------------------------------------
 
 
-def _increment_norms(path) -> np.ndarray:
-    """All-pairs increment norms N[i, j] for i < j.
+def _column_norms(path, j: int) -> np.ndarray:
+    """Increment norms N[..., i] from every grid index i < j to j.
 
-    Vector paths use the Euclidean norm of the increment; rough paths use the
-    homogeneous norm of the group increment.
+    Vector paths use the Euclidean norm of the increment; rough paths (over
+    any leading axes) use the homogeneous norm of the group increment.
     """
     if hasattr(path, "level2"):  # RoughPath
         A, B = path.level1, path.level2
-        a, b = nilpotent.increment(A[:, None], B[:, None], A[None], B[None])
-        return np.triu(nilpotent.norm(a, b), 1)
+        return nilpotent.norm(*nilpotent.increment(
+            A[..., :j, :], B[..., :j, :, :], A[..., j, None, :], B[..., j, None, :, :]))
     values = np.asarray(path.values, dtype=float)
     if values.ndim == 1:
         values = values[:, None]
-    diffs = values[None, :, :] - values[:, None, :]
-    return np.linalg.norm(diffs, axis=2)
+    return np.linalg.norm(values[j] - values[:j], axis=-1)
 
 
-def p_variation(path, p: float) -> float:
+def _increment_norms(path) -> np.ndarray:
+    """All-pairs increment norms N[i, j] for i < j (zero elsewhere)."""
+    n = path.grid.n
+    norms = np.zeros((n, n))
+    for j in range(1, n):
+        norms[:j, j] = _column_norms(path, j)
+    return norms
+
+
+def _pvar_dp(path, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of p-th powers over the best partition ending at each grid index,
+    and the index before it, over the leading axes of a stack of paths."""
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    n = path.grid.n
+    lead = path.level1.shape[:-2] if hasattr(path, "level2") else ()
+    best = np.zeros(lead + (n,))
+    prev = np.zeros(lead + (n,), dtype=int)
+    for j in range(1, n):
+        cand = best[..., :j] + _column_norms(path, j) ** p
+        prev[..., j] = np.argmax(cand, axis=-1)
+        best[..., j] = np.max(cand, axis=-1)
+    return best, prev
+
+
+def _root(best: np.ndarray, p: float):
+    """best ** (1/p) per path, as a scalar power: an array power may differ
+    in the last bit."""
+    roots = [float(v ** (1.0 / p)) for v in best.flat]
+    return roots[0] if best.ndim == 0 else np.reshape(roots, best.shape)
+
+
+def p_variation(path, p: float):
     """Exact p-variation of a sampled path over all sub-partitions of its grid.
 
     `path` is a GridFunction1D (Euclidean increment norm) or a RoughPath
-    (homogeneous norm of group increments).  Dynamic programming over grid
-    points gives the supremum in O(n^2) increment evaluations.
+    (homogeneous norm of group increments); for a stack of rough paths the
+    result is an array over the stack.  Dynamic programming over grid points
+    gives the supremum in O(n^2) increment evaluations.
     """
-    value, _ = p_variation_with_partition(path, p)
-    return value
+    return _root(_pvar_dp(path, p)[0][..., -1], p)
 
 
-def p_variation_with_partition(path, p: float) -> tuple[float, np.ndarray]:
-    """p-variation together with an optimizing sub-partition (grid indices)."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    norms = _increment_norms(path)
-    n = norms.shape[0]
-    powed = norms ** p
-    best = np.zeros(n)
-    prev = np.zeros(n, dtype=int)
-    for j in range(1, n):
-        cand = best[:j] + powed[:j, j]
-        i = int(np.argmax(cand))
-        best[j] = cand[i]
-        prev[j] = i
-    indices = [n - 1]
-    while indices[-1] != 0:
-        indices.append(int(prev[indices[-1]]))
-    partition = np.array(indices[::-1], dtype=int)
-    return float(best[n - 1] ** (1.0 / p)), partition
+def p_variation_with_partition(path, p: float):
+    """p-variation together with an optimizing sub-partition (grid indices);
+    for a stack of paths, an array of values and a list of partitions in the
+    stack's C order."""
+    best, prev = _pvar_dp(path, p)
+    partitions = []
+    for back in prev.reshape(-1, prev.shape[-1]):
+        indices = [back.size - 1]
+        while indices[-1] != 0:
+            indices.append(int(back[indices[-1]]))
+        partitions.append(np.array(indices[::-1], dtype=int))
+    value = _root(best[..., -1], p)
+    return (value, partitions[0]) if prev.ndim == 1 else (value, partitions)
 
 
 def p_variation_bruteforce(path, p: float) -> float:
@@ -237,8 +277,7 @@ def rho_variation_partition_sum(R: GridFunction2D, rho: float,
                                 indices: np.ndarray) -> float:
     """Raw sum |box R|^rho over the cells of one partition (same both axes)."""
     idx = np.asarray(indices, dtype=int)
-    v = R.values[np.ix_(idx, idx)]
-    box = v[1:, 1:] - v[:-1, 1:] - v[1:, :-1] + v[:-1, :-1]
+    box = _double_difference(R.values[np.ix_(idx, idx)])
     return float(np.sum(np.abs(box) ** rho))
 
 

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import logging
+import re
 import textwrap
 
 import numpy as np
@@ -7,10 +10,15 @@ from scipy import stats
 
 from gaussrde import (
     ConfigError,
+    ExplosionError,
+    GridFunction1D,
     RunError,
     kde_density,
+    lift_piecewise_linear,
     load_config,
     run_experiment,
+    solve_flow_jacobian,
+    uniform_grid,
 )
 from gaussrde.cli import main as cli_main
 from gaussrde.experiments import (
@@ -278,16 +286,73 @@ def test_run_experiment_is_deterministic(tmp_path):
         assert a == b, name
 
 
-def test_run_experiment_threads_match_serial(tmp_path):
-    import dataclasses
+LINEAR_DRIFT_CONFIG = """
+[model]
+kernel = brownian
+horizon = 1.0
+n = 17
+d = 1
 
-    cfg = load_config(write_config(tmp_path, ROTATION_CONFIG))
-    run_experiment(cfg, out_dir=str(tmp_path / "serial"))
-    threaded = dataclasses.replace(cfg, threads=4)
-    run_experiment(threaded, out_dir=str(tmp_path / "par"))
-    a = (tmp_path / "serial" / "samples.csv").read_bytes()
-    b = (tmp_path / "par" / "samples.csv").read_bytes()
-    assert a == b
+[fields]
+family = linear
+e = 1
+y0 = 1.0
+matrices = 1.0
+drift_matrix = 0.5
+
+[experiment]
+times = 0.5 1.0
+count = 30
+seed = 7
+
+[output]
+csv = samples.csv
+json = summary.json
+"""
+
+
+def test_run_experiment_output_is_independent_of_chunk_size(tmp_path, monkeypatch):
+    import gaussrde.experiments
+
+    for name, text in (("rotation", ROTATION_CONFIG), ("drift", LINEAR_DRIFT_CONFIG)):
+        cfg = load_config(write_config(tmp_path, text, name=f"{name}.ini"))
+        outputs = []
+        for chunk in (1, 7, cfg.count, 4 * cfg.count):
+            monkeypatch.setattr(gaussrde.experiments, "CHUNK", chunk)
+            out = tmp_path / f"{name}-{chunk}"
+            run_experiment(cfg, out_dir=str(out))
+            outputs.append([(out / f).read_bytes() for f in ("samples.csv", "summary.json")])
+        assert all(o == outputs[0] for o in outputs[1:]), name
+
+
+def test_run_experiment_aborts_only_the_exploding_sample(tmp_path, monkeypatch, caplog):
+    import gaussrde.experiments
+
+    cfg = load_config(write_config(
+        tmp_path, LINEAR_DRIFT_CONFIG.replace("count = 30", "count = 120")))
+    run_experiment(cfg, out_dir=str(tmp_path / "clean"))
+    grid = uniform_grid(cfg.horizon, cfg.n)
+    with pytest.raises(ExplosionError) as single:
+        solve_flow_jacobian(lift_piecewise_linear(GridFunction1D(grid, 100.0 * grid.points)),
+                            build_fields(cfg), cfg.y0)
+    sample = gaussrde.experiments.sample_paths
+
+    def with_a_ramp(models, grid, n_samples, seed):
+        batch = sample(models, grid, n_samples, seed)
+        batch.values[3, :, 0] = 100.0 * grid.points
+        return batch
+
+    monkeypatch.setattr(gaussrde.experiments, "sample_paths", with_a_ramp)
+    with caplog.at_level(logging.WARNING, logger="gaussrde"):
+        report = run_experiment(cfg, out_dir=str(tmp_path / "ramp"))
+    assert report.aborted == 1
+    assert caplog.messages == [f"sample 3 aborted: {single.value}"]
+    clean = (tmp_path / "clean" / "samples.csv").read_text().splitlines()
+    ramp = (tmp_path / "ramp" / "samples.csv").read_text().splitlines()
+    assert ramp == [row for row in clean if not row.startswith("3,")]
+    failure = f"first failure: sample 3: ExplosionError: {single.value}"
+    with pytest.raises(RunError, match=re.escape(failure)):
+        run_experiment(dataclasses.replace(cfg, count=10))
 
 
 BRIDGE_SCALAR_CONFIG = """
@@ -579,3 +644,52 @@ def test_run_experiment_samples_the_kernel_once(tmp_path, monkeypatch):
     report = run_experiment(cfg, out_dir=str(tmp_path / "out"))
     assert report.count == 30 and report.oracle_checked == 10
     assert len(calls) == 1
+
+
+def test_check_and_run_share_the_gaussian_gate(tmp_path, monkeypatch):
+    """check_conditions and run_experiment reach the same verdict per time."""
+    import gaussrde.experiments
+
+    seen = []
+    check = gaussrde.experiments.nondegeneracy_check
+
+    def recording(model, grid):
+        rep = check(model, grid)
+        seen.append((grid.horizon, rep["degenerate"]))
+        return rep
+
+    monkeypatch.setattr(gaussrde.experiments, "nondegeneracy_check", recording)
+    for kernel in ("brownian", "fbm\nhurst = 0.4", "bridge\npin = 1.0"):
+        text = ROTATION_CONFIG.replace("brownian", kernel).replace("count = 30", "count = 3")
+        cfg = load_config(write_config(tmp_path, text))
+        seen.clear()
+        per_time = check_conditions(cfg)["per_time"]
+        from_check, pinned = list(seen), kernel.startswith("bridge")
+        assert from_check == [(t, rep["degenerate"]) for t, rep in per_time.items()]
+        assert from_check == [(0.5, False), (1.0, pinned)]
+        seen.clear()
+        if pinned:
+            with pytest.raises(ConfigError, match=re.escape("degenerate on [0, 1.0]")):
+                run_experiment(cfg)
+        else:
+            run_experiment(cfg, out_dir=str(tmp_path / "out"))
+        assert seen == from_check
+
+
+def test_run_experiment_takes_the_kernel_double_difference_once(tmp_path, monkeypatch):
+    """Every sample and time pairs with one rectangle-increment array."""
+    import gaussrde.young
+
+    shapes = []
+    double_difference = gaussrde.young._double_difference
+
+    def counting(values):
+        shapes.append(values.shape)
+        return double_difference(values)
+
+    monkeypatch.setattr(gaussrde.young, "_double_difference", counting)
+    text = ROTATION_CONFIG.replace("seed = 11", "seed = 11\nallow_degenerate = true")
+    report = run_experiment(load_config(write_config(tmp_path, text)),
+                            out_dir=str(tmp_path / "out"))
+    assert report.count == 30 and report.oracle_checked == 10
+    assert shapes == [(17, 17)]

@@ -5,6 +5,7 @@ from scipy.linalg import expm
 from gaussrde import (
     ExplosionError,
     GridFunction1D,
+    PathSample,
     RoughPath,
     VectorFieldSystem,
     brownian_model,
@@ -14,12 +15,14 @@ from gaussrde import (
     lift_piecewise_linear,
     linear_fields,
     log_jacobian_diagnostic,
+    p_variation,
     polynomial_fields,
     rotation_fields,
     sample_paths,
     solve_flow_jacobian,
     solve_ode_reference,
     solve_rde,
+    spacetime_lift,
     translate,
     uniform_grid,
 )
@@ -401,3 +404,141 @@ def test_ode_oracle_input_handling():
         solve_ode_reference(single, vf, np.array([1.0]), substeps=0)
     with pytest.raises(TypeError):
         solve_ode_reference(np.zeros(17), vf, np.array([1.0]))
+
+
+def reference_solve(X, vf, y0):
+    """The per-path step loop that the stacked solver replaced, kept as the
+    reference: Y, V, J, J_inv and max_condition of one path."""
+    if vf.has_drift:
+        augmented = VectorFieldSystem(
+            e=vf.e, d=vf.d + 1,
+            value=lambda y: np.vstack([vf.drift_val(y)[None, :], vf.val(y)]),
+            jacobian=lambda y: np.concatenate([vf.drift_jac(y)[None], vf.jac(y)]),
+            hessian=lambda y: np.concatenate([vf.drift_hess(y)[None], vf.hess(y)]))
+        Y, V, J, J_inv, cond = reference_solve(spacetime_lift(X), augmented, y0)
+        return Y, V[:, 1:], J, J_inv, cond
+    da, db = X.segment_increments()
+    n, e = X.grid.n, vf.e
+    Y, V, J = np.zeros((n, e)), np.zeros((n, vf.d, e)), np.zeros((n, e, e))
+    Y[0], J[0] = y0, np.eye(e)
+    y, jac = y0.copy(), np.eye(e)
+    for k in range(n - 1):
+        a, b = da[k], db[k]
+        V[k] = Vk = vf.val(y)
+        Vp, Vpp = vf.jac(y), vf.hess(y)
+        step = a @ Vk + np.einsum("ji,iab,jb->a", b, Vp, Vk)
+        M = (np.einsum("i,iab->ab", a, Vp)
+             + np.einsum("ji,iagb,jg->ab", b, Vpp, Vk)
+             + np.einsum("ji,iag,jgb->ab", b, Vp, Vp))
+        jac = jac + M @ jac
+        y = y + step
+        Y[k + 1], J[k + 1] = y, jac
+    V[-1] = vf.val(y)
+    return Y, V, J, np.linalg.inv(J), max(1.0, float(np.linalg.cond(J).max()))
+
+
+def assert_relatively_close(got, ref, rel=1e-12):
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+def stacked_solver_cases():
+    rng = np.random.default_rng(70)
+    cases = [
+        (linear_fields(np.array([[[1.0]]]), drift=(np.array([[0.5]]), np.zeros(1))),
+         [brownian_model()], np.array([1.0])),
+        (linear_fields(rng.standard_normal((2, 2, 2)) * 0.5,
+                       rng.standard_normal((2, 2)) * 0.3,
+                       drift=(rng.standard_normal((2, 2)) * 0.3, np.array([0.1, 0.0]))),
+         [brownian_model()] * 2, np.array([0.7, -0.4])),
+        (rotation_fields(), [fbm_model(0.4)] * 2, np.array([1.0, 0.0])),
+        # finite-difference derivatives, evaluated one state at a time
+        (VectorFieldSystem(e=2, d=1, value=lambda y: np.array(
+            [[np.sin(y[1]), 0.5 * np.cos(y[0])]])), [brownian_model()],
+         np.array([0.7, -0.4])),
+    ]
+    # moderate coefficients and Brownian drivers keep cond(J) below 1e3: in
+    # an ill-conditioned flow a change of summation order alone moves J_inv
+    # by far more than 1e-12
+    for d, e in ((1, 1), (2, 3), (3, 2), (3, 3)):
+        vf = polynomial_fields(c0=rng.standard_normal((d, e)) * 0.5,
+                               c1=rng.standard_normal((d, e, e)) * 0.2,
+                               c2=rng.standard_normal((d, e, e, e)) * 0.1,
+                               c3=rng.standard_normal((d, e, e, e, e)) * 0.05)
+        cases.append((vf, [brownian_model()] * d, rng.standard_normal(e) * 0.5))
+    return cases
+
+
+def test_stacked_solver_matches_per_path_loop():
+    grid = uniform_grid(1.0, 33)
+    for vf, models, y0 in stacked_solver_cases():
+        batch = sample_paths(models, grid, 5, seed=71)
+        flows = solve_flow_jacobian(lift_piecewise_linear(batch), vf, y0,
+                                    pvar_index=2.5)
+        assert flows.Y.shape == (5, grid.n, vf.e) and flows.errors == (None,) * 5
+        states = solve_rde(lift_piecewise_linear(batch), vf, y0)
+        assert np.array_equal(states.Y, flows.Y) and states.J is None
+        for k in range(5):
+            X = lift_piecewise_linear(batch.path(k))
+            Y, V, J, J_inv, cond = reference_solve(X, vf, y0)
+            assert cond < 1e3
+            for got, ref in ((flows.Y[k], Y), (flows.V[k], V), (flows.J[k], J),
+                             (flows.J_inv[k], J_inv)):
+                assert_relatively_close(got, ref)
+            assert abs(flows.max_condition[k] - cond) <= 1e-12 * cond
+            # one path is the K = 1 case of the same arithmetic
+            one = solve_flow_jacobian(X, vf, y0, pvar_index=2.5)
+            view = flows.sample(k)
+            for name in ("Y", "V", "J", "J_inv"):
+                assert np.array_equal(getattr(one, name), getattr(view, name))
+            assert (one.pvar, one.max_condition) == (view.pvar, view.max_condition)
+            assert one.pvar == p_variation(X, 2.5)
+
+
+def rows_without(flows, k):
+    keep = [i for i in range(len(flows.errors)) if i != k]
+    return [getattr(flows, name)[keep] for name in ("Y", "V", "J", "J_inv", "pvar",
+                                                    "max_condition")]
+
+
+def test_stacked_solver_isolates_an_exploding_path():
+    grid = uniform_grid(1.0, 65)
+    vf = linear_fields(np.array([[[5.0]]]))
+    values = sample_paths([brownian_model()], grid, 4, seed=72).values
+    values[2, :, 0] = 40.0 * grid.points
+    with pytest.raises(ExplosionError) as single:
+        solve_flow_jacobian(lift_piecewise_linear(GridFunction1D(grid, values[2])),
+                            vf, np.array([1.0]))
+    flows = solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, values, 72)),
+                                vf, np.array([1.0]), pvar_index=2.5)
+    error = flows.errors[2]
+    assert isinstance(error, ExplosionError)
+    assert str(error) == str(single.value) and error.time == single.value.time
+    assert [e is None for e in flows.errors] == [True, True, False, True]
+    others = solve_flow_jacobian(
+        lift_piecewise_linear(PathSample(grid, values[[0, 1, 3]], 72)),
+        vf, np.array([1.0]), pvar_index=2.5)
+    for got, ref in zip(rows_without(flows, 2), rows_without(others, -1)):
+        assert np.array_equal(got, ref)
+
+
+def test_stacked_solver_isolates_a_singular_jacobian():
+    # V = 1, V' = 0, V'' = -2: a unit first increment (b = 1/2) sends J to 0
+    vf = VectorFieldSystem(e=1, d=1, value=lambda y: np.ones((1, 1)),
+                           jacobian=lambda y: np.zeros((1, 1, 1)),
+                           hessian=lambda y: np.full((1, 1, 1, 1), -2.0))
+    grid = uniform_grid(1.0, 17)
+    values = sample_paths([brownian_model()], grid, 3, seed=73).values
+    values[1, 1, 0] = 1.0
+    with pytest.raises(np.linalg.LinAlgError) as single:
+        solve_flow_jacobian(lift_piecewise_linear(GridFunction1D(grid, values[1])),
+                            vf, np.zeros(1))
+    flows = solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, values, 73)),
+                                vf, np.zeros(1), pvar_index=2.5)
+    error = flows.errors[1]
+    assert isinstance(error, np.linalg.LinAlgError) and str(error) == str(single.value)
+    assert flows.errors[0] is None and flows.errors[2] is None
+    others = solve_flow_jacobian(
+        lift_piecewise_linear(PathSample(grid, values[[0, 2]], 73)), vf, np.zeros(1),
+        pvar_index=2.5)
+    for got, ref in zip(rows_without(flows, 1), rows_without(others, -1)):
+        assert np.array_equal(got, ref)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaussrde import (
     GridFunction1D,
     GridFunction2D,
+    PathSample,
+    RoughPath,
     TimeGrid,
     homogeneous_norm,
     lift_piecewise_linear,
@@ -15,6 +18,7 @@ from gaussrde import (
     young_integral_1d,
     young_integral_2d,
 )
+from gaussrde import nilpotent
 from gaussrde.young import (_increment_norms, p_variation_bruteforce,
                             rho_variation_partition_sum)
 
@@ -251,3 +255,33 @@ def test_rough_increment_norms_match_elementwise_norm():
             expected = np.array([[homogeneous_norm(X.increment(i, j)) if i < j else 0.0
                                   for j in range(n)] for i in range(n)])
             np.testing.assert_array_equal(norms, expected)
+
+
+def whole_matrix_p_variation(X, p):
+    """The all-pairs norm matrix and DP that the column-wise one replaced."""
+    A, B = X.level1, X.level2
+    a, b = nilpotent.increment(A[:, None], B[:, None], A[None], B[None])
+    powed = np.triu(nilpotent.norm(a, b), 1) ** p
+    best = np.zeros(X.grid.n)
+    for j in range(1, X.grid.n):
+        best[j] = np.max(best[:j] + powed[:j, j])
+    return float(best[-1] ** (1.0 / p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(2, 12), count=st.integers(1, 6),
+       p=st.sampled_from([1.0, 2.2, 2.5, 3.5]), seed=st.integers(0, 2**32 - 1))
+def test_stacked_p_variation_matches_single_path_dp(d, n, count, p, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((count, n, d)).cumsum(axis=1)
+    values -= values[:, :1]
+    stack = lift_piecewise_linear(PathSample(uniform_grid(1.0, n), values, seed))
+    for X in (stack, spacetime_lift(stack)):
+        got, partitions = p_variation_with_partition(X, p)
+        assert got.shape == (count,) and np.array_equal(p_variation(X, p), got)
+        for k in range(count):
+            one = RoughPath(X.grid, X.level1[k], X.level2[k])
+            value, partition = p_variation_with_partition(one, p)
+            assert got[k] == value == whole_matrix_p_variation(one, p)
+            np.testing.assert_array_equal(partitions[k], partition)
+            assert np.isclose(value, p_variation_bruteforce(one, p), rtol=1e-10)
