@@ -8,8 +8,8 @@ bridge pinned at the horizon is degenerate exactly at the pin time.
 
 The same sweep is available from the command line:
 
-    gaussrde run config.ini --out results/
-    gaussrde check config.ini
+    gaussrde run --config config.ini --out results/
+    gaussrde check --config config.ini
 """
 
 import tempfile

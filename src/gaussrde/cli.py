@@ -15,12 +15,10 @@ import sys
 import numpy as np
 
 from .experiments import (ConfigError, RunError, build_fields, build_model,
-                          check_conditions, load_config, run_experiment,
-                          time_indices, variation_index)
+                          check_conditions, evaluate_flows, load_config,
+                          run_experiment, time_indices, variation_index)
 from .gaussian import cameron_martin_basis, kernel_eval, sample_paths
 from .lift import lift_piecewise_linear, rough_path_to_csv
-from .malliavin import (malliavin_matrix_2d, malliavin_matrix_parseval,
-                        route_residual, spectrum)
 from .rde import ExplosionError, solve_flow_jacobian
 from .young import uniform_grid
 
@@ -72,6 +70,11 @@ def _prepare(args):
     return config, model, vf, grid
 
 
+def _write_table(path, header: list, table) -> None:
+    np.savetxt(path, table, delimiter=",", header=",".join(header), comments="",
+               fmt="%.17g")
+
+
 def _single_path(config, model, grid, index):
     if index < 0:
         raise ConfigError("--index must be >= 0")
@@ -116,10 +119,8 @@ def _cmd_check(args) -> int:
 def _cmd_sample(args) -> int:
     config, model, _, grid = _prepare(args)
     path = _single_path(config, model, grid, args.index)
-    cols = ["t"] + [f"x_{i + 1}" for i in range(config.d)]
-    table = np.column_stack([grid.points, path.values])
-    np.savetxt(args.out, table, delimiter=",", header=",".join(cols),
-               comments="", fmt="%.17g")
+    _write_table(args.out, ["t"] + [f"x_{i + 1}" for i in range(config.d)],
+                 np.column_stack([grid.points, path.values]))
     print(f"wrote driver sample {args.index} to {args.out}")
     return 0
 
@@ -137,10 +138,8 @@ def _cmd_solve(args) -> int:
     path = _single_path(config, model, grid, args.index)
     flow = solve_flow_jacobian(lift_piecewise_linear(path), vf, config.y0,
                                pvar_index=variation_index(model))
-    cols = ["t"] + [f"y_{i + 1}" for i in range(config.e)]
-    table = np.column_stack([grid.points, flow.Y])
-    np.savetxt(args.out, table, delimiter=",", header=",".join(cols),
-               comments="", fmt="%.17g")
+    _write_table(args.out, ["t"] + [f"y_{i + 1}" for i in range(config.e)],
+                 np.column_stack([grid.points, flow.Y]))
     print(f"wrote solution of sample {args.index} to {args.out} "
           f"(driver p-variation {flow.pvar:.4f})")
     return 0
@@ -149,14 +148,11 @@ def _cmd_solve(args) -> int:
 def _cmd_malliavin(args) -> int:
     config, model, vf, grid = _prepare(args)
     t = args.time if args.time is not None else config.times[-1]
-    time_indices(grid, [t])  # --time obeys the rule of the config's times
     path = _single_path(config, model, grid, args.index)
     flow = solve_flow_jacobian(lift_piecewise_linear(path), vf, config.y0)
-    mat = malliavin_matrix_2d(flow, vf, kernel_eval(model, grid), t)
-    basis = cameron_martin_basis(model, grid)
-    other = malliavin_matrix_parseval(flow, vf, basis, t)
-    residual = route_residual(mat.sigma, other.sigma)
-    spec = spectrum(mat, tau=config.tau)
+    (mat,), (spec,), residual, _ = evaluate_flows(
+        flow, vf, kernel_eval(model, grid), cameron_martin_basis(model, grid),
+        time_indices(grid, [t]), config.tau)
     print(f"sigma at t = {t} (2d-young route):")
     for row in mat.sigma:
         print("  " + "  ".join(f"{v: .6e}" for v in row))
@@ -189,10 +185,8 @@ def _cmd_density(args) -> int:
         print("no density estimate available (state dimension > 2 or too few "
               "samples); reporting raw samples")
         if args.out:
-            np.savetxt(args.out, report.samples, delimiter=",",
-                       header=",".join(f"y_{i + 1}" for i in range(
-                           report.samples.shape[1])),
-                       comments="", fmt="%.17g")
+            _write_table(args.out, [f"y_{i + 1}" for i in range(config.e)],
+                         report.samples)
             print(f"wrote raw samples to {args.out}")
         return 0
     print(f"density at t = {report.time}: bandwidth "
@@ -204,15 +198,12 @@ def _cmd_density(args) -> int:
     if args.out:
         if isinstance(report.query_grid, tuple):
             qx, qy = report.query_grid
-            rows = [(x, y, report.kde_values[i, j])
-                    for i, x in enumerate(qx) for j, y in enumerate(qy)]
-            np.savetxt(args.out, rows, delimiter=",",
-                       header="y_1,y_2,density", comments="", fmt="%.17g")
+            _write_table(args.out, ["y_1", "y_2", "density"],
+                         [(x, y, report.kde_values[i, j])
+                          for i, x in enumerate(qx) for j, y in enumerate(qy)])
         else:
-            np.savetxt(args.out,
-                       np.column_stack([report.query_grid, report.kde_values]),
-                       delimiter=",", header="y_1,density", comments="",
-                       fmt="%.17g")
+            _write_table(args.out, ["y_1", "density"],
+                         np.column_stack([report.query_grid, report.kde_values]))
         print(f"wrote density table to {args.out}")
     return 0
 

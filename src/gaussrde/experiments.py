@@ -3,12 +3,12 @@ verdicts, density estimation, and artifact emission.
 
 A single INI-style config file describes the driver model, the vector
 fields, the evaluation protocol and the output paths; `run_experiment`
-executes the full pipeline deterministically (per-sample RNG streams are
-keyed by (seed, sample_index), and each sample's values do not depend on the
-chunk it is solved in) and
-emits one CSV row per (sample, evaluation time) plus a JSON summary.  The
-KDE and Kolmogorov-Smirnov helpers quantify how the empirical law of Y_t
-compares with a known reference when one exists.
+takes chunks of samples through the whole pipeline, covariance by both
+routes and verdicts included, deterministically (per-sample RNG streams are
+keyed by (seed, sample_index), and no sample's values depend on its chunk)
+and emits one CSV row per (sample, evaluation time) plus a JSON summary.
+The KDE and Kolmogorov-Smirnov helpers quantify how the empirical law of
+Y_t compares with a known reference when one exists.
 """
 
 from __future__ import annotations
@@ -33,16 +33,19 @@ from .gaussian import (CovarianceModel, brownian_model, bridge_model,
 from .lift import lift_piecewise_linear
 from .malliavin import (DEGENERACY_TAU, malliavin_matrix_2d,
                         malliavin_matrix_parseval, route_residual, spectrum)
-from .rde import ExplosionError, solve_flow_jacobian
+from .rde import by_rows, log_operator_norm, solve_flow_jacobian
 from .young import TimeGrid, rho_variation_2d, uniform_grid
 
 log = logging.getLogger("gaussrde")
 
 MIN_HURST = 1.0 / 3.0
-# Samples lifted, solved and p-varied together.  Outputs do not depend on it.
+# Samples taken through the pipeline together.  Outputs do not depend on it.
 # A chunk's arrays take about 0.5 MB at d = e = 2, n = 65; with 32 samples the
 # peak memory of a run stays where the per-sample pipeline had it.
 CHUNK = 32
+# Largest relative gap between the two covariance routes a run accepts, per
+# sample against its largest covariance norm over the evaluation times.
+ROUTE_TOL = 1e-10
 
 
 class ConfigError(ValueError):
@@ -451,35 +454,19 @@ class DensityReport:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_sample(flow, vf, kernel, grid, indices, tau):
-    """Covariance, verdict and records of one solved sample, per time."""
-    mats = [malliavin_matrix_2d(flow, vf, kernel, grid.points[it])
-            for it in indices]
-    scale = max(m.trace / vf.e for m in mats)
-    records = []
-    for it, mat in zip(indices, mats):
-        spec = spectrum(mat, tau=tau, scale=scale)
-        records.append({
-            "t": float(grid.points[it]),
-            "Y": flow.Y[it].copy(),
-            "lambda_min": spec.lambda_min,
-            "det": spec.det,
-            "verdict": spec.verdict,
-            "pvar_driver": flow.pvar,
-            "log_norm_J": float(np.log(np.linalg.norm(flow.J[it], ord=2))),
-        })
-    return mats, records
-
-
-def _flows(batch: PathSample, vf: VectorFieldSystem, y0: np.ndarray, pvar_p: float):
-    """Each sample's index, flow and numerical failure (or None), lifted and
-    solved CHUNK samples at a time; a chunk is released once consumed."""
-    for lo in range(0, batch.n_samples, CHUNK):
-        paths = PathSample(batch.grid, batch.values[lo:lo + CHUNK], batch.seed)
-        flows = solve_flow_jacobian(lift_piecewise_linear(paths), vf, y0,
-                                    pvar_index=pvar_p)
-        for i, error in enumerate(flows.errors):
-            yield lo + i, flows.sample(i), error
+def evaluate_flows(flows, vf, kernel, basis, indices, tau):
+    """Covariance by both routes and its verdicts for one solved sample or a
+    stack, one call per route and evaluation time (grid indices).  Returns
+    the 2D-route matrices and their spectra per time, each sample's route
+    residual, and log |J_t| with the times on the last axis."""
+    times = flows.grid.points[indices]
+    mats = [malliavin_matrix_2d(flows, vf, kernel, t) for t in times]
+    scale = np.max([m.trace / vf.e for m in mats], axis=0)
+    specs = [spectrum(m, tau=tau, scale=scale) for m in mats]
+    checks = [malliavin_matrix_parseval(flows, vf, basis, t) for t in times]
+    residual = route_residual(np.stack([m.sigma for m in mats], axis=-3),
+                              np.stack([c.sigma for c in checks], axis=-3))
+    return mats, specs, residual, log_operator_norm(flows.J[..., indices, :, :])
 
 
 def gaussian_gate(model: CovarianceModel, grid: TimeGrid, times) -> dict:
@@ -493,12 +480,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
 
     Unless the config allows a degenerate scenario, the driver model must
     pass the Gaussian non-degeneracy probe at every evaluation time before
-    any sampling happens.  Samples are lifted, solved and p-varied CHUNK at
-    a time; every per-sample value is independent of the chunking, so the
-    artifacts are too.  Numerical sample failures (explosion, singular
-    matrices, floating-point errors) are logged and skipped; more than 1% of
-    them fails the whole run.  Any other exception propagates.  Artifacts
-    are written when the config names them (rebased into `out_dir` if given).
+    any sampling happens.  Samples go through the whole pipeline CHUNK at a
+    time: lift, solve, p-variation, then per evaluation time one call each
+    for the 2D covariance, its spectrum and the Parseval route.  Every
+    per-sample value is independent of the chunking, so the artifacts are
+    too.  Numerical sample failures (explosion, singular matrices,
+    floating-point errors) are logged and skipped; more than 1% of them
+    fails the whole run.  So does a sample whose two covariance routes
+    differ by more than ROUTE_TOL.  Any other exception propagates.
+    Artifacts are written when the config names them (rebased into
+    `out_dir` if given).
     """
     model = build_model(config)
     vf = build_fields(config)
@@ -514,35 +505,31 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
                 )
 
     pvar_p = variation_index(model)
-    models = [model] * config.d
-    batch = sample_paths(models, grid, config.count, config.seed)
-
-    n_check = min(10, config.count)
-    basis = cameron_martin_basis(model, grid) if n_check else None
+    batch = sample_paths([model] * config.d, grid, config.count, config.seed)
+    basis = cameron_martin_basis(model, grid)
     kernel = kernel_eval(model, grid)
 
-    def work(k, flow, error):
-        if error is None:
-            try:
-                mats, records = _evaluate_sample(flow, vf, kernel, grid, indices,
-                                                 config.tau)
-            except (ExplosionError, np.linalg.LinAlgError, FloatingPointError) as exc:
-                error = exc
-        if error is not None:
-            log.warning("sample %d aborted: %s", k, error)
-            return k, None, f"{type(error).__name__}: {error}"
-        residual = None
-        if k < n_check:
-            residual = 0.0
-            for it, mat in zip(indices, mats):
-                other = malliavin_matrix_parseval(flow, vf, basis,
-                                                 grid.points[it])
-                residual = max(residual, route_residual(mat.sigma, other.sigma))
-        return k, (records, residual), None
-
-    outcomes = [work(k, flow, error)
-                for k, flow, error in _flows(batch, vf, config.y0, pvar_p)]
-    failures = [(k, err) for k, _, err in outcomes if err is not None]
+    rows, final_Y, residuals, failures = [], [], [], []
+    for lo in range(0, config.count, CHUNK):
+        paths = PathSample(grid, batch.values[lo:lo + CHUNK], batch.seed)
+        flows = solve_flow_jacobian(lift_piecewise_linear(paths), vf, config.y0,
+                                    pvar_index=pvar_p)
+        solved = [i for i, error in enumerate(flows.errors) if error is None]
+        (_, specs, residual, log_norm), failed = by_rows(
+            lambda f: evaluate_flows(f, vf, kernel, basis, indices, config.tau),
+            flows.sample, solved)
+        for i, error in enumerate(flows.errors):
+            error = error or failed.get(i)
+            if error is not None:
+                log.warning("sample %d aborted: %s", lo + i, error)
+                failures.append((lo + i, f"{type(error).__name__}: {error}"))
+        passed = [i for i in solved if i not in failed]
+        rows += [(lo + i, grid.points[it], *flows.Y[i, it], spec.lambda_min[j],
+                  spec.det[j], spec.verdict[j], flows.pvar[i], log_norm[j, ti])
+                 for j, i in enumerate(passed)
+                 for ti, (it, spec) in enumerate(zip(indices, specs))]
+        final_Y.append(flows.Y[passed, indices[-1]])
+        residuals.append(residual)
 
     aborted = len(failures)
     if aborted > 0.01 * config.count:
@@ -550,28 +537,27 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
             f"{aborted} of {config.count} samples aborted (> 1%); first "
             f"failure: sample {failures[0][0]}: {failures[0][1]}"
         )
+    residuals = np.concatenate(residuals)
+    if not residuals.max(initial=0.0) <= ROUTE_TOL:
+        worst = int(np.argmax(residuals))  # rows hold len(indices) per sample
+        raise RunError(
+            f"covariance routes disagree on sample {rows[worst * len(indices)][0]}: "
+            f"relative residual {residuals[worst]:.3e} > {ROUTE_TOL:g}")
 
-    done = [(k, payload) for k, payload, _ in outcomes if payload is not None]
-    rows = [(k, rec) for k, (records, _) in done for rec in records]
-    oracle_res = [res for _, (_, res) in done if res is not None]
-    final_Y = np.array([records[-1]["Y"] for _, (records, _) in done])
-    lam_values = np.array([rec["lambda_min"] for _, rec in rows])
-    total_rows = len(rows)
-    degenerate_rows = sum(rec["verdict"] == "degenerate" for _, rec in rows)
-    frac_deg = degenerate_rows / total_rows if total_rows else float("nan")
-    quantiles = {"q05": float(np.quantile(lam_values, 0.05)),
-                 "q50": float(np.quantile(lam_values, 0.50)),
-                 "q95": float(np.quantile(lam_values, 0.95))} if total_rows else {}
-
+    # rows: sample, t, Y, lambda_min, det, verdict, pvar_driver, log_norm_J;
+    # at least one sample passed, or the run has failed above
+    final_Y = np.concatenate(final_Y)
+    lam_values = np.array([row[-5] for row in rows])
     report = DensityReport(
         time=float(config.times[-1]),
         samples=final_Y,
-        fraction_degenerate=frac_deg,
-        lambda_min_quantiles=quantiles,
+        fraction_degenerate=sum(row[-3] == "degenerate" for row in rows) / len(rows),
+        lambda_min_quantiles={f"q{round(100 * q):02d}": float(np.quantile(lam_values, q))
+                              for q in (0.05, 0.50, 0.95)},
         aborted=aborted,
         count=config.count,
-        oracle_max_residual=max(oracle_res) if oracle_res else None,
-        oracle_checked=len(oracle_res),
+        oracle_max_residual=float(residuals.max()),
+        oracle_checked=residuals.size,
     )
 
     if config.e <= 2 and final_Y.shape[0] >= 100:
@@ -606,15 +592,10 @@ def _fmt(x: float) -> str:
 
 
 def write_rows_csv(path: str, rows, e: int) -> None:
+    """One line per row tuple, its cells in the order of the header."""
     ycols = ",".join(f"y_{i + 1}" for i in range(e))
     lines = [f"sample_index,t,{ycols},lambda_min,det,verdict,pvar_driver,log_norm_J"]
-    for k, rec in rows:
-        ys = ",".join(_fmt(v) for v in rec["Y"])
-        pv = _fmt(rec["pvar_driver"]) if rec["pvar_driver"] is not None else ""
-        lines.append(
-            f"{k},{_fmt(rec['t'])},{ys},{_fmt(rec['lambda_min'])},"
-            f"{_fmt(rec['det'])},{rec['verdict']},{pv},{_fmt(rec['log_norm_J'])}"
-        )
+    lines += [",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

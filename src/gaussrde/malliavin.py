@@ -10,6 +10,10 @@ them once per run.  On a fixed grid the two are the same finite sum
 rearranged, so their agreement is a floating-point identity and serves as
 the module's correctness certificate; neither route is ever shortcut through
 the other.
+
+Every function takes one flow or a stack of K flows (see `FlowResult`) and
+then returns its matrices and scalars with the sample axis in front; each
+sample's values are the same whichever stack it is evaluated in.
 """
 
 from __future__ import annotations
@@ -26,44 +30,54 @@ from .young import GridFunction1D, GridFunction2D, TimeGrid, same_grid
 DEGENERACY_TAU = 1e-10
 
 
+def _scalars(*values):
+    """Python scalars for one matrix (0-d values), arrays for a stack."""
+    return [np.asarray(v).item() if np.ndim(v) == 0 else v for v in values]
+
+
 @dataclass(frozen=True)
 class MalliavinMatrix:
-    """Symmetrized covariance matrix of Y_t with spectral scalars attached."""
+    """Symmetrized covariance matrix of Y_t with spectral scalars attached.
+
+    For a stack of K flows sigma is (K, e, e) and lambda_min, det and
+    asymmetry are (K,) arrays; for one flow they are floats.
+    """
 
     sigma: np.ndarray
     t: float
-    lambda_min: float
-    det: float
+    lambda_min: float | np.ndarray
+    det: float | np.ndarray
     method: str
-    asymmetry: float
+    asymmetry: float | np.ndarray
 
     @property
     def e(self) -> int:
-        return self.sigma.shape[0]
+        return self.sigma.shape[-1]
 
     @property
-    def trace(self) -> float:
-        return float(np.trace(self.sigma))
+    def trace(self) -> float | np.ndarray:
+        return _scalars(np.trace(self.sigma, axis1=-2, axis2=-1))[0]
 
 
 def _finish(raw: np.ndarray, t: float, method: str) -> MalliavinMatrix:
     raw = np.asarray(raw, dtype=float)
-    asym = float(np.max(np.abs(raw - raw.T))) if raw.size else 0.0
-    sigma = 0.5 * (raw + raw.T)
-    lam = np.linalg.eigvalsh(sigma)
-    return MalliavinMatrix(sigma, float(t), float(lam[0]),
-                           float(np.linalg.det(sigma)), method, asym)
+    asym = np.abs(raw - raw.swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
+    sigma = 0.5 * (raw + raw.swapaxes(-2, -1))
+    lam, det, asym = _scalars(np.linalg.eigvalsh(sigma)[..., 0],
+                              np.linalg.det(sigma), asym)
+    return MalliavinMatrix(sigma, float(t), lam, det, method, asym)
 
 
 def _integrand_values(flow: FlowResult, vf: VectorFieldSystem, it: int) -> np.ndarray:
-    """Z[m, k, :] = J_{t<-s_m} V_k(Y_{s_m}) for grid indices m = 0..it."""
+    """Z[..., m, k, :] = J_{t<-s_m} V_k(Y_{s_m}) for grid indices m = 0..it."""
     if flow.J is None:
         raise ValueError("covariance routes need a Jacobian-carrying flow")
-    if flow.V.shape[1:] != (vf.d, vf.e):
+    if flow.V.shape[-2:] != (vf.d, vf.e):
         raise ValueError("flow was solved with fields of another shape")
-    Z = flow.J[it] @ flow.J_inv[:it + 1] @ flow.V[:it + 1].transpose(0, 2, 1)
-    # C order keeps the summation order of the einsums that pair Z
-    return np.ascontiguousarray(Z.transpose(0, 2, 1))
+    Z = (flow.J[..., it, None, :, :] @ flow.J_inv[..., :it + 1, :, :]
+         @ flow.V[..., :it + 1, :, :].swapaxes(-2, -1))
+    # C order gives each component's (m, e) slice the unit stride BLAS takes
+    return np.ascontiguousarray(Z.swapaxes(-2, -1))
 
 
 def _per_component(value, kind: type, d: int) -> list:
@@ -93,11 +107,11 @@ def malliavin_matrix_2d(flow: FlowResult, vf: VectorFieldSystem, kernel,
     it = flow.grid.index_of(t)
     kernels = _per_component(kernel, GridFunction2D, vf.d)
     Z = _integrand_values(flow, vf, it)
-    raw = np.zeros((vf.e, vf.e))
+    raw = 0.0
     for k, Rk in enumerate(kernels):
         _check_flow_grid(flow, Rk.grid_s, Rk.grid_t)
-        box = Rk.rectangle_increments()[:it, :it]
-        raw += np.einsum("ia,ij,jb->ab", Z[:-1, k], box, Z[:-1, k])
+        Zk = Z[..., :-1, k, :]
+        raw = raw + Zk.swapaxes(-2, -1) @ (Rk.rectangle_increments()[:it, :it] @ Zk)
     return _finish(raw, t, "2d-young")
 
 
@@ -112,9 +126,9 @@ def malliavin_matrix_bm_reduction(flow: FlowResult, vf: VectorFieldSystem,
     it = flow.grid.index_of(t)
     Z = _integrand_values(flow, vf, it)
     dt = np.diff(flow.grid.points[:it + 1])
-    mid = 0.5 * (np.einsum("mka,mkb->mab", Z[:-1], Z[:-1])
-                 + np.einsum("mka,mkb->mab", Z[1:], Z[1:]))
-    raw = np.einsum("m,mab->ab", dt, mid)
+    mid = 0.5 * (np.einsum("...mka,...mkb->...mab", Z[..., :-1, :, :], Z[..., :-1, :, :])
+                 + np.einsum("...mka,...mkb->...mab", Z[..., 1:, :, :], Z[..., 1:, :, :]))
+    raw = np.einsum("m,...mab->...ab", dt, mid)
     return _finish(raw, t, "bm-reduction")
 
 
@@ -129,34 +143,48 @@ def malliavin_matrix_parseval(flow: FlowResult, vf: VectorFieldSystem, basis,
     independent of the 2D route.
     """
     bases = _per_component(basis, CameronMartinBasis, vf.d)
-    raw = np.zeros((vf.e, vf.e))
+    raw = 0.0
     for k, bk in enumerate(bases):
         _check_flow_grid(flow, bk.grid)
         h = np.zeros((flow.grid.n, vf.d, bk.size))
         h[:, k] = bk.functions
         D = directional_derivative(flow, vf, GridFunction1D(flow.grid, h), t)
-        raw += D @ D.T
+        raw = raw + D @ D.swapaxes(-2, -1)
     return _finish(raw, t, "parseval-basis")
 
 
-def route_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius gap between two covariance matrices, relative to the larger."""
-    gap, denom = np.linalg.norm(a - b), max(np.linalg.norm(a), np.linalg.norm(b))
-    return float(gap / denom if denom > 0 else gap)
+def route_residual(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Frobenius gap between two routes' covariance matrices, relative to the
+    larger norm.
+
+    For (..., T, e, e) stacks holding each sample's matrices at T times, one
+    value per sample: its largest gap against its largest norm over the
+    times, so that a time where the covariance is rounding noise (a pinned
+    driver, say) is judged on the sample's own scale.
+    """
+    gap = np.linalg.norm(a - b, axis=(-2, -1))
+    norm = np.maximum(np.linalg.norm(a, axis=(-2, -1)),
+                      np.linalg.norm(b, axis=(-2, -1)))
+    if gap.ndim:
+        gap, norm = gap.max(axis=-1), norm.max(axis=-1)
+    return _scalars(gap / np.where(norm > 0, norm, 1.0))[0]
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
+    """Eigenvalues and verdict of one matrix; for a stack, each field has
+    the sample axis in front."""
+
     eigenvalues: np.ndarray
-    lambda_min: float
-    det: float
-    verdict: str
+    lambda_min: float | np.ndarray
+    det: float | np.ndarray
+    verdict: str | np.ndarray
     tau: float
-    threshold: float
+    threshold: float | np.ndarray
 
 
 def spectrum(sigma, tau: float = DEGENERACY_TAU,
-             scale: float | None = None) -> SpectrumResult:
+             scale: float | np.ndarray | None = None) -> SpectrumResult:
     """Eigendecomposition with a scale-relative degeneracy verdict.
 
     The verdict is "non-degenerate" iff lambda_min > tau * scale, where
@@ -164,15 +192,14 @@ def spectrum(sigma, tau: float = DEGENERACY_TAU,
     family of matrices (several evaluation times of one sample, say) should
     pass a common scale: a 1x1 matrix judged against its own trace can never
     be flagged, which would blind the verdict exactly in the pinned-driver
-    case it exists to catch.
+    case it exists to catch.  A stack (K, e, e) takes one scale per matrix.
     """
     mat = sigma.sigma if isinstance(sigma, MalliavinMatrix) else np.asarray(sigma, dtype=float)
-    mat = 0.5 * (mat + mat.T)
+    mat = 0.5 * (mat + mat.swapaxes(-2, -1))
     lam = np.linalg.eigvalsh(mat)
-    e = mat.shape[0]
     if scale is None:
-        scale = float(np.trace(mat)) / e
-    threshold = tau * scale
-    verdict = "non-degenerate" if lam[0] > threshold else "degenerate"
-    return SpectrumResult(lam, float(lam[0]), float(np.linalg.det(mat)),
-                          verdict, tau, float(threshold))
+        scale = np.trace(mat, axis1=-2, axis2=-1) / mat.shape[-1]
+    threshold = tau * np.asarray(scale, dtype=float)
+    verdict = np.where(lam[..., 0] > threshold, "non-degenerate", "degenerate")
+    return SpectrumResult(lam, *_scalars(lam[..., 0], np.linalg.det(mat), verdict),
+                          tau, *_scalars(threshold))

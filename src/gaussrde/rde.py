@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from . import nilpotent
 from .fields import VectorFieldSystem
 from .lift import RoughPath, spacetime_lift
 from .nilpotent import GEOMETRIC_TOL
-from .young import GridFunction1D, TimeGrid, p_variation
+from .young import GridFunction1D, TimeGrid, p_variation, same_grid
 
 EXPLOSION_NORM = 1e12
 CONDITION_LIMIT = 1e12
@@ -47,6 +48,10 @@ class ExplosionError(RuntimeError):
     def __init__(self, message: str, time: float):
         super().__init__(message)
         self.time = time
+
+
+# The failures that abort one sample of a run rather than the run itself.
+NUMERICAL_ERRORS = (ExplosionError, np.linalg.LinAlgError, FloatingPointError)
 
 
 @dataclass(frozen=True)
@@ -86,14 +91,15 @@ class FlowResult:
             raise ValueError("flow was solved without the Jacobian")
         return self.J[..., j, :, :] @ self.J_inv[..., i, :, :]
 
-    def sample(self, k: int) -> "FlowResult":
-        """View of path k of a stack."""
+    def sample(self, k) -> "FlowResult":
+        """View of path k of a stack; for a list k, the stack of those paths."""
         def pick(x):
             return None if x is None else x[k]
-        pvar = None if self.pvar is None else float(self.pvar[k])
-        return FlowResult(self.grid, self.Y[k], self.V[k], pick(self.J),
-                          pick(self.J_inv), pvar, self.pvar_index,
-                          float(self.max_condition[k]))
+        return replace(self, Y=self.Y[k], V=self.V[k], J=pick(self.J),
+                       J_inv=pick(self.J_inv), pvar=pick(self.pvar),
+                       max_condition=self.max_condition[k],
+                       errors=tuple(self.errors[i] for i in k)
+                       if np.ndim(k) else ())
 
 
 def _check_geometric(da: np.ndarray, db: np.ndarray) -> None:
@@ -105,20 +111,33 @@ def _check_geometric(da: np.ndarray, db: np.ndarray) -> None:
         )
 
 
+def by_rows(fn, take, rows):
+    """fn(take(rows)) for a list of row indices of a stack, in one call; if
+    that fails numerically, each row alone finds the failures and fn runs
+    again on the others, so a failure aborts only its own row.  Returns fn's
+    output on the rows that passed and {row: error} for the others."""
+    try:
+        return fn(take(rows)), {}
+    except NUMERICAL_ERRORS:
+        pass
+    failed = {}
+    for k in rows:
+        try:
+            fn(take([k]))
+        except NUMERICAL_ERRORS as exc:
+            failed[k] = exc
+    return fn(take([k for k in rows if k not in failed])), failed
+
+
 def _inverses(J: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Inverses of K paths' stacked Jacobians (K, n, e, e), each path's
     largest condition number, and each path's LinAlgError or None."""
-    errors = [None] * len(J)
-    try:
-        J_inv = np.linalg.inv(J)
-    except np.linalg.LinAlgError:
-        J_inv = np.zeros_like(J)
-        for k, Jk in enumerate(J):
-            try:
-                J_inv[k] = np.linalg.inv(Jk)
-            except np.linalg.LinAlgError as exc:
-                errors[k] = exc
-    return J_inv, np.maximum(1.0, np.linalg.cond(J).max(axis=-1)), errors
+    rows = list(range(len(J)))
+    inv, failed = by_rows(np.linalg.inv, J.__getitem__, rows)
+    J_inv = np.zeros_like(J)
+    J_inv[[k for k in rows if k not in failed]] = inv
+    return (J_inv, np.maximum(1.0, np.linalg.cond(J).max(axis=-1)),
+            [failed.get(k) for k in rows])
 
 
 def _sum_tail(products: np.ndarray, keep: int) -> np.ndarray:
@@ -127,22 +146,15 @@ def _sum_tail(products: np.ndarray, keep: int) -> np.ndarray:
     return products.reshape(products.shape[:keep] + (-1,)).sum(axis=-1)
 
 
-def _augment_with_drift(vf: VectorFieldSystem) -> VectorFieldSystem:
-    """Field collection (V_0, V_1, ..., V_d) for the time-augmented driver."""
-
-    def value(y):
-        return np.concatenate([vf.drift_val(y)[..., None, :], vf.val(y)], axis=-2)
-
-    def jacobian(y):
-        return np.concatenate([vf.drift_jac(y)[..., None, :, :], vf.jac(y)], axis=-3)
-
-    def hessian(y):
-        return np.concatenate([vf.drift_hess(y)[..., None, :, :, :], vf.hess(y)],
-                              axis=-4)
-
-    return VectorFieldSystem(e=vf.e, d=vf.d + 1, value=value,
-                             jacobian=jacobian, hessian=hessian,
-                             name=vf.name + "+drift", broadcasts=vf.broadcasts)
+def _with_drift(vf: VectorFieldSystem) -> SimpleNamespace:
+    """Field collection (V_0, V_1, ..., V_d) for the time-augmented driver.
+    Each part is evaluated, and its shape checked, by `vf` itself."""
+    def join(drift, fields, axis):
+        return lambda y: np.concatenate([np.expand_dims(drift(y), axis), fields(y)],
+                                        axis=axis)
+    return SimpleNamespace(d=vf.d + 1, e=vf.e, val=join(vf.drift_val, vf.val, -2),
+                           jac=join(vf.drift_jac, vf.jac, -3),
+                           hess=join(vf.drift_hess, vf.hess, -4))
 
 
 def _solve(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
@@ -166,14 +178,11 @@ def _solve(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
         X = RoughPath(X.grid, X.level1[None], X.level2[None])
 
     pvar = p_variation(X, pvar_index) if pvar_index is not None else None
-
+    d = vf.d
     if vf.has_drift:
-        inner = _solve(spacetime_lift(X), _augment_with_drift(vf), y0,
-                       with_jacobian, None)
-        flow = replace(inner, V=inner.V[..., 1:, :], pvar=pvar,
-                       pvar_index=pvar_index)
-    else:
-        flow = _steps(X, vf, y0, with_jacobian, pvar, pvar_index)
+        X, vf = spacetime_lift(X), _with_drift(vf)
+    flow = _steps(X, vf, y0, with_jacobian, pvar, pvar_index)
+    flow = replace(flow, V=flow.V[..., -d:, :])  # without the drift's values
     if not one:
         return flow
     if flow.errors[0] is not None:
@@ -337,11 +346,12 @@ def directional_derivative(flow: FlowResult, vf: VectorFieldSystem,
     evaluated as a left-point Young sum on the grid with J_{t<-s} taken from
     the stored flow as J(t) J(s)^{-1}.  `h.values` is (n,) when d = 1, (n, d)
     for one direction, or (n, d, m) for a stack of m; the result is (e,), or
-    (e, m) with column j for direction j.  At t = 0 it is zero.
+    (e, m) with column j for direction j, behind the sample axis when the
+    flow is a stack of K paths.  At t = 0 it is zero.
     """
     if flow.J is None:
         raise ValueError("directional derivative needs a Jacobian-carrying flow")
-    if not np.allclose(flow.grid.points, h.grid.points, rtol=1e-12, atol=1e-12):
+    if not same_grid(flow.grid, h.grid):
         raise ValueError("direction must be sampled on the flow's grid")
     it = flow.grid.index_of(t)
     hv = np.asarray(h.values, dtype=float)
@@ -349,10 +359,19 @@ def directional_derivative(flow: FlowResult, vf: VectorFieldSystem,
         hv = hv[:, None]
     if hv.shape[1] != vf.d:
         raise ValueError(f"direction has {hv.shape[1]} components, driver has {vf.d}")
-    if flow.V.shape[1:] != (vf.d, vf.e):
+    if flow.V.shape[-2:] != (vf.d, vf.e):
         raise ValueError("flow was solved with fields of another shape")
-    Z = flow.J[it] @ flow.J_inv[:it] @ flow.V[:it].transpose(0, 2, 1)
-    return np.einsum("kad,kd...->a...", Z, np.diff(hv[:it + 1], axis=0))
+    # Z[..., a, (s, i)] = (J_{t<-s} V_i(Y_s))^a, paired with dh^i_s in one product
+    Z = (flow.J[..., it, None, :, :] @ flow.J_inv[..., :it, :, :]
+         @ flow.V[..., :it, :, :].swapaxes(-2, -1)).swapaxes(-3, -2)
+    dh = np.diff(hv[:it + 1], axis=0)
+    return (Z.reshape(Z.shape[:-2] + (it * vf.d,))
+            @ dh.reshape((it * vf.d,) + dh.shape[2:]))
+
+
+def log_operator_norm(J: np.ndarray) -> np.ndarray:
+    """Log of the spectral norm of each matrix of a stack (..., e, e)."""
+    return np.log(np.linalg.norm(J, ord=2, axis=(-2, -1)))
 
 
 def log_jacobian_diagnostic(flow: FlowResult, X: RoughPath, p: float) -> dict:
@@ -363,8 +382,7 @@ def log_jacobian_diagnostic(flow: FlowResult, X: RoughPath, p: float) -> dict:
     """
     if flow.J is None:
         raise ValueError("diagnostic needs a Jacobian-carrying flow")
-    norm = float(np.linalg.norm(flow.J[-1], ord=2))
     return {
-        "log_norm_J": float(np.log(norm)),
+        "log_norm_J": float(log_operator_norm(flow.J[-1])),
         "pvar_p": float(p_variation(X, p) ** p),
     }

@@ -254,7 +254,7 @@ def test_run_experiment_basic(tmp_path):
     report = run_experiment(cfg, out_dir=str(tmp_path / "out"))
     assert report.count == 30 and report.aborted == 0
     assert report.fraction_degenerate == 0.0
-    assert report.oracle_checked == 10
+    assert report.oracle_checked == report.count - report.aborted
     assert report.oracle_max_residual < 1e-10
     assert report.samples.shape == (30, 2)
 
@@ -272,7 +272,7 @@ def test_run_experiment_basic(tmp_path):
     assert summary["aborted"] == 0
     assert summary["fraction_degenerate"] == 0.0
     assert summary["config_hash"] == config_hash(cfg)
-    assert summary["oracle_check"]["checked"] == 10
+    assert summary["oracle_check"]["checked"] == summary["count"] - summary["aborted"]
     assert summary["kde"] is None  # fewer than 100 samples
 
 
@@ -311,18 +311,37 @@ json = summary.json
 """
 
 
+def with_a_ramp(sample):
+    """sample_paths with the driver of sample 3 replaced by a steep ramp,
+    along which the linear + drift flow explodes."""
+    def sample_paths(models, grid, n_samples, seed):
+        batch = sample(models, grid, n_samples, seed)
+        batch.values[3, :, 0] = 100.0 * grid.points
+        return batch
+    return sample_paths
+
+
+@pytest.mark.filterwarnings("ignore:.*semidefinite:UserWarning")
 def test_run_experiment_output_is_independent_of_chunk_size(tmp_path, monkeypatch):
     import gaussrde.experiments
 
-    for name, text in (("rotation", ROTATION_CONFIG), ("drift", LINEAR_DRIFT_CONFIG)):
+    sample = gaussrde.experiments.sample_paths
+    ramp = LINEAR_DRIFT_CONFIG.replace("count = 30", "count = 120")
+    for name, text, sampler in (("rotation", ROTATION_CONFIG, sample),
+                                ("drift", LINEAR_DRIFT_CONFIG, sample),
+                                ("bridge", BRIDGE_SCALAR_CONFIG, sample),
+                                ("ramp", ramp, with_a_ramp(sample))):
         cfg = load_config(write_config(tmp_path, text, name=f"{name}.ini"))
+        monkeypatch.setattr(gaussrde.experiments, "sample_paths", sampler)
         outputs = []
         for chunk in (1, 7, cfg.count, 4 * cfg.count):
             monkeypatch.setattr(gaussrde.experiments, "CHUNK", chunk)
             out = tmp_path / f"{name}-{chunk}"
-            run_experiment(cfg, out_dir=str(out))
+            report = run_experiment(cfg, out_dir=str(out))
             outputs.append([(out / f).read_bytes() for f in ("samples.csv", "summary.json")])
         assert all(o == outputs[0] for o in outputs[1:]), name
+        assert report.aborted == (name == "ramp")
+        assert report.oracle_checked == report.count - report.aborted
 
 
 def test_run_experiment_aborts_only_the_exploding_sample(tmp_path, monkeypatch, caplog):
@@ -335,14 +354,8 @@ def test_run_experiment_aborts_only_the_exploding_sample(tmp_path, monkeypatch, 
     with pytest.raises(ExplosionError) as single:
         solve_flow_jacobian(lift_piecewise_linear(GridFunction1D(grid, 100.0 * grid.points)),
                             build_fields(cfg), cfg.y0)
-    sample = gaussrde.experiments.sample_paths
-
-    def with_a_ramp(models, grid, n_samples, seed):
-        batch = sample(models, grid, n_samples, seed)
-        batch.values[3, :, 0] = 100.0 * grid.points
-        return batch
-
-    monkeypatch.setattr(gaussrde.experiments, "sample_paths", with_a_ramp)
+    monkeypatch.setattr(gaussrde.experiments, "sample_paths",
+                        with_a_ramp(gaussrde.experiments.sample_paths))
     with caplog.at_level(logging.WARNING, logger="gaussrde"):
         report = run_experiment(cfg, out_dir=str(tmp_path / "ramp"))
     assert report.aborted == 1
@@ -353,6 +366,60 @@ def test_run_experiment_aborts_only_the_exploding_sample(tmp_path, monkeypatch, 
     failure = f"first failure: sample 3: ExplosionError: {single.value}"
     with pytest.raises(RunError, match=re.escape(failure)):
         run_experiment(dataclasses.replace(cfg, count=10))
+
+
+def test_a_failure_in_the_stacked_tail_aborts_only_its_sample(tmp_path, monkeypatch,
+                                                              caplog):
+    """A numerical error raised by the covariance of one sample's chunk is
+    traced to that sample; the chunk's other samples keep their rows."""
+    import gaussrde.experiments
+
+    cfg = load_config(write_config(
+        tmp_path, LINEAR_DRIFT_CONFIG.replace("count = 30", "count = 120")))
+    clean = run_experiment(cfg, out_dir=str(tmp_path / "clean"))
+    marked = clean.samples[3]
+    sigma_2d = gaussrde.experiments.malliavin_matrix_2d
+
+    def failing_on_sample_3(flows, *args, **kwargs):
+        if np.any(np.all(flows.Y[:, -1] == marked, axis=-1)):
+            raise np.linalg.LinAlgError("marked sample")
+        return sigma_2d(flows, *args, **kwargs)
+
+    monkeypatch.setattr(gaussrde.experiments, "malliavin_matrix_2d", failing_on_sample_3)
+    for chunk in (7, 32):
+        monkeypatch.setattr(gaussrde.experiments, "CHUNK", chunk)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="gaussrde"):
+            report = run_experiment(cfg, out_dir=str(tmp_path / f"marked-{chunk}"))
+        assert report.aborted == 1 and report.oracle_checked == 119
+        assert caplog.messages == ["sample 3 aborted: marked sample"]
+        rows = (tmp_path / f"marked-{chunk}" / "samples.csv").read_text().splitlines()
+        full = (tmp_path / "clean" / "samples.csv").read_text().splitlines()
+        assert rows == [row for row in full if not row.startswith("3,")]
+
+
+def test_drift_solve_evaluates_each_field_once_per_step(tmp_path, monkeypatch):
+    """Value, Jacobian and Hessian of the drift and of the driving fields:
+    six checked evaluations a step, whatever the number of paths."""
+    from gaussrde import VectorFieldSystem, brownian_model, sample_paths
+
+    cfg = load_config(write_config(tmp_path, LINEAR_DRIFT_CONFIG))
+    vf = build_fields(cfg)
+    grid = uniform_grid(cfg.horizon, cfg.n)
+    calls = []
+    evaluate = VectorFieldSystem._eval
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0])
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(VectorFieldSystem, "_eval", counting)
+    for count in (1, 5):
+        X = lift_piecewise_linear(sample_paths([brownian_model()], grid, count, 0))
+        calls.clear()
+        solve_flow_jacobian(X, vf, cfg.y0)
+        # and the values at the final state: drift and driving fields
+        assert len(calls) == 6 * (cfg.n - 1) + 2
 
 
 BRIDGE_SCALAR_CONFIG = """
@@ -391,6 +458,10 @@ def test_run_experiment_bridge_dichotomy(tmp_path):
         report = run_experiment(cfg, out_dir=str(tmp_path / "out"))
     assert report.aborted == 0
     assert report.fraction_degenerate == pytest.approx(0.5)
+    # at the pin both routes give rounding noise; each sample's residual is
+    # taken against its largest covariance over the times, so no false alarm
+    assert report.oracle_checked == 20
+    assert report.oracle_max_residual < 1e-10
     rows = (tmp_path / "out" / "samples.csv").read_text().strip().split("\n")[1:]
     for row in rows:
         cells = row.split(",")
@@ -605,6 +676,24 @@ def test_cli_run_failure_exits_3(tmp_path):
     assert cli_main(["run", "--config", cfg]) == 3
 
 
+def test_cli_run_exits_3_when_the_routes_disagree(tmp_path, monkeypatch, capsys):
+    import gaussrde.experiments
+
+    parseval = gaussrde.experiments.malliavin_matrix_parseval
+
+    def off_by_1e_6(*args, **kwargs):
+        mat = parseval(*args, **kwargs)
+        return dataclasses.replace(mat, sigma=mat.sigma * (1.0 + 1e-6))
+
+    cfg = write_config(tmp_path, ROTATION_CONFIG)
+    assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    monkeypatch.setattr(gaussrde.experiments, "malliavin_matrix_parseval", off_by_1e_6)
+    out = tmp_path / "off"
+    assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert "run failed: covariance routes disagree on sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_module_entry_point(tmp_path):
     import subprocess
     import sys
@@ -642,7 +731,7 @@ def test_run_experiment_samples_the_kernel_once(tmp_path, monkeypatch):
     monkeypatch.setattr(gaussrde.experiments, "kernel_eval", counting)
     cfg = load_config(write_config(tmp_path, ROTATION_CONFIG))
     report = run_experiment(cfg, out_dir=str(tmp_path / "out"))
-    assert report.count == 30 and report.oracle_checked == 10
+    assert report.count == 30 and report.oracle_checked == report.count - report.aborted
     assert len(calls) == 1
 
 
@@ -691,5 +780,5 @@ def test_run_experiment_takes_the_kernel_double_difference_once(tmp_path, monkey
     text = ROTATION_CONFIG.replace("seed = 11", "seed = 11\nallow_degenerate = true")
     report = run_experiment(load_config(write_config(tmp_path, text)),
                             out_dir=str(tmp_path / "out"))
-    assert report.count == 30 and report.oracle_checked == 10
+    assert report.count == 30 and report.oracle_checked == report.count - report.aborted
     assert shapes == [(17, 17)]

@@ -26,6 +26,7 @@ from gaussrde import (
 )
 import gaussrde.malliavin as malliavin
 from gaussrde.malliavin import _integrand_values, _per_component, route_residual
+from gaussrde.rde import log_operator_norm
 from gaussrde.young import GridFunction2D, TimeGrid
 
 
@@ -255,8 +256,9 @@ def test_route_residual():
 
 def test_2d_route_matches_subgrid_young_integral():
     # reference: the path the per-run kernel sample replaced, with the fields
-    # evaluated again at the states and the kernel sampled on the sub-grid up
-    # to t; the new sigma must equal it bit for bit
+    # evaluated again at the states, the kernel sampled on the sub-grid up to
+    # t and the einsum pairing; the matmul pairing rounds differently, so the
+    # new sigma must equal it to 1e-12 relative
     def subgrid_sigma(flow, vf, model, t):
         it = flow.grid.index_of(t)
         sub = TimeGrid(flow.grid.points[:it + 1])
@@ -288,8 +290,7 @@ def test_2d_route_matches_subgrid_young_integral():
                         lift_piecewise_linear(batch.path(0)), vf, y0)
                     for t in (grid.points[n // 2 - 3], 1.0):
                         got = malliavin_matrix_2d(flow, vf, kernel, t).sigma
-                        assert np.array_equal(got,
-                                              subgrid_sigma(flow, vf, model, t))
+                        assert rel_gap(got, subgrid_sigma(flow, vf, model, t)) < 1e-12
                         cases += 1
     assert cases == 108
 
@@ -310,3 +311,105 @@ def test_routes_read_field_values_from_flow():
         parseval = malliavin_matrix_parseval(flow, blind, basis, t)
         malliavin_matrix_bm_reduction(flow, blind, t)
         assert rel_gap(parseval.sigma, direct.sigma) < 1e-10
+
+
+def per_sample_reference(flow, vf, kernel, basis, t):
+    """The per-sample formulas the stacked routes replaced, for one path:
+    the einsum pairing of the 2D route, the Parseval sum over each
+    component's basis with its own einsum, and per-matrix eigvalsh, det and
+    SVD norm.  Returns sigma by both routes, eigenvalues, det, log |J_t|."""
+    it = flow.grid.index_of(t)
+    Z = (flow.J[it] @ flow.J_inv[:it + 1] @ flow.V[:it + 1].transpose(0, 2, 1))
+    Z = Z.transpose(0, 2, 1)
+    box = kernel.rectangle_increments()[:it, :it]
+    dh = np.diff(basis.functions[:it + 1], axis=0)
+    direct = np.zeros((vf.e, vf.e))
+    parseval = np.zeros((vf.e, vf.e))
+    for k in range(vf.d):
+        direct += np.einsum("ia,ij,jb->ab", Z[:-1, k], box, Z[:-1, k])
+        D = np.einsum("ma,mn->an", Z[:-1, k], dh)
+        parseval += D @ D.T
+    direct = 0.5 * (direct + direct.T)
+    return (direct, 0.5 * (parseval + parseval.T), np.linalg.eigvalsh(direct),
+            np.linalg.det(direct), np.log(np.linalg.norm(flow.J[it], ord=2)))
+
+
+def stacked_case(name, count, seed=88):
+    rng = np.random.default_rng(seed)
+    if name == "rotation-fbm":
+        vf, model, y0 = rotation_fields(), fbm_model(0.4), np.array([0.8, -0.3])
+    elif name == "linear-drift":
+        vf = linear_fields(np.stack([np.diag([0.4, 0.1]), 0.3 * np.eye(2)]),
+                           drift=(np.diag([-0.2, 0.1]), np.array([0.1, 0.0])))
+        model, y0 = brownian_model(), np.array([0.7, -0.4])
+    else:
+        poly = polynomial_fields(c0=rng.standard_normal((2, 2)) * 0.5,
+                                 c1=rng.standard_normal((2, 2, 2)) * 0.3,
+                                 c2=rng.standard_normal((2, 2, 2, 2)) * 0.1)
+        vf = dataclasses.replace(poly, jacobian=None, hessian=None)
+        assert vf.derivative_mode == "finite-difference"
+        model, y0 = brownian_model(), np.array([0.1, -0.2])
+    grid = uniform_grid(1.0, 33)
+    batch = sample_paths([model] * vf.d, grid, count, seed)
+    flows = solve_flow_jacobian(lift_piecewise_linear(batch), vf, y0)
+    assert not any(flows.errors)
+    return flows, vf, kernel_eval(model, grid), cameron_martin_basis(model, grid)
+
+
+@pytest.mark.parametrize("name", ["rotation-fbm", "linear-drift", "finite-difference"])
+def test_stacked_routes_match_per_sample_formulas(name):
+    flows, vf, kernel, basis = stacked_case(name, 7)
+    for t in (flows.grid.points[13], 1.0):
+        direct = malliavin_matrix_2d(flows, vf, kernel, t)
+        parseval = malliavin_matrix_parseval(flows, vf, basis, t)
+        spec = spectrum(direct)
+        log_norm = log_operator_norm(flows.J[:, flows.grid.index_of(t)])
+        assert direct.sigma.shape == (7, 2, 2) and spec.verdict.shape == (7,)
+        for k in range(7):
+            sigma, other, lam, det, ln = per_sample_reference(
+                flows.sample(k), vf, kernel, basis, t)
+            scale = np.linalg.norm(sigma)
+            assert np.linalg.norm(direct.sigma[k] - sigma) <= 1e-12 * scale
+            assert np.linalg.norm(parseval.sigma[k] - other) <= 1e-12 * scale
+            assert abs(direct.lambda_min[k] - lam[0]) <= 1e-12 * scale
+            assert np.abs(spec.eigenvalues[k] - lam).max() <= 1e-12 * scale
+            assert abs(spec.det[k] - det) <= 1e-12 * scale ** 2
+            assert abs(direct.det[k] - det) <= 1e-12 * scale ** 2
+            assert abs(log_norm[k] - ln) <= 1e-12 * max(1.0, abs(ln))
+
+
+@pytest.mark.parametrize("name", ["rotation-fbm", "linear-drift", "finite-difference"])
+def test_stacked_routes_do_not_depend_on_the_stack(name):
+    # each path's matrices, spectrum, residual and log-norm are the same bit
+    # for bit in a stack of 1, 7 or 33 paths, and as a single flow
+    flows, vf, kernel, basis = stacked_case(name, 33)
+
+    def tail(f, t):
+        direct = malliavin_matrix_2d(f, vf, kernel, t)
+        parseval = malliavin_matrix_parseval(f, vf, basis, t)
+        spec = spectrum(direct, scale=direct.trace)
+        it = f.grid.index_of(t)
+        return (direct.sigma, direct.lambda_min, direct.det, parseval.sigma,
+                spec.eigenvalues, spec.det, spec.verdict,
+                route_residual(direct.sigma[..., None, :, :],
+                               parseval.sigma[..., None, :, :]),
+                log_operator_norm(f.J[..., it, :, :]))
+
+    for t in (flows.grid.points[13], 1.0):
+        full = tail(flows, t)
+        for size in (1, 7):
+            part = tail(flows.sample(list(range(size))), t)
+            for a, b in zip(part, full):
+                assert np.array_equal(a, b[:size])
+        one = tail(flows.sample(5), t)
+        for a, b in zip(one, full):
+            assert np.array_equal(a, b[5])
+
+
+def test_route_residual_per_sample_over_times():
+    # (K, T, e, e): each sample's largest gap against its largest norm
+    a = np.array([[[[1.0]], [[1e-17]]], [[[2.0]], [[4.0]]]])
+    b = np.array([[[[1.0]], [[-1e-17]]], [[[2.0]], [[3.0]]]])
+    assert np.allclose(route_residual(a, b), [2e-17, 0.25], rtol=1e-12, atol=0)
+    # one time alone: the pinned time's noise is judged on its own scale
+    assert route_residual(a[0, 1], b[0, 1]) == 2.0
