@@ -70,11 +70,6 @@ def _prepare(args):
     return config, model, vf, grid
 
 
-def _write_table(path, header: list, table) -> None:
-    np.savetxt(path, table, delimiter=",", header=",".join(header), comments="",
-               fmt="%.17g")
-
-
 def _single_path(config, model, grid, index):
     if index < 0:
         raise ConfigError("--index must be >= 0")
@@ -119,8 +114,10 @@ def _cmd_check(args) -> int:
 def _cmd_sample(args) -> int:
     config, model, _, grid = _prepare(args)
     path = _single_path(config, model, grid, args.index)
-    _write_table(args.out, ["t"] + [f"x_{i + 1}" for i in range(config.d)],
-                 np.column_stack([grid.points, path.values]))
+    cols = ["t"] + [f"x_{i + 1}" for i in range(config.d)]
+    table = np.column_stack([grid.points, path.values])
+    np.savetxt(args.out, table, delimiter=",", header=",".join(cols),
+               comments="", fmt="%.17g")
     print(f"wrote driver sample {args.index} to {args.out}")
     return 0
 
@@ -138,8 +135,10 @@ def _cmd_solve(args) -> int:
     path = _single_path(config, model, grid, args.index)
     flow = solve_flow_jacobian(lift_piecewise_linear(path), vf, config.y0,
                                pvar_index=variation_index(model))
-    _write_table(args.out, ["t"] + [f"y_{i + 1}" for i in range(config.e)],
-                 np.column_stack([grid.points, flow.Y]))
+    cols = ["t"] + [f"y_{i + 1}" for i in range(config.e)]
+    table = np.column_stack([grid.points, flow.Y])
+    np.savetxt(args.out, table, delimiter=",", header=",".join(cols),
+               comments="", fmt="%.17g")
     print(f"wrote solution of sample {args.index} to {args.out} "
           f"(driver p-variation {flow.pvar:.4f})")
     return 0
@@ -185,8 +184,10 @@ def _cmd_density(args) -> int:
         print("no density estimate available (state dimension > 2 or too few "
               "samples); reporting raw samples")
         if args.out:
-            _write_table(args.out, [f"y_{i + 1}" for i in range(config.e)],
-                         report.samples)
+            np.savetxt(args.out, report.samples, delimiter=",",
+                       header=",".join(f"y_{i + 1}" for i in range(
+                           report.samples.shape[1])),
+                       comments="", fmt="%.17g")
             print(f"wrote raw samples to {args.out}")
         return 0
     print(f"density at t = {report.time}: bandwidth "
@@ -198,12 +199,15 @@ def _cmd_density(args) -> int:
     if args.out:
         if isinstance(report.query_grid, tuple):
             qx, qy = report.query_grid
-            _write_table(args.out, ["y_1", "y_2", "density"],
-                         [(x, y, report.kde_values[i, j])
-                          for i, x in enumerate(qx) for j, y in enumerate(qy)])
+            rows = [(x, y, report.kde_values[i, j])
+                    for i, x in enumerate(qx) for j, y in enumerate(qy)]
+            np.savetxt(args.out, rows, delimiter=",",
+                       header="y_1,y_2,density", comments="", fmt="%.17g")
         else:
-            _write_table(args.out, ["y_1", "density"],
-                         np.column_stack([report.query_grid, report.kde_values]))
+            np.savetxt(args.out,
+                       np.column_stack([report.query_grid, report.kde_values]),
+                       delimiter=",", header="y_1,density", comments="",
+                       fmt="%.17g")
         print(f"wrote density table to {args.out}")
     return 0
 

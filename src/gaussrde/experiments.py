@@ -44,7 +44,7 @@ MIN_HURST = 1.0 / 3.0
 # peak memory of a run stays where the per-sample pipeline had it.
 CHUNK = 32
 # Largest relative gap between the two covariance routes a run accepts, per
-# sample against its largest covariance norm over the evaluation times.
+# sample and evaluation time (see malliavin.route_residual).
 ROUTE_TOL = 1e-10
 
 
@@ -457,15 +457,17 @@ class DensityReport:
 def evaluate_flows(flows, vf, kernel, basis, indices, tau):
     """Covariance by both routes and its verdicts for one solved sample or a
     stack, one call per route and evaluation time (grid indices).  Returns
-    the 2D-route matrices and their spectra per time, each sample's route
-    residual, and log |J_t| with the times on the last axis."""
+    the 2D-route matrices and their spectra per time, each sample's largest
+    route residual over the times, and log |J_t| with the times on the last
+    axis."""
     times = flows.grid.points[indices]
     mats = [malliavin_matrix_2d(flows, vf, kernel, t) for t in times]
     scale = np.max([m.trace / vf.e for m in mats], axis=0)
     specs = [spectrum(m, tau=tau, scale=scale) for m in mats]
     checks = [malliavin_matrix_parseval(flows, vf, basis, t) for t in times]
-    residual = route_residual(np.stack([m.sigma for m in mats], axis=-3),
-                              np.stack([c.sigma for c in checks], axis=-3))
+    residual = np.max([route_residual(m.sigma, c.sigma,
+                                      np.maximum(m.magnitude, c.magnitude))
+                       for m, c in zip(mats, checks)], axis=0)
     return mats, specs, residual, log_operator_norm(flows.J[..., indices, :, :])
 
 
@@ -487,9 +489,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     too.  Numerical sample failures (explosion, singular matrices,
     floating-point errors) are logged and skipped; more than 1% of them
     fails the whole run.  So does a sample whose two covariance routes
-    differ by more than ROUTE_TOL.  Any other exception propagates.
-    Artifacts are written when the config names them (rebased into
-    `out_dir` if given).
+    differ by more than ROUTE_TOL at some time (see `route_residual`).  Any
+    other exception propagates.  Artifacts are written when the config
+    names them (rebased into `out_dir` if given).
     """
     model = build_model(config)
     vf = build_fields(config)
@@ -552,8 +554,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
         time=float(config.times[-1]),
         samples=final_Y,
         fraction_degenerate=sum(row[-3] == "degenerate" for row in rows) / len(rows),
-        lambda_min_quantiles={f"q{round(100 * q):02d}": float(np.quantile(lam_values, q))
-                              for q in (0.05, 0.50, 0.95)},
+        lambda_min_quantiles={"q05": float(np.quantile(lam_values, 0.05)),
+                              "q50": float(np.quantile(lam_values, 0.50)),
+                              "q95": float(np.quantile(lam_values, 0.95))},
         aborted=aborted,
         count=config.count,
         oracle_max_residual=float(residuals.max()),

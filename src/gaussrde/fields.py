@@ -16,7 +16,7 @@ explosion guard is a diagnostic, not a crutch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -200,7 +200,13 @@ def constant_fields(c: np.ndarray) -> VectorFieldSystem:
     if c.ndim != 2:
         raise ValueError(f"c must be (d, e), got {c.shape}")
     d, e = c.shape
-    return replace(linear_fields(np.zeros((d, e, e)), c), name="constant")
+    return VectorFieldSystem(
+        e=e, d=d,
+        value=lambda y: c,
+        jacobian=lambda y: np.zeros((d, e, e)),
+        hessian=lambda y: np.zeros((d, e, e, e)),
+        name="constant", broadcasts=True,
+    )
 
 
 ROTATION_GENERATOR = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -222,7 +228,13 @@ def rotation_fields(omegas: np.ndarray = (1.0, 0.5),
     if shifts.shape != (d, 2):
         raise ValueError(f"shifts must be {(d, 2)}, got {shifts.shape}")
     A = omegas[:, None, None] * ROTATION_GENERATOR[None, :, :]
-    return replace(linear_fields(A, shifts), name="rotation")
+    return VectorFieldSystem(
+        e=2, d=d,
+        value=lambda y: _apply(A, y[..., None, :]) + shifts,
+        jacobian=lambda y: A,
+        hessian=lambda y: np.zeros((d, 2, 2, 2)),
+        name="rotation", broadcasts=True,
+    )
 
 
 def polynomial_fields(c0: np.ndarray, c1: np.ndarray | None = None,

@@ -150,8 +150,14 @@ def rough_path_to_csv(X: RoughPath, path_or_buf) -> None:
         [X.grid.points[:, None], X.level1, X.level2.reshape(X.grid.n, d * d)],
         axis=1,
     )
-    np.savetxt(path_or_buf, table, delimiter=",", header=",".join(cols),
-               comments="", fmt="%.17g")
+    header = ",".join(cols)
+    if hasattr(path_or_buf, "write"):
+        np.savetxt(path_or_buf, table, delimiter=",", header=header,
+                   comments="", fmt="%.17g")
+    else:
+        with open(path_or_buf, "w") as fh:
+            np.savetxt(fh, table, delimiter=",", header=header,
+                       comments="", fmt="%.17g")
 
 
 def rough_path_from_csv(path_or_buf) -> RoughPath:

@@ -39,8 +39,11 @@ def _scalars(*values):
 class MalliavinMatrix:
     """Symmetrized covariance matrix of Y_t with spectral scalars attached.
 
-    For a stack of K flows sigma is (K, e, e) and lambda_min, det and
-    asymmetry are (K,) arrays; for one flow they are floats.
+    `magnitude` bounds the Frobenius norm of the summed terms' absolute
+    values (for a sum of semidefinite terms, the trace), so sigma's rounding
+    error is a few ulps of it even where sigma cancels to rounding noise.
+    For a stack of K flows sigma is (K, e, e) and the scalars are (K,)
+    arrays; for one flow they are floats.
     """
 
     sigma: np.ndarray
@@ -49,6 +52,7 @@ class MalliavinMatrix:
     det: float | np.ndarray
     method: str
     asymmetry: float | np.ndarray
+    magnitude: float | np.ndarray
 
     @property
     def e(self) -> int:
@@ -59,13 +63,13 @@ class MalliavinMatrix:
         return _scalars(np.trace(self.sigma, axis1=-2, axis2=-1))[0]
 
 
-def _finish(raw: np.ndarray, t: float, method: str) -> MalliavinMatrix:
+def _finish(raw: np.ndarray, t: float, method: str, magnitude) -> MalliavinMatrix:
     raw = np.asarray(raw, dtype=float)
     asym = np.abs(raw - raw.swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
     sigma = 0.5 * (raw + raw.swapaxes(-2, -1))
-    lam, det, asym = _scalars(np.linalg.eigvalsh(sigma)[..., 0],
-                              np.linalg.det(sigma), asym)
-    return MalliavinMatrix(sigma, float(t), lam, det, method, asym)
+    lam, det, asym, magnitude = _scalars(np.linalg.eigvalsh(sigma)[..., 0],
+                                         np.linalg.det(sigma), asym, magnitude)
+    return MalliavinMatrix(sigma, float(t), lam, det, method, asym, magnitude)
 
 
 def _integrand_values(flow: FlowResult, vf: VectorFieldSystem, it: int) -> np.ndarray:
@@ -107,12 +111,14 @@ def malliavin_matrix_2d(flow: FlowResult, vf: VectorFieldSystem, kernel,
     it = flow.grid.index_of(t)
     kernels = _per_component(kernel, GridFunction2D, vf.d)
     Z = _integrand_values(flow, vf, it)
-    raw = 0.0
+    raw = magnitude = 0.0
     for k, Rk in enumerate(kernels):
         _check_flow_grid(flow, Rk.grid_s, Rk.grid_t)
-        Zk = Z[..., :-1, k, :]
-        raw = raw + Zk.swapaxes(-2, -1) @ (Rk.rectangle_increments()[:it, :it] @ Zk)
-    return _finish(raw, t, "2d-young")
+        Zk, box = Z[..., :-1, k, :], Rk.rectangle_increments()[:it, :it]
+        raw = raw + Zk.swapaxes(-2, -1) @ (box @ Zk)
+        # |Zk^T box Zk| <= |Zk|^T |box| |Zk|, of norm at most |Zk|^2 |box|
+        magnitude = magnitude + np.square(Zk).sum(axis=(-2, -1)) * np.linalg.norm(box)
+    return _finish(raw, t, "2d-young", magnitude)
 
 
 def malliavin_matrix_bm_reduction(flow: FlowResult, vf: VectorFieldSystem,
@@ -126,10 +132,9 @@ def malliavin_matrix_bm_reduction(flow: FlowResult, vf: VectorFieldSystem,
     it = flow.grid.index_of(t)
     Z = _integrand_values(flow, vf, it)
     dt = np.diff(flow.grid.points[:it + 1])
-    mid = 0.5 * (np.einsum("...mka,...mkb->...mab", Z[..., :-1, :, :], Z[..., :-1, :, :])
-                 + np.einsum("...mka,...mkb->...mab", Z[..., 1:, :, :], Z[..., 1:, :, :]))
-    raw = np.einsum("m,...mab->...ab", dt, mid)
-    return _finish(raw, t, "bm-reduction")
+    P = np.einsum("...mka,...mkb->...mab", Z, Z)
+    raw = np.einsum("m,...mab->...ab", dt, 0.5 * (P[..., :-1, :, :] + P[..., 1:, :, :]))
+    return _finish(raw, t, "bm-reduction", np.trace(raw, axis1=-2, axis2=-1))
 
 
 def malliavin_matrix_parseval(flow: FlowResult, vf: VectorFieldSystem, basis,
@@ -150,24 +155,21 @@ def malliavin_matrix_parseval(flow: FlowResult, vf: VectorFieldSystem, basis,
         h[:, k] = bk.functions
         D = directional_derivative(flow, vf, GridFunction1D(flow.grid, h), t)
         raw = raw + D @ D.swapaxes(-2, -1)
-    return _finish(raw, t, "parseval-basis")
+    return _finish(raw, t, "parseval-basis", np.trace(raw, axis1=-2, axis2=-1))
 
 
-def route_residual(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """Frobenius gap between two routes' covariance matrices, relative to the
-    larger norm.
+def route_residual(a: np.ndarray, b: np.ndarray, floor=0.0) -> float | np.ndarray:
+    """Frobenius gap between two covariance matrices, or per matrix of two
+    (..., e, e) stacks, relative to the larger of their norms and `floor`.
 
-    For (..., T, e, e) stacks holding each sample's matrices at T times, one
-    value per sample: its largest gap against its largest norm over the
-    times, so that a time where the covariance is rounding noise (a pinned
-    driver, say) is judged on the sample's own scale.
+    Pass the routes' `magnitude` as the floor: where sigma cancels to
+    rounding noise (a pinned driver at its pin, say), the gap is then judged
+    against the terms it was summed from instead of against the noise.
     """
+    scale = np.maximum(np.maximum(np.linalg.norm(a, axis=(-2, -1)),
+                                  np.linalg.norm(b, axis=(-2, -1))), floor)
     gap = np.linalg.norm(a - b, axis=(-2, -1))
-    norm = np.maximum(np.linalg.norm(a, axis=(-2, -1)),
-                      np.linalg.norm(b, axis=(-2, -1)))
-    if gap.ndim:
-        gap, norm = gap.max(axis=-1), norm.max(axis=-1)
-    return _scalars(gap / np.where(norm > 0, norm, 1.0))[0]
+    return _scalars(gap / np.where(scale > 0, scale, 1.0))[0]
 
 
 @dataclass(frozen=True)

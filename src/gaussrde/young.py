@@ -241,13 +241,6 @@ def p_variation_with_partition(path, p: float):
     return (value, partitions[0]) if prev.ndim == 1 else (value, partitions)
 
 
-def _partitions(n: int):
-    """Every sub-partition of the grid indices 0..n-1 that keeps both ends."""
-    for r in range(n - 1):
-        for combo in itertools.combinations(range(1, n - 1), r):
-            yield np.array((0, *combo, n - 1))
-
-
 def p_variation_bruteforce(path, p: float) -> float:
     """Enumerate all sub-partitions; oracle for the DP, small grids only."""
     if p < 1:
@@ -256,8 +249,13 @@ def p_variation_bruteforce(path, p: float) -> float:
     n = norms.shape[0]
     if n > 14:
         raise ValueError("brute force restricted to grids of at most 14 points")
-    best = max(sum(norms[pts[k], pts[k + 1]] ** p for k in range(len(pts) - 1))
-               for pts in _partitions(n))
+    interior = range(1, n - 1)
+    best = 0.0
+    for r in range(n - 1):
+        for combo in itertools.combinations(interior, r):
+            pts = (0, *combo, n - 1)
+            total = sum(norms[pts[k], pts[k + 1]] ** p for k in range(len(pts) - 1))
+            best = max(best, total)
     return best ** (1.0 / p)
 
 
@@ -318,11 +316,15 @@ def rho_variation_2d(R: GridFunction2D, rho: float, mode: str = "diagonal-refine
                 f"exact mode enumerates 2^(n-2) partitions and is limited to "
                 f"n <= 14 grid points (got {n}); use mode='diagonal-refinement'"
             )
-        best, best_idx = 0.0, np.array([0, n - 1])
-        for idx in _partitions(n):
-            s = rho_variation_partition_sum(R, rho, idx)
-            if s > best:
-                best, best_idx = s, idx
+        best = 0.0
+        best_idx = np.array([0, n - 1])
+        interior = range(1, n - 1)
+        for r in range(n - 1):
+            for combo in itertools.combinations(interior, r):
+                idx = np.array((0, *combo, n - 1))
+                s = rho_variation_partition_sum(R, rho, idx)
+                if s > best:
+                    best, best_idx = s, idx
         return RhoVariationResult(best ** (1.0 / rho), rho, "exact", False, best_idx)
     if mode != "diagonal-refinement":
         raise ValueError(f"unknown mode {mode!r}")

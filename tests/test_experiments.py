@@ -458,8 +458,8 @@ def test_run_experiment_bridge_dichotomy(tmp_path):
         report = run_experiment(cfg, out_dir=str(tmp_path / "out"))
     assert report.aborted == 0
     assert report.fraction_degenerate == pytest.approx(0.5)
-    # at the pin both routes give rounding noise; each sample's residual is
-    # taken against its largest covariance over the times, so no false alarm
+    # at the pin both routes give rounding noise; the route check judges the
+    # gap against the magnitude of the summed terms, so no false alarm
     assert report.oracle_checked == 20
     assert report.oracle_max_residual < 1e-10
     rows = (tmp_path / "out" / "samples.csv").read_text().strip().split("\n")[1:]
@@ -467,6 +467,18 @@ def test_run_experiment_bridge_dichotomy(tmp_path):
         cells = row.split(",")
         t, verdict = float(cells[1]), cells[5]
         assert verdict == ("degenerate" if t == 1.0 else "non-degenerate")
+
+
+def test_cli_run_at_the_pin_alone_exits_0(tmp_path):
+    # every evaluated covariance is rounding noise; the route check must not
+    # turn the degenerate scenario the config allows into a failed run
+    text = BRIDGE_SCALAR_CONFIG.replace("times = 0.5 1.0", "times = 1.0")
+    cfg = write_config(tmp_path, text)
+    with pytest.warns(UserWarning, match="semidefinite"):
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["oracle_check"]["checked"] == 20
+    assert summary["oracle_check"]["max_rel_residual"] < 1e-10
 
 
 def test_run_experiment_zero_driver_fully_degenerate(tmp_path):

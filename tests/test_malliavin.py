@@ -256,20 +256,24 @@ def test_route_residual():
 
 def test_2d_route_matches_subgrid_young_integral():
     # reference: the path the per-run kernel sample replaced, with the fields
-    # evaluated again at the states, the kernel sampled on the sub-grid up to
-    # t and the einsum pairing; the matmul pairing rounds differently, so the
-    # new sigma must equal it to 1e-12 relative
+    # evaluated again at the states and the kernel sampled on the sub-grid up
+    # to t; paired in the same order, the new sigma must equal it bit for
+    # bit, and the einsum pairing of young_integral_2d to 1e-12 relative
     def subgrid_sigma(flow, vf, model, t):
         it = flow.grid.index_of(t)
         sub = TimeGrid(flow.grid.points[:it + 1])
         V = np.array([vf.val(y) for y in flow.Y[:it + 1]])
         Z = flow.J[it] @ flow.J_inv[:it + 1] @ V.transpose(0, 2, 1)
         Z = np.ascontiguousarray(Z.transpose(0, 2, 1))
-        raw = np.zeros((vf.e, vf.e))
+        sub_kernel = kernel_eval(model, sub)
+        raw, young = 0.0, np.zeros((vf.e, vf.e))
         for k in range(vf.d):
-            Zk = GridFunction1D(sub, Z[:, k, :])
-            raw += young_integral_2d(Zk, Zk, kernel_eval(model, sub))
-        return malliavin._finish(raw, t, "2d-young").sigma
+            Zk = Z[:-1, k, :]
+            raw = raw + Zk.T @ (sub_kernel.rectangle_increments() @ Zk)
+            young += young_integral_2d(GridFunction1D(sub, Z[:, k, :]),
+                                       GridFunction1D(sub, Z[:, k, :]), sub_kernel)
+        return (malliavin._finish(raw, t, "2d-young", 0.0).sigma,
+                malliavin._finish(young, t, "2d-young", 0.0).sigma)
 
     rng = np.random.default_rng(86)
     models = (brownian_model(), fbm_model(0.4), fbm_model(0.7))
@@ -290,7 +294,9 @@ def test_2d_route_matches_subgrid_young_integral():
                         lift_piecewise_linear(batch.path(0)), vf, y0)
                     for t in (grid.points[n // 2 - 3], 1.0):
                         got = malliavin_matrix_2d(flow, vf, kernel, t).sigma
-                        assert rel_gap(got, subgrid_sigma(flow, vf, model, t)) < 1e-12
+                        same_order, young = subgrid_sigma(flow, vf, model, t)
+                        assert np.array_equal(got, same_order)
+                        assert rel_gap(got, young) < 1e-12
                         cases += 1
     assert cases == 108
 
@@ -389,10 +395,11 @@ def test_stacked_routes_do_not_depend_on_the_stack(name):
         parseval = malliavin_matrix_parseval(f, vf, basis, t)
         spec = spectrum(direct, scale=direct.trace)
         it = f.grid.index_of(t)
-        return (direct.sigma, direct.lambda_min, direct.det, parseval.sigma,
-                spec.eigenvalues, spec.det, spec.verdict,
-                route_residual(direct.sigma[..., None, :, :],
-                               parseval.sigma[..., None, :, :]),
+        return (direct.sigma, direct.lambda_min, direct.det, direct.magnitude,
+                parseval.sigma, parseval.magnitude, spec.eigenvalues, spec.det,
+                spec.verdict,
+                route_residual(direct.sigma, parseval.sigma,
+                               np.maximum(direct.magnitude, parseval.magnitude)),
                 log_operator_norm(f.J[..., it, :, :]))
 
     for t in (flows.grid.points[13], 1.0):
@@ -406,10 +413,30 @@ def test_stacked_routes_do_not_depend_on_the_stack(name):
             assert np.array_equal(a, b[5])
 
 
-def test_route_residual_per_sample_over_times():
-    # (K, T, e, e): each sample's largest gap against its largest norm
-    a = np.array([[[[1.0]], [[1e-17]]], [[[2.0]], [[4.0]]]])
-    b = np.array([[[[1.0]], [[-1e-17]]], [[[2.0]], [[3.0]]]])
-    assert np.allclose(route_residual(a, b), [2e-17, 0.25], rtol=1e-12, atol=0)
-    # one time alone: the pinned time's noise is judged on its own scale
-    assert route_residual(a[0, 1], b[0, 1]) == 2.0
+def test_route_residual_per_matrix_with_a_floor():
+    # (K, e, e): one value per matrix; a floor above both norms replaces them
+    a = np.array([[[1.0]], [[1e-17]], [[4.0]]])
+    b = np.array([[[1.0]], [[-1e-17]], [[3.0]]])
+    assert np.array_equal(route_residual(a, b), [0.0, 2.0, 0.25])
+    assert np.allclose(route_residual(a, b, np.array([0.0, 1.0, 2.0])),
+                       [0.0, 2e-17, 0.25], rtol=1e-12, atol=0)
+    assert route_residual(a[1], b[1], 1e-15) == 2e-17 / 1e-15
+
+
+@pytest.mark.parametrize("name", ["rotation-fbm", "linear-drift", "finite-difference"])
+def test_magnitude_bounds_the_summed_terms(name):
+    # the 2D route's magnitude is at least the norm of |Z|^T |box| |Z|, whose
+    # ulps bound the pairing's rounding; the Parseval route's is its trace
+    flows, vf, kernel, basis = stacked_case(name, 5)
+    for t in (flows.grid.points[13], 1.0):
+        it = flows.grid.index_of(t)
+        direct = malliavin_matrix_2d(flows, vf, kernel, t)
+        parseval = malliavin_matrix_parseval(flows, vf, basis, t)
+        absZ = np.abs(_integrand_values(flows, vf, it)[:, :-1])
+        box = np.abs(kernel.rectangle_increments()[:it, :it])
+        terms = sum(absZ[:, :, k].swapaxes(-2, -1) @ box @ absZ[:, :, k]
+                    for k in range(vf.d))
+        assert np.all(direct.magnitude >= np.linalg.norm(terms, axis=(-2, -1)))
+        assert np.all(direct.magnitude >= np.linalg.norm(direct.sigma, axis=(-2, -1)))
+        assert np.array_equal(parseval.magnitude,
+                              np.trace(parseval.sigma, axis1=-2, axis2=-1))
