@@ -77,6 +77,16 @@ def _single_path(config, model, grid, index):
     return batch.path(index)
 
 
+def _names(prefix: str, count: int) -> list[str]:
+    return [f"{prefix}_{i + 1}" for i in range(count)]
+
+
+def _write_table(path, cols, table) -> None:
+    """CSV with a header line and 17 significant digits per float."""
+    np.savetxt(path, table, delimiter=",", header=",".join(cols), comments="",
+               fmt="%.17g")
+
+
 def _cmd_run(args) -> int:
     report = run_experiment(load_config(args.config), out_dir=args.out)
     print(f"samples: {report.count}  aborted: {report.aborted}")
@@ -114,10 +124,8 @@ def _cmd_check(args) -> int:
 def _cmd_sample(args) -> int:
     config, model, _, grid = _prepare(args)
     path = _single_path(config, model, grid, args.index)
-    cols = ["t"] + [f"x_{i + 1}" for i in range(config.d)]
-    table = np.column_stack([grid.points, path.values])
-    np.savetxt(args.out, table, delimiter=",", header=",".join(cols),
-               comments="", fmt="%.17g")
+    _write_table(args.out, ["t"] + _names("x", config.d),
+                 np.column_stack([grid.points, path.values]))
     print(f"wrote driver sample {args.index} to {args.out}")
     return 0
 
@@ -135,10 +143,8 @@ def _cmd_solve(args) -> int:
     path = _single_path(config, model, grid, args.index)
     flow = solve_flow_jacobian(lift_piecewise_linear(path), vf, config.y0,
                                pvar_index=variation_index(model))
-    cols = ["t"] + [f"y_{i + 1}" for i in range(config.e)]
-    table = np.column_stack([grid.points, flow.Y])
-    np.savetxt(args.out, table, delimiter=",", header=",".join(cols),
-               comments="", fmt="%.17g")
+    _write_table(args.out, ["t"] + _names("y", config.e),
+                 np.column_stack([grid.points, flow.Y]))
     print(f"wrote solution of sample {args.index} to {args.out} "
           f"(driver p-variation {flow.pvar:.4f})")
     return 0
@@ -184,10 +190,8 @@ def _cmd_density(args) -> int:
         print("no density estimate available (state dimension > 2 or too few "
               "samples); reporting raw samples")
         if args.out:
-            np.savetxt(args.out, report.samples, delimiter=",",
-                       header=",".join(f"y_{i + 1}" for i in range(
-                           report.samples.shape[1])),
-                       comments="", fmt="%.17g")
+            _write_table(args.out, _names("y", report.samples.shape[1]),
+                         report.samples)
             print(f"wrote raw samples to {args.out}")
         return 0
     print(f"density at t = {report.time}: bandwidth "
@@ -197,17 +201,12 @@ def _cmd_density(args) -> int:
         print(f"KS distance to {report.reference_name} reference: "
               f"{report.ks_distance:.4f}")
     if args.out:
-        if isinstance(report.query_grid, tuple):
-            qx, qy = report.query_grid
-            rows = [(x, y, report.kde_values[i, j])
-                    for i, x in enumerate(qx) for j, y in enumerate(qy)]
-            np.savetxt(args.out, rows, delimiter=",",
-                       header="y_1,y_2,density", comments="", fmt="%.17g")
-        else:
-            np.savetxt(args.out,
-                       np.column_stack([report.query_grid, report.kde_values]),
-                       delimiter=",", header="y_1,density", comments="",
-                       fmt="%.17g")
+        # one row per query point, the first axis outermost
+        axes = report.query_grid
+        axes = axes if isinstance(axes, tuple) else (axes,)
+        points = [q.ravel() for q in np.meshgrid(*axes, indexing="ij")]
+        _write_table(args.out, _names("y", len(axes)) + ["density"],
+                     np.column_stack(points + [report.kde_values.ravel()]))
         print(f"wrote density table to {args.out}")
     return 0
 

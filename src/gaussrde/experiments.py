@@ -53,7 +53,8 @@ class ConfigError(ValueError):
 
 
 class RunError(RuntimeError):
-    """The Monte Carlo run itself failed (too many aborted samples)."""
+    """The Monte Carlo run itself failed: too many aborted samples, or a
+    sample whose two covariance routes disagree."""
 
 
 @dataclass(frozen=True)
@@ -352,11 +353,15 @@ def check_conditions(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _columns(samples) -> np.ndarray:
+    """Samples as (n, e) rows; a flat array holds n scalar samples."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    return samples.T if samples.shape[0] == 1 else samples
+
+
 def silverman_bandwidth(samples: np.ndarray) -> np.ndarray:
     """Per-coordinate Silverman rule h_j = sigma_j (4 / ((e+2) n))^(1/(e+4))."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] == 1:
-        samples = samples.T
+    samples = _columns(samples)
     n, e = samples.shape
     sig = np.std(samples, axis=0, ddof=1)
     h = sig * (4.0 / ((e + 2) * n)) ** (1.0 / (e + 4))
@@ -372,28 +377,19 @@ def kde_density(samples: np.ndarray, query_grid) -> np.ndarray:
     the result is the density on their product grid.  Higher dimensions are
     rejected; report raw samples instead.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] == 1:
-        samples = samples.T
+    samples = _columns(samples)
     n, e = samples.shape
     if e > 2:
         raise ValueError(f"density estimation supports e <= 2, got e = {e}")
     if n < 100:
         raise ValueError(f"need at least 100 samples for a density, got {n}")
     h = silverman_bandwidth(samples)
-    if e == 1:
-        q = np.asarray(query_grid, dtype=float)
-        z = (q[:, None] - samples[None, :, 0]) / h[0]
-        return np.exp(-0.5 * z ** 2).sum(axis=1) / (n * h[0] * math.sqrt(2 * math.pi))
-    qx = np.asarray(query_grid[0], dtype=float)
-    qy = np.asarray(query_grid[1], dtype=float)
-    out = np.zeros((qx.size, qy.size))
-    norm = n * h[0] * h[1] * 2 * math.pi
-    for i, x in enumerate(qx):
-        zx = (x - samples[:, 0]) / h[0]
-        zy = (qy[:, None] - samples[None, :, 1]) / h[1]
-        out[i] = (np.exp(-0.5 * zx ** 2)[None, :] * np.exp(-0.5 * zy ** 2)).sum(axis=1) / norm
-    return out
+    # one (queries, n) kernel matrix per axis; the 2D density is their product
+    axes = query_grid if e == 2 else [query_grid]
+    K = [np.exp(-0.5 * ((np.asarray(q, dtype=float)[:, None] - samples[:, j]) / h[j]) ** 2)
+         for j, q in enumerate(axes)]
+    norm = math.prod([n, *h]) * (2 * math.pi) ** (e / 2)
+    return (K[0].sum(axis=1) if e == 1 else K[0] @ K[1].T) / norm
 
 
 def _default_query_grid(samples: np.ndarray, h: np.ndarray, points: int = 512):
@@ -456,13 +452,14 @@ class DensityReport:
 
 def evaluate_flows(flows, vf, kernel, basis, indices, tau):
     """Covariance by both routes and its verdicts for one solved sample or a
-    stack, one call per route and evaluation time (grid indices).  Returns
-    the 2D-route matrices and their spectra per time, each sample's largest
-    route residual over the times, and log |J_t| with the times on the last
-    axis."""
+    stack, one call per route and evaluation time (grid indices).  The
+    verdicts share one scale per sample: its largest 2D-route magnitude / e
+    over the times.  Returns the 2D-route matrices and their spectra per
+    time, each sample's largest route residual over the times, and log |J_t|
+    with the times on the last axis."""
     times = flows.grid.points[indices]
     mats = [malliavin_matrix_2d(flows, vf, kernel, t) for t in times]
-    scale = np.max([m.trace / vf.e for m in mats], axis=0)
+    scale = np.max([m.magnitude / vf.e for m in mats], axis=0)
     specs = [spectrum(m, tau=tau, scale=scale) for m in mats]
     checks = [malliavin_matrix_parseval(flows, vf, basis, t) for t in times]
     residual = np.max([route_residual(m.sigma, c.sigma,

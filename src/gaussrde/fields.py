@@ -16,7 +16,8 @@ explosion guard is a diagnostic, not a crutch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -86,16 +87,18 @@ class VectorFieldSystem:
                           rowwise=True)
 
     def _second(self, hessian, jacobian, value, y, shape: tuple) -> np.ndarray:
-        """Analytic second derivative, else differences of the first (or of
-        the map itself when no derivative is supplied)."""
+        """Analytic second derivative, else differences of the first; with no
+        derivative supplied, differences of differences at FD_STEP_HESS (+-2h
+        on the diagonal, +-h for the mixed terms)."""
         full = shape + (self.e, self.e)
         if hessian is not None:
             return self._eval(hessian, y, full)
-        if jacobian is not None:
-            return self._eval(lambda z: _fd_jacobian(jacobian, z, shape + (self.e,)),
-                              y, full, rowwise=True)
-        return self._eval(lambda z: _fd_hessian(value, z, shape), y, full,
-                          rowwise=True)
+        step = FD_STEP_JAC
+        if jacobian is None:
+            step = FD_STEP_HESS
+            jacobian = functools.partial(_fd_jacobian, value, out_shape=shape, step=step)
+        return self._eval(lambda z: _fd_jacobian(jacobian, z, shape + (self.e,), step),
+                          y, full, rowwise=True)
 
     def val(self, y: np.ndarray) -> np.ndarray:
         return self._eval(self.value, y, (self.d, self.e))
@@ -128,31 +131,6 @@ def _fd_jacobian(fn, y, out_shape, step: float = FD_STEP_JAC) -> np.ndarray:
         dy[b] = h
         out[..., b] = (np.asarray(fn(y + dy), dtype=float)
                        - np.asarray(fn(y - dy), dtype=float)) / (2 * h)
-    return out
-
-
-def _fd_hessian(fn, y, out_shape) -> np.ndarray:
-    """Second central differences of fn, two appended state axes."""
-    y = np.asarray(y, dtype=float)
-    e = y.size
-    h = FD_STEP_HESS * max(1.0, float(np.max(np.abs(y))))
-    out = np.zeros(out_shape + (e, e))
-    f0 = np.asarray(fn(y), dtype=float)
-    for b in range(e):
-        eb = np.zeros(e)
-        eb[b] = h
-        fpp = np.asarray(fn(y + 2 * eb), dtype=float)
-        fmm = np.asarray(fn(y - 2 * eb), dtype=float)
-        out[..., b, b] = (fpp - 2 * f0 + fmm) / (4 * h * h)
-        for c in range(b + 1, e):
-            ec = np.zeros(e)
-            ec[c] = h
-            mixed = (np.asarray(fn(y + eb + ec), dtype=float)
-                     - np.asarray(fn(y + eb - ec), dtype=float)
-                     - np.asarray(fn(y - eb + ec), dtype=float)
-                     + np.asarray(fn(y - eb - ec), dtype=float)) / (4 * h * h)
-            out[..., b, c] = mixed
-            out[..., c, b] = mixed
     return out
 
 
@@ -195,18 +173,12 @@ def linear_fields(A: np.ndarray, b: np.ndarray | None = None,
 
 
 def constant_fields(c: np.ndarray) -> VectorFieldSystem:
-    """State-independent fields V_i(y) = c_i; every derivative vanishes."""
+    """State-independent fields V_i(y) = c_i: the linear family with A = 0."""
     c = np.asarray(c, dtype=float)
     if c.ndim != 2:
         raise ValueError(f"c must be (d, e), got {c.shape}")
     d, e = c.shape
-    return VectorFieldSystem(
-        e=e, d=d,
-        value=lambda y: c,
-        jacobian=lambda y: np.zeros((d, e, e)),
-        hessian=lambda y: np.zeros((d, e, e, e)),
-        name="constant", broadcasts=True,
-    )
+    return replace(linear_fields(np.zeros((d, e, e)), c), name="constant")
 
 
 ROTATION_GENERATOR = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -220,21 +192,11 @@ def rotation_fields(omegas: np.ndarray = (1.0, 0.5),
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     d = omegas.size
-    if shifts is None:
-        shifts = np.eye(2)[:d] if d <= 2 else np.zeros((d, 2))
-        if d > 2:
-            shifts[:2] = np.eye(2)
-    shifts = np.asarray(shifts, dtype=float)
+    shifts = np.eye(d, 2) if shifts is None else np.asarray(shifts, dtype=float)
     if shifts.shape != (d, 2):
         raise ValueError(f"shifts must be {(d, 2)}, got {shifts.shape}")
     A = omegas[:, None, None] * ROTATION_GENERATOR[None, :, :]
-    return VectorFieldSystem(
-        e=2, d=d,
-        value=lambda y: _apply(A, y[..., None, :]) + shifts,
-        jacobian=lambda y: A,
-        hessian=lambda y: np.zeros((d, 2, 2, 2)),
-        name="rotation", broadcasts=True,
-    )
+    return replace(linear_fields(A, shifts), name="rotation")
 
 
 def polynomial_fields(c0: np.ndarray, c1: np.ndarray | None = None,

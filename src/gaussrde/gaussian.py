@@ -92,9 +92,7 @@ def grid_covariance(model: CovarianceModel, grid: TimeGrid) -> np.ndarray:
     The value at time 0 is identically 0 and is excluded, so the matrix has
     shape (n-1, n-1) for an n-point grid.
     """
-    t = grid.points[1:]
-    S, T = np.meshgrid(t, t, indexing="ij")
-    return model(S, T)
+    return kernel_eval(model, grid).values[1:, 1:]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nilpotent
 from .nilpotent import G2Element, g2_increment
-from .young import GridFunction1D, TimeGrid
+from .young import GridFunction1D, TimeGrid, same_grid
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def translate(X: RoughPath, h: GridFunction1D) -> RoughPath:
     piecewise-linear convention; the translated segments are then re-chained.
     For lifts of sampled paths this agrees exactly with lifting x + h.
     """
-    if not np.allclose(X.grid.points, h.grid.points, rtol=1e-12, atol=1e-12):
+    if not same_grid(X.grid, h.grid):
         raise ValueError("translation direction must live on the path's grid")
     hv = np.asarray(h.values, dtype=float)
     if hv.ndim == 1:
@@ -150,14 +150,8 @@ def rough_path_to_csv(X: RoughPath, path_or_buf) -> None:
         [X.grid.points[:, None], X.level1, X.level2.reshape(X.grid.n, d * d)],
         axis=1,
     )
-    header = ",".join(cols)
-    if hasattr(path_or_buf, "write"):
-        np.savetxt(path_or_buf, table, delimiter=",", header=header,
-                   comments="", fmt="%.17g")
-    else:
-        with open(path_or_buf, "w") as fh:
-            np.savetxt(fh, table, delimiter=",", header=header,
-                       comments="", fmt="%.17g")
+    np.savetxt(path_or_buf, table, delimiter=",", header=",".join(cols),
+               comments="", fmt="%.17g")
 
 
 def rough_path_from_csv(path_or_buf) -> RoughPath:

@@ -37,19 +37,18 @@ def _scalars(*values):
 
 @dataclass(frozen=True)
 class MalliavinMatrix:
-    """Symmetrized covariance matrix of Y_t with spectral scalars attached.
+    """Symmetrized covariance matrix of Y_t with its route's diagnostics.
 
     `magnitude` bounds the Frobenius norm of the summed terms' absolute
     values (for a sum of semidefinite terms, the trace), so sigma's rounding
     error is a few ulps of it even where sigma cancels to rounding noise.
     For a stack of K flows sigma is (K, e, e) and the scalars are (K,)
-    arrays; for one flow they are floats.
+    arrays; for one flow they are floats.  `lambda_min` and `det` are taken
+    from sigma when read; a run reads them, with its verdict, from `spectrum`.
     """
 
     sigma: np.ndarray
     t: float
-    lambda_min: float | np.ndarray
-    det: float | np.ndarray
     method: str
     asymmetry: float | np.ndarray
     magnitude: float | np.ndarray
@@ -62,14 +61,20 @@ class MalliavinMatrix:
     def trace(self) -> float | np.ndarray:
         return _scalars(np.trace(self.sigma, axis1=-2, axis2=-1))[0]
 
+    @property
+    def lambda_min(self) -> float | np.ndarray:
+        return _scalars(np.linalg.eigvalsh(self.sigma)[..., 0])[0]
+
+    @property
+    def det(self) -> float | np.ndarray:
+        return _scalars(np.linalg.det(self.sigma))[0]
+
 
 def _finish(raw: np.ndarray, t: float, method: str, magnitude) -> MalliavinMatrix:
     raw = np.asarray(raw, dtype=float)
     asym = np.abs(raw - raw.swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
     sigma = 0.5 * (raw + raw.swapaxes(-2, -1))
-    lam, det, asym, magnitude = _scalars(np.linalg.eigvalsh(sigma)[..., 0],
-                                         np.linalg.det(sigma), asym, magnitude)
-    return MalliavinMatrix(sigma, float(t), lam, det, method, asym, magnitude)
+    return MalliavinMatrix(sigma, float(t), method, *_scalars(asym, magnitude))
 
 
 def _integrand_values(flow: FlowResult, vf: VectorFieldSystem, it: int) -> np.ndarray:

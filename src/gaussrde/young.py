@@ -150,16 +150,9 @@ def young_integral_2d(f: GridFunction1D, g: GridFunction1D, R: GridFunction2D):
         raise ValueError("f must be sampled on R.grid_s")
     if not same_grid(g.grid, R.grid_t):
         raise ValueError("g must be sampled on R.grid_t")
-    box = R.rectangle_increments()
-    fl = f.values[:-1]
-    gl = g.values[:-1]
-    if fl.ndim == 1 and gl.ndim == 1:
-        return float(fl @ box @ gl)
-    if fl.ndim == 2 and gl.ndim == 2:
-        return np.einsum("ia,ij,jb->ab", fl, box, gl)
-    if fl.ndim == 2:
-        return np.einsum("ia,ij,j->a", fl, box, gl)
-    return np.einsum("i,ij,jb->b", fl, box, gl)
+    # [()] turns the 0-d result of two scalar sides into a float
+    return np.tensordot(f.values[:-1], R.rectangle_increments() @ g.values[:-1],
+                        axes=(0, 0))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -241,21 +234,23 @@ def p_variation_with_partition(path, p: float):
     return (value, partitions[0]) if prev.ndim == 1 else (value, partitions)
 
 
+def _partitions(n: int):
+    """Every sub-partition of grid indices 0..n-1 that keeps both ends,
+    coarsest first."""
+    for r in range(n - 1):
+        for combo in itertools.combinations(range(1, n - 1), r):
+            yield np.array((0, *combo, n - 1))
+
+
 def p_variation_bruteforce(path, p: float) -> float:
     """Enumerate all sub-partitions; oracle for the DP, small grids only."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     norms = _increment_norms(path)
-    n = norms.shape[0]
-    if n > 14:
+    if norms.shape[0] > 14:
         raise ValueError("brute force restricted to grids of at most 14 points")
-    interior = range(1, n - 1)
-    best = 0.0
-    for r in range(n - 1):
-        for combo in itertools.combinations(interior, r):
-            pts = (0, *combo, n - 1)
-            total = sum(norms[pts[k], pts[k + 1]] ** p for k in range(len(pts) - 1))
-            best = max(best, total)
+    best = max(sum(norms[a, b] ** p for a, b in zip(idx, idx[1:]))
+               for idx in _partitions(norms.shape[0]))
     return best ** (1.0 / p)
 
 
@@ -316,26 +311,13 @@ def rho_variation_2d(R: GridFunction2D, rho: float, mode: str = "diagonal-refine
                 f"exact mode enumerates 2^(n-2) partitions and is limited to "
                 f"n <= 14 grid points (got {n}); use mode='diagonal-refinement'"
             )
-        best = 0.0
-        best_idx = np.array([0, n - 1])
-        interior = range(1, n - 1)
-        for r in range(n - 1):
-            for combo in itertools.combinations(interior, r):
-                idx = np.array((0, *combo, n - 1))
-                s = rho_variation_partition_sum(R, rho, idx)
-                if s > best:
-                    best, best_idx = s, idx
-        return RhoVariationResult(best ** (1.0 / rho), rho, "exact", False, best_idx)
-    if mode != "diagonal-refinement":
+        candidates = _partitions(n)
+    elif mode == "diagonal-refinement":
+        candidates = _dyadic_coarsenings(n) + [np.asarray(p, dtype=int)
+                                               for p in extra_partitions or ()]
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    candidates = _dyadic_coarsenings(n)
-    if extra_partitions:
-        candidates = candidates + [np.asarray(p, dtype=int) for p in extra_partitions]
-    best = -np.inf
-    best_idx = candidates[0]
-    for idx in candidates:
-        s = rho_variation_partition_sum(R, rho, idx)
-        if s > best:
-            best, best_idx = s, idx
-    return RhoVariationResult(best ** (1.0 / rho), rho, "diagonal-refinement",
-                              True, best_idx)
+    # the first of tied maxima wins
+    best, best_idx = max(((rho_variation_partition_sum(R, rho, idx), idx)
+                          for idx in candidates), key=lambda pair: pair[0])
+    return RhoVariationResult(best ** (1.0 / rho), rho, mode, mode != "exact", best_idx)

@@ -479,6 +479,8 @@ def test_cli_run_at_the_pin_alone_exits_0(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["oracle_check"]["checked"] == 20
     assert summary["oracle_check"]["max_rel_residual"] < 1e-10
+    # the verdict's common scale bounds the summed terms, not the noise
+    assert summary["fraction_degenerate"] == 1.0
 
 
 def test_run_experiment_zero_driver_fully_degenerate(tmp_path):
@@ -545,6 +547,31 @@ def test_kde_density_integrates_to_one_2d():
     values = kde_density(x, grid)
     assert values.shape == (grid[0].size, grid[1].size)
     assert abs(_kde_mass(grid, values) - 1.0) < 5e-3
+
+
+def kde_density_2d_reference(samples, qx, qy):
+    """The per-query-row 2D estimate that one product of kernel matrices
+    replaced."""
+    n = samples.shape[0]
+    h = silverman_bandwidth(samples)
+    out = np.zeros((qx.size, qy.size))
+    norm = n * h[0] * h[1] * 2 * np.pi
+    for i, x in enumerate(qx):
+        zx = (x - samples[:, 0]) / h[0]
+        zy = (qy[:, None] - samples[None, :, 1]) / h[1]
+        out[i] = (np.exp(-0.5 * zx ** 2)[None, :] * np.exp(-0.5 * zy ** 2)).sum(axis=1) / norm
+    return out
+
+
+@pytest.mark.parametrize("n", [100, 150, 1000])
+def test_kde_density_2d_matches_the_row_loop(n):
+    rng = np.random.default_rng(95 + n)
+    x = rng.standard_normal((n, 2)) @ np.array([[1.0, 0.3], [0.0, 0.5]])
+    qx, qy = _default_query_grid(x, silverman_bandwidth(x))
+    qx = qx[:-7]  # a rectangular grid keeps the axes apart
+    ref = kde_density_2d_reference(x, qx, qy)
+    assert np.allclose(kde_density(x, (qx, qy)), ref, rtol=1e-12,
+                       atol=1e-12 * ref.max())
 
 
 def test_kde_density_guards():
@@ -668,6 +695,40 @@ def test_cli_density_outputs_table(tmp_path, capsys, monkeypatch):
     assert "mass" in printed
     header = out.read_text().split("\n", 1)[0]
     assert header == "y_1,y_2,density"
+    report = run_experiment(load_config(cfg))
+    qx, qy = report.query_grid
+    table = np.loadtxt(str(out), delimiter=",", skiprows=1)
+    assert table.shape == (qx.size * qy.size, 3)
+    # y_1 is the outer index
+    assert np.array_equal(table[:, 0], np.repeat(qx, qy.size))
+    assert np.array_equal(table[:, 1], np.tile(qy, qx.size))
+    assert np.array_equal(table[:, 2], report.kde_values.ravel())
+
+
+def test_cli_density_outputs_1d_table(tmp_path, capsys, monkeypatch):
+    text = LINEAR_DRIFT_CONFIG.replace("count = 30", "count = 120")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "density.csv"
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["density", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text().split("\n", 1)[0] == "y_1,density"
+    report = run_experiment(load_config(cfg))
+    table = np.loadtxt(str(out), delimiter=",", skiprows=1)
+    assert np.array_equal(table, np.column_stack([report.query_grid,
+                                                  report.kde_values]))
+
+
+def test_cli_density_outputs_raw_samples_below_100(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, ROTATION_CONFIG)
+    out = tmp_path / "density.csv"
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["density", "--config", cfg, "--out", str(out)]) == 0
+    assert "reporting raw samples" in capsys.readouterr().out
+    assert out.read_text().split("\n", 1)[0] == "y_1,y_2"
+    report = run_experiment(load_config(cfg))
+    table = np.loadtxt(str(out), delimiter=",", skiprows=1)
+    assert report.kde_values is None and report.samples.shape == (30, 2)
+    assert np.array_equal(table, report.samples)
 
 
 def test_cli_config_error_exits_2(tmp_path, capsys):

@@ -163,3 +163,76 @@ def test_coefficient_shape_guards():
         polynomial_fields(np.zeros((1, 2)), c1=np.zeros((1, 3, 3)))
     with pytest.raises(ValueError):
         polynomial_fields(np.zeros((1, 2)), radius=0.0)
+
+
+def fd_hessian_reference(fn, y, out_shape, step=1.2e-4):
+    """The second-difference stencil that stacked first differences replaced:
+    +-2h on the diagonal, +-h for the mixed terms."""
+    y = np.asarray(y, dtype=float)
+    e = y.size
+    h = step * max(1.0, float(np.max(np.abs(y))))
+    out = np.zeros(out_shape + (e, e))
+    f0 = np.asarray(fn(y), dtype=float)
+    for b in range(e):
+        eb = np.zeros(e)
+        eb[b] = h
+        out[..., b, b] = (fn(y + 2 * eb) - 2 * f0 + fn(y - 2 * eb)) / (4 * h * h)
+        for c in range(b + 1, e):
+            ec = np.zeros(e)
+            ec[c] = h
+            mixed = (fn(y + eb + ec) - fn(y + eb - ec) - fn(y - eb + ec)
+                     + fn(y - eb - ec)) / (4 * h * h)
+            out[..., b, c] = out[..., c, b] = mixed
+    return out
+
+
+def test_finite_difference_hessian_matches_the_second_difference_stencil():
+    vf = example_polynomial(seed=57)
+
+    def drift(y):
+        return vf.value(y)[..., 0, :]
+
+    fd = VectorFieldSystem(e=vf.e, d=vf.d, value=vf.value, drift=drift)
+    rng = np.random.default_rng(58)
+    for y in rng.uniform(-3.0, 3.0, size=(50, 2)):
+        for new, ref in ((fd.hess(y), fd_hessian_reference(vf.value, y, (2, 2))),
+                         (fd.drift_hess(y), fd_hessian_reference(drift, y, (2,)))):
+            assert np.max(np.abs(new - ref)) <= 1e-7 * (1.0 + np.max(np.abs(ref)))
+
+
+def rotation_reference(omegas, shifts):
+    """The rotation family's own closures, before it became a linear system."""
+    A = omegas[:, None, None] * np.array([[0.0, -1.0], [1.0, 0.0]])
+    d = omegas.size
+    return VectorFieldSystem(
+        e=2, d=d, value=lambda y: (A * y[..., None, None, :]).sum(axis=-1) + shifts,
+        jacobian=lambda y: A, hessian=lambda y: np.zeros((d, 2, 2, 2)),
+        name="rotation", broadcasts=True)
+
+
+def constant_reference(c):
+    d, e = c.shape
+    return VectorFieldSystem(
+        e=e, d=d, value=lambda y: c, jacobian=lambda y: np.zeros((d, e, e)),
+        hessian=lambda y: np.zeros((d, e, e, e)), name="constant", broadcasts=True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rotation_and_constant_families_match_their_closures(d):
+    rng = np.random.default_rng(59 + d)
+    omegas = rng.uniform(-2.0, 2.0, size=d)
+    default_shifts = np.zeros((d, 2))
+    default_shifts[:min(d, 2)] = np.eye(2)[:d]
+    c = rng.standard_normal((d, 3))
+    cases = [(rotation_fields(omegas), rotation_reference(omegas, default_shifts)),
+             (rotation_fields(omegas, 2 * default_shifts),
+              rotation_reference(omegas, 2 * default_shifts)),
+             (constant_fields(c), constant_reference(c))]
+    for new, ref in cases:
+        assert (new.name, new.d, new.e, new.broadcasts, new.derivative_mode) == (
+            ref.name, ref.d, ref.e, ref.broadcasts, ref.derivative_mode)
+        for y in (rng.standard_normal(new.e), rng.standard_normal((7, new.e)),
+                  rng.standard_normal((1, new.e))):
+            for name in ("val", "jac", "hess"):
+                a, b = getattr(new, name)(y), getattr(ref, name)(y)
+                assert a.shape == b.shape and np.array_equal(a, b), name

@@ -285,3 +285,42 @@ def test_stacked_p_variation_matches_single_path_dp(d, n, count, p, seed):
             assert got[k] == value == whole_matrix_p_variation(one, p)
             np.testing.assert_array_equal(partitions[k], partition)
             assert np.isclose(value, p_variation_bruteforce(one, p), rtol=1e-10)
+
+
+def young_integral_2d_reference(f, g, R):
+    """The pairing by shape branches that one tensordot replaced."""
+    box = R.rectangle_increments()
+    fl, gl = f.values[:-1], g.values[:-1]
+    if fl.ndim == 1 and gl.ndim == 1:
+        return float(fl @ box @ gl)
+    if fl.ndim == 2 and gl.ndim == 2:
+        return np.einsum("ia,ij,jb->ab", fl, box, gl)
+    if fl.ndim == 2:
+        return np.einsum("ia,ij,j->a", fl, box, gl)
+    return np.einsum("i,ij,jb->b", fl, box, gl)
+
+
+def test_2d_integral_matches_the_shape_branches():
+    grid = uniform_grid(1.0, 33)
+    rng = np.random.default_rng(18)
+    z = rng.standard_normal((33, 33))
+    R = GridFunction2D(grid, grid, z @ z.T)
+    sides = [GridFunction1D(grid, rng.standard_normal(shape))
+             for shape in ((33,), (33, 3))]
+    for f in sides:
+        for g in sides:
+            new, ref = young_integral_2d(f, g, R), young_integral_2d_reference(f, g, R)
+            assert np.shape(new) == np.shape(ref)
+            assert np.allclose(new, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+    assert isinstance(young_integral_2d(sides[0], sides[0], R), float)
+
+
+def test_variation_partition_ties_go_to_the_first_candidate():
+    # a constant kernel has no increments: every partition sums to zero
+    grid = uniform_grid(1.0, 9)
+    R = GridFunction2D(grid, grid, np.ones((9, 9)))
+    assert list(rho_variation_2d(R, 1.0, mode="exact").partition) == [0, 8]
+    refined = rho_variation_2d(R, 1.0, mode="diagonal-refinement")
+    assert list(refined.partition) == list(range(9))
+    flat = GridFunction1D(grid, np.zeros(9))
+    assert p_variation_bruteforce(flat, 2.0) == 0.0
