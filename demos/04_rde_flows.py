@@ -18,7 +18,6 @@ from gaussrde import (
     sample_paths,
     solve_flow_jacobian,
     solve_ode_reference,
-    solve_rde,
     uniform_grid,
 )
 
@@ -31,14 +30,14 @@ print("scalar linear convergence:")
 for n in (17, 65, 257, 1025):
     g = uniform_grid(1.0, n)
     X = lift_piecewise_linear(GridFunction1D(g, g.points.copy()))
-    flow = solve_rde(X, linear_fields(np.array([[[A]]])), y0)
+    flow = solve_flow_jacobian(X, linear_fields(np.array([[[A]]])), y0)
     print(f"  n={n:<5d} error {abs(flow.final_state[0] - exact):.3e}")
 
 # Matrix case: rotation generator, quarter turn.
 rot = np.array([[0.0, -1.0], [1.0, 0.0]])
 g = uniform_grid(1.0, 513)
 X = lift_piecewise_linear(GridFunction1D(g, (np.pi / 2) * g.points))
-flow = solve_rde(X, linear_fields(rot[None]), np.array([1.0, 0.0]))
+flow = solve_flow_jacobian(X, linear_fields(rot[None]), np.array([1.0, 0.0]))
 print("\nquarter turn of (1,0):", flow.final_state, "(exact (0,1))")
 
 # Smooth two-dimensional driver vs a substepped ODE reference on the
@@ -52,7 +51,7 @@ for n in (65, 129, 257):
     vals = 0.8 * np.column_stack([np.sin(2 * t), t * np.cos(t)])
     vals -= vals[0]
     path = GridFunction1D(g, vals)
-    rough = solve_rde(lift_piecewise_linear(path), vf, y0)
+    rough = solve_flow_jacobian(lift_piecewise_linear(path), vf, y0)
     ode = solve_ode_reference(path, vf, y0, substeps=8)
     gap = np.linalg.norm(rough.final_state - ode.final_state)
     print(f"  n={n:<5d} gap {gap:.3e}")
@@ -68,8 +67,8 @@ fd = np.zeros((2, 2))
 for k in range(2):
     da = np.zeros(2)
     da[k] = eps
-    up = solve_rde(X, vf, y0 + da).final_state
-    dn = solve_rde(X, vf, y0 - da).final_state
+    up = solve_flow_jacobian(X, vf, y0 + da).final_state
+    dn = solve_flow_jacobian(X, vf, y0 - da).final_state
     fd[:, k] = (up - dn) / (2 * eps)
 print("\nJacobian vs finite difference of the solver:")
 print(flow.J[-1])
@@ -89,6 +88,6 @@ vf_bad = polynomial_fields(c0=np.zeros((1, 1)), c2=c2, radius=1e6)
 g = uniform_grid(1.0, 257)
 X = lift_piecewise_linear(GridFunction1D(g, 40.0 * g.points.reshape(-1, 1)))
 try:
-    solve_rde(X, vf_bad, np.array([1.0]))
+    solve_flow_jacobian(X, vf_bad, np.array([1.0]))
 except ExplosionError as exc:
     print("\nexplosion detected at t =", exc.time)

@@ -70,10 +70,8 @@ from .rde import (
     FlowResult,
     ExplosionError,
     solve_ode_reference,
-    solve_rde,
     solve_flow_jacobian,
     directional_derivative,
-    log_jacobian_diagnostic,
 )
 from .malliavin import (
     MalliavinMatrix,
@@ -115,8 +113,8 @@ __all__ = [
     "VectorFieldSystem", "linear_fields", "constant_fields", "rotation_fields",
     "polynomial_fields", "ellipticity_rank",
     # rde
-    "FlowResult", "ExplosionError", "solve_ode_reference", "solve_rde",
-    "solve_flow_jacobian", "directional_derivative", "log_jacobian_diagnostic",
+    "FlowResult", "ExplosionError", "solve_ode_reference",
+    "solve_flow_jacobian", "directional_derivative",
     # malliavin
     "MalliavinMatrix", "SpectrumResult", "malliavin_matrix_2d",
     "malliavin_matrix_bm_reduction", "malliavin_matrix_parseval", "spectrum",

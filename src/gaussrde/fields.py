@@ -267,11 +267,11 @@ def polynomial_fields(c0: np.ndarray, c1: np.ndarray | None = None,
                              hessian=hessian, name="polynomial", broadcasts=True)
 
 
-def ellipticity_rank(vf: VectorFieldSystem, y0: np.ndarray,
-                     rel_tol: float = 1e-10) -> int:
-    """Rank of the d x e matrix [V_1(y0); ...; V_d(y0)] by singular values."""
+def ellipticity_rank(vf: VectorFieldSystem, y0: np.ndarray) -> int:
+    """Rank of the d x e matrix [V_1(y0); ...; V_d(y0)]: its singular values
+    above 1e-10 times the largest."""
     V = vf.val(np.asarray(y0, dtype=float))
     s = np.linalg.svd(V, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > 1e-10 * s[0]))

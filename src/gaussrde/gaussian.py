@@ -77,13 +77,11 @@ def zero_model() -> CovarianceModel:
     return CovarianceModel("zero", lambda s, t: np.zeros(np.broadcast(s, t).shape), 1.0, {})
 
 
-def kernel_eval(model: CovarianceModel, grid_s: TimeGrid,
-                grid_t: TimeGrid | None = None) -> GridFunction2D:
-    """Sample R on grid_s x grid_t (grid_t defaults to grid_s)."""
-    if grid_t is None:
-        grid_t = grid_s
-    S, T = np.meshgrid(grid_s.points, grid_t.points, indexing="ij")
-    return GridFunction2D(grid_s, grid_t, model(S, T))
+def kernel_eval(model: CovarianceModel, grid: TimeGrid) -> GridFunction2D:
+    """Sample R on grid x grid: the one kernel sample the covariance routes,
+    the rho-variation estimate and the grid covariance all read."""
+    S, T = np.meshgrid(grid.points, grid.points, indexing="ij")
+    return GridFunction2D(grid, model(S, T))
 
 
 def grid_covariance(model: CovarianceModel, grid: TimeGrid) -> np.ndarray:
@@ -225,20 +223,19 @@ def variance_of_linear_functional(weights: GridFunction1D, R: GridFunction2D) ->
     return float(young_integral_2d(weights, weights, R))
 
 
-def nondegeneracy_check(model: CovarianceModel, grid: TimeGrid,
-                        tol: float = 1e-12) -> dict:
+def nondegeneracy_check(model: CovarianceModel, grid: TimeGrid) -> dict:
     """Decide whether a nonzero increment weighting can have zero variance.
 
     The verdict reads the exact extreme eigenvalues of the increment
-    covariance on the grid: a pinned or zero kernel shows a (numerically)
-    zero direction.
+    covariance on the grid: a pinned or zero kernel shows a zero direction,
+    an eigenvalue at most EIGENVALUE_CUTOFF times the largest.
     """
     R = kernel_eval(model, grid)
     box = R.rectangle_increments()
     box = 0.5 * (box + box.T)
     lam = np.linalg.eigvalsh(box)
     scale = max(float(lam[-1]), 0.0)
-    degenerate = scale <= tol or lam[0] <= tol * scale
+    degenerate = scale <= EIGENVALUE_CUTOFF or lam[0] <= EIGENVALUE_CUTOFF * scale
     return {
         "degenerate": bool(degenerate),
         "min_eigenvalue": float(lam[0]),

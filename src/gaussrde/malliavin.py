@@ -79,8 +79,6 @@ def _finish(raw: np.ndarray, t: float, method: str, magnitude) -> MalliavinMatri
 
 def _integrand_values(flow: FlowResult, vf: VectorFieldSystem, it: int) -> np.ndarray:
     """Z[..., m, k, :] = J_{t<-s_m} V_k(Y_{s_m}) for grid indices m = 0..it."""
-    if flow.J is None:
-        raise ValueError("covariance routes need a Jacobian-carrying flow")
     if flow.V.shape[-2:] != (vf.d, vf.e):
         raise ValueError("flow was solved with fields of another shape")
     Z = (flow.J[..., it, None, :, :] @ flow.J_inv[..., :it + 1, :, :]
@@ -98,8 +96,8 @@ def _per_component(value, kind: type, d: int) -> list:
     return values
 
 
-def _check_flow_grid(flow: FlowResult, *grids: TimeGrid) -> None:
-    if not all(same_grid(g, flow.grid) for g in grids):
+def _check_flow_grid(flow: FlowResult, grid: TimeGrid) -> None:
+    if not same_grid(grid, flow.grid):
         raise ValueError("sample grid does not match the flow grid")
 
 
@@ -118,11 +116,14 @@ def malliavin_matrix_2d(flow: FlowResult, vf: VectorFieldSystem, kernel,
     Z = _integrand_values(flow, vf, it)
     raw = magnitude = 0.0
     for k, Rk in enumerate(kernels):
-        _check_flow_grid(flow, Rk.grid_s, Rk.grid_t)
+        _check_flow_grid(flow, Rk.grid)
         Zk, box = Z[..., :-1, k, :], Rk.rectangle_increments()[:it, :it]
         raw = raw + Zk.swapaxes(-2, -1) @ (box @ Zk)
-        # |Zk^T box Zk| <= |Zk|^T |box| |Zk|, of norm at most |Zk|^2 |box|
-        magnitude = magnitude + np.square(Zk).sum(axis=(-2, -1)) * np.linalg.norm(box)
+        # |Zk^T box Zk| <= |Zk|^T |box| |Zk|, of norm at most |Zk|^2 times
+        # the operator norm of the symmetric |box|, itself at most its
+        # largest row sum (for a diagonal box, the largest cell variance)
+        magnitude = (magnitude + np.square(Zk).sum(axis=(-2, -1))
+                     * np.abs(box).sum(axis=-1).max(initial=0.0))
     return _finish(raw, t, "2d-young", magnitude)
 
 
@@ -190,22 +191,20 @@ class SpectrumResult:
     threshold: float | np.ndarray
 
 
-def spectrum(sigma, tau: float = DEGENERACY_TAU,
-             scale: float | np.ndarray | None = None) -> SpectrumResult:
+def spectrum(sigma, scale: float | np.ndarray,
+             tau: float = DEGENERACY_TAU) -> SpectrumResult:
     """Eigendecomposition with a scale-relative degeneracy verdict.
 
-    The verdict is "non-degenerate" iff lambda_min > tau * scale, where
-    `scale` defaults to trace / e of the matrix itself.  Callers comparing a
-    family of matrices (several evaluation times of one sample, say) should
-    pass a common scale: a 1x1 matrix judged against its own trace can never
-    be flagged, which would blind the verdict exactly in the pinned-driver
-    case it exists to catch.  A stack (K, e, e) takes one scale per matrix.
+    The verdict is "non-degenerate" iff lambda_min > tau * scale.  The scale
+    is the caller's, common to the family of matrices it compares (all
+    evaluation times of one sample, say): a matrix judged against its own
+    trace can never be flagged when it is 1x1, which would blind the verdict
+    exactly in the pinned-driver case it exists to catch.  A stack
+    (K, e, e) takes one scale per matrix.
     """
     mat = sigma.sigma if isinstance(sigma, MalliavinMatrix) else np.asarray(sigma, dtype=float)
     mat = 0.5 * (mat + mat.swapaxes(-2, -1))
     lam = np.linalg.eigvalsh(mat)
-    if scale is None:
-        scale = np.trace(mat, axis1=-2, axis2=-1) / mat.shape[-1]
     threshold = tau * np.asarray(scale, dtype=float)
     verdict = np.where(lam[..., 0] > threshold, "non-degenerate", "degenerate")
     return SpectrumResult(lam, *_scalars(lam[..., 0], np.linalg.det(mat), verdict),

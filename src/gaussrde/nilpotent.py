@@ -128,20 +128,20 @@ def geometricity_residual(g: G2Element) -> float:
     return float(residual(g.level1, g.level2))
 
 
-def log_map(g: G2Element, tol: float = GEOMETRIC_TOL) -> LogCoordinates:
+def log_map(g: G2Element) -> LogCoordinates:
     """Map a geometric element to (increment, signed-area) coordinates.
 
     The symmetric part of level2 is redundant for geometric elements; what
     remains is the antisymmetric area matrix b - a (x) a / 2.
 
-    Raises ValueError if the geometric constraint is violated beyond `tol`,
-    reporting the worst symmetric-part residual.
+    Raises ValueError if the geometric constraint is violated beyond
+    GEOMETRIC_TOL, reporting the worst symmetric-part residual.
     """
     res = geometricity_residual(g)
-    if res > tol:
+    if res > GEOMETRIC_TOL:
         raise ValueError(
             f"element is not geometric: max symmetric-part residual {res:.3e} "
-            f"exceeds tolerance {tol:.1e}"
+            f"exceeds tolerance {GEOMETRIC_TOL:.1e}"
         )
     return LogCoordinates(g.level1.copy(), area(g.level1, g.level2))
 

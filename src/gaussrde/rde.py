@@ -56,28 +56,28 @@ NUMERICAL_ERRORS = (ExplosionError, np.linalg.LinAlgError, FloatingPointError)
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Solution paths with their field values and (optionally) Jacobian flows.
+    """Solution paths with their field values and Jacobian flows.
 
     For one driver path Y is (n, e).  For a stack of K paths every array
     and `pvar` and `max_condition` have the sample axis in front (Y is
     (K, n, e)), and `sample(k)` is the one-path view of path k.
     V[..., i, :, :] = V(Y_i) is the (d, e) array of driving fields (drift
     excluded) at t_i, as the solver evaluated them.  J[..., i, :, :] is the
-    derivative of Y at t_i with respect to y0; J_inv its inverse, taken
-    directly; max_condition the largest condition number of J.  pvar holds
-    the driver's p-variation when the caller asked for it (metadata for
-    growth diagnostics).  For a stack, errors[k] is the numerical failure
-    (ExplosionError or LinAlgError) that aborted path k, or None; an aborted
-    path's arrays hold no solution.
+    derivative of Y at t_i with respect to y0, always set; J_inv its
+    inverse, taken directly; max_condition the largest 1-norm condition
+    number of J, ||J||_1 ||J_inv||_1.  pvar holds the driver's p-variation
+    when the caller asked for it (metadata for growth diagnostics).  For a
+    stack, errors[k] is the numerical failure (ExplosionError or
+    LinAlgError) that aborted path k, or None; an aborted path's arrays hold
+    no solution.
     """
 
     grid: TimeGrid
     Y: np.ndarray
     V: np.ndarray
-    J: np.ndarray | None = None
-    J_inv: np.ndarray | None = None
+    J: np.ndarray
+    J_inv: np.ndarray
     pvar: float | np.ndarray | None = None
-    pvar_index: float | None = None
     max_condition: float | np.ndarray = 1.0
     errors: tuple = ()
 
@@ -87,16 +87,13 @@ class FlowResult:
 
     def transport(self, i: int, j: int) -> np.ndarray:
         """J_{t_j <- t_i} = J(t_j) J(t_i)^{-1}."""
-        if self.J is None:
-            raise ValueError("flow was solved without the Jacobian")
         return self.J[..., j, :, :] @ self.J_inv[..., i, :, :]
 
     def sample(self, k) -> "FlowResult":
         """View of path k of a stack; for a list k, the stack of those paths."""
-        def pick(x):
-            return None if x is None else x[k]
-        return replace(self, Y=self.Y[k], V=self.V[k], J=pick(self.J),
-                       J_inv=pick(self.J_inv), pvar=pick(self.pvar),
+        return replace(self, Y=self.Y[k], V=self.V[k], J=self.J[k],
+                       J_inv=self.J_inv[k],
+                       pvar=None if self.pvar is None else self.pvar[k],
                        max_condition=self.max_condition[k],
                        errors=tuple(self.errors[i] for i in k)
                        if np.ndim(k) else ())
@@ -131,13 +128,13 @@ def by_rows(fn, take, rows):
 
 def _inverses(J: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Inverses of K paths' stacked Jacobians (K, n, e, e), each path's
-    largest condition number, and each path's LinAlgError or None."""
+    largest 1-norm condition number, and each path's LinAlgError or None."""
     rows = list(range(len(J)))
     inv, failed = by_rows(np.linalg.inv, J.__getitem__, rows)
     J_inv = np.zeros_like(J)
     J_inv[[k for k in rows if k not in failed]] = inv
-    return (J_inv, np.maximum(1.0, np.linalg.cond(J).max(axis=-1)),
-            [failed.get(k) for k in rows])
+    cond = np.linalg.norm(J, 1, axis=(-2, -1)) * np.linalg.norm(J_inv, 1, axis=(-2, -1))
+    return J_inv, np.maximum(1.0, cond.max(axis=-1)), [failed.get(k) for k in rows]
 
 
 def _sum_tail(products: np.ndarray, keep: int) -> np.ndarray:
@@ -147,20 +144,21 @@ def _sum_tail(products: np.ndarray, keep: int) -> np.ndarray:
 
 
 def _with_drift(vf: VectorFieldSystem) -> SimpleNamespace:
-    """Field collection (V_0, V_1, ..., V_d) for the time-augmented driver.
-    Each part is evaluated, and its shape checked, by `vf` itself."""
-    def join(drift, fields, axis):
-        return lambda y: np.concatenate([np.expand_dims(drift(y), axis), fields(y)],
-                                        axis=axis)
-    return SimpleNamespace(d=vf.d + 1, e=vf.e, val=join(vf.drift_val, vf.val, -2),
-                           jac=join(vf.drift_jac, vf.jac, -3),
-                           hess=join(vf.drift_hess, vf.hess, -4))
+    """Field collection (V_0, V_1, ..., V_d) for the time-augmented driver,
+    on (K, e) stacks of states.  Each part is evaluated, and its shape
+    checked, by `vf` itself."""
+    def join(drift, fields):
+        return lambda y: np.concatenate([drift(y)[:, None], fields(y)], axis=1)
+    return SimpleNamespace(d=vf.d + 1, e=vf.e, val=join(vf.drift_val, vf.val),
+                           jac=join(vf.drift_jac, vf.jac),
+                           hess=join(vf.drift_hess, vf.hess))
 
 
-def _solve(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
-           with_jacobian: bool, pvar_index: float | None) -> FlowResult:
-    """Step all paths of X, one path (n, d) or a stack (K, n, d), together.
+def solve_flow_jacobian(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
+                        pvar_index: float | None = None) -> FlowResult:
+    """Solve the rough equation jointly with its Jacobian flow and inverses.
 
+    All paths of X, one path (n, d) or a stack (K, n, d), step together.
     Every step is a handful of array operations over the sample axis, so
     each path's values do not depend on which other paths share the call.
     A path whose state or Jacobian stops being finite, or whose state passes
@@ -181,7 +179,7 @@ def _solve(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
     d = vf.d
     if vf.has_drift:
         X, vf = spacetime_lift(X), _with_drift(vf)
-    flow = _steps(X, vf, y0, with_jacobian, pvar, pvar_index)
+    flow = _steps(X, vf, y0, pvar)
     flow = replace(flow, V=flow.V[..., -d:, :])  # without the drift's values
     if not one:
         return flow
@@ -190,22 +188,17 @@ def _solve(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
     return flow.sample(0)
 
 
-def _steps(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
-           with_jacobian: bool, pvar, pvar_index) -> FlowResult:
+def _steps(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray, pvar) -> FlowResult:
     da, db = X.segment_increments()
     _check_geometric(da, db)
     (K, n), d, e = X.level1.shape[:2], vf.d, vf.e
     Y = np.zeros((K, n, e))
     Y[:, 0] = y0
     V = np.zeros((K, n, d, e))
-    J = J_inv = None
-    max_cond = np.ones(K)
+    J = np.zeros((K, n, e, e))
     errors = [None] * K
     y = Y[:, 0].copy()
-    jac = np.broadcast_to(np.eye(e), (K, e, e)).copy()
-    if with_jacobian:
-        J = np.zeros((K, n, e, e))
-        J[:, 0] = jac
+    J[:, 0] = jac = np.broadcast_to(np.eye(e), (K, e, e)).copy()
     for k in range(n - 1):
         a, b = da[:, k], db[:, k]
         V[:, k] = Vk = vf.val(y)
@@ -215,18 +208,17 @@ def _steps(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
         step = ((a[:, None, :] @ Vk)[:, 0]
                 + _sum_tail(b[:, None, :, :, None] * Vp_ai[:, :, None]
                             * Vk[:, None, :, None], 2))
-        if with_jacobian:
-            Vpp = vf.hess(y)
-            # sums over (j, i, g) of b[j, i] V_i''[a, g, b] V_j[g] and of
-            # b[j, i] V_i'[a, g] V_j'[g, b], axes (K, a, b, j, i, g)
-            M = (_sum_tail(a[:, None, None, :] * Vp.transpose(0, 2, 3, 1), 3)
-                 + _sum_tail(b[:, None, None, :, :, None]
-                             * Vpp.transpose(0, 2, 4, 1, 3)[:, :, :, None]
-                             * Vk[:, None, None, :, None, :], 3)
-                 + _sum_tail(b[:, None, None, :, :, None]
-                             * Vp_ai[:, :, None, None]
-                             * Vp.transpose(0, 3, 1, 2)[:, None, :, :, None], 3))
-            jac = jac + M @ jac
+        Vpp = vf.hess(y)
+        # sums over (j, i, g) of b[j, i] V_i''[a, g, b] V_j[g] and of
+        # b[j, i] V_i'[a, g] V_j'[g, b], axes (K, a, b, j, i, g)
+        M = (_sum_tail(a[:, None, None, :] * Vp.transpose(0, 2, 3, 1), 3)
+             + _sum_tail(b[:, None, None, :, :, None]
+                         * Vpp.transpose(0, 2, 4, 1, 3)[:, :, :, None]
+                         * Vk[:, None, None, :, None, :], 3)
+             + _sum_tail(b[:, None, None, :, :, None]
+                         * Vp_ai[:, :, None, None]
+                         * Vp.transpose(0, 3, 1, 2)[:, None, :, :, None], 3))
+        jac = jac + M @ jac
         y = y + step
         t_next = float(X.grid.points[k + 1])
         with np.errstate(over="ignore"):
@@ -238,34 +230,16 @@ def _steps(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
                                          t_next)
             # frozen: no further increments, last finite values kept
             da[row, k + 1:] = db[row, k + 1:] = 0.0
-            y[row] = Y[row, k]
-            if with_jacobian:
-                jac[row] = J[row, k]
-        Y[:, k + 1] = y
-        if with_jacobian:
-            J[:, k + 1] = jac
+            y[row], jac[row] = Y[row, k], J[row, k]
+        Y[:, k + 1], J[:, k + 1] = y, jac
     V[:, -1] = vf.val(y)
-    if with_jacobian:
-        J_inv, max_cond, singular = _inverses(J)
-        for k, exc in enumerate(singular):
-            errors[k] = errors[k] or exc
-        for cond, exc in zip(max_cond, errors):
-            if exc is None and cond > CONDITION_LIMIT:
-                warnings.warn(f"Jacobian condition number reached {cond:.3e}")
-    return FlowResult(X.grid, Y, V, J, J_inv, pvar, pvar_index, max_cond,
-                      tuple(errors))
-
-
-def solve_rde(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
-              pvar_index: float | None = None) -> FlowResult:
-    """Solve the rough equation along X; solution path only."""
-    return _solve(X, vf, y0, with_jacobian=False, pvar_index=pvar_index)
-
-
-def solve_flow_jacobian(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
-                        pvar_index: float | None = None) -> FlowResult:
-    """Solve the rough equation jointly with its Jacobian flow and inverses."""
-    return _solve(X, vf, y0, with_jacobian=True, pvar_index=pvar_index)
+    J_inv, max_cond, singular = _inverses(J)
+    for k, exc in enumerate(singular):
+        errors[k] = errors[k] or exc
+    for cond, exc in zip(max_cond, errors):
+        if exc is None and cond > CONDITION_LIMIT:
+            warnings.warn(f"Jacobian condition number reached {cond:.3e}")
+    return FlowResult(X.grid, Y, V, J, J_inv, pvar, max_cond, tuple(errors))
 
 
 def _as_single_path(driver) -> GridFunction1D:
@@ -335,7 +309,7 @@ def solve_ode_reference(driver, vf: VectorFieldSystem, y0: np.ndarray,
     if errors[0] is not None:
         raise errors[0]
     V = np.array([vf.val(y) for y in Y])
-    return FlowResult(grid, Y, V, J, J_inv[0], None, None, float(max_cond[0]))
+    return FlowResult(grid, Y, V, J, J_inv[0], None, float(max_cond[0]))
 
 
 def directional_derivative(flow: FlowResult, vf: VectorFieldSystem,
@@ -349,8 +323,6 @@ def directional_derivative(flow: FlowResult, vf: VectorFieldSystem,
     (e, m) with column j for direction j, behind the sample axis when the
     flow is a stack of K paths.  At t = 0 it is zero.
     """
-    if flow.J is None:
-        raise ValueError("directional derivative needs a Jacobian-carrying flow")
     if not same_grid(flow.grid, h.grid):
         raise ValueError("direction must be sampled on the flow's grid")
     it = flow.grid.index_of(t)
@@ -373,16 +345,3 @@ def log_operator_norm(J: np.ndarray) -> np.ndarray:
     """Log of the spectral norm of each matrix of a stack (..., e, e)."""
     return np.log(np.linalg.norm(J, ord=2, axis=(-2, -1)))
 
-
-def log_jacobian_diagnostic(flow: FlowResult, X: RoughPath, p: float) -> dict:
-    """Scatter record relating Jacobian growth to driver roughness.
-
-    Returns log of the operator norm of J_{T<-0} and the p-variation of the
-    driver raised to p; no pass/fail judgement is attached.
-    """
-    if flow.J is None:
-        raise ValueError("diagnostic needs a Jacobian-carrying flow")
-    return {
-        "log_norm_J": float(log_operator_norm(flow.J[-1])),
-        "pvar_p": float(p_variation(X, p) ** p),
-    }

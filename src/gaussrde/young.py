@@ -78,23 +78,22 @@ class GridFunction1D:
 
 @dataclass(frozen=True)
 class GridFunction2D:
-    """Samples F(s_i, t_j) of a two-parameter function."""
+    """Samples F(t_i, t_j) of a two-parameter function on grid x grid."""
 
-    grid_s: TimeGrid
-    grid_t: TimeGrid
+    grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid_s.n, self.grid_t.n):
+        if v.shape != (self.grid.n, self.grid.n):
             raise ValueError(
-                f"value matrix {v.shape} inconsistent with grids "
-                f"({self.grid_s.n}, {self.grid_t.n})"
+                f"value matrix {v.shape} inconsistent with a grid of "
+                f"{self.grid.n} points"
             )
         object.__setattr__(self, "values", v)
 
     def rectangle_increments(self) -> np.ndarray:
-        """Double difference over all grid cells, shape (ns-1, nt-1).
+        """Double difference over all grid cells, shape (n-1, n-1).
 
         Taken once per sample and returned read-only: callers pair one
         kernel sample with many integrands.
@@ -146,10 +145,8 @@ def young_integral_2d(f: GridFunction1D, g: GridFunction1D, R: GridFunction2D):
     For scalar f, g the result is a scalar; for e-vector-valued f, g it is the
     e x e matrix of pairings needed by the Malliavin covariance.
     """
-    if not same_grid(f.grid, R.grid_s):
-        raise ValueError("f must be sampled on R.grid_s")
-    if not same_grid(g.grid, R.grid_t):
-        raise ValueError("g must be sampled on R.grid_t")
+    if not (same_grid(f.grid, R.grid) and same_grid(g.grid, R.grid)):
+        raise ValueError("f and g must be sampled on R.grid")
     # [()] turns the 0-d result of two scalar sides into a float
     return np.tensordot(f.values[:-1], R.rectangle_increments() @ g.values[:-1],
                         axes=(0, 0))[()]
@@ -302,9 +299,7 @@ def rho_variation_2d(R: GridFunction2D, rho: float, mode: str = "diagonal-refine
     """
     if rho < 1:
         raise ValueError(f"rho must be >= 1, got {rho}")
-    if not same_grid(R.grid_s, R.grid_t):
-        raise ValueError("rho-variation requires the same grid on both axes")
-    n = R.grid_s.n
+    n = R.grid.n
     if mode == "exact":
         if n > 14:
             raise ValueError(

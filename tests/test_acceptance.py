@@ -43,7 +43,6 @@ from gaussrde import (
     sample_paths,
     solve_flow_jacobian,
     solve_ode_reference,
-    solve_rde,
     translate,
     uniform_grid,
     young_integral_1d,
@@ -166,7 +165,7 @@ def test_criterion_04_parseval_identity():
     worst = 0.0
     for model in (brownian_model(), fbm_model(0.4)):
         basis = cameron_martin_basis(model, grid)
-        R = kernel_eval(model, grid, grid)
+        R = kernel_eval(model, grid)
         for _ in range(50):
             f = GridFunction1D(grid, rng.standard_normal(128))
             g = GridFunction1D(grid, rng.standard_normal(128))
@@ -192,7 +191,7 @@ def test_criterion_05_rde_solver_oracles():
     gaps_a = []
     A = 0.7
     X = lift_piecewise_linear(GridFunction1D(grid, grid.points.copy()))
-    flow = solve_rde(X, linear_fields(np.array([[[A]]])), np.array([1.3]))
+    flow = solve_flow_jacobian(X, linear_fields(np.array([[[A]]])), np.array([1.3]))
     exact = 1.3 * np.exp(A * 1.0)
     gaps_a.append(abs(flow.final_state[0] - exact) / abs(exact))
 
@@ -200,7 +199,7 @@ def test_criterion_05_rde_solver_oracles():
     angle = np.pi / 3
     X = lift_piecewise_linear(GridFunction1D(grid, angle * grid.points))
     y0 = np.array([1.0, 0.4])
-    flow = solve_rde(X, linear_fields(rot[None]), y0)
+    flow = solve_flow_jacobian(X, linear_fields(rot[None]), y0)
     target = expm(rot * angle) @ y0
     gaps_a.append(np.linalg.norm(flow.final_state - target) / np.linalg.norm(target))
 
@@ -208,7 +207,7 @@ def test_criterion_05_rde_solver_oracles():
     rates = np.array([0.8, 0.6])
     X = lift_piecewise_linear(GridFunction1D(grid, np.outer(grid.points, rates)))
     y0 = np.array([1.0, -0.5])
-    flow = solve_rde(X, linear_fields(A2), y0)
+    flow = solve_flow_jacobian(X, linear_fields(A2), y0)
     target = expm(A2[0] * rates[0] + A2[1] * rates[1]) @ y0
     gaps_a.append(np.linalg.norm(flow.final_state - target) / np.linalg.norm(target))
     worst_a = max(gaps_a)
@@ -223,7 +222,7 @@ def test_criterion_05_rde_solver_oracles():
         values = 0.8 * np.column_stack([np.sin(2 * tt), tt * np.cos(tt)])
         values -= values[0]
         path = GridFunction1D(g, values)
-        rough = solve_rde(lift_piecewise_linear(path), vf, y0)
+        rough = solve_flow_jacobian(lift_piecewise_linear(path), vf, y0)
         ode = solve_ode_reference(path, vf, y0, substeps=8)
         gaps_b.append(float(np.linalg.norm(rough.final_state - ode.final_state)))
     monotone = all(b < a for a, b in zip(gaps_b, gaps_b[1:]))
@@ -256,8 +255,8 @@ def test_criterion_06_duhamel_vs_finite_difference():
         h = GridFunction1D(grid, hv)
         flow = solve_flow_jacobian(X, vf, y0)
         duhamel = directional_derivative(flow, vf, h, 1.0)
-        up = solve_rde(translate(X, GridFunction1D(grid, eps * hv)), vf, y0)
-        dn = solve_rde(translate(X, GridFunction1D(grid, -eps * hv)), vf, y0)
+        up = solve_flow_jacobian(translate(X, GridFunction1D(grid, eps * hv)), vf, y0)
+        dn = solve_flow_jacobian(translate(X, GridFunction1D(grid, -eps * hv)), vf, y0)
         fd = (up.final_state - dn.final_state) / (2 * eps)
         gaps.append(float(np.linalg.norm(duhamel - fd) / np.linalg.norm(fd)))
     worst = max(gaps)

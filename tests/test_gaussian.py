@@ -89,7 +89,7 @@ def test_grid_covariance_shape_and_psd():
 def test_kernel_eval_matches_model():
     grid = uniform_grid(1.0, 7)
     m = fbm_model(0.75)
-    R = kernel_eval(model=m, grid_s=grid, grid_t=grid)
+    R = kernel_eval(model=m, grid=grid)
     for i, s in enumerate(grid.points):
         for j, t in enumerate(grid.points):
             assert np.isclose(R.values[i, j], m(s, t), atol=1e-14)
@@ -176,7 +176,7 @@ def test_variance_functional_nonnegative_and_quadratic():
     grid = uniform_grid(1.0, 15)
     rng = np.random.default_rng(24)
     for model in (brownian_model(), fbm_model(0.4), bridge_model(1.0)):
-        R = kernel_eval(model, grid, grid)
+        R = kernel_eval(model, grid)
         box = R.rectangle_increments()
         for _ in range(10):
             from gaussrde import GridFunction1D

@@ -19,7 +19,6 @@ from gaussrde import (
     rotation_fields,
     sample_paths,
     solve_flow_jacobian,
-    solve_rde,
     spectrum,
     uniform_grid,
     young_integral_2d,
@@ -113,7 +112,7 @@ def test_constant_fields_degenerate_covariance():
     mat = malliavin_matrix_2d(flow, vf, kernel_eval(brownian_model(), grid), 1.0)
     assert np.allclose(mat.sigma, np.array([[1.0, 0.0], [0.0, 0.0]]), atol=1e-12)
     assert mat.det <= 1e-12
-    res = spectrum(mat)
+    res = spectrum(mat, scale=mat.trace / mat.e)
     assert res.verdict == "degenerate"
 
 
@@ -134,15 +133,15 @@ def test_covariance_psd_and_symmetric():
 
 
 def test_spectrum_verdicts_and_scale():
-    assert spectrum(np.eye(2)).verdict == "non-degenerate"
-    assert spectrum(np.zeros((2, 2))).verdict == "degenerate"
-    assert spectrum(np.diag([1.0, 0.0])).verdict == "degenerate"
+    assert spectrum(np.eye(2), scale=1.0).verdict == "non-degenerate"
+    assert spectrum(np.zeros((2, 2)), scale=0.0).verdict == "degenerate"
+    assert spectrum(np.diag([1.0, 0.0]), scale=0.5).verdict == "degenerate"
     # a 1x1 matrix judged against its own trace cannot be flagged; a shared
     # external scale restores the comparison the verdict is meant to make
     tiny = np.array([[1e-18]])
-    assert spectrum(tiny).verdict == "non-degenerate"
+    assert spectrum(tiny, scale=1e-18).verdict == "non-degenerate"
     assert spectrum(tiny, scale=1.0).verdict == "degenerate"
-    res = spectrum(np.diag([2.0, 3.0]), tau=0.5)
+    res = spectrum(np.diag([2.0, 3.0]), scale=2.5, tau=0.5)
     assert res.threshold == 0.5 * 2.5
     assert res.verdict == "non-degenerate"
     assert np.isclose(res.det, 6.0)
@@ -152,8 +151,8 @@ def test_spectrum_accepts_matrix_or_result():
     vf = rotation_fields()
     flow, grid = brownian_flow(vf, np.array([1.0, 0.0]), seed=79)
     mat = malliavin_matrix_2d(flow, vf, kernel_eval(brownian_model(), grid), 1.0)
-    a = spectrum(mat)
-    b = spectrum(mat.sigma)
+    a = spectrum(mat, scale=1.0)
+    b = spectrum(mat.sigma, scale=1.0)
     assert np.allclose(a.eigenvalues, b.eigenvalues)
 
 
@@ -162,10 +161,7 @@ def test_input_guards():
     grid = uniform_grid(1.0, 17)
     batch = sample_paths([brownian_model()] * 2, grid, 1, seed=80)
     X = lift_piecewise_linear(batch.path(0))
-    bare = solve_rde(X, vf, np.zeros(2))
     kernel = kernel_eval(brownian_model(), grid)
-    with pytest.raises(ValueError):
-        malliavin_matrix_2d(bare, vf, kernel, 1.0)
     flow = solve_flow_jacobian(X, vf, np.zeros(2))
     with pytest.raises(ValueError, match="need 2 component"):
         _per_component([kernel], GridFunction2D, 2)
@@ -175,11 +171,10 @@ def test_input_guards():
         malliavin_matrix_parseval(flow, vf, other, 1.0)
     with pytest.raises(ValueError, match="need 2 component"):
         malliavin_matrix_2d(flow, vf, [kernel] * 3, 1.0)
-    # a kernel sampled on another grid, in either argument, is rejected
+    # a kernel sampled on another grid is rejected, shared or per component
     shifted = uniform_grid(2.0, 17)
     for wrong in (kernel_eval(brownian_model(), coarse),
-                  kernel_eval(brownian_model(), shifted),
-                  kernel_eval(brownian_model(), grid, shifted)):
+                  kernel_eval(brownian_model(), shifted)):
         with pytest.raises(ValueError, match="grid does not match"):
             malliavin_matrix_2d(flow, vf, wrong, 1.0)
         with pytest.raises(ValueError, match="grid does not match"):
@@ -368,7 +363,7 @@ def test_stacked_routes_match_per_sample_formulas(name):
     for t in (flows.grid.points[13], 1.0):
         direct = malliavin_matrix_2d(flows, vf, kernel, t)
         parseval = malliavin_matrix_parseval(flows, vf, basis, t)
-        spec = spectrum(direct)
+        spec = spectrum(direct, scale=direct.trace / vf.e)
         log_norm = log_operator_norm(flows.J[:, flows.grid.index_of(t)])
         assert direct.sigma.shape == (7, 2, 2) and spec.verdict.shape == (7,)
         for k in range(7):
@@ -440,3 +435,13 @@ def test_magnitude_bounds_the_summed_terms(name):
         assert np.all(direct.magnitude >= np.linalg.norm(direct.sigma, axis=(-2, -1)))
         assert np.array_equal(parseval.magnitude,
                               np.trace(parseval.sigma, axis1=-2, axis2=-1))
+
+
+def test_magnitude_is_the_trace_for_a_brownian_driver_on_any_grid():
+    # the min-kernel's box is diagonal with the cell lengths, so on a uniform
+    # grid the 2D bound equals the trace and tau is one relative threshold
+    vf = linear_fields(np.array([[[0.7]]]))
+    for n in (17, 65, 257):
+        flow, grid = brownian_flow(vf, np.array([1.0]), n=n, seed=n)
+        mat = malliavin_matrix_2d(flow, vf, kernel_eval(brownian_model(), grid), 1.0)
+        assert abs(mat.magnitude / mat.trace - 1.0) <= 1e-12

@@ -14,14 +14,12 @@ from gaussrde import (
     fbm_model,
     lift_piecewise_linear,
     linear_fields,
-    log_jacobian_diagnostic,
     p_variation,
     polynomial_fields,
     rotation_fields,
     sample_paths,
     solve_flow_jacobian,
     solve_ode_reference,
-    solve_rde,
     spacetime_lift,
     translate,
     uniform_grid,
@@ -62,7 +60,7 @@ def test_zero_driver_freezes_state():
     grid = uniform_grid(1.0, 9)
     X = lift_piecewise_linear(GridFunction1D(grid, np.zeros((9, 2))))
     vf = rotation_fields()
-    flow = solve_rde(X, vf, np.array([1.0, 0.0]))
+    flow = solve_flow_jacobian(X, vf, np.array([1.0, 0.0]))
     assert np.allclose(flow.Y, flow.Y[0], atol=1e-15)
 
 
@@ -86,7 +84,7 @@ def test_scalar_linear_convergence():
         grid = uniform_grid(1.0, n)
         values = total * np.sin(0.5 * np.pi * grid.points)  # smooth, ends at total
         X = lift_piecewise_linear(GridFunction1D(grid, values))
-        flow = solve_rde(X, linear_fields(np.array([[[A]]])), np.array([y0]))
+        flow = solve_flow_jacobian(X, linear_fields(np.array([[[A]]])), np.array([y0]))
         errors.append(abs(flow.final_state[0] - exact))
     assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
     assert errors[-1] < 1e-5
@@ -148,8 +146,8 @@ def test_jacobian_is_derivative_of_discrete_flow():
     for b in range(2):
         dy = np.zeros(2)
         dy[b] = eps
-        plus = solve_rde(X, vf, y0 + dy).final_state
-        minus = solve_rde(X, vf, y0 - dy).final_state
+        plus = solve_flow_jacobian(X, vf, y0 + dy).final_state
+        minus = solve_flow_jacobian(X, vf, y0 - dy).final_state
         fd[:, b] = (plus - minus) / (2 * eps)
     assert np.allclose(flow.J[-1], fd, atol=1e-6)
 
@@ -169,7 +167,7 @@ def test_flow_inverses_and_condition_match_per_step_values():
             np.testing.assert_array_equal(
                 flow.J_inv, [np.linalg.inv(j) for j in flow.J])
             assert flow.max_condition == max(
-                1.0, *(float(np.linalg.cond(j)) for j in flow.J))
+                1.0, *(float(np.linalg.cond(j, 1)) for j in flow.J))
 
 
 def test_rde_matches_ode_oracle_on_smooth_path():
@@ -189,7 +187,7 @@ def test_drift_rides_along_with_the_fields():
     drift = (np.array([[-0.3, 0.1], [0.0, -0.2]]), np.array([0.2, 0.0]))
     vf = linear_fields(A, drift=drift)
     y0 = np.array([0.7, -0.4])
-    rough = solve_rde(X, vf, y0)
+    rough = solve_flow_jacobian(X, vf, y0)
     ode = solve_ode_reference(GridFunction1D(grid, X.level1), vf, y0, substeps=8)
     assert np.allclose(rough.final_state, ode.final_state, atol=2e-4)
 
@@ -274,7 +272,7 @@ def test_flow_field_values_match_field_evaluation():
     for vf, models, y0 in cases:
         path = sample_paths(models, grid, 1, seed=69).path(0)
         X = lift_piecewise_linear(path)
-        for flow in (solve_rde(X, vf, y0), solve_flow_jacobian(X, vf, y0),
+        for flow in (solve_flow_jacobian(X, vf, y0),
                      solve_ode_reference(path, vf, y0, substeps=2)):
             assert flow.V.shape == (grid.n, vf.d, vf.e)
             for m in range(grid.n):
@@ -295,8 +293,8 @@ def test_directional_derivative_matches_translation_fd():
     h = GridFunction1D(grid, hv)
     got = directional_derivative(flow, vf, h, grid.horizon)
     eps = 1e-4
-    up = solve_rde(translate(X, GridFunction1D(grid, eps * hv)), vf, y0)
-    dn = solve_rde(translate(X, GridFunction1D(grid, -eps * hv)), vf, y0)
+    up = solve_flow_jacobian(translate(X, GridFunction1D(grid, eps * hv)), vf, y0)
+    dn = solve_flow_jacobian(translate(X, GridFunction1D(grid, -eps * hv)), vf, y0)
     fd = (up.final_state - dn.final_state) / (2 * eps)
     assert np.linalg.norm(got - fd) < 5e-3 * np.linalg.norm(fd)
 
@@ -319,8 +317,8 @@ def test_directional_derivative_gap_shrinks_with_mesh():
         h = GridFunction1D(grid, hv)
         flow = solve_flow_jacobian(X, vf, y0)
         got = directional_derivative(flow, vf, h, 1.0)
-        up = solve_rde(translate(X, GridFunction1D(grid, eps * hv)), vf, y0)
-        dn = solve_rde(translate(X, GridFunction1D(grid, -eps * hv)), vf, y0)
+        up = solve_flow_jacobian(translate(X, GridFunction1D(grid, eps * hv)), vf, y0)
+        dn = solve_flow_jacobian(translate(X, GridFunction1D(grid, -eps * hv)), vf, y0)
         fd = (up.final_state - dn.final_state) / (2 * eps)
         gaps.append(np.linalg.norm(got - fd) / np.linalg.norm(fd))
     assert gaps[2] < gaps[0]
@@ -331,7 +329,7 @@ def test_explosion_guard():
     X, _ = scalar_ramp(65, 40.0)
     vf = linear_fields(np.array([[[5.0]]]))
     with pytest.raises(ExplosionError) as exc:
-        solve_rde(X, vf, np.array([1.0]))
+        solve_flow_jacobian(X, vf, np.array([1.0]))
     assert 0.0 < exc.value.time <= 1.0
 
 
@@ -341,39 +339,26 @@ def test_non_geometric_driver_rejected():
     b = np.zeros((5, 2, 2))  # violates the symmetry constraint
     X = RoughPath(grid, a, b)
     with pytest.raises(ValueError, match="geometric"):
-        solve_rde(X, rotation_fields(), np.zeros(2))
+        solve_flow_jacobian(X, rotation_fields(), np.zeros(2))
 
 
 def test_dimension_guards():
     X, _ = smooth_driver(9)  # 2-component driver
     with pytest.raises(ValueError):
-        solve_rde(X, linear_fields(np.zeros((3, 2, 2))), np.zeros(2))
+        solve_flow_jacobian(X, linear_fields(np.zeros((3, 2, 2))), np.zeros(2))
     with pytest.raises(ValueError):
-        solve_rde(X, rotation_fields(), np.zeros(3))
+        solve_flow_jacobian(X, rotation_fields(), np.zeros(3))
 
 
 def test_pvar_metadata():
     X, _ = brownian_driver(33, 2, seed=66)
-    flow = solve_rde(X, rotation_fields(), np.zeros(2), pvar_index=2.3)
+    flow = solve_flow_jacobian(X, rotation_fields(), np.zeros(2), pvar_index=2.3)
     assert flow.pvar is not None and flow.pvar > 0
-    assert flow.pvar_index == 2.3
     from gaussrde import p_variation
 
     assert np.isclose(flow.pvar, p_variation(X, 2.3), rtol=1e-12)
-    plain = solve_rde(X, rotation_fields(), np.zeros(2))
+    plain = solve_flow_jacobian(X, rotation_fields(), np.zeros(2))
     assert plain.pvar is None
-
-
-def test_log_jacobian_diagnostic():
-    grid = uniform_grid(1.0, 9)
-    X = lift_piecewise_linear(GridFunction1D(grid, np.zeros((9, 2))))
-    flow = solve_flow_jacobian(X, rotation_fields(), np.array([1.0, 0.0]))
-    diag = log_jacobian_diagnostic(flow, X, 2.5)
-    assert np.isclose(diag["log_norm_J"], 0.0, atol=1e-12)
-    assert diag["pvar_p"] == 0.0
-    no_jac = solve_rde(X, rotation_fields(), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        log_jacobian_diagnostic(no_jac, X, 2.5)
 
 
 def test_retraced_driver_returns_to_start():
@@ -387,7 +372,7 @@ def test_retraced_driver_returns_to_start():
     grid = uniform_grid(2.0, 2 * n - 1)
     X = lift_piecewise_linear(GridFunction1D(grid, full))
     y0 = np.array([0.9, -0.4])
-    flow = solve_rde(X, rotation_fields(), y0)
+    flow = solve_flow_jacobian(X, rotation_fields(), y0)
     assert np.linalg.norm(flow.final_state - y0) < 1e-6
 
 
@@ -434,7 +419,7 @@ def reference_solve(X, vf, y0):
         y = y + step
         Y[k + 1], J[k + 1] = y, jac
     V[-1] = vf.val(y)
-    return Y, V, J, np.linalg.inv(J), max(1.0, float(np.linalg.cond(J).max()))
+    return Y, V, J, np.linalg.inv(J), max(1.0, float(np.linalg.cond(J, 1).max()))
 
 
 def assert_relatively_close(got, ref, rel=1e-12):
@@ -475,8 +460,6 @@ def test_stacked_solver_matches_per_path_loop():
         flows = solve_flow_jacobian(lift_piecewise_linear(batch), vf, y0,
                                     pvar_index=2.5)
         assert flows.Y.shape == (5, grid.n, vf.e) and flows.errors == (None,) * 5
-        states = solve_rde(lift_piecewise_linear(batch), vf, y0)
-        assert np.array_equal(states.Y, flows.Y) and states.J is None
         for k in range(5):
             X = lift_piecewise_linear(batch.path(k))
             Y, V, J, J_inv, cond = reference_solve(X, vf, y0)

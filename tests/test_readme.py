@@ -1,9 +1,15 @@
-"""The README's command-line block against the argument parser."""
+"""The README's command-line block against the argument parser, and its
+layout table against the package."""
 
 import argparse
+import dataclasses
+import importlib
+import importlib.util
+import pkgutil
 import re
 from pathlib import Path
 
+import gaussrde
 from gaussrde.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -38,3 +44,38 @@ def test_readme_command_line_matches_the_parser():
     for name, flags in actual.items():
         # every flag, in brackets if and only if it is optional
         assert documented[name] == flags, name
+
+
+def layout_rows() -> dict:
+    """Module -> backticked names of its "Layout" table row."""
+    section = README.read_text().split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `gaussrde\.(\w+)` \| (.*) \|$", section, re.M)
+    return {module: re.findall(r"`([^`]+)`", text) for module, text in rows}
+
+
+def resolves(module, dotted: str) -> bool:
+    """Attribute path from `module`; a path may start at a sibling module of
+    the package, and a dataclass field ends it."""
+    obj, parts = module, dotted.split(".")
+    if not hasattr(module, parts[0]) and importlib.util.find_spec(f"gaussrde.{parts[0]}"):
+        obj, parts = importlib.import_module(f"gaussrde.{parts[0]}"), parts[1:]
+    for i, part in enumerate(parts):
+        if dataclasses.is_dataclass(obj) and part in {f.name for f in dataclasses.fields(obj)}:
+            return i == len(parts) - 1
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_layout_names_resolve():
+    rows = layout_rows()
+    package = Path(gaussrde.__file__).parent
+    assert sorted(rows) == sorted(m.name for m in pkgutil.iter_modules([str(package)]))
+    for module, names in rows.items():
+        mod = importlib.import_module(f"gaussrde.{module}")
+        for name in names:
+            # call parentheses go; wildcards (g2_*) and shapes ((K, n, d)) are no names
+            name = re.sub(r"\(.*\)$", "", name)
+            if re.fullmatch(r"[A-Za-z_]\w*(\.\w+)*", name):
+                assert resolves(mod, name), f"{module}: {name}"

@@ -25,7 +25,7 @@ from gaussrde.young import (_increment_norms, p_variation_bruteforce,
 
 def brownian_kernel_sample(grid):
     t = grid.points
-    return GridFunction2D(grid, grid, np.minimum.outer(t, t))
+    return GridFunction2D(grid, np.minimum.outer(t, t))
 
 
 def test_time_grid_validation():
@@ -92,7 +92,7 @@ def test_integral_grid_mismatch():
 def test_rectangle_increments_additivity():
     grid = uniform_grid(1.0, 9)
     rng = np.random.default_rng(12)
-    R = GridFunction2D(grid, grid, rng.standard_normal((9, 9)))
+    R = GridFunction2D(grid, rng.standard_normal((9, 9)))
     box = R.rectangle_increments()
     v = R.values
     # total double difference equals the sum of all cell increments
@@ -198,7 +198,7 @@ def test_rho_variation_modes_agree_on_small_grids():
     rng = np.random.default_rng(17)
     grid = uniform_grid(1.0, 8)
     z = rng.standard_normal((8, 8))
-    R = GridFunction2D(grid, grid, z + z.T)
+    R = GridFunction2D(grid, z + z.T)
     for rho in (1.0, 1.25):
         exact = rho_variation_2d(R, rho, mode="exact")
         est = rho_variation_2d(R, rho, mode="diagonal-refinement")
@@ -304,7 +304,7 @@ def test_2d_integral_matches_the_shape_branches():
     grid = uniform_grid(1.0, 33)
     rng = np.random.default_rng(18)
     z = rng.standard_normal((33, 33))
-    R = GridFunction2D(grid, grid, z @ z.T)
+    R = GridFunction2D(grid, z @ z.T)
     sides = [GridFunction1D(grid, rng.standard_normal(shape))
              for shape in ((33,), (33, 3))]
     for f in sides:
@@ -318,7 +318,7 @@ def test_2d_integral_matches_the_shape_branches():
 def test_variation_partition_ties_go_to_the_first_candidate():
     # a constant kernel has no increments: every partition sums to zero
     grid = uniform_grid(1.0, 9)
-    R = GridFunction2D(grid, grid, np.ones((9, 9)))
+    R = GridFunction2D(grid, np.ones((9, 9)))
     assert list(rho_variation_2d(R, 1.0, mode="exact").partition) == [0, 8]
     refined = rho_variation_2d(R, 1.0, mode="diagonal-refinement")
     assert list(refined.partition) == list(range(9))
