@@ -15,8 +15,9 @@ import sys
 import numpy as np
 
 from .experiments import (ConfigError, RunError, build_fields, build_model,
-                          check_conditions, evaluate_flows, load_config,
-                          run_experiment, time_indices, variation_index)
+                          check_conditions, check_routes, evaluate_flows,
+                          load_config, run_experiment, time_indices,
+                          variation_index)
 from .gaussian import cameron_martin_basis, kernel_eval, sample_paths
 from .lift import lift_piecewise_linear, rough_path_to_csv
 from .rde import ExplosionError, solve_flow_jacobian
@@ -158,6 +159,7 @@ def _cmd_malliavin(args) -> int:
     (mat,), (spec,), residual, _ = evaluate_flows(
         flow, vf, kernel_eval(model, grid), cameron_martin_basis(model, grid),
         time_indices(grid, [t]), config.tau)
+    check_routes(residual, [args.index])
     print(f"sigma at t = {t} (2d-young route):")
     for row in mat.sigma:
         print("  " + "  ".join(f"{v: .6e}" for v in row))

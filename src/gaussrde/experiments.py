@@ -469,6 +469,16 @@ def evaluate_flows(flows, vf, kernel, basis, indices, tau):
     return mats, specs, residual, log_operator_norm(flows.J[..., indices, :, :])
 
 
+def check_routes(residuals, samples) -> None:
+    """Raise RunError if some sample's two covariance routes differ by more
+    than ROUTE_TOL (a residual from `evaluate_flows` per sample)."""
+    residuals = np.atleast_1d(residuals)
+    if not residuals.max(initial=0.0) <= ROUTE_TOL:
+        worst = int(np.argmax(residuals))
+        raise RunError(f"covariance routes disagree on sample {samples[worst]}: "
+                       f"relative residual {residuals[worst]:.3e} > {ROUTE_TOL:g}")
+
+
 def gaussian_gate(model: CovarianceModel, grid: TimeGrid, times) -> dict:
     """Gaussian non-degeneracy report per evaluation time, on [0, t]."""
     return {t: nondegeneracy_check(model, TimeGrid(grid.points[:it + 1]))
@@ -538,11 +548,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
             f"failure: sample {failures[0][0]}: {failures[0][1]}"
         )
     residuals = np.concatenate(residuals)
-    if not residuals.max(initial=0.0) <= ROUTE_TOL:
-        worst = int(np.argmax(residuals))  # rows hold len(indices) per sample
-        raise RunError(
-            f"covariance routes disagree on sample {rows[worst * len(indices)][0]}: "
-            f"relative residual {residuals[worst]:.3e} > {ROUTE_TOL:g}")
+    # rows hold len(indices) per sample
+    check_routes(residuals, [row[0] for row in rows[::len(indices)]])
 
     # rows: sample, t, Y, lambda_min, det, verdict, pvar_driver, log_norm_J;
     # at least one sample passed, or the run has failed above

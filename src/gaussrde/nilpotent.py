@@ -13,11 +13,14 @@ so the group product accumulates the cross term ``left.a (x) right.a``.
 
 The formulas are written once, in array form over leading axes (level 1
 (..., d), level 2 (..., d, d)): one call covers an element, the segments of a
-path or all pairs of its grid points.  `G2Element` is the one-element view.
+path or all pairs of its grid points.  `increment_norm` takes component-first
+arrays instead, so that each entry is one operation over the leading axes.
+`G2Element` is the one-element view.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +50,33 @@ def area(a, b) -> np.ndarray:
     return 0.5 * (rest - np.swapaxes(rest, -1, -2))
 
 
+def increment_norm(a_s, b_s, a_t, b_t) -> np.ndarray:
+    """Homogeneous norm of the increment g_s^{-1} g_t, the one formula for it.
+
+    Component-first arrays: level 1 as d arrays a[i] (...), level 2 as d x d
+    arrays b[i, k] (...), the s and t sides broadcasting against each other;
+    b_s = b_t = None is a path without level 2 (the Euclidean norm of da).
+    Each area entry is taken in the order `increment` and `area` take it:
+    B_ik = (b_t - b_s)_ik - a_s,i da_k and x_ik = 0.5 ((B_ik - h) - (B_ki - h))
+    with h = 0.5 (da_i da_k), so |area|_F^2 = 2 sum_{i<k} x_ik^2.
+    """
+    da = [a_t[i] - a_s[i] for i in range(len(a_t))]
+    length2 = sum(x * x for x in da)
+    area2 = 0.0
+    if b_t is not None:
+        for i, k in itertools.combinations(range(len(da)), 2):
+            half = 0.5 * (da[i] * da[k])
+            x = 0.5 * (((b_t[i, k] - b_s[i, k]) - a_s[i] * da[k] - half)
+                       - ((b_t[k, i] - b_s[k, i]) - a_s[k] * da[i] - half))
+            area2 = area2 + x * x
+    return np.maximum(np.sqrt(length2), np.sqrt(np.sqrt(2.0 * area2)))
+
+
 def norm(a, b) -> np.ndarray:
-    """Dilation-homogeneous norm max(|a|_2, |area|_F^(1/2)), shape (...)."""
-    ar = area(a, b)
-    # the sums np.linalg.norm takes, without its per-call overhead
-    return np.maximum(np.sqrt((a * a).sum(axis=-1)),
-                      np.sqrt(np.sqrt((ar * ar).sum(axis=(-2, -1)))))
+    """Dilation-homogeneous norm max(|a|_2, |area|_F^(1/2)), shape (...): the
+    increment from the identity, exact for finite entries."""
+    a, b = np.moveaxis(a, -1, 0), np.moveaxis(b, (-2, -1), (0, 1))
+    return increment_norm(np.zeros_like(a), np.zeros_like(b), a, b)
 
 
 def residual(a, b) -> np.ndarray:

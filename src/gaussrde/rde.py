@@ -26,7 +26,7 @@ collection (V_0, V_1, ..., V_d); no separate splitting scheme exists here.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -37,6 +37,8 @@ from .fields import VectorFieldSystem
 from .lift import RoughPath, spacetime_lift
 from .nilpotent import GEOMETRIC_TOL
 from .young import GridFunction1D, TimeGrid, p_variation, same_grid
+
+log = logging.getLogger("gaussrde")
 
 EXPLOSION_NORM = 1e12
 CONDITION_LIMIT = 1e12
@@ -238,7 +240,7 @@ def _steps(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray, pvar) -> FlowRes
         errors[k] = errors[k] or exc
     for cond, exc in zip(max_cond, errors):
         if exc is None and cond > CONDITION_LIMIT:
-            warnings.warn(f"Jacobian condition number reached {cond:.3e}")
+            log.warning("Jacobian condition number reached %.3e", cond)
     return FlowResult(X.grid, Y, V, J, J_inv, pvar, max_cond, tuple(errors))
 
 

@@ -157,45 +157,52 @@ def young_integral_2d(f: GridFunction1D, g: GridFunction1D, R: GridFunction2D):
 # ---------------------------------------------------------------------------
 
 
-def _column_norms(path, j: int) -> np.ndarray:
-    """Increment norms N[..., i] from every grid index i < j to j.
+def _norm_columns(path):
+    """The increment norms N[..., i] from every grid index i < j to j, as a
+    function of j.
 
     Vector paths use the Euclidean norm of the increment; rough paths (over
-    any leading axes) use the homogeneous norm of the group increment.
+    any leading axes) use the homogeneous norm of the group increment.  Both
+    are `nilpotent.increment_norm` on component-first copies of the path,
+    so a column is a few operations on (..., j) slices.
     """
     if hasattr(path, "level2"):  # RoughPath
-        A, B = path.level1, path.level2
-        return nilpotent.norm(*nilpotent.increment(
-            A[..., :j, :], B[..., :j, :, :], A[..., j, None, :], B[..., j, None, :, :]))
+        a = np.ascontiguousarray(np.moveaxis(path.level1, -1, 0))
+        b = np.ascontiguousarray(np.moveaxis(path.level2, (-2, -1), (0, 1)))
+        return lambda j: nilpotent.increment_norm(a[..., :j], b[..., :j],
+                                                  a[..., j, None], b[..., j, None])
     values = np.asarray(path.values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    return np.linalg.norm(values[j] - values[:j], axis=-1)
+    a = np.ascontiguousarray(values.reshape(path.grid.n, -1).T)
+    return lambda j: nilpotent.increment_norm(a[..., :j], None, a[..., j, None], None)
 
 
 def _increment_norms(path) -> np.ndarray:
     """All-pairs increment norms N[i, j] for i < j (zero elsewhere)."""
     n = path.grid.n
+    column = _norm_columns(path)
     norms = np.zeros((n, n))
     for j in range(1, n):
-        norms[:j, j] = _column_norms(path, j)
+        norms[:j, j] = column(j)
     return norms
 
 
-def _pvar_dp(path, p: float) -> tuple[np.ndarray, np.ndarray]:
+def _candidates(best: np.ndarray, column, j: int, p: float) -> np.ndarray:
+    """Sums of p-th powers over the best partitions ending at j via each i < j."""
+    return best[..., :j] + column(j) ** p
+
+
+def _pvar_dp(path, p: float) -> np.ndarray:
     """Sum of p-th powers over the best partition ending at each grid index,
-    and the index before it, over the leading axes of a stack of paths."""
+    over the leading axes of a stack of paths."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     n = path.grid.n
     lead = path.level1.shape[:-2] if hasattr(path, "level2") else ()
+    column = _norm_columns(path)
     best = np.zeros(lead + (n,))
-    prev = np.zeros(lead + (n,), dtype=int)
     for j in range(1, n):
-        cand = best[..., :j] + _column_norms(path, j) ** p
-        prev[..., j] = np.argmax(cand, axis=-1)
-        best[..., j] = np.max(cand, axis=-1)
-    return best, prev
+        best[..., j] = np.max(_candidates(best, column, j, p), axis=-1)
+    return best
 
 
 def _root(best: np.ndarray, p: float):
@@ -213,22 +220,31 @@ def p_variation(path, p: float):
     result is an array over the stack.  Dynamic programming over grid points
     gives the supremum in O(n^2) increment evaluations.
     """
-    return _root(_pvar_dp(path, p)[0][..., -1], p)
+    return _root(_pvar_dp(path, p)[..., -1], p)
 
 
 def p_variation_with_partition(path, p: float):
     """p-variation together with an optimizing sub-partition (grid indices);
     for a stack of paths, an array of values and a list of partitions in the
-    stack's C order."""
-    best, prev = _pvar_dp(path, p)
+    stack's C order.
+
+    The partition is walked back from the last grid index: before each j
+    comes the first i < j whose candidate equals best[j], the index an
+    argmax in the dynamic program would have taken.
+    """
+    best = _pvar_dp(path, p)
+    column = _norm_columns(path)
     partitions = []
-    for back in prev.reshape(-1, prev.shape[-1]):
-        indices = [back.size - 1]
+    for m, row in enumerate(best.reshape(-1, best.shape[-1])):
+        indices = [row.size - 1]
         while indices[-1] != 0:
-            indices.append(int(back[indices[-1]]))
+            j = indices[-1]
+            # the stack's candidates as the program computed them: exact equality
+            cand = _candidates(best, column, j, p).reshape(-1, j)[m]
+            indices.append(int(np.argmax(cand == row[j])))
         partitions.append(np.array(indices[::-1], dtype=int))
     value = _root(best[..., -1], p)
-    return (value, partitions[0]) if prev.ndim == 1 else (value, partitions)
+    return (value, partitions[0]) if best.ndim == 1 else (value, partitions)
 
 
 def _partitions(n: int):

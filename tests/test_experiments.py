@@ -767,6 +767,25 @@ def test_cli_run_exits_3_when_the_routes_disagree(tmp_path, monkeypatch, capsys)
     assert not out.exists()
 
 
+def test_cli_malliavin_exits_3_when_the_routes_disagree(tmp_path, monkeypatch, capsys):
+    import gaussrde.experiments
+
+    parseval = gaussrde.experiments.malliavin_matrix_parseval
+
+    def off_by_1e_6(*args, **kwargs):
+        mat = parseval(*args, **kwargs)
+        return dataclasses.replace(mat, sigma=mat.sigma * (1.0 + 1e-6))
+
+    cfg = write_config(tmp_path, ROTATION_CONFIG)
+    monkeypatch.setattr(gaussrde.experiments, "malliavin_matrix_parseval", off_by_1e_6)
+    out = tmp_path / "spectrum.json"
+    assert cli_main(["malliavin", "--config", cfg, "--index", "2",
+                     "--out", str(out)]) == 3
+    assert ("run failed: covariance routes disagree on sample 2"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_cli_module_entry_point(tmp_path):
     import subprocess
     import sys

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -359,6 +361,21 @@ def test_pvar_metadata():
     assert np.isclose(flow.pvar, p_variation(X, 2.3), rtol=1e-12)
     plain = solve_flow_jacobian(X, rotation_fields(), np.zeros(2))
     assert plain.pvar is None
+
+
+def test_condition_limit_warns_through_the_package_logger(caplog):
+    # J = diag(e^{15 x}, e^{-15 x}) along x = t: the condition number passes
+    # 1e12 while the state stays at the origin
+    from gaussrde.rde import CONDITION_LIMIT
+
+    grid = uniform_grid(1.0, 65)
+    X = lift_piecewise_linear(GridFunction1D(grid, grid.points))
+    with caplog.at_level(logging.WARNING, logger="gaussrde"):
+        flow = solve_flow_jacobian(X, linear_fields(np.diag([15.0, -15.0])[None]),
+                                   np.zeros(2))
+    assert flow.max_condition > CONDITION_LIMIT
+    assert [r.name for r in caplog.records] == ["gaussrde"]
+    assert "Jacobian condition number reached" in caplog.records[0].getMessage()
 
 
 def test_retraced_driver_returns_to_start():

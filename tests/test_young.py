@@ -10,6 +10,7 @@ from gaussrde import (
     TimeGrid,
     homogeneous_norm,
     lift_piecewise_linear,
+    log_map,
     p_variation,
     p_variation_with_partition,
     rho_variation_2d,
@@ -19,7 +20,7 @@ from gaussrde import (
     young_integral_2d,
 )
 from gaussrde import nilpotent
-from gaussrde.young import (_increment_norms, p_variation_bruteforce,
+from gaussrde.young import (_increment_norms, _norm_columns, p_variation_bruteforce,
                             rho_variation_partition_sum)
 
 
@@ -255,6 +256,48 @@ def test_rough_increment_norms_match_elementwise_norm():
             expected = np.array([[homogeneous_norm(X.increment(i, j)) if i < j else 0.0
                                   for j in range(n)] for i in range(n)])
             np.testing.assert_array_equal(norms, expected)
+
+
+def test_increment_norms_of_the_unit_square_loop():
+    # counter-clockwise (0,0) -> (1,0) -> (1,1) -> (0,1) -> (0,0)
+    corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], dtype=float)
+    X = lift_piecewise_linear(GridFunction1D(uniform_grid(1.0, 5), corners))
+    norms = _increment_norms(X)
+    assert log_map(X.increment(0, 4)).area[0, 1] == 1.0
+    assert norms[0, 4] == pytest.approx(2 ** 0.25, rel=1e-15)  # no displacement
+    assert norms[0, 2] == pytest.approx(np.sqrt(2), rel=1e-15)
+    assert all(norms[i, i + 1] == 1.0 for i in range(4))
+    for p in (1.0, 2.5):
+        assert np.isclose(p_variation(X, p), p_variation_bruteforce(X, p), rtol=1e-12)
+
+
+def reference_norm(a, b):
+    """The increment -> area -> summed-squares norm that the closed form replaced."""
+    ar = nilpotent.area(a, b)
+    return np.maximum(np.sqrt((a * a).sum(axis=-1)),
+                      np.sqrt(np.sqrt((ar * ar).sum(axis=(-2, -1)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 4), n=st.integers(2, 12), count=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_form_norms_match_the_area_formula(d, n, count, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((count, n, d)).cumsum(axis=1)
+    values -= values[:, :1]
+    stack = lift_piecewise_linear(PathSample(uniform_grid(1.0, n), values, seed))
+    for X in (stack, spacetime_lift(stack)):
+        A, B = X.level1, X.level2
+        a, b = nilpotent.increment(A[:, :, None], B[:, :, None], A[:, None], B[:, None])
+        expected = reference_norm(a, b)  # (count, s, t)
+        column = _norm_columns(X)
+        cases = [(column(j), expected[..., :j, j]) for j in range(1, n)]
+        cases.append((nilpotent.norm(a, b), expected))
+        for new, ref in cases:
+            if X.dim <= 2:
+                assert np.array_equal(new, ref)
+            else:
+                np.testing.assert_array_max_ulp(new, ref, maxulp=4)
 
 
 def whole_matrix_p_variation(X, p):
