@@ -74,8 +74,7 @@ def _prepare(args):
 def _single_path(config, model, grid, index):
     if index < 0:
         raise ConfigError("--index must be >= 0")
-    batch = sample_paths([model] * config.d, grid, index + 1, config.seed)
-    return batch.path(index)
+    return sample_paths([model] * config.d, grid, 1, config.seed, first=index).path(0)
 
 
 def _names(prefix: str, count: int) -> list[str]:

@@ -39,10 +39,15 @@ from .young import TimeGrid, rho_variation_2d, uniform_grid
 log = logging.getLogger("gaussrde")
 
 MIN_HURST = 1.0 / 3.0
-# Samples taken through the pipeline together.  Outputs do not depend on it.
-# A chunk's arrays take about 0.5 MB at d = e = 2, n = 65; with 32 samples the
-# peak memory of a run stays where the per-sample pipeline had it.
-CHUNK = 32
+# Largest number of samples taken through the pipeline together: a run's
+# samples go in equal chunks of at most CHUNK.  Outputs do not depend on it.
+# A solver step costs mostly fixed overhead, so fewer, larger chunks run
+# faster.  A chunk of 128 at d = e = 2, n = 65 peaks at about 2 MB while it is
+# solved; the row-blocked 1-D KDE and the chunk arrays that the covariance
+# shares instead of copying keep a run's peak memory where 32 had it.
+CHUNK = 128
+# Query points of a 1-D KDE whose kernel rows are summed together.
+KDE_ROWS = 64
 # Largest relative gap between the two covariance routes a run accepts, per
 # sample and evaluation time (see malliavin.route_residual).
 ROUTE_TOL = 1e-10
@@ -384,12 +389,21 @@ def kde_density(samples: np.ndarray, query_grid) -> np.ndarray:
     if n < 100:
         raise ValueError(f"need at least 100 samples for a density, got {n}")
     h = silverman_bandwidth(samples)
-    # one (queries, n) kernel matrix per axis; the 2D density is their product
-    axes = query_grid if e == 2 else [query_grid]
-    K = [np.exp(-0.5 * ((np.asarray(q, dtype=float)[:, None] - samples[:, j]) / h[j]) ** 2)
-         for j, q in enumerate(axes)]
     norm = math.prod([n, *h]) * (2 * math.pi) ** (e / 2)
-    return (K[0].sum(axis=1) if e == 1 else K[0] @ K[1].T) / norm
+
+    def kernel(q, j):
+        """(queries, n) kernel matrix of one axis."""
+        return np.exp(-0.5 * ((np.asarray(q, dtype=float)[:, None] - samples[:, j]) / h[j]) ** 2)
+
+    if e == 2:
+        # the 2D density is the product of the two axes' kernel matrices
+        return kernel(query_grid[0], 0) @ kernel(query_grid[1], 1).T / norm
+    # row sums, KDE_ROWS query points at a time: no (queries, n) matrix
+    q = np.asarray(query_grid, dtype=float)
+    sums = np.empty(q.size)
+    for lo in range(0, q.size, KDE_ROWS):
+        sums[lo:lo + KDE_ROWS] = kernel(q[lo:lo + KDE_ROWS], 0).sum(axis=1)
+    return sums / norm
 
 
 def _default_query_grid(samples: np.ndarray, h: np.ndarray):
@@ -490,13 +504,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
 
     Unless the config allows a degenerate scenario, the driver model must
     pass the Gaussian non-degeneracy probe at every evaluation time before
-    any sampling happens.  Samples go through the whole pipeline CHUNK at a
-    time: lift, solve, p-variation, then per evaluation time one call each
-    for the 2D covariance, its spectrum and the Parseval route.  Every
-    per-sample value is independent of the chunking, so the artifacts are
-    too.  Numerical sample failures (explosion, singular matrices,
-    floating-point errors) are logged and skipped; more than 1% of them
-    fails the whole run.  So does a sample whose two covariance routes
+    any sampling happens.  Samples go through the whole pipeline in equal
+    chunks of at most CHUNK: lift, solve, p-variation, then per evaluation
+    time one call each for the 2D covariance, its spectrum and the Parseval
+    route.  Every per-sample value is independent of the chunking, so the
+    artifacts are too.  Numerical sample failures (explosion, singular
+    matrices, floating-point errors) are logged and skipped; more than 1% of
+    them fails the whole run.  So does a sample whose two covariance routes
     differ by more than ROUTE_TOL at some time (see `route_residual`).  Any
     other exception propagates.  Artifacts are written when the config
     names them (rebased into `out_dir` if given).
@@ -520,14 +534,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     kernel = kernel_eval(model, grid)
 
     rows, final_Y, residuals, failures = [], [], [], []
-    for lo in range(0, config.count, CHUNK):
-        paths = PathSample(grid, batch.values[lo:lo + CHUNK], batch.seed)
+    # equal chunks, so no small tail chunk pays a whole step loop
+    size = math.ceil(config.count / math.ceil(config.count / CHUNK))
+    for lo in range(0, config.count, size):
+        paths = PathSample(grid, batch.values[lo:lo + size], batch.seed)
         flows = solve_flow_jacobian(lift_piecewise_linear(paths), vf, config.y0,
                                     pvar_index=pvar_p)
         solved = [i for i, error in enumerate(flows.errors) if error is None]
+        every = list(range(len(flows.errors)))
+        # the chunk itself when every path solved: no copy of its arrays
         (_, specs, residual, log_norm), failed = by_rows(
             lambda f: evaluate_flows(f, vf, kernel, basis, indices, config.tau),
-            flows.sample, solved)
+            lambda rows: flows if rows == every else flows.sample(rows), solved)
         for i, error in enumerate(flows.errors):
             error = error or failed.get(i)
             if error is not None:
@@ -540,6 +558,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
                  for ti, (it, spec) in enumerate(zip(indices, specs))]
         final_Y.append(flows.Y[passed, indices[-1]])
         residuals.append(residual)
+        del flows  # the next chunk is solved without this one's arrays alive
 
     aborted = len(failures)
     if aborted > 0.01 * config.count:

@@ -114,7 +114,7 @@ class PathSample:
 
 
 def sample_paths(models: list[CovarianceModel], grid: TimeGrid, n_samples: int,
-                 seed: int) -> PathSample:
+                 seed: int, first: int = 0) -> PathSample:
     """Draw exact joint samples of the driver at the grid times.
 
     Components are independent; each uses the Cholesky factor of its grid
@@ -123,7 +123,8 @@ def sample_paths(models: list[CovarianceModel], grid: TimeGrid, n_samples: int,
     warning; sampling never silently degrades beyond that.
 
     Streams are counter-based: sample k is drawn from default_rng([seed, k]),
-    so any subset of indices can be regenerated independently.
+    so any subset of indices can be regenerated independently.  The batch
+    holds samples first, ..., first + n_samples - 1.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -146,7 +147,7 @@ def sample_paths(models: list[CovarianceModel], grid: TimeGrid, n_samples: int,
             factors.append(np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0])))
     out = np.zeros((n_samples, n, d))
     for k in range(n_samples):
-        rng = np.random.default_rng([seed, k])
+        rng = np.random.default_rng([seed, first + k])
         for c in range(d):
             z = rng.standard_normal(n - 1)
             out[k, 1:, c] = factors[c] @ z

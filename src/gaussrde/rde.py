@@ -132,9 +132,11 @@ def _inverses(J: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Inverses of K paths' stacked Jacobians (K, n, e, e), each path's
     largest 1-norm condition number, and each path's LinAlgError or None."""
     rows = list(range(len(J)))
-    inv, failed = by_rows(np.linalg.inv, J.__getitem__, rows)
-    J_inv = np.zeros_like(J)
-    J_inv[[k for k in rows if k not in failed]] = inv
+    inv, failed = by_rows(np.linalg.inv, lambda k: J if k == rows else J[k], rows)
+    J_inv = inv  # every row inverted: no second (K, n, e, e) array
+    if failed:
+        J_inv = np.zeros_like(J)
+        J_inv[[k for k in rows if k not in failed]] = inv
     cond = np.linalg.norm(J, 1, axis=(-2, -1)) * np.linalg.norm(J_inv, 1, axis=(-2, -1))
     return J_inv, np.maximum(1.0, cond.max(axis=-1)), [failed.get(k) for k in rows]
 

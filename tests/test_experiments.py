@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import math
 import re
 import textwrap
 
@@ -386,7 +387,7 @@ def test_a_failure_in_the_stacked_tail_aborts_only_its_sample(tmp_path, monkeypa
         return sigma_2d(flows, *args, **kwargs)
 
     monkeypatch.setattr(gaussrde.experiments, "malliavin_matrix_2d", failing_on_sample_3)
-    for chunk in (7, 32):
+    for chunk in (7, 32, gaussrde.experiments.CHUNK):
         monkeypatch.setattr(gaussrde.experiments, "CHUNK", chunk)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="gaussrde"):
@@ -396,6 +397,52 @@ def test_a_failure_in_the_stacked_tail_aborts_only_its_sample(tmp_path, monkeypa
         rows = (tmp_path / f"marked-{chunk}" / "samples.csv").read_text().splitlines()
         full = (tmp_path / "clean" / "samples.csv").read_text().splitlines()
         assert rows == [row for row in full if not row.startswith("3,")]
+
+
+@pytest.mark.parametrize("count, stacks", [(150, [75, 75]), (1000, [125] * 8),
+                                           (128, [128]), (129, [65, 64])])
+def test_samples_go_in_equal_chunks_of_at_most_CHUNK(tmp_path, monkeypatch, count,
+                                                     stacks):
+    """The chunk's own flows reach the covariance when every path solved."""
+    import gaussrde.experiments
+
+    solve, evaluate = gaussrde.experiments.solve_flow_jacobian, gaussrde.experiments.evaluate_flows
+    solved, evaluated = [], []
+
+    def recording_solve(X, *args, **kwargs):
+        solved.append(solve(X, *args, **kwargs))
+        return solved[-1]
+
+    def recording_evaluate(flows, *args, **kwargs):
+        evaluated.append(flows)
+        return evaluate(flows, *args, **kwargs)
+
+    monkeypatch.setattr(gaussrde.experiments, "solve_flow_jacobian", recording_solve)
+    monkeypatch.setattr(gaussrde.experiments, "evaluate_flows", recording_evaluate)
+    cfg = load_config(write_config(
+        tmp_path, LINEAR_DRIFT_CONFIG.replace("count = 30", f"count = {count}")))
+    run_experiment(cfg, out_dir=str(tmp_path / "out"))
+    assert [len(f.Y) for f in solved] == stacks
+    assert all(e is s for e, s in zip(evaluated, solved, strict=True))
+
+
+def test_run_experiment_memory_peak(tmp_path):
+    """The 1-D KDE sums its kernel a block of query points at a time and the
+    covariance reads the chunk's arrays in place, so 1000 samples of a scalar
+    run stay below 4 MB of traced allocations (one 512 x 1000 kernel matrix
+    alone is 4.1 MB)."""
+    import tracemalloc
+
+    cfg = load_config(write_config(
+        tmp_path, LINEAR_DRIFT_CONFIG.replace("count = 30", "count = 1000")))
+    run_experiment(cfg, out_dir=str(tmp_path / "warm"))
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, out_dir=str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_drift_solve_evaluates_each_field_once_per_step(tmp_path, monkeypatch):
@@ -574,6 +621,24 @@ def test_kde_density_2d_matches_the_row_loop(n):
                        atol=1e-12 * ref.max())
 
 
+def kde_density_1d_reference(samples, query):
+    """The one-matrix 1-D estimate that the row blocks replaced."""
+    h = silverman_bandwidth(samples)
+    K = np.exp(-0.5 * ((query[:, None] - samples) / h[0]) ** 2)
+    return K.sum(axis=1) / (math.prod([samples.size, *h]) * (2 * math.pi) ** 0.5)
+
+
+@pytest.mark.parametrize("n", [100, 1000, 1001])
+def test_kde_density_1d_matches_the_one_matrix_formula(n):
+    from gaussrde.experiments import KDE_ROWS
+
+    rng = np.random.default_rng(96 + n)
+    x = np.exp(rng.standard_normal(n))
+    query = _default_query_grid(x[:, None], silverman_bandwidth(x))
+    for q in (query, query[:3 * KDE_ROWS + 5], query[:7]):
+        assert np.array_equal(kde_density(x, q), kde_density_1d_reference(x, q))
+
+
 def test_kde_density_guards():
     rng = np.random.default_rng(93)
     with pytest.raises(ValueError, match="e <= 2"):
@@ -660,6 +725,30 @@ def test_cli_sample_lift_solve(tmp_path):
     table = np.loadtxt(str(solve_out), delimiter=",", skiprows=1)
     assert table.shape == (17, 3)
     assert np.allclose(table[0, 1:], [1.0, 0.0])
+
+
+def test_cli_sample_draws_only_the_indexed_path(tmp_path, monkeypatch):
+    """`--index 5` writes row 5 of a 6-path batch from one stream."""
+    from gaussrde import sample_paths
+
+    cfg = write_config(tmp_path, ROTATION_CONFIG)
+    config = load_config(cfg)
+    grid = uniform_grid(config.horizon, config.n)
+    batch = sample_paths([build_model(config)] * config.d, grid, 6, config.seed)
+    streams = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        streams.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    out = tmp_path / "driver.csv"
+    assert cli_main(["sample", "--config", cfg, "--out", str(out), "--index", "5"]) == 0
+    assert streams == [([config.seed, 5],)]
+    table = np.loadtxt(str(out), delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, 0], grid.points)
+    assert np.array_equal(table[:, 1:], batch.values[5])
 
 
 def test_cli_malliavin_report(tmp_path, capsys):

@@ -172,6 +172,27 @@ def test_flow_inverses_and_condition_match_per_step_values():
                 1.0, *(float(np.linalg.cond(j, 1)) for j in flow.J))
 
 
+def test_inverses_of_a_stack_with_one_singular_path():
+    """The other paths get exactly np.linalg.inv's values; the singular one
+    gets zeros and its LinAlgError."""
+    from gaussrde.rde import _inverses
+
+    J = np.random.default_rng(64).standard_normal((4, 9, 2, 2))
+    J[2, 5] = [[1.0, 2.0], [2.0, 4.0]]
+    with pytest.raises(np.linalg.LinAlgError) as single:
+        np.linalg.inv(J[2])
+    J_inv, max_cond, errors = _inverses(J)
+    others = [0, 1, 3]
+    assert np.array_equal(J_inv[others], np.linalg.inv(J[others]))
+    assert not J_inv[2].any()
+    assert [e is None for e in errors] == [True, True, False, True]
+    assert isinstance(errors[2], np.linalg.LinAlgError)
+    assert str(errors[2]) == str(single.value)
+    assert max_cond.shape == (4,)
+    _, _, clean = _inverses(J[others])
+    assert clean == [None] * 3
+
+
 def test_rde_matches_ode_oracle_on_smooth_path():
     X, grid = smooth_driver(257, amplitude=0.8)
     vf = rotation_fields()
