@@ -1,53 +1,45 @@
 """Step-2 group arithmetic and path lifts.
 
-Walks through the nilpotent group layer: products, inverses, the Chen
+Walks through the nilpotent group algebra: products, inverses, the Chen
 identity for concatenated increments, the signed-area reading of the
-second level, and how the homogeneous norm scales under dilation.
+second level, and how the homogeneous norm scales under dilation.  An
+element is a pair (level1, level2) of arrays; the same functions take
+stacks of elements along leading axes.
 """
 
 import numpy as np
 
-from gaussrde import (
-    G2Element,
-    GridFunction1D,
-    TimeGrid,
-    g2_increment,
-    g2_identity,
-    g2_inverse,
-    g2_product,
-    geometricity_residual,
-    homogeneous_norm,
-    lift_piecewise_linear,
-    log_map,
-)
+from gaussrde import GridFunction1D, TimeGrid, lift_piecewise_linear
+from gaussrde.nilpotent import area, increment, norm, product, residual
 
 rng = np.random.default_rng(7)
 
 # A geometric element: symmetric part of the second level is a (x) a / 2.
 a = rng.standard_normal(2)
 s = rng.standard_normal((2, 2))
-g = G2Element(a, 0.5 * np.outer(a, a) + 0.5 * (s - s.T))
-h = G2Element(-a, 0.5 * np.outer(a, a) + 0.3 * (s.T - s))
+g = (a, 0.5 * np.outer(a, a) + 0.5 * (s - s.T))
+h = (-a, 0.5 * np.outer(a, a) + 0.3 * (s.T - s))
 
-print("geometricity residual of g:", geometricity_residual(g))
+print("geometricity residual of g:", residual(*g))
 
-prod = g2_product(g, h)
-back = g2_product(prod, g2_inverse(h))
+# The inverse of h is its increment back to the identity (0, 0).
+prod = product(*g, *h)
+back = product(*prod, *increment(*h, 0.0, 0.0))
 print("g*h then *h^-1 recovers g: ",
-      np.allclose(back.level1, g.level1), np.allclose(back.level2, g.level2))
+      np.allclose(back[0], g[0]), np.allclose(back[1], g[1]))
 
-e = g2_identity(2)
-gid = g2_product(g, e)
+e = (np.zeros(2), np.zeros((2, 2)))
+gid = product(*g, *e)
 print("identity acts trivially:   ",
-      np.allclose(gid.level1, g.level1), np.allclose(gid.level2, g.level2))
+      np.allclose(gid[0], g[0]), np.allclose(gid[1], g[1]))
 
 # Chen: the increment g^-1 * k splits through any midpoint h.
 kv = rng.standard_normal(2)
-k = G2Element(kv, 0.5 * np.outer(kv, kv))
-split = g2_product(g2_increment(g, h), g2_increment(h, k))
-direct = g2_increment(g, k)
+k = (kv, 0.5 * np.outer(kv, kv))
+split = product(*increment(*g, *h), *increment(*h, *k))
+direct = increment(*g, *k)
 print("Chen split residual:       ",
-      np.max(np.abs(split.level2 - direct.level2)))
+      np.max(np.abs(split[1] - direct[1])))
 
 # Lift a closed planar loop.  The antisymmetric part of the second level
 # is the signed enclosed area, positive for counterclockwise traversal.
@@ -55,22 +47,23 @@ square = np.array([
     [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0],
 ])
 X = lift_piecewise_linear(GridFunction1D(TimeGrid(np.linspace(0, 1, 5)), square))
-coords = log_map(X.increment(0, 4))
+loop = X.increment(0, 4)
 print("\nunit square, CCW:")
-print("  displacement:", coords.increment)
-print("  signed area :", coords.area[0, 1])
+print("  displacement:", loop[0])
+print("  signed area :", area(*loop)[0, 1])
 
 # Homogeneous norm: level 1 scales like lam, level 2 like lam^2, so the
 # norm of the dilated element is exactly lam times the original.
 lam = 3.7
-dilated = G2Element(lam * g.level1, lam**2 * g.level2)
-print("\nnorm of g:        ", homogeneous_norm(g))
-print("norm of dilation: ", homogeneous_norm(dilated))
-print("ratio (expect lam):", homogeneous_norm(dilated) / homogeneous_norm(g))
+dilated = (lam * g[0], lam**2 * g[1])
+print("\nnorm of g:        ", norm(*g))
+print("norm of dilation: ", norm(*dilated))
+print("ratio (expect lam):", norm(*dilated) / norm(*g))
 
-# Lifted sample paths stay geometric at every increment.
+# Lifted sample paths stay geometric at every increment; one call covers
+# the increments from time 0 to every grid point.
 walk = np.cumsum(rng.standard_normal((64, 3)), axis=0) * 0.1
 walk -= walk[0]
 Y = lift_piecewise_linear(GridFunction1D(TimeGrid(np.linspace(0, 1, 64)), walk))
-worst = max(geometricity_residual(Y.increment(0, j)) for j in range(1, 64))
+worst = residual(Y.level1[1:], Y.level2[1:]).max()
 print("\nworst geometricity residual along a lifted walk:", worst)

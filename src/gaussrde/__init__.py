@@ -10,17 +10,6 @@ Monte Carlo experiments that probe when the solution law admits a density.
 
 __version__ = "0.1.0"
 
-from .nilpotent import (
-    G2Element,
-    LogCoordinates,
-    g2_identity,
-    g2_product,
-    g2_inverse,
-    g2_increment,
-    log_map,
-    homogeneous_norm,
-    geometricity_residual,
-)
 from .young import (
     TimeGrid,
     uniform_grid,
@@ -47,7 +36,6 @@ from .gaussian import (
     cameron_martin_basis,
     cm_element_from_coeffs,
     nondegeneracy_check,
-    variance_of_linear_functional,
     cm_embedding_check,
 )
 from .lift import (
@@ -94,9 +82,6 @@ from .experiments import (
 
 __all__ = [
     "__version__",
-    # nilpotent
-    "G2Element", "LogCoordinates", "g2_identity", "g2_product", "g2_inverse",
-    "g2_increment", "log_map", "homogeneous_norm", "geometricity_residual",
     # young
     "TimeGrid", "uniform_grid", "GridFunction1D", "GridFunction2D",
     "young_integral_1d", "young_integral_2d", "p_variation",
@@ -105,7 +90,7 @@ __all__ = [
     "CovarianceModel", "CameronMartinBasis", "PathSample", "brownian_model",
     "fbm_model", "bridge_model", "zero_model", "kernel_eval", "grid_covariance",
     "sample_paths", "cameron_martin_basis", "cm_element_from_coeffs",
-    "nondegeneracy_check", "variance_of_linear_functional", "cm_embedding_check",
+    "nondegeneracy_check", "cm_embedding_check",
     # lift
     "RoughPath", "lift_piecewise_linear", "translate", "spacetime_lift",
     "rough_path_to_csv", "rough_path_from_csv",

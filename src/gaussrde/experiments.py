@@ -230,7 +230,13 @@ def build_model(config: ExperimentConfig) -> CovarianceModel:
             )
         return fbm_model(hurst)
     if config.kernel == "bridge":
-        return bridge_model(config.kernel_params["pin"])
+        pin = config.kernel_params["pin"]
+        if pin < config.horizon:
+            raise ConfigError(
+                f"bridge pin {pin} lies before the horizon {config.horizon}: past "
+                f"the pin min(s, t) - st/pin is a negative variance"
+            )
+        return bridge_model(pin)
     return zero_model()
 
 
@@ -440,8 +446,9 @@ def _reference_comparison(reference, samples1d, query_grid, kde_values):
 
 @dataclass
 class DensityReport:
-    """Aggregated outcome of one Monte Carlo run, built at the last
-    evaluation time."""
+    """Aggregated outcome of one Monte Carlo run.  `samples` and the KDE
+    are the states at the last evaluation time, `time`; `fraction_degenerate`
+    and `lambda_min_quantiles` pool every (sample, evaluation time) row."""
 
     time: float
     samples: np.ndarray

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nilpotent
-from .nilpotent import G2Element, g2_increment
 from .young import GridFunction1D, TimeGrid, same_grid
 
 
@@ -51,12 +50,11 @@ class RoughPath:
     def dim(self) -> int:
         return self.level1.shape[-1]
 
-    def element(self, i: int) -> G2Element:
-        return G2Element(self.level1[i], self.level2[i])
-
-    def increment(self, i: int, j: int) -> G2Element:
-        """Group increment between grid indices i <= j."""
-        return g2_increment(self.element(i), self.element(j))
+    def increment(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Group increment (level1, level2) between grid indices i <= j."""
+        a, b = self.level1, self.level2
+        return nilpotent.increment(a[..., i, :], b[..., i, :, :],
+                                   a[..., j, :], b[..., j, :, :])
 
     def segment_increments(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-segment group increments, shapes (..., n-1, d) and (..., n-1, d, d)."""

@@ -43,8 +43,8 @@ class MalliavinMatrix:
     values (for a sum of semidefinite terms, the trace), so sigma's rounding
     error is a few ulps of it even where sigma cancels to rounding noise.
     For a stack of K flows sigma is (K, e, e) and the scalars are (K,)
-    arrays; for one flow they are floats.  `lambda_min` and `det` are taken
-    from sigma when read; a run reads them, with its verdict, from `spectrum`.
+    arrays; for one flow they are floats.  Its eigenvalues, determinant and
+    verdict come from `spectrum`.
     """
 
     sigma: np.ndarray
@@ -60,14 +60,6 @@ class MalliavinMatrix:
     @property
     def trace(self) -> float | np.ndarray:
         return _scalars(np.trace(self.sigma, axis1=-2, axis2=-1))[0]
-
-    @property
-    def lambda_min(self) -> float | np.ndarray:
-        return _scalars(np.linalg.eigvalsh(self.sigma)[..., 0])[0]
-
-    @property
-    def det(self) -> float | np.ndarray:
-        return _scalars(np.linalg.det(self.sigma))[0]
 
 
 def _finish(raw: np.ndarray, t: float, method: str, magnitude) -> MalliavinMatrix:

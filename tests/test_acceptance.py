@@ -16,7 +16,6 @@ from scipy.linalg import expm
 
 from gaussrde import (
     ConfigError,
-    G2Element,
     GridFunction1D,
     brownian_model,
     cameron_martin_basis,
@@ -25,11 +24,6 @@ from gaussrde import (
     cm_embedding_check,
     directional_derivative,
     fbm_model,
-    g2_identity,
-    g2_increment,
-    g2_inverse,
-    g2_product,
-    geometricity_residual,
     kernel_eval,
     lift_piecewise_linear,
     linear_fields,
@@ -48,6 +42,7 @@ from gaussrde import (
     young_integral_1d,
     young_integral_2d,
 )
+from gaussrde.nilpotent import increment, product, residual
 
 
 def _report(num, label, ok, detail):
@@ -63,7 +58,11 @@ def _elapsed(t0):
 def _random_geometric(rng, d):
     a = rng.standard_normal(d)
     s = rng.standard_normal((d, d))
-    return G2Element(a, 0.5 * np.outer(a, a) + 0.5 * (s - s.T))
+    return a, 0.5 * np.outer(a, a) + 0.5 * (s - s.T)
+
+
+def _gap(g, h):
+    return max(float(np.max(np.abs(g[0] - h[0]))), float(np.max(np.abs(g[1] - h[1]))))
 
 
 def test_criterion_01_group_and_chen_suite():
@@ -73,22 +72,15 @@ def test_criterion_01_group_and_chen_suite():
     for _ in range(1000):
         d = int(rng.integers(1, 4))
         g, h, k = (_random_geometric(rng, d) for _ in range(3))
-        e = g2_identity(d)
-        prod_inv = g2_product(g, g2_inverse(g))
-        worst = max(worst,
-                    float(np.max(np.abs(prod_inv.level1 - e.level1))),
-                    float(np.max(np.abs(prod_inv.level2 - e.level2))))
-        lhs = g2_product(g2_product(g, h), k)
-        rhs = g2_product(g, g2_product(h, k))
-        worst = max(worst,
-                    float(np.max(np.abs(lhs.level1 - rhs.level1))),
-                    float(np.max(np.abs(lhs.level2 - rhs.level2))))
-        split = g2_product(g2_increment(g, h), g2_increment(h, k))
-        direct = g2_increment(g, k)
-        worst = max(worst,
-                    float(np.max(np.abs(split.level1 - direct.level1))),
-                    float(np.max(np.abs(split.level2 - direct.level2))))
-        worst = max(worst, geometricity_residual(g2_product(g, h)))
+        e = (np.zeros(d), np.zeros((d, d)))
+        inverse = increment(*g, 0.0, 0.0)
+        worst = max(worst, _gap(product(*g, *inverse), e))
+        lhs = product(*product(*g, *h), *k)
+        rhs = product(*g, *product(*h, *k))
+        worst = max(worst, _gap(lhs, rhs))
+        split = product(*increment(*g, *h), *increment(*h, *k))
+        worst = max(worst, _gap(split, increment(*g, *k)))
+        worst = max(worst, float(residual(*product(*g, *h))))
     for trial in range(100):
         d = int(rng.integers(1, 4))
         grid = uniform_grid(1.0, 32)
@@ -96,12 +88,9 @@ def test_criterion_01_group_and_chen_suite():
         values -= values[0]
         X = lift_piecewise_linear(GridFunction1D(grid, values))
         i, j, k = np.sort(rng.choice(32, size=3, replace=False))
-        split = g2_product(X.increment(i, j), X.increment(j, k))
+        split = product(*X.increment(i, j), *X.increment(j, k))
         direct = X.increment(i, k)
-        worst = max(worst,
-                    float(np.max(np.abs(split.level1 - direct.level1))),
-                    float(np.max(np.abs(split.level2 - direct.level2))),
-                    geometricity_residual(direct))
+        worst = max(worst, _gap(split, direct), float(residual(*direct)))
     _report(1, "group and Chen suite", worst <= 1e-9,
             f"max residual {worst:.3e} (tol 1e-9) over 1000 elements + "
             f"100 lifts, {_elapsed(t0)}")

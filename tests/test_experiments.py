@@ -530,6 +530,18 @@ def test_cli_run_at_the_pin_alone_exits_0(tmp_path):
     assert summary["fraction_degenerate"] == 1.0
 
 
+def test_cli_bridge_pinned_before_the_horizon_exits_2(tmp_path, capsys):
+    # past the pin min(s, t) - st/pin is a negative variance: the config is
+    # refused before any path is sampled
+    text = BRIDGE_SCALAR_CONFIG.replace("horizon = 1.0", "horizon = 1.0\npin = 0.5")
+    cfg = write_config(tmp_path, text)
+    assert cli_main(["check", "--config", cfg]) == 2
+    assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "pin 0.5 lies before the horizon" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_experiment_zero_driver_fully_degenerate(tmp_path):
     text = """
     [model]

@@ -16,7 +16,7 @@ from gaussrde import (
     nondegeneracy_check,
     sample_paths,
     uniform_grid,
-    variance_of_linear_functional,
+    young_integral_2d,
     zero_model,
 )
 
@@ -115,6 +115,18 @@ def test_sampling_zero_model():
     assert np.allclose(s.values, 0.0)
 
 
+def test_sampling_a_small_driver_keeps_its_spread():
+    # only an exactly zero covariance samples zeros: on horizon T a Brownian
+    # driver is sqrt(T) times the unit-horizon draw from the same streams
+    tiny, unit = uniform_grid(1e-9, 65), uniform_grid(1.0, 65)
+    small = sample_paths([brownian_model()], tiny, n_samples=20, seed=27)
+    scaled = np.sqrt(1e-9) * sample_paths([brownian_model()], unit, n_samples=20,
+                                          seed=27).values
+    assert np.abs(small.values).max() > 0.0
+    np.testing.assert_allclose(small.values, scaled, rtol=0, atol=1e-9 * np.sqrt(1e-9))
+    assert not sample_paths([zero_model()], tiny, n_samples=4, seed=27).values.any()
+
+
 def test_sampling_bridge_warns_and_pins():
     grid = uniform_grid(1.0, 32)
     with pytest.warns(UserWarning, match="semidefinite"):
@@ -182,7 +194,7 @@ def test_variance_functional_nonnegative_and_quadratic():
             from gaussrde import GridFunction1D
 
             w = GridFunction1D(grid, rng.standard_normal(15))
-            v = variance_of_linear_functional(w, R)
+            v = young_integral_2d(w, w, R)
             assert v >= -1e-12
             assert np.isclose(v, w.values[:-1] @ box @ w.values[:-1], rtol=1e-10)
 
@@ -197,6 +209,16 @@ def test_nondegeneracy_check_flags_models():
     # but fine when observed strictly before the pin
     half = uniform_grid(0.5, 16)
     assert not nondegeneracy_check(bridge_model(1.0), half)["degenerate"]
+
+
+def test_nondegeneracy_verdict_is_relative_to_the_horizon():
+    # a Brownian driver is non-degenerate however short its horizon; the
+    # zero model and a bridge observed up to its pin stay degenerate
+    for horizon in (1.0, 1e-6, 1e-11):
+        grid = uniform_grid(horizon, 65)
+        assert not nondegeneracy_check(brownian_model(), grid)["degenerate"], horizon
+        assert nondegeneracy_check(zero_model(), grid)["degenerate"], horizon
+        assert nondegeneracy_check(bridge_model(horizon), grid)["degenerate"], horizon
 
 
 def test_embedding_check_holds_for_basis_elements():

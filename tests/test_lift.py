@@ -7,8 +7,6 @@ from gaussrde import (
     GridFunction1D,
     RoughPath,
     brownian_model,
-    g2_product,
-    geometricity_residual,
     lift_piecewise_linear,
     rough_path_from_csv,
     rough_path_to_csv,
@@ -17,6 +15,7 @@ from gaussrde import (
     translate,
     uniform_grid,
 )
+from gaussrde.nilpotent import area, product, residual
 
 TOL = 1e-12
 
@@ -49,7 +48,7 @@ def test_lift_is_geometric_everywhere():
     X, grid = random_lift(31, n=50, d=3)
     for i in range(grid.n):
         for j in range(i + 1, grid.n, 7):
-            assert geometricity_residual(X.increment(i, j)) < 1e-10
+            assert residual(*X.increment(i, j)) < 1e-10
 
 
 def test_chen_relation_on_increments():
@@ -59,10 +58,10 @@ def test_chen_relation_on_increments():
         i, j, k = np.sort(rng.choice(grid.n, size=3, replace=False))
         left = X.increment(i, j)
         right = X.increment(j, k)
-        combined = g2_product(left, right)
+        combined = product(*left, *right)
         direct = X.increment(i, k)
-        assert np.allclose(combined.level1, direct.level1, atol=TOL)
-        assert np.allclose(combined.level2, direct.level2, atol=TOL)
+        assert np.allclose(combined[0], direct[0], atol=TOL)
+        assert np.allclose(combined[1], direct[1], atol=TOL)
 
 
 def test_signed_area_of_planar_loop():
@@ -77,13 +76,13 @@ def test_signed_area_of_planar_loop():
         [0.0, 0.0],
     ])
     X = lift_piecewise_linear(GridFunction1D(grid, corners))
-    from gaussrde import log_map
-
-    coords = log_map(X.element(4))
-    assert np.allclose(coords.increment, 0.0, atol=TOL)
+    a, b = X.increment(0, 4)
+    x = area(a, b)
+    assert residual(a, b) < 1e-9
+    assert np.allclose(a, 0.0, atol=TOL)
     # Green's theorem: the x dy loop integral equals the enclosed area
-    assert np.isclose(coords.area[0, 1], 1.0, atol=TOL)
-    assert np.isclose(coords.area[0, 1] - coords.area[1, 0], 2.0, atol=TOL)
+    assert np.isclose(x[0, 1], 1.0, atol=TOL)
+    assert np.isclose(x[0, 1] - x[1, 0], 2.0, atol=TOL)
 
 
 def test_translate_matches_lifting_the_sum():
@@ -140,7 +139,7 @@ def test_spacetime_lift_structure():
     # time against itself integrates to t^2 / 2
     assert np.allclose(Xt.level2[:, 0, 0], 0.5 * grid.points**2, atol=TOL)
     for i in range(grid.n):
-        assert geometricity_residual(Xt.element(i)) < 1e-10
+        assert residual(Xt.level1[i], Xt.level2[i]) < 1e-10
 
 
 def test_spacetime_lift_of_linear_path_has_no_area():
@@ -193,4 +192,4 @@ def test_lift_of_sampled_driver_is_geometric():
     for k in range(3):
         X = lift_piecewise_linear(batch.path(k))
         for i in range(0, grid.n - 1, 11):
-            assert geometricity_residual(X.increment(i, grid.n - 1)) < 1e-9
+            assert residual(*X.increment(i, grid.n - 1)) < 1e-9

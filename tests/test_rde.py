@@ -365,6 +365,20 @@ def test_non_geometric_driver_rejected():
         solve_flow_jacobian(X, rotation_fields(), np.zeros(2))
 
 
+def test_non_geometric_driver_is_named_by_its_residual():
+    # a lift whose level 2 at one grid point has its symmetric part moved by
+    # `shift` has symmetry residual `shift`: accepted inside GEOMETRIC_TOL
+    # (1e-9), rejected past it with the residual in the message
+    X, _ = smooth_driver(9)
+    b = X.level2.copy()
+    b[4, 0, 0] += 0.5e-9
+    solve_flow_jacobian(RoughPath(X.grid, X.level1, b), rotation_fields(), np.zeros(2))
+    b[4, 0, 0] += 1.5e-9
+    with pytest.raises(ValueError, match=r"not a geometric rough path "
+                                         r"\(symmetry residual 2\.000e-09 > 1\.0e-09\)"):
+        solve_flow_jacobian(RoughPath(X.grid, X.level1, b), rotation_fields(), np.zeros(2))
+
+
 def test_dimension_guards():
     X, _ = smooth_driver(9)  # 2-component driver
     with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
-"""The README's command-line block against the argument parser, and its
-layout table against the package."""
+"""The README's command-line block against the argument parser, its layout
+table against the package, and the package exports against `__all__`."""
 
 import argparse
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -75,7 +76,18 @@ def test_readme_layout_names_resolve():
     for module, names in rows.items():
         mod = importlib.import_module(f"gaussrde.{module}")
         for name in names:
-            # call parentheses go; wildcards (g2_*) and shapes ((K, n, d)) are no names
+            # call parentheses go; wildcards (foo_*) and shapes ((K, n, d)) are no names
             name = re.sub(r"\(.*\)$", "", name)
             if re.fullmatch(r"[A-Za-z_]\w*(\.\w+)*", name):
                 assert resolves(mod, name), f"{module}: {name}"
+
+
+def test_package_exports_match_all():
+    # every listed name resolves and every public attribute but a submodule
+    # is listed, so an export deleted from one list cannot linger in the other
+    listed = gaussrde.__all__
+    assert len(set(listed)) == len(listed)
+    assert [name for name in listed if not hasattr(gaussrde, name)] == []
+    public = {name for name, obj in vars(gaussrde).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert sorted(public - set(listed)) == []

@@ -8,9 +8,7 @@ from gaussrde import (
     PathSample,
     RoughPath,
     TimeGrid,
-    homogeneous_norm,
     lift_piecewise_linear,
-    log_map,
     p_variation,
     p_variation_with_partition,
     rho_variation_2d,
@@ -253,7 +251,7 @@ def test_rough_increment_norms_match_elementwise_norm():
         for X in (base, spacetime_lift(base)):
             norms = _increment_norms(X)
             n = X.grid.n
-            expected = np.array([[homogeneous_norm(X.increment(i, j)) if i < j else 0.0
+            expected = np.array([[nilpotent.norm(*X.increment(i, j)) if i < j else 0.0
                                   for j in range(n)] for i in range(n)])
             np.testing.assert_array_equal(norms, expected)
 
@@ -263,7 +261,7 @@ def test_increment_norms_of_the_unit_square_loop():
     corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], dtype=float)
     X = lift_piecewise_linear(GridFunction1D(uniform_grid(1.0, 5), corners))
     norms = _increment_norms(X)
-    assert log_map(X.increment(0, 4)).area[0, 1] == 1.0
+    assert nilpotent.area(*X.increment(0, 4))[0, 1] == 1.0
     assert norms[0, 4] == pytest.approx(2 ** 0.25, rel=1e-15)  # no displacement
     assert norms[0, 2] == pytest.approx(np.sqrt(2), rel=1e-15)
     assert all(norms[i, i + 1] == 1.0 for i in range(4))
