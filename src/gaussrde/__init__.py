@@ -59,7 +59,6 @@ from .rde import (
     ExplosionError,
     solve_ode_reference,
     solve_flow_jacobian,
-    directional_derivative,
 )
 from .malliavin import (
     MalliavinMatrix,
@@ -67,6 +66,7 @@ from .malliavin import (
     malliavin_matrix_2d,
     malliavin_matrix_bm_reduction,
     malliavin_matrix_parseval,
+    directional_derivative,
     spectrum,
 )
 from .experiments import (

@@ -46,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", help="directory for output artifacts")
 
-    add("check", "verify ellipticity / Gaussian non-degeneracy / roughness index")
+    add("check", "verify ellipticity / Gaussian non-degeneracy, report the "
+                 "roughness index")
     add("sample", "write one sampled driver path as CSV", needs_out=True,
         indexed=True)
     add("lift", "write the step-2 lift of one sampled path as CSV",
@@ -108,12 +109,7 @@ def _cmd_check(args) -> int:
     print(f"ellipticity: {result['ellipticity']} "
           f"(rank {result['spanning_rank']} of {config.e})")
     print(f"gaussian non-degeneracy: {result['gaussian_nondeg']}")
-    rho = result["rho_report"]
-    bound = " (lower bound)" if rho["is_lower_bound"] else ""
-    print(f"rho: analytic {rho['analytic_rho']:.4g}, grid estimate "
-          f"{rho['grid_estimate']:.4g}{bound}")
-    if rho["warning"]:
-        print(f"warning: {rho['warning']}")
+    print(f"rho: analytic {result['rho_report']['analytic_rho']:.4g}")
     ok = result["ellipticity"] and result["gaussian_nondeg"]
     if ok or config.allow_degenerate:
         return 0

@@ -1,12 +1,13 @@
-"""Malliavin covariance of an RDE solution map, by two independent routes.
+"""Malliavin derivative of an RDE solution and its covariance, by two routes.
 
-Route one pairs the variation-of-constants integrand Z_k(s) = J_{t<-s} V_k(Y_s)
-with itself against the rectangle increments of each component's covariance
-kernel (a 2D Young integral).  Route two expands the derivative over an
-orthonormal basis of the grid Cameron-Martin space and sums outer products
-of directional derivatives.  Both read V(Y_s) from the flow; the kernel
-sample and the basis depend only on the driver law, so the caller builds
-them once per run.  On a fixed grid the two are the same finite sum
+The derivative D_s Y_t = J_{t<-s} V(Y_s) is formed in one place,
+`_integrand_values`, from the flow's Jacobians and field values; the routes
+and `directional_derivative` only pair it.  Route one pairs each component
+with itself against the rectangle increments of that component's covariance
+kernel (a 2D Young integral).  Route two pairs it with the increments of an
+orthonormal basis of the grid Cameron-Martin space and sums outer products.
+The kernel sample and the basis depend only on the driver law, so the caller
+builds them once per run.  On a fixed grid the two are the same finite sum
 rearranged, so their agreement is a floating-point identity and serves as
 the module's correctness certificate; neither route is ever shortcut through
 the other.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .fields import VectorFieldSystem
 from .gaussian import CameronMartinBasis
-from .rde import FlowResult, directional_derivative
+from .rde import FlowResult
 from .young import GridFunction1D, GridFunction2D, TimeGrid, same_grid
 
 DEGENERACY_TAU = 1e-10
@@ -70,7 +71,8 @@ def _finish(raw: np.ndarray, t: float, method: str, magnitude) -> MalliavinMatri
 
 
 def _integrand_values(flow: FlowResult, vf: VectorFieldSystem, it: int) -> np.ndarray:
-    """Z[..., m, k, :] = J_{t<-s_m} V_k(Y_{s_m}) for grid indices m = 0..it."""
+    """The Malliavin derivative of Y_t, t the grid time of index it:
+    Z[..., m, k, :] = D^k_{s_m} Y_t = J_{t<-s_m} V_k(Y_{s_m}), m = 0..it."""
     if flow.V.shape[-2:] != (vf.d, vf.e):
         raise ValueError("flow was solved with fields of another shape")
     Z = (flow.J[..., it, None, :, :] @ flow.J_inv[..., :it + 1, :, :]
@@ -140,20 +142,47 @@ def malliavin_matrix_parseval(flow: FlowResult, vf: VectorFieldSystem, basis,
     """Covariance via the basis expansion of the derivative.
 
     sigma_t = sum_{k,n} D_h Y_t (x) D_h Y_t with h the n-th basis path
-    embedded into driver component k and zero elsewhere.  `basis` is one
-    CameronMartinBasis shared by all components or a list, one per component.
-    One `directional_derivative` call per component on its whole basis;
-    independent of the 2D route.
+    embedded into driver component k and zero elsewhere, so that D_h Y_t
+    pairs component k of the derivative with the increments of that path.
+    `basis` is one CameronMartinBasis shared by all components or a list,
+    one per component.  The derivative is taken once per call; independent
+    of the 2D route.
     """
     bases = _per_component(basis, CameronMartinBasis, vf.d)
+    it = flow.grid.index_of(t)
+    Z = _integrand_values(flow, vf, it)
     raw = 0.0
     for k, bk in enumerate(bases):
         _check_flow_grid(flow, bk.grid)
-        h = np.zeros((flow.grid.n, vf.d, bk.size))
-        h[:, k] = bk.functions
-        D = directional_derivative(flow, vf, GridFunction1D(flow.grid, h), t)
+        # a C copy of the Fortran-ordered basis keeps BLAS's order of sums
+        dh = np.ascontiguousarray(np.diff(bk.functions[:it + 1], axis=0))
+        D = Z[..., :-1, k, :].swapaxes(-2, -1) @ dh
         raw = raw + D @ D.swapaxes(-2, -1)
     return _finish(raw, t, "parseval-basis", np.trace(raw, axis1=-2, axis2=-1))
+
+
+def directional_derivative(flow: FlowResult, vf: VectorFieldSystem,
+                           h: GridFunction1D, t: float) -> np.ndarray:
+    """Derivative of Y_t along Cameron-Martin directions h of the driver.
+
+    Variation-of-constants: D_h Y_t = sum_i int_0^t D^i_s Y_t dh^i_s, the
+    derivative paired with the increments of h as a left-point Young sum on
+    the grid.  `h.values` is (n,) when d = 1, (n, d) for one direction, or
+    (n, d, m) for a stack of m; the result is (e,), or (e, m) with column j
+    for direction j, behind the sample axis when the flow is a stack of K
+    paths.  At t = 0 it is zero.
+    """
+    _check_flow_grid(flow, h.grid)
+    it = flow.grid.index_of(t)
+    hv = h.values if h.values.ndim > 1 else h.values[:, None]
+    if hv.shape[1] != vf.d:
+        raise ValueError(f"direction has {hv.shape[1]} components, driver has {vf.d}")
+    Z = _integrand_values(flow, vf, it)[..., :it, :, :]
+    # D^i_s Y_t paired with dh^i_s in one product over (s, i), on a C copy
+    # so that BLAS sums each row of D in that order
+    Z = np.ascontiguousarray(Z.reshape(flow.Y.shape[:-2] + (-1, vf.e)).swapaxes(-2, -1))
+    dh = np.diff(hv[:it + 1], axis=0)
+    return Z @ dh.reshape((-1,) + dh.shape[2:])
 
 
 def route_residual(a: np.ndarray, b: np.ndarray, floor=0.0) -> float | np.ndarray:

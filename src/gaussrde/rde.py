@@ -22,6 +22,8 @@ front of every array; one path is the K = 1 case.
 
 Drift is folded in by solving along the time-augmented lift with the field
 collection (V_0, V_1, ..., V_d); no separate splitting scheme exists here.
+This module holds the solve and the ODE oracle; `malliavin` forms the
+Malliavin derivative J(t) J(s)^{-1} V(Y_s) from the flows they return.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from . import nilpotent
 from .fields import VectorFieldSystem
 from .lift import RoughPath, spacetime_lift
 from .nilpotent import GEOMETRIC_TOL
-from .young import GridFunction1D, TimeGrid, p_variation, same_grid
+from .young import GridFunction1D, TimeGrid, p_variation
 
 log = logging.getLogger("gaussrde")
 
@@ -66,8 +68,8 @@ class FlowResult:
     V[..., i, :, :] = V(Y_i) is the (d, e) array of driving fields (drift
     excluded) at t_i, as the solver evaluated them.  J[..., i, :, :] is the
     derivative of Y at t_i with respect to y0, always set; J_inv its
-    inverse, taken directly; max_condition the largest 1-norm condition
-    number of J, ||J||_1 ||J_inv||_1.  pvar holds the driver's p-variation
+    inverse, taken directly, read only by `malliavin`; max_condition the
+    largest 1-norm condition number of J, ||J||_1 ||J_inv||_1.  pvar holds the driver's p-variation
     when the caller asked for it (metadata for growth diagnostics).  For a
     stack, errors[k] is the numerical failure (ExplosionError or
     LinAlgError) that aborted path k, or None; an aborted path's arrays hold
@@ -86,10 +88,6 @@ class FlowResult:
     @property
     def final_state(self) -> np.ndarray:
         return self.Y[..., -1, :]
-
-    def transport(self, i: int, j: int) -> np.ndarray:
-        """J_{t_j <- t_i} = J(t_j) J(t_i)^{-1}."""
-        return self.J[..., j, :, :] @ self.J_inv[..., i, :, :]
 
     def sample(self, k) -> "FlowResult":
         """View of path k of a stack; for a list k, the stack of those paths."""
@@ -314,35 +312,6 @@ def solve_ode_reference(driver, vf: VectorFieldSystem, y0: np.ndarray,
         raise errors[0]
     V = np.array([vf.val(y) for y in Y])
     return FlowResult(grid, Y, V, J, J_inv[0], None, float(max_cond[0]))
-
-
-def directional_derivative(flow: FlowResult, vf: VectorFieldSystem,
-                           h: GridFunction1D, t: float) -> np.ndarray:
-    """Derivative of Y_t along Cameron-Martin directions h of the driver.
-
-    Variation-of-constants: D_h Y_t = sum_i int_0^t J_{t<-s} V_i(Y_s) dh^i_s,
-    evaluated as a left-point Young sum on the grid with J_{t<-s} taken from
-    the stored flow as J(t) J(s)^{-1}.  `h.values` is (n,) when d = 1, (n, d)
-    for one direction, or (n, d, m) for a stack of m; the result is (e,), or
-    (e, m) with column j for direction j, behind the sample axis when the
-    flow is a stack of K paths.  At t = 0 it is zero.
-    """
-    if not same_grid(flow.grid, h.grid):
-        raise ValueError("direction must be sampled on the flow's grid")
-    it = flow.grid.index_of(t)
-    hv = np.asarray(h.values, dtype=float)
-    if hv.ndim == 1:
-        hv = hv[:, None]
-    if hv.shape[1] != vf.d:
-        raise ValueError(f"direction has {hv.shape[1]} components, driver has {vf.d}")
-    if flow.V.shape[-2:] != (vf.d, vf.e):
-        raise ValueError("flow was solved with fields of another shape")
-    # Z[..., a, (s, i)] = (J_{t<-s} V_i(Y_s))^a, paired with dh^i_s in one product
-    Z = (flow.J[..., it, None, :, :] @ flow.J_inv[..., :it, :, :]
-         @ flow.V[..., :it, :, :].swapaxes(-2, -1)).swapaxes(-3, -2)
-    dh = np.diff(hv[:it + 1], axis=0)
-    return (Z.reshape(Z.shape[:-2] + (it * vf.d,))
-            @ dh.reshape((it * vf.d,) + dh.shape[2:]))
 
 
 def log_operator_norm(J: np.ndarray) -> np.ndarray:

@@ -49,9 +49,10 @@ class TimeGrid:
         return float(np.max(np.diff(self.points)))
 
     def index_of(self, t: float) -> int:
-        """Index of a grid point equal to t (up to rounding)."""
+        """Index of a grid point equal to t, up to rounding relative to the
+        horizon (so a rescaled grid accepts the rescaled times, no others)."""
         i = int(np.argmin(np.abs(self.points - t)))
-        if not np.isclose(self.points[i], t, rtol=1e-12, atol=1e-12):
+        if not np.isclose(self.points[i], t, rtol=1e-12, atol=1e-12 * self.horizon):
             raise ValueError(f"time {t} is not a grid point")
         return i
 
@@ -112,8 +113,8 @@ def _double_difference(v: np.ndarray) -> np.ndarray:
 
 
 def same_grid(a: TimeGrid, b: TimeGrid) -> bool:
-    return a is b or (a.n == b.n and np.allclose(a.points, b.points,
-                                                 rtol=1e-12, atol=1e-12))
+    return a is b or (a.n == b.n and np.allclose(a.points, b.points, rtol=1e-12,
+                                                 atol=1e-12 * a.horizon))
 
 
 def young_integral_1d(f: GridFunction1D, g: GridFunction1D):

@@ -31,6 +31,7 @@ from gaussrde.experiments import (
     check_conditions,
     config_hash,
     silverman_bandwidth,
+    time_indices,
     variation_index,
 )
 
@@ -228,13 +229,21 @@ def test_variation_index_values():
         assert 2 * m.rho < p < 3.0
 
 
+def test_evaluation_times_are_matched_relative_to_the_horizon():
+    grid = uniform_grid(1e-9, 1025)
+    with pytest.raises(ConfigError, match="grid points"):
+        time_indices(grid, [3.3e-10])
+    with pytest.raises(ConfigError, match="horizon"):
+        time_indices(grid, [1e-9 + 5e-13])
+    assert time_indices(grid, list(grid.points[1:])) == list(range(1, 1025))
+
+
 def test_check_conditions_reports(tmp_path):
     cfg = load_config(write_config(tmp_path, ROTATION_CONFIG))
     rep = check_conditions(cfg)
     assert rep["ellipticity"] and rep["spanning_rank"] == 2
     assert rep["gaussian_nondeg"]
     assert rep["rho_report"]["analytic_rho"] == 1.0
-    assert rep["rho_report"]["warning"] is None
 
     flat = ROTATION_CONFIG.replace(
         "family = rotation", "family = constant\nvectors = 1 0 ; 2 0").replace(
@@ -703,6 +712,18 @@ def test_cli_check_exit_codes(tmp_path, capsys):
         tmp_path, flat.replace("seed = 11", "seed = 11\nallow_degenerate = true"),
         "flat_ok.ini")
     assert cli_main(["check", "--config", tolerated]) == 0
+
+
+def test_cli_check_rho_line_does_not_depend_on_the_horizon(tmp_path, capsys):
+    # the report is the kernel's roughness index, which rescaling time keeps
+    lines = []
+    for horizon, times in (("1.0", "0.5 1.0"), ("1e-9", "5e-10 1e-9")):
+        text = ROTATION_CONFIG.replace("horizon = 1.0", f"horizon = {horizon}")
+        text = text.replace("times = 0.5 1.0", f"times = {times}")
+        assert cli_main(["check", "--config", write_config(tmp_path, text)]) == 0
+        out = capsys.readouterr().out
+        lines.append([line for line in out.splitlines() if "rho" in line])
+    assert lines[0] == lines[1] == ["rho: analytic 1"]
 
 
 def test_cli_run_writes_artifacts(tmp_path, capsys):

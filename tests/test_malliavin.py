@@ -192,7 +192,7 @@ def test_integrand_values_terminal_point():
 
 def test_integrand_values_match_per_point_loop(monkeypatch):
     # reference: the per-point loop that the stacked product replaced; the
-    # values and both routes built on them must agree with it bit for bit
+    # values and every pairing built on them must agree with it bit for bit
     def per_point(flow, vf, it):
         out = np.zeros((it + 1, vf.d, vf.e))
         for m in range(it + 1):
@@ -211,14 +211,20 @@ def test_integrand_values_match_per_point_loop(monkeypatch):
             assert np.array_equal(_integrand_values(flow, vf, it),
                                   per_point(flow, vf, it))
         kernel = kernel_eval(fbm_model(0.4), grid)
-        stacked = [malliavin_matrix_2d(flow, vf, kernel, t).sigma
+        basis = cameron_martin_basis(fbm_model(0.4), grid)
+        h = GridFunction1D(grid, basis.functions[:, None, :].repeat(vf.d, axis=1))
+
+        def routes():
+            out = [malliavin_matrix_2d(flow, vf, kernel, t).sigma
                    for t in (0.5, 1.0)]
-        stacked.append(malliavin_matrix_bm_reduction(flow, vf, 1.0).sigma)
+            return out + [malliavin_matrix_bm_reduction(flow, vf, 1.0).sigma,
+                          malliavin_matrix_parseval(flow, vf, basis, 1.0).sigma,
+                          malliavin.directional_derivative(flow, vf, h, 0.5)]
+
+        stacked = routes()
         with monkeypatch.context() as m:
             m.setattr(malliavin, "_integrand_values", per_point)
-            looped = [malliavin_matrix_2d(flow, vf, kernel, t).sigma
-                      for t in (0.5, 1.0)]
-            looped.append(malliavin_matrix_bm_reduction(flow, vf, 1.0).sigma)
+            looped = routes()
         for a, b in zip(stacked, looped):
             assert np.array_equal(a, b)
 
@@ -240,6 +246,82 @@ def test_routes_agree_with_per_component_models():
         swapped = malliavin_matrix_parseval(flow, vf, bases[::-1], t)
         assert rel_gap(matched.sigma, direct.sigma) < 1e-10
         assert rel_gap(swapped.sigma, direct.sigma) > 1e-3
+
+
+def transported_stack(flow, vf, it):
+    """The integrand J_t J_s^{-1} V(Y_s) for s < t as the solver module
+    formed it for its directional derivative: (..., e, it * d), column
+    (s, i)."""
+    Z = (flow.J[..., it, None, :, :] @ flow.J_inv[..., :it, :, :]
+         @ flow.V[..., :it, :, :].swapaxes(-2, -1)).swapaxes(-3, -2)
+    return Z.reshape(Z.shape[:-2] + (it * vf.d,))
+
+
+def inline_directional_derivative(flow, vf, hv, t):
+    # reference: the inline formula of the directional derivative before it
+    # paired the one derivative of `_integrand_values`
+    it = flow.grid.index_of(t)
+    hv = hv[:, None] if hv.ndim == 1 else hv
+    dh = np.diff(hv[:it + 1], axis=0)
+    return transported_stack(flow, vf, it) @ dh.reshape((it * vf.d,) + dh.shape[2:])
+
+
+def padded_parseval(flow, vf, bases, t):
+    # reference: the Parseval route before it took the derivative once, one
+    # directional derivative per component along an (n, d, size) stack of
+    # directions that is zero outside that component
+    it = flow.grid.index_of(t)
+    raw = 0.0
+    for k, bk in enumerate(bases):
+        h = np.zeros((flow.grid.n, vf.d, bk.size))
+        h[:, k] = bk.functions
+        D = inline_directional_derivative(flow, vf, h, t)
+        raw = raw + D @ D.swapaxes(-2, -1)
+    return 0.5 * (raw + raw.swapaxes(-2, -1))
+
+
+def one_derivative_cases():
+    grid = uniform_grid(1.0, 33)
+    drift = linear_fields(np.array([[[0.6]]]), drift=(np.array([[0.5]]), np.array([0.1])))
+    rng = np.random.default_rng(89)
+    cubic = polynomial_fields(c0=rng.standard_normal((2, 3)) * 0.4,
+                              c1=rng.standard_normal((2, 3, 3)) * 0.3,
+                              c2=rng.standard_normal((2, 3, 3, 3)) * 0.1)
+    cases = [(drift, [brownian_model()], np.array([1.0])),
+             (rotation_fields(), [fbm_model(0.4)] * 2, np.array([0.8, -0.3])),
+             (rotation_fields(), [brownian_model(), fbm_model(0.4)],
+              np.array([0.8, -0.3])),
+             (cubic, [fbm_model(0.7), brownian_model()], np.array([0.1, -0.2, 0.3]))]
+    for vf, models, y0 in cases:
+        batch = sample_paths(models, grid, 6, seed=90)
+        flows = solve_flow_jacobian(lift_piecewise_linear(batch), vf, y0)
+        assert not any(flows.errors)
+        yield vf, models, flows, grid
+
+
+def test_parseval_route_matches_zero_padded_directions():
+    # one derivative paired per component gives the padded pairing's sigma
+    # bit for bit, for one flow and for a stack
+    for vf, models, flows, grid in one_derivative_cases():
+        bases = [cameron_martin_basis(m, grid) for m in models]
+        for t in (grid.points[13], 1.0):
+            for flow in (flows, flows.sample(2)):
+                got = malliavin_matrix_parseval(flow, vf, bases, t).sigma
+                assert np.array_equal(got, padded_parseval(flow, vf, bases, t))
+
+
+def test_directional_derivative_matches_inline_formula():
+    rng = np.random.default_rng(91)
+    for vf, _, flows, grid in one_derivative_cases():
+        stack = rng.standard_normal((grid.n, vf.d, 4)).cumsum(axis=0)
+        directions = [stack, stack[:, :, 0]] + ([stack[:, 0, 0]] if vf.d == 1 else [])
+        for hv in directions:
+            h = GridFunction1D(grid, hv)
+            for t in (0.0, grid.points[13], 1.0):
+                for flow in (flows, flows.sample(3)):
+                    got = malliavin.directional_derivative(flow, vf, h, t)
+                    assert np.array_equal(
+                        got, inline_directional_derivative(flow, vf, hv, t))
 
 
 def test_route_residual():

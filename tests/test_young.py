@@ -19,7 +19,7 @@ from gaussrde import (
 )
 from gaussrde import nilpotent
 from gaussrde.young import (_increment_norms, _norm_columns, p_variation_bruteforce,
-                            rho_variation_partition_sum)
+                            rho_variation_partition_sum, same_grid)
 
 
 def brownian_kernel_sample(grid):
@@ -41,6 +41,19 @@ def test_time_grid_validation():
     assert g.index_of(0.5) == 2
     with pytest.raises(ValueError):
         g.index_of(0.3)
+
+
+def test_grid_point_tolerance_is_relative_to_the_horizon():
+    # on horizon 1e-9 the spacing (9.8e-13) is below an absolute 1e-12, which
+    # matched the off-grid 3.3e-10 to the grid point 3.30078e-10
+    for horizon in (1.0, 1e-9):
+        grid = uniform_grid(horizon, 1025)
+        with pytest.raises(ValueError, match="not a grid point"):
+            grid.index_of(0.33 * horizon)
+        assert [grid.index_of(t) for t in grid.points] == list(range(1025))
+        assert same_grid(grid, uniform_grid(horizon, 1025))
+        assert not same_grid(grid, TimeGrid(grid.points + 0.3 * grid.mesh
+                                            * (grid.points > 0)))
 
 
 def test_left_point_integral_of_constant():
