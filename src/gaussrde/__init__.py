@@ -99,10 +99,11 @@ __all__ = [
     "polynomial_fields", "ellipticity_rank",
     # rde
     "FlowResult", "ExplosionError", "solve_ode_reference",
-    "solve_flow_jacobian", "directional_derivative",
+    "solve_flow_jacobian",
     # malliavin
     "MalliavinMatrix", "SpectrumResult", "malliavin_matrix_2d",
-    "malliavin_matrix_bm_reduction", "malliavin_matrix_parseval", "spectrum",
+    "malliavin_matrix_bm_reduction", "malliavin_matrix_parseval",
+    "directional_derivative", "spectrum",
     # experiments
     "ExperimentConfig", "ConfigError", "RunError", "DensityReport",
     "load_config", "run_experiment", "kde_density", "check_conditions",

@@ -17,7 +17,7 @@ import numpy as np
 from .experiments import (ConfigError, RunError, build_fields, build_model,
                           check_conditions, check_routes, evaluate_flows,
                           load_config, run_experiment, time_indices,
-                          variation_index)
+                          variation_index, write_rows_csv)
 from .gaussian import cameron_martin_basis, kernel_eval, sample_paths
 from .lift import lift_piecewise_linear, rough_path_to_csv
 from .rde import ExplosionError, solve_flow_jacobian
@@ -82,12 +82,6 @@ def _names(prefix: str, count: int) -> list[str]:
     return [f"{prefix}_{i + 1}" for i in range(count)]
 
 
-def _write_table(path, cols, table) -> None:
-    """CSV with a header line and 17 significant digits per float."""
-    np.savetxt(path, table, delimiter=",", header=",".join(cols), comments="",
-               fmt="%.17g")
-
-
 def _cmd_run(args) -> int:
     report = run_experiment(load_config(args.config), out_dir=args.out)
     print(f"samples: {report.count}  aborted: {report.aborted}")
@@ -120,8 +114,8 @@ def _cmd_check(args) -> int:
 def _cmd_sample(args) -> int:
     config, model, _, grid = _prepare(args)
     path = _single_path(config, model, grid, args.index)
-    _write_table(args.out, ["t"] + _names("x", config.d),
-                 np.column_stack([grid.points, path.values]))
+    write_rows_csv(args.out, ["t"] + _names("x", config.d),
+                   [grid.points, *path.values.T])
     print(f"wrote driver sample {args.index} to {args.out}")
     return 0
 
@@ -139,8 +133,7 @@ def _cmd_solve(args) -> int:
     path = _single_path(config, model, grid, args.index)
     flow = solve_flow_jacobian(lift_piecewise_linear(path), vf, config.y0,
                                pvar_index=variation_index(model))
-    _write_table(args.out, ["t"] + _names("y", config.e),
-                 np.column_stack([grid.points, flow.Y]))
+    write_rows_csv(args.out, ["t"] + _names("y", config.e), [grid.points, *flow.Y.T])
     print(f"wrote solution of sample {args.index} to {args.out} "
           f"(driver p-variation {flow.pvar:.4f})")
     return 0
@@ -187,8 +180,8 @@ def _cmd_density(args) -> int:
         print("no density estimate available (state dimension > 2 or too few "
               "samples); reporting raw samples")
         if args.out:
-            _write_table(args.out, _names("y", report.samples.shape[1]),
-                         report.samples)
+            write_rows_csv(args.out, _names("y", report.samples.shape[1]),
+                           report.samples.T)
             print(f"wrote raw samples to {args.out}")
         return 0
     print(f"density at t = {report.time}: bandwidth "
@@ -202,8 +195,8 @@ def _cmd_density(args) -> int:
         axes = report.query_grid
         axes = axes if isinstance(axes, tuple) else (axes,)
         points = [q.ravel() for q in np.meshgrid(*axes, indexing="ij")]
-        _write_table(args.out, _names("y", len(axes)) + ["density"],
-                     np.column_stack(points + [report.kde_values.ravel()]))
+        write_rows_csv(args.out, _names("y", len(axes)) + ["density"],
+                       points + [report.kde_values.ravel()])
         print(f"wrote density table to {args.out}")
     return 0
 

@@ -22,7 +22,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .fields import (VectorFieldSystem, constant_fields, ellipticity_rank,
@@ -419,6 +418,8 @@ def _kde_mass(query_grid, values: np.ndarray) -> float:
 
 
 def _reference_comparison(reference, samples1d, query_grid, kde_values):
+    # imported here: scipy.stats takes a second, and only a reference law needs it
+    from scipy import stats
     name, mu, sigma = reference
     if name == "lognormal":
         if np.any(samples1d <= 0):
@@ -529,7 +530,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     basis = cameron_martin_basis(model, grid)
     kernel = kernel_eval(model, grid)
 
-    rows, final_Y, residuals, failures = [], [], [], []
+    chunks, residuals, failures = [], [], []
     # equal chunks, so no small tail chunk pays a whole step loop
     size = math.ceil(config.count / math.ceil(config.count / CHUNK))
     for lo in range(0, config.count, size):
@@ -547,12 +548,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
             if error is not None:
                 log.warning("sample %d aborted: %s", lo + i, error)
                 failures.append((lo + i, f"{type(error).__name__}: {error}"))
-        passed = [i for i in solved if i not in failed]
-        rows += [(lo + i, grid.points[it], *flows.Y[i, it], spec.lambda_min[j],
-                  spec.det[j], spec.verdict[j], flows.pvar[i], log_norm[j, ti])
-                 for j, i in enumerate(passed)
-                 for ti, (it, spec) in enumerate(zip(indices, specs))]
-        final_Y.append(flows.Y[passed, indices[-1]])
+        # named columns, one row per (sample, time), the samples outermost
+        passed = np.array([i for i in solved if i not in failed], dtype=int)
+        Y = flows.Y[np.ix_(passed, indices)]
+        chunks.append({
+            "sample_index": np.repeat(lo + passed, len(indices)),
+            "t": np.tile(grid.points[indices], passed.size),
+            **{f"y_{a + 1}": Y[..., a].ravel() for a in range(config.e)},
+            **{name: np.stack([getattr(s, name) for s in specs], axis=-1).ravel()
+               for name in ("lambda_min", "det", "verdict")},
+            "pvar_driver": np.repeat(flows.pvar[passed], len(indices)),
+            "log_norm_J": log_norm.ravel()})
         residuals.append(residual)
         del flows  # the next chunk is solved without this one's arrays alive
 
@@ -562,21 +568,20 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
             f"{aborted} of {config.count} samples aborted (> 1%); first "
             f"failure: sample {failures[0][0]}: {failures[0][1]}"
         )
-    residuals = np.concatenate(residuals)
-    # rows hold len(indices) per sample
-    check_routes(residuals, [row[0] for row in rows[::len(indices)]])
-
-    # rows: sample, t, Y, lambda_min, det, verdict, pvar_driver, log_norm_J;
     # at least one sample passed, or the run has failed above
-    final_Y = np.concatenate(final_Y)
-    lam_values = np.array([row[-5] for row in rows])
+    record = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
+    last = slice(len(indices) - 1, None, len(indices))  # each sample's last time
+    residuals = np.concatenate(residuals)
+    check_routes(residuals, record["sample_index"][last])
+
+    final_Y = np.column_stack([record[f"y_{a + 1}"][last] for a in range(config.e)])
+    lam_values = record["lambda_min"]
     report = DensityReport(
         time=float(config.times[-1]),
         samples=final_Y,
-        fraction_degenerate=sum(row[-3] == "degenerate" for row in rows) / len(rows),
-        lambda_min_quantiles={"q05": float(np.quantile(lam_values, 0.05)),
-                              "q50": float(np.quantile(lam_values, 0.50)),
-                              "q95": float(np.quantile(lam_values, 0.95))},
+        fraction_degenerate=float(np.mean(record["verdict"] == "degenerate")),
+        lambda_min_quantiles={f"q{q:02d}": float(np.quantile(lam_values, q / 100))
+                              for q in (5, 50, 95)},
         aborted=aborted,
         count=config.count,
         oracle_max_residual=float(residuals.max()),
@@ -596,7 +601,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
             report.ks_distance, report.sup_distance = _reference_comparison(
                 config.reference, final_Y[:, 0], query, values)
 
-    _write_artifacts(config, report, rows, out_dir)
+    _write_artifacts(config, report, record, out_dir)
     return report
 
 
@@ -610,27 +615,24 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
-
-
-def write_rows_csv(path: str, rows, e: int) -> None:
-    """One line per row tuple, its cells in the order of the header."""
-    ycols = ",".join(f"y_{i + 1}" for i in range(e))
-    lines = [f"sample_index,t,{ycols},lambda_min,det,verdict,pvar_driver,log_norm_J"]
-    lines += [",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows]
+def write_rows_csv(path: str, names, columns) -> None:
+    """CSV table: a header line of `names`, then one line per row of the
+    equal-length column arrays `columns`, numbers printed with %.17g (so that
+    reruns are byte-identical) and strings as they are."""
+    cells = [c.tolist() if c.dtype.kind in "US" else ["%.17g" % v for v in c.tolist()]
+             for c in columns]
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n")
 
 
-def _write_artifacts(config, report, rows, out_dir):
+def _write_artifacts(config, report, record, out_dir):
     csv_path, json_path = config.csv_path, config.json_path
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         csv_path = os.path.join(out_dir, os.path.basename(csv_path or "samples.csv"))
         json_path = os.path.join(out_dir, os.path.basename(json_path or "summary.json"))
     if csv_path:
-        write_rows_csv(csv_path, rows, config.e)
+        write_rows_csv(csv_path, list(record), list(record.values()))
     if json_path:
         summary = {
             "version": __version__,

@@ -33,6 +33,7 @@ from gaussrde.experiments import (
     silverman_bandwidth,
     time_indices,
     variation_index,
+    write_rows_csv,
 )
 
 ROTATION_CONFIG = """
@@ -689,6 +690,71 @@ def test_config_hash_tracks_content(tmp_path):
     cfg_c = load_config(write_config(
         tmp_path, ROTATION_CONFIG.replace("seed = 11", "seed = 12"), "c.ini"))
     assert config_hash(cfg_a) != config_hash(cfg_c)
+
+
+def tuple_writer(path, rows, e):
+    """Reference: the CSV writer of row tuples that `write_rows_csv`
+    replaced."""
+    ycols = ",".join(f"y_{i + 1}" for i in range(e))
+    lines = [f"sample_index,t,{ycols},lambda_min,det,verdict,pvar_driver,log_norm_J"]
+    lines += [",".join(c if isinstance(c, str) else "%.17g" % float(c) for c in row)
+              for row in rows]
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def savetxt_writer(path, names, table):
+    """Reference: the CLI's table writer that `write_rows_csv` replaced."""
+    np.savetxt(path, table, delimiter=",", header=",".join(names), comments="",
+               fmt="%.17g")
+
+
+@pytest.mark.parametrize("rows", [1, 2, 9])
+@pytest.mark.parametrize("e", [1, 2])
+def test_write_rows_csv_matches_the_writers_it_replaced(tmp_path, rows, e):
+    rng = np.random.default_rng(rows + 10 * e)
+    special = [-0.0, 1e-300, np.inf, -np.inf, np.nan, 5e-324, 0.1, -1e300]
+    values = np.concatenate([special, rng.standard_normal(rows)])
+    floats = [np.roll(values, k)[:rows] for k in range(5 + e)]
+    index = rng.integers(0, 2**40, rows)
+    verdict = rng.choice(["non-degenerate", "degenerate"], rows)
+    t, *ys, lam, det, pvar, log_norm = floats
+    names = (["sample_index", "t"] + [f"y_{a + 1}" for a in range(e)]
+             + ["lambda_min", "det", "verdict", "pvar_driver", "log_norm_J"])
+    columns = [index, t, *ys, lam, det, verdict, pvar, log_norm]
+
+    def written(writer, name, *args):
+        writer(str(tmp_path / name), *args)
+        return (tmp_path / name).read_bytes()
+
+    # the run's old rows were a tuple of numpy scalars per (sample, time)
+    assert (written(write_rows_csv, "columns.csv", names, columns)
+            == written(tuple_writer, "tuples.csv", list(zip(*columns)), e))
+    numeric = [index, t, *ys]
+    assert (written(write_rows_csv, "table.csv", names[:2 + e], numeric)
+            == written(savetxt_writer, "savetxt.csv", names[:2 + e],
+                       np.column_stack(numeric)))
+
+
+def test_loading_a_config_does_not_import_scipy_stats(tmp_path):
+    """scipy.stats takes about a second to import; only a run with a
+    reference law needs it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import gaussrde
+
+    src = str(Path(gaussrde.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    config = write_config(tmp_path, ROTATION_CONFIG)
+    code = ("import sys, gaussrde; "
+            f"gaussrde.load_config({config!r}); print('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The README's command-line block against the argument parser, its layout
-table against the package, and the package exports against `__all__`."""
+table against the package, its CSV header against a run, and the package
+exports against `__all__`."""
 
 import argparse
 import dataclasses
@@ -10,8 +11,10 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import gaussrde
-from gaussrde.cli import _build_parser
+from gaussrde.cli import _build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -91,3 +94,41 @@ def test_package_exports_match_all():
     public = {name for name, obj in vars(gaussrde).items()
               if not name.startswith("_") and not inspect.ismodule(obj)}
     assert sorted(public - set(listed)) == []
+
+
+def test_exports_are_grouped_by_their_module():
+    # each "# module" comment in __all__ heads the names that module defines
+    source = Path(gaussrde.__file__).read_text().split("__all__ = [", 1)[1]
+    groups = re.split(r"^\s*# (\w+)$", source, flags=re.M)[1:]
+    for module, names in zip(groups[::2], groups[1::2]):
+        for name in re.findall(r'"(\w+)"', names):
+            assert getattr(gaussrde, name).__module__ == f"gaussrde.{module}", name
+
+
+RUN_CONFIG = """
+[model]
+kernel = brownian
+n = 9
+d = 1
+
+[fields]
+{fields}
+
+[experiment]
+count = 2
+"""
+
+
+@pytest.mark.parametrize("e, fields", [
+    (1, "family = linear\ne = 1\ny0 = 1.0\nmatrices = 1.0"),
+    (2, "family = rotation\ne = 2\ny0 = 1.0 0.0"),
+])
+def test_readme_csv_header_is_what_run_writes(tmp_path, e, fields):
+    section = README.read_text().split("## Artifacts", 1)[1]
+    header = section.split("```", 2)[1].strip()
+    expanded = header.replace("y_1..y_e", ",".join(f"y_{a + 1}" for a in range(e)))
+    config = tmp_path / "run.ini"
+    config.write_text(RUN_CONFIG.format(fields=fields))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    written = (tmp_path / "out" / "samples.csv").read_text().splitlines()[0]
+    assert written == expanded
