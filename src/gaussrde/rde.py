@@ -12,10 +12,14 @@ step reproduces the Taylor expansion of exp(A a).
 
 The Jacobian is advanced with the exact linearization of the same one-step
 map, so the discrete J is the derivative of the discrete flow, not a
-separately discretized equation.  Inverses are taken directly at every grid
-time, in one call on the stacked Jacobians after the steps; the adjoint
-transport equation would re-discretize and lose the inverse-consistency
-guarantee.
+separately discretized equation.  J never feeds back into the state, so the
+step loop carries only Y: it stores V(y_k) and V'(y_k), and after every
+STEP_BLOCK steps one pass over the block evaluates the Hessians at the
+block's states in one call, forms the linearizations M_k of all its steps as
+stacked matmuls, and advances J_{k+1} = J_k + M_k J_k, one matmul per step.
+Inverses are taken directly at every grid time, in one call on the stacked
+Jacobians after the steps; the adjoint transport equation would re-discretize
+and lose the inverse-consistency guarantee.
 
 The solver steps a stack of K driver paths at once, with the sample axis in
 front of every array; one path is the K = 1 case.
@@ -44,6 +48,9 @@ log = logging.getLogger("gaussrde")
 
 EXPLOSION_NORM = 1e12
 CONDITION_LIMIT = 1e12
+# the Jacobian is advanced a block of at most STEP_BLOCK steps at a time,
+# after the state steps of the block.  Outputs do not depend on it.
+STEP_BLOCK = 16
 
 
 class ExplosionError(RuntimeError):
@@ -198,42 +205,45 @@ def _steps(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray, pvar) -> FlowRes
     Y[:, 0] = y0
     V = np.zeros((K, n, d, e))
     J = np.zeros((K, n, e, e))
+    J[:, 0] = np.eye(e)
+    Vp = np.zeros((K, STEP_BLOCK, d, e, e))  # V'(y_k) at the block's steps
     errors = [None] * K
+    stopped = np.full(K, n)  # the step at which each path blew up
     y = Y[:, 0].copy()
-    J[:, 0] = jac = np.broadcast_to(np.eye(e), (K, e, e)).copy()
-    for k in range(n - 1):
-        a, b = da[:, k], db[:, k]
-        V[:, k] = Vk = vf.val(y)
-        Vp = vf.jac(y)
-        Vp_ai = Vp.transpose(0, 2, 1, 3)
-        # sum_{j,i,b} b[j, i] V_i'(y)[a, b] V_j(y)[b], axes (K, a, j, i, b)
-        step = ((a[:, None, :] @ Vk)[:, 0]
-                + _sum_tail(b[:, None, :, :, None] * Vp_ai[:, :, None]
-                            * Vk[:, None, :, None], 2))
-        Vpp = vf.hess(y)
-        # sums over (j, i, g) of b[j, i] V_i''[a, g, b] V_j[g] and of
-        # b[j, i] V_i'[a, g] V_j'[g, b], axes (K, a, b, j, i, g)
-        M = (_sum_tail(a[:, None, None, :] * Vp.transpose(0, 2, 3, 1), 3)
-             + _sum_tail(b[:, None, None, :, :, None]
-                         * Vpp.transpose(0, 2, 4, 1, 3)[:, :, :, None]
-                         * Vk[:, None, None, :, None, :], 3)
-             + _sum_tail(b[:, None, None, :, :, None]
-                         * Vp_ai[:, :, None, None]
-                         * Vp.transpose(0, 3, 1, 2)[:, None, :, :, None], 3))
-        jac = jac + M @ jac
-        y = y + step
-        t_next = float(X.grid.points[k + 1])
-        with np.errstate(over="ignore"):
-            blown = ~(np.linalg.norm(y, axis=-1) <= EXPLOSION_NORM)
-        bad = blown | ~np.isfinite(jac).all(axis=(-2, -1))
-        for row in np.flatnonzero(bad):
-            what = "state" if blown[row] else "Jacobian"
-            errors[row] = ExplosionError(f"{what} exploded at t = {t_next:.6g}",
-                                         t_next)
-            # frozen: no further increments, last finite values kept
-            da[row, k + 1:] = db[row, k + 1:] = 0.0
-            y[row], jac[row] = Y[row, k], J[row, k]
-        Y[:, k + 1], J[:, k + 1] = y, jac
+    for k0 in range(0, n - 1, STEP_BLOCK):
+        k1 = min(k0 + STEP_BLOCK, n - 1)
+        for k in range(k0, k1):
+            a, b = da[:, k], db[:, k]
+            V[:, k] = Vk = vf.val(y)
+            Vp[:, k - k0] = Vpk = vf.jac(y)
+            Vp_ai = Vpk.transpose(0, 2, 1, 3)
+            # sum_{j,i,b} b[j, i] V_i'(y)[a, b] V_j(y)[b], axes (K, a, j, i, b)
+            step = ((a[:, None, :] @ Vk)[:, 0]
+                    + _sum_tail(b[:, None, :, :, None] * Vp_ai[:, :, None]
+                                * Vk[:, None, :, None], 2))
+            y = y + step
+            with np.errstate(over="ignore"):
+                blown = ~(np.linalg.norm(y, axis=-1) <= EXPLOSION_NORM)
+            for row in np.flatnonzero(blown):
+                # frozen at its last values: with no increment from step k
+                # on, J keeps its value too
+                errors[row] = _explosion("state", X.grid, k)
+                stopped[row] = k
+                da[row, k:] = db[row, k:] = 0.0
+                y[row] = Y[row, k]
+            Y[:, k + 1] = y
+        block = slice(k0, k1)
+        bad = _jacobian_block(vf, Y[:, block], V[:, block], Vp[:, :k1 - k0],
+                              da[:, block], db[:, block], J[:, k0:k1 + 1])
+        for row in np.flatnonzero(bad.any(axis=1)):
+            k = k0 + int(np.argmax(bad[row]))
+            if k < stopped[row]:  # the Jacobian blew up first
+                errors[row] = _explosion("Jacobian", X.grid, k)
+                stopped[row] = k
+                da[row, k:] = db[row, k:] = 0.0
+                y[row] = Y[row, k + 1:k1 + 1] = Y[row, k]
+                V[row, k + 1:k1] = V[row, k]
+                J[row, k + 1:k1 + 1] = J[row, k]
     V[:, -1] = vf.val(y)
     J_inv, max_cond, singular = _inverses(J)
     for k, exc in enumerate(singular):
@@ -242,6 +252,40 @@ def _steps(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray, pvar) -> FlowRes
         if exc is None and cond > CONDITION_LIMIT:
             log.warning("Jacobian condition number reached %.3e", cond)
     return FlowResult(X.grid, Y, V, J, J_inv, pvar, max_cond, tuple(errors))
+
+
+def _explosion(what: str, grid: TimeGrid, k: int) -> ExplosionError:
+    t = float(grid.points[k + 1])
+    return ExplosionError(f"{what} exploded at t = {t:.6g}", t)
+
+
+def _jacobian_block(vf, y, v, vp, a, b, J) -> np.ndarray:
+    """Advance J[:, 0] (K, e, e) over a block of B steps into J[:, 1:], in
+    place, from the states y (K, B, e), field values v and first derivatives
+    vp that the state steps stored at them and the increments (a, b); flag
+    (K, B) where J stops being finite.
+
+    The linearization of the step at y with increment (a, b) is
+        M = sum_i a^i V_i' + sum_{i,g} W[i, g] V_i''[., g, .]
+              + sum_{i,g} V_i'[., g] U[i, g, .]
+    with W = b^T V and U = b^T V' (W[i] = sum_j b[j, i] V_j).  Each term is
+    one stacked matmul over (path, step), and J_{k+1} = J_k + M_k J_k.
+    """
+    (K, B, d), e = a.shape, J.shape[-1]
+    Vpp = vf.hess(y.reshape(K * B, e)).reshape(K, B, d, e, e, e)
+    bT = b.swapaxes(-1, -2)
+    vp_flat = vp.reshape(K, B, d, e * e)
+    # an overflow here leaves J non-finite, which the caller reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = (bT @ v).reshape(K, B, 1, d * e)
+        U = (bT @ vp_flat).reshape(K, B, d * e, e)
+        M = ((a[:, :, None] @ vp_flat
+              + W @ Vpp.transpose(0, 1, 2, 4, 3, 5).reshape(K, B, d * e, e * e)
+              ).reshape(K, B, e, e)
+             + vp.transpose(0, 1, 3, 2, 4).reshape(K, B, e, d * e) @ U)
+        for s in range(B):
+            J[:, s + 1] = J[:, s] + M[:, s] @ J[:, s]
+    return ~np.isfinite(J[:, 1:]).all(axis=(-2, -1))
 
 
 def _as_single_path(driver) -> GridFunction1D:

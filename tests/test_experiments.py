@@ -455,9 +455,12 @@ def test_run_experiment_memory_peak(tmp_path):
     assert peak < 4e6
 
 
-def test_drift_solve_evaluates_each_field_once_per_step(tmp_path, monkeypatch):
-    """Value, Jacobian and Hessian of the drift and of the driving fields:
-    six checked evaluations a step, whatever the number of paths."""
+def test_drift_solve_evaluates_fields_once_per_step_and_hessians_once_per_block(
+        tmp_path, monkeypatch):
+    """Value and Jacobian of the drift and of the driving fields at every
+    step, their Hessians once per block of steps, and the two values at the
+    final state: checked evaluations whatever the number of paths."""
+    import gaussrde.rde
     from gaussrde import VectorFieldSystem, brownian_model, sample_paths
 
     cfg = load_config(write_config(tmp_path, LINEAR_DRIFT_CONFIG))
@@ -471,12 +474,14 @@ def test_drift_solve_evaluates_each_field_once_per_step(tmp_path, monkeypatch):
         return evaluate(self, *args, **kwargs)
 
     monkeypatch.setattr(VectorFieldSystem, "_eval", counting)
-    for count in (1, 5):
-        X = lift_piecewise_linear(sample_paths([brownian_model()], grid, count, 0))
-        calls.clear()
-        solve_flow_jacobian(X, vf, cfg.y0)
-        # and the values at the final state: drift and driving fields
-        assert len(calls) == 6 * (cfg.n - 1) + 2
+    for block in (gaussrde.rde.STEP_BLOCK, 7):
+        monkeypatch.setattr(gaussrde.rde, "STEP_BLOCK", block)
+        for count in (1, 5):
+            X = lift_piecewise_linear(sample_paths([brownian_model()], grid, count, 0))
+            calls.clear()
+            solve_flow_jacobian(X, vf, cfg.y0)
+            blocks = math.ceil((cfg.n - 1) / block)
+            assert len(calls) == 4 * (cfg.n - 1) + 2 * blocks + 2
 
 
 BRIDGE_SCALAR_CONFIG = """

@@ -529,6 +529,158 @@ def test_stacked_solver_matches_per_path_loop():
             assert one.pvar == p_variation(X, 2.5)
 
 
+def stepwise_reference(X, vf, y0):
+    """The per-step loop that advanced the Jacobian with the state, one step
+    at a time, kept as the reference for the block pass: Y, V, J, J_inv,
+    max_condition and errors of a stack of paths.  Its Jacobian update runs
+    under errstate, so an overflow reaches the finiteness check."""
+    from gaussrde.rde import EXPLOSION_NORM, _inverses, _sum_tail, _with_drift
+
+    d = vf.d
+    if vf.has_drift:
+        X, vf = spacetime_lift(X), _with_drift(vf)
+    da, db = X.segment_increments()
+    (K, n), e = X.level1.shape[:2], vf.e
+    Y = np.zeros((K, n, e))
+    Y[:, 0] = y0
+    V = np.zeros((K, n, vf.d, e))
+    J = np.zeros((K, n, e, e))
+    errors = [None] * K
+    y = Y[:, 0].copy()
+    J[:, 0] = jac = np.broadcast_to(np.eye(e), (K, e, e)).copy()
+    for k in range(n - 1):
+        a, b = da[:, k], db[:, k]
+        V[:, k] = Vk = vf.val(y)
+        Vp = vf.jac(y)
+        Vp_ai = Vp.transpose(0, 2, 1, 3)
+        step = ((a[:, None, :] @ Vk)[:, 0]
+                + _sum_tail(b[:, None, :, :, None] * Vp_ai[:, :, None]
+                            * Vk[:, None, :, None], 2))
+        Vpp = vf.hess(y)
+        M = (_sum_tail(a[:, None, None, :] * Vp.transpose(0, 2, 3, 1), 3)
+             + _sum_tail(b[:, None, None, :, :, None]
+                         * Vpp.transpose(0, 2, 4, 1, 3)[:, :, :, None]
+                         * Vk[:, None, None, :, None, :], 3)
+             + _sum_tail(b[:, None, None, :, :, None]
+                         * Vp_ai[:, :, None, None]
+                         * Vp.transpose(0, 3, 1, 2)[:, None, :, :, None], 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = jac + M @ jac
+        y = y + step
+        t_next = float(X.grid.points[k + 1])
+        with np.errstate(over="ignore"):
+            blown = ~(np.linalg.norm(y, axis=-1) <= EXPLOSION_NORM)
+        bad = blown | ~np.isfinite(jac).all(axis=(-2, -1))
+        for row in np.flatnonzero(bad):
+            what = "state" if blown[row] else "Jacobian"
+            errors[row] = ExplosionError(f"{what} exploded at t = {t_next:.6g}",
+                                         t_next)
+            da[row, k + 1:] = db[row, k + 1:] = 0.0
+            y[row], jac[row] = Y[row, k], J[row, k]
+        Y[:, k + 1], J[:, k + 1] = y, jac
+    V[:, -1] = vf.val(y)
+    J_inv, max_cond, singular = _inverses(J)
+    errors = [exc or other for exc, other in zip(errors, singular)]
+    return Y, V[..., -d:, :], J, J_inv, max_cond, errors
+
+
+def assert_matches_stepwise_reference(flows, X, vf, y0):
+    Y, V, J, J_inv, cond, errors = stepwise_reference(X, vf, y0)
+    assert np.array_equal(flows.Y, Y) and np.array_equal(flows.V, V)
+    assert_relatively_close(flows.J, J)
+    assert_relatively_close(flows.J_inv, J_inv)
+    assert np.all(np.abs(flows.max_condition - cond) <= 1e-12 * cond)
+    assert [(type(e), str(e), getattr(e, "time", None)) for e in flows.errors] == [
+        (type(e), str(e), getattr(e, "time", None)) for e in errors]
+
+
+def test_block_pass_matches_the_stepwise_loop():
+    grid = uniform_grid(1.0, 33)
+    for vf, models, y0 in stacked_solver_cases():
+        X = lift_piecewise_linear(sample_paths(models, grid, 5, seed=74))
+        flows = solve_flow_jacobian(X, vf, y0)
+        assert flows.errors == (None,) * 5
+        assert_matches_stepwise_reference(flows, X, vf, y0)
+
+
+def exploding_fields(gain):
+    """e = d = 1 with V(y) = gain y and V' = 50, V'' = 0 declared."""
+    return VectorFieldSystem(e=1, d=1, value=lambda y: gain * y[..., None, :],
+                             jacobian=lambda y: np.full((1, 1, 1), 50.0),
+                             hessian=lambda y: np.zeros((1, 1, 1, 1)))
+
+
+def exploding_stack():
+    """Rows 1 and 3 of five follow the ramp 640 t, the others are Brownian."""
+    grid = uniform_grid(1.0, 65)
+    values = sample_paths([brownian_model()], grid, 5, seed=75).values
+    values[[1, 3], :, 0] = 640.0 * grid.points
+    return lift_piecewise_linear(PathSample(grid, values, 75))
+
+
+def test_blow_ups_are_named_as_the_stepwise_loop_names_them():
+    """Each ramp step multiplies J by 125501, which overflows at t = 61/64,
+    and Y by 1 + 2510 gain.  With gain 2.25e-4 the state would pass
+    EXPLOSION_NORM one step later, in the same block of 16, so the Jacobian
+    names the failure; with gain 2.3e-4 both blow up at t = 61/64 and the
+    state names it; with gain 1e-3 the state passes it first, at t = 23/64.
+    Either way the aborted path is frozen at the same values as by the
+    stepwise loop."""
+    X = exploding_stack()
+    for gain, what, time in ((2.25e-4, "Jacobian", 0.953125), (2.3e-4, "state", 0.953125),
+                             (1e-3, "state", 0.359375)):
+        vf = exploding_fields(gain)
+        flows = solve_flow_jacobian(X, vf, np.ones(1))
+        for row in (1, 3):
+            assert str(flows.errors[row]) == f"{what} exploded at t = {time:.6g}"
+        assert_matches_stepwise_reference(flows, X, vf, np.ones(1))
+
+
+def test_jacobian_overflow_aborts_only_its_path():
+    """V = 0, V' = 50, V'' = 0 along the ramp 640 t: J overflows at step 61
+    while the state never moves.  The overflow is caught by the finiteness
+    check, not raised as a RuntimeWarning."""
+    vf = exploding_fields(0.0)
+    grid = uniform_grid(1.0, 65)
+    values = sample_paths([brownian_model()], grid, 3, seed=76).values
+    values[1, :, 0] = 640.0 * grid.points
+    y0 = np.array([0.3])
+    flows = solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, values, 76)),
+                                vf, y0, pvar_index=2.5)
+    error = flows.errors[1]
+    assert isinstance(error, ExplosionError)
+    assert str(error) == "Jacobian exploded at t = 0.953125" and error.time == 0.953125
+    assert flows.errors[0] is None and flows.errors[2] is None
+    assert np.array_equal(flows.Y[1], np.full((65, 1), 0.3))
+    others = solve_flow_jacobian(
+        lift_piecewise_linear(PathSample(grid, values[[0, 2]], 76)), vf, y0,
+        pvar_index=2.5)
+    for got, ref in zip(rows_without(flows, 1), rows_without(others, -1)):
+        assert np.array_equal(got, ref)
+    with pytest.raises(ExplosionError) as single:
+        solve_flow_jacobian(lift_piecewise_linear(GridFunction1D(grid, values[1])),
+                            vf, y0)
+    assert str(single.value) == str(error) and single.value.time == error.time
+
+
+def test_output_is_independent_of_step_block(monkeypatch):
+    import gaussrde.rde
+
+    grid = uniform_grid(1.0, 33)
+    cases = [(lift_piecewise_linear(sample_paths(models, grid, 4, seed=77)), vf, y0)
+             for vf, models, y0 in stacked_solver_cases()[:3]]
+    cases.append((exploding_stack(), exploding_fields(2.25e-4), np.ones(1)))
+    for X, vf, y0 in cases:
+        flows = []
+        for block in (1, 7, X.grid.n - 1, 4 * X.grid.n):
+            monkeypatch.setattr(gaussrde.rde, "STEP_BLOCK", block)
+            flows.append(solve_flow_jacobian(X, vf, y0, pvar_index=2.5))
+        for flow in flows[1:]:
+            for name in ("Y", "V", "J", "J_inv", "pvar", "max_condition"):
+                assert np.array_equal(getattr(flow, name), getattr(flows[0], name))
+            assert [str(e) for e in flow.errors] == [str(e) for e in flows[0].errors]
+
+
 def rows_without(flows, k):
     keep = [i for i in range(len(flows.errors)) if i != k]
     return [getattr(flows, name)[keep] for name in ("Y", "V", "J", "J_inv", "pvar",
