@@ -42,7 +42,6 @@ from .lift import (
     RoughPath,
     lift_piecewise_linear,
     translate,
-    spacetime_lift,
     rough_path_to_csv,
     rough_path_from_csv,
 )
@@ -92,7 +91,7 @@ __all__ = [
     "sample_paths", "cameron_martin_basis", "cm_element_from_coeffs",
     "nondegeneracy_check", "cm_embedding_check",
     # lift
-    "RoughPath", "lift_piecewise_linear", "translate", "spacetime_lift",
+    "RoughPath", "lift_piecewise_linear", "translate",
     "rough_path_to_csv", "rough_path_from_csv",
     # fields
     "VectorFieldSystem", "linear_fields", "constant_fields", "rotation_fields",

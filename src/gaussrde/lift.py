@@ -5,9 +5,8 @@ time 0: the increment a_i = x_{t_i} - x_0 and the iterated integral
 b_i[j, k] = int_0^{t_i} (x^j - x^j_0) dx^k.  Segments are chained with the
 group product, so consistency with the algebra in `nilpotent` is structural.
 Piecewise-linear interpolation between grid points fixes all within-segment
-integrals; under that convention the lift, the Cameron-Martin translation
-and the time-augmented lift are exact identities on the grid, not
-discretizations.
+integrals; under that convention the lift and the Cameron-Martin translation
+are exact identities on the grid, not discretizations.
 """
 
 from __future__ import annotations
@@ -111,24 +110,6 @@ def translate(X: RoughPath, h: GridFunction1D) -> RoughPath:
     cross = 0.5 * (nilpotent.tensor(da, dh) + nilpotent.tensor(dh, da)
                    + nilpotent.tensor(dh, dh))
     return _chain(X.grid, da + dh, db + cross)
-
-
-def spacetime_lift(X: RoughPath) -> RoughPath:
-    """Adjoin running time as component 0, for drift-augmented dynamics.
-
-    Works on a stack of paths.  Per segment of length dt with increment
-    (da, db) the augmented increment has first level (dt, da) and second level
-        [[dt^2/2      , dt da_j / 2],
-         [da_i dt / 2 , db_ij      ]],
-    the time-time and time-space integrals of the linear interpolant.  The
-    result satisfies the same symmetry constraint as any lift.
-    """
-    da, db = X.segment_increments()
-    dt = np.broadcast_to(np.diff(X.grid.points)[:, None], da.shape[:-1] + (1,))
-    da2 = np.concatenate([dt, da], axis=-1)
-    db2 = 0.5 * nilpotent.tensor(da2, da2)
-    db2[..., 1:, 1:] = db
-    return _chain(X.grid, da2, db2)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ and lose the inverse-consistency guarantee.
 The solver steps a stack of K driver paths at once, with the sample axis in
 front of every array; one path is the K = 1 case.
 
-Drift is folded in by solving along the time-augmented lift with the field
-collection (V_0, V_1, ..., V_d); no separate splitting scheme exists here.
+Drift is folded in by adjoining time to the driver's increments (`_with_time`)
+and stepping with the fields (V_0, V_1, ..., V_d); no splitting scheme exists.
 This module holds the solve and the ODE oracle; `malliavin` forms the
 Malliavin derivative J(t) J(s)^{-1} V(Y_s) from the flows they return.
 """
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import nilpotent
 from .fields import VectorFieldSystem
-from .lift import RoughPath, spacetime_lift
+from .lift import RoughPath
 from .nilpotent import GEOMETRIC_TOL
 from .young import GridFunction1D, TimeGrid, p_variation
 
@@ -163,6 +163,23 @@ def _with_drift(vf: VectorFieldSystem) -> SimpleNamespace:
                            hess=join(vf.drift_hess, vf.hess))
 
 
+def _with_time(grid: TimeGrid, da: np.ndarray, db: np.ndarray) -> tuple:
+    """Adjoin running time as component 0 of a stack of segment increments.
+
+    Per segment of length dt with increment (da, db) the augmented increment
+    has first level (dt, da) and second level
+        [[dt^2/2      , dt da_j / 2],
+         [da_i dt / 2 , db_ij      ]],
+    the time-time and time-space integrals of the linear interpolant.  The
+    result satisfies the same symmetry constraint as (da, db).
+    """
+    dt = np.broadcast_to(np.diff(grid.points)[:, None], da.shape[:-1] + (1,))
+    da2 = np.concatenate([dt, da], axis=-1)
+    db2 = 0.5 * nilpotent.tensor(da2, da2)
+    db2[..., 1:, 1:] = db
+    return da2, db2
+
+
 def solve_flow_jacobian(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
                         pvar_index: float | None = None) -> FlowResult:
     """Solve the rough equation jointly with its Jacobian flow and inverses.
@@ -184,12 +201,14 @@ def solve_flow_jacobian(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
     if one:
         X = RoughPath(X.grid, X.level1[None], X.level2[None])
 
+    da, db = X.segment_increments()
+    _check_geometric(da, db)  # adjoining time adds no residual
     pvar = p_variation(X, pvar_index) if pvar_index is not None else None
     d = vf.d
     if vf.has_drift:
-        X, vf = spacetime_lift(X), _with_drift(vf)
-    flow = _steps(X, vf, y0, pvar)
-    flow = replace(flow, V=flow.V[..., -d:, :])  # without the drift's values
+        (da, db), vf = _with_time(X.grid, da, db), _with_drift(vf)
+    flow = _steps(X.grid, da, db, vf, y0)
+    flow = replace(flow, V=flow.V[..., -d:, :], pvar=pvar)  # without the drift's values
     if not one:
         return flow
     if flow.errors[0] is not None:
@@ -197,10 +216,9 @@ def solve_flow_jacobian(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
     return flow.sample(0)
 
 
-def _steps(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray, pvar) -> FlowResult:
-    da, db = X.segment_increments()
-    _check_geometric(da, db)
-    (K, n), d, e = X.level1.shape[:2], vf.d, vf.e
+def _steps(grid: TimeGrid, da: np.ndarray, db: np.ndarray, vf, y0) -> FlowResult:
+    """Step K paths along segment increments da (K, n-1, d), db (K, n-1, d, d)."""
+    K, n, d, e = len(da), grid.n, vf.d, vf.e
     Y = np.zeros((K, n, e))
     Y[:, 0] = y0
     V = np.zeros((K, n, d, e))
@@ -217,17 +235,17 @@ def _steps(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray, pvar) -> FlowRes
             V[:, k] = Vk = vf.val(y)
             Vp[:, k - k0] = Vpk = vf.jac(y)
             Vp_ai = Vpk.transpose(0, 2, 1, 3)
-            # sum_{j,i,b} b[j, i] V_i'(y)[a, b] V_j(y)[b], axes (K, a, j, i, b)
-            step = ((a[:, None, :] @ Vk)[:, 0]
-                    + _sum_tail(b[:, None, :, :, None] * Vp_ai[:, :, None]
-                                * Vk[:, None, :, None], 2))
-            y = y + step
-            with np.errstate(over="ignore"):
+            # an overflow leaves y non-finite or past the guard: reported below
+            with np.errstate(over="ignore", invalid="ignore"):
+                # sum_{j,i,b} b[j, i] V_i'(y)[a, b] V_j(y)[b], axes (K, a, j, i, b)
+                y = y + ((a[:, None, :] @ Vk)[:, 0]
+                         + _sum_tail(b[:, None, :, :, None] * Vp_ai[:, :, None]
+                                     * Vk[:, None, :, None], 2))
                 blown = ~(np.linalg.norm(y, axis=-1) <= EXPLOSION_NORM)
             for row in np.flatnonzero(blown):
                 # frozen at its last values: with no increment from step k
                 # on, J keeps its value too
-                errors[row] = _explosion("state", X.grid, k)
+                errors[row] = _explosion("state", grid, k)
                 stopped[row] = k
                 da[row, k:] = db[row, k:] = 0.0
                 y[row] = Y[row, k]
@@ -238,7 +256,7 @@ def _steps(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray, pvar) -> FlowRes
         for row in np.flatnonzero(bad.any(axis=1)):
             k = k0 + int(np.argmax(bad[row]))
             if k < stopped[row]:  # the Jacobian blew up first
-                errors[row] = _explosion("Jacobian", X.grid, k)
+                errors[row] = _explosion("Jacobian", grid, k)
                 stopped[row] = k
                 da[row, k:] = db[row, k:] = 0.0
                 y[row] = Y[row, k + 1:k1 + 1] = Y[row, k]
@@ -251,7 +269,7 @@ def _steps(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray, pvar) -> FlowRes
     for cond, exc in zip(max_cond, errors):
         if exc is None and cond > CONDITION_LIMIT:
             log.warning("Jacobian condition number reached %.3e", cond)
-    return FlowResult(X.grid, Y, V, J, J_inv, pvar, max_cond, tuple(errors))
+    return FlowResult(grid, Y, V, J, J_inv, None, max_cond, tuple(errors))
 
 
 def _explosion(what: str, grid: TimeGrid, k: int) -> ExplosionError:

@@ -11,7 +11,6 @@ from gaussrde import (
     rough_path_from_csv,
     rough_path_to_csv,
     sample_paths,
-    spacetime_lift,
     translate,
     uniform_grid,
 )
@@ -126,30 +125,6 @@ def test_translate_dimension_mismatch():
     h = GridFunction1D(grid, np.zeros((grid.n, 3)))
     with pytest.raises(ValueError):
         translate(X, h)
-
-
-def test_spacetime_lift_structure():
-    X, grid = random_lift(40, n=25, d=2)
-    Xt = spacetime_lift(X)
-    assert Xt.dim == 3
-    assert np.allclose(Xt.level1[:, 0], grid.points, atol=TOL)
-    assert np.allclose(Xt.level1[:, 1:], X.level1, atol=TOL)
-    # the original level-2 block is untouched
-    assert np.allclose(Xt.level2[:, 1:, 1:], X.level2, atol=TOL)
-    # time against itself integrates to t^2 / 2
-    assert np.allclose(Xt.level2[:, 0, 0], 0.5 * grid.points**2, atol=TOL)
-    for i in range(grid.n):
-        assert residual(Xt.level1[i], Xt.level2[i]) < 1e-10
-
-
-def test_spacetime_lift_of_linear_path_has_no_area():
-    grid = uniform_grid(1.0, 11)
-    v = np.array([0.7, -1.2])
-    X = lift_piecewise_linear(GridFunction1D(grid, np.outer(grid.points, v)))
-    Xt = spacetime_lift(X)
-    for i in range(grid.n):
-        a = Xt.level1[i]
-        assert np.allclose(Xt.level2[i], 0.5 * np.outer(a, a), atol=TOL)
 
 
 def test_csv_roundtrip_is_exact():

@@ -9,6 +9,7 @@ from gaussrde import (
     GridFunction1D,
     PathSample,
     RoughPath,
+    TimeGrid,
     VectorFieldSystem,
     brownian_model,
     constant_fields,
@@ -22,10 +23,10 @@ from gaussrde import (
     sample_paths,
     solve_flow_jacobian,
     solve_ode_reference,
-    spacetime_lift,
     translate,
     uniform_grid,
 )
+from gaussrde import nilpotent
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -215,6 +216,82 @@ def test_drift_rides_along_with_the_fields():
     assert np.allclose(rough.final_state, ode.final_state, atol=2e-4)
 
 
+def test_with_time_adjoins_the_grid_steps_to_the_increments():
+    from gaussrde.rde import _with_time
+
+    grid = TimeGrid(np.concatenate([[0.0], np.cumsum(
+        np.random.default_rng(40).uniform(0.01, 0.1, 24))]))
+    X = lift_piecewise_linear(sample_paths([brownian_model()] * 2, grid, 3, seed=40))
+    da, db = X.segment_increments()
+    ta, tb = _with_time(grid, da, db)
+    assert ta.shape == (3, 24, 3) and tb.shape == (3, 24, 3, 3)
+    dt = np.diff(grid.points)
+    assert np.array_equal(ta[..., 0], np.broadcast_to(dt, (3, 24)))
+    assert np.array_equal(ta[..., 1:], da) and np.array_equal(tb[..., 1:, 1:], db)
+    assert np.array_equal(tb[..., 0, 0], np.broadcast_to(0.5 * dt**2, (3, 24)))
+    # the time entries match exactly: the residual is the driver's own, and 0
+    # on the exact increments of a piecewise-linear path
+    assert np.array_equal(nilpotent.residual(ta, tb), nilpotent.residual(da, db))
+    da = np.diff(X.level1, axis=-2)
+    exact = _with_time(grid, da, 0.5 * nilpotent.tensor(da, da))
+    assert np.all(nilpotent.residual(*exact) == 0.0)
+
+
+def test_with_time_of_a_linear_path_has_no_area():
+    # (t, t v) is a straight line in space-time: its whole increment has no area
+    from gaussrde.rde import _with_time
+
+    grid = uniform_grid(1.0, 11)
+    X = lift_piecewise_linear(GridFunction1D(grid, np.outer(grid.points, [0.7, -1.2])))
+    ta, tb = _with_time(grid, *X.segment_increments())
+    a, b = ta[0], tb[0]
+    for k in range(1, grid.n - 1):
+        a, b = nilpotent.product(a, b, ta[k], tb[k])
+    assert np.allclose(a, [1.0, 0.7, -1.2], atol=1e-15)
+    assert np.allclose(nilpotent.area(a, b), 0.0, atol=1e-15)
+
+
+def test_drift_solve_chains_no_signatures(monkeypatch):
+    # time is adjoined to the increments: no second rough path is built
+    import gaussrde.lift
+
+    grid = uniform_grid(1.0, 17)
+    X = lift_piecewise_linear(sample_paths([brownian_model()], grid, 4, seed=41))
+    vf = linear_fields(np.array([[[0.6]]]), drift=(np.array([[-0.4]]), np.array([0.1])))
+
+    def no_chain(*args):
+        raise AssertionError("signatures chained during the solve")
+
+    monkeypatch.setattr(gaussrde.lift, "_chain", no_chain)
+    flows = solve_flow_jacobian(X, vf, np.array([1.0]), pvar_index=2.5)
+    assert flows.errors == (None,) * 4 and np.all(np.isfinite(flows.Y))
+
+
+def test_state_overflow_aborts_only_its_path():
+    """V(y) = 1e200 y: the second-order term of the first step overflows on
+    a moving driver.  The overflow is caught by the explosion guard, not
+    raised as a RuntimeWarning."""
+    grid = uniform_grid(1.0, 9)
+    values = sample_paths([brownian_model()], grid, 3, seed=1).values
+    values[0] = 0.0
+    vf = linear_fields(np.array([[[1e200]]]))
+    y0 = np.ones(1)
+    flows = solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, values, 1)),
+                                vf, y0, pvar_index=2.5)
+    for row in (1, 2):
+        error = flows.errors[row]
+        assert isinstance(error, ExplosionError) and error.time == 0.125
+        assert str(error) == "state exploded at t = 0.125"
+    assert flows.errors[0] is None
+    alone = solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, values[:1], 1)),
+                                vf, y0, pvar_index=2.5)
+    for name in ("Y", "V", "J", "J_inv", "pvar", "max_condition"):
+        assert np.array_equal(getattr(flows, name)[0], getattr(alone, name)[0])
+    with pytest.raises(ExplosionError, match="state exploded at t = 0.125"):
+        solve_flow_jacobian(lift_piecewise_linear(GridFunction1D(grid, values[1])),
+                            vf, y0)
+
+
 def test_directional_derivative_scalar_linear_is_exact():
     # for commuting scalar fields the transported integrand is constant in s,
     # so the left-point sum telescopes with no quadrature error at all
@@ -368,15 +445,18 @@ def test_non_geometric_driver_rejected():
 def test_non_geometric_driver_is_named_by_its_residual():
     # a lift whose level 2 at one grid point has its symmetric part moved by
     # `shift` has symmetry residual `shift`: accepted inside GEOMETRIC_TOL
-    # (1e-9), rejected past it with the residual in the message
+    # (1e-9), rejected past it with the residual in the message, with or
+    # without drift (adjoining time adds no residual)
     X, _ = smooth_driver(9)
-    b = X.level2.copy()
-    b[4, 0, 0] += 0.5e-9
-    solve_flow_jacobian(RoughPath(X.grid, X.level1, b), rotation_fields(), np.zeros(2))
-    b[4, 0, 0] += 1.5e-9
-    with pytest.raises(ValueError, match=r"not a geometric rough path "
-                                         r"\(symmetry residual 2\.000e-09 > 1\.0e-09\)"):
-        solve_flow_jacobian(RoughPath(X.grid, X.level1, b), rotation_fields(), np.zeros(2))
+    drift = linear_fields(np.stack([ROT, np.eye(2)]), drift=(ROT, np.ones(2)))
+    for vf in (rotation_fields(), drift):
+        b = X.level2.copy()
+        b[4, 0, 0] += 0.5e-9
+        solve_flow_jacobian(RoughPath(X.grid, X.level1, b), vf, np.zeros(2))
+        b[4, 0, 0] += 1.5e-9
+        with pytest.raises(ValueError, match=r"not a geometric rough path "
+                                             r"\(symmetry residual 2\.000e-09 > 1\.0e-09\)"):
+            solve_flow_jacobian(RoughPath(X.grid, X.level1, b), vf, np.zeros(2))
 
 
 def test_dimension_guards():
@@ -445,16 +525,20 @@ def test_ode_oracle_input_handling():
 
 def reference_solve(X, vf, y0):
     """The per-path step loop that the stacked solver replaced, kept as the
-    reference: Y, V, J, J_inv and max_condition of one path."""
-    if vf.has_drift:
-        augmented = VectorFieldSystem(
-            e=vf.e, d=vf.d + 1,
-            value=lambda y: np.vstack([vf.drift_val(y)[None, :], vf.val(y)]),
-            jacobian=lambda y: np.concatenate([vf.drift_jac(y)[None], vf.jac(y)]),
-            hessian=lambda y: np.concatenate([vf.drift_hess(y)[None], vf.hess(y)]))
-        Y, V, J, J_inv, cond = reference_solve(spacetime_lift(X), augmented, y0)
-        return Y, V[:, 1:], J, J_inv, cond
+    reference: Y, V, J, J_inv and max_condition of one path.  Time is adjoined
+    to the increments as the solver does it."""
+    from gaussrde.rde import _with_time
+
     da, db = X.segment_increments()
+    d = vf.d
+    if vf.has_drift:
+        da, db = _with_time(X.grid, da, db)
+        f = vf
+        vf = VectorFieldSystem(
+            e=f.e, d=f.d + 1,
+            value=lambda y: np.vstack([f.drift_val(y)[None, :], f.val(y)]),
+            jacobian=lambda y: np.concatenate([f.drift_jac(y)[None], f.jac(y)]),
+            hessian=lambda y: np.concatenate([f.drift_hess(y)[None], f.hess(y)]))
     n, e = X.grid.n, vf.e
     Y, V, J = np.zeros((n, e)), np.zeros((n, vf.d, e)), np.zeros((n, e, e))
     Y[0], J[0] = y0, np.eye(e)
@@ -471,7 +555,7 @@ def reference_solve(X, vf, y0):
         y = y + step
         Y[k + 1], J[k + 1] = y, jac
     V[-1] = vf.val(y)
-    return Y, V, J, np.linalg.inv(J), max(1.0, float(np.linalg.cond(J, 1).max()))
+    return Y, V[:, -d:], J, np.linalg.inv(J), max(1.0, float(np.linalg.cond(J, 1).max()))
 
 
 def assert_relatively_close(got, ref, rel=1e-12):
@@ -534,12 +618,13 @@ def stepwise_reference(X, vf, y0):
     at a time, kept as the reference for the block pass: Y, V, J, J_inv,
     max_condition and errors of a stack of paths.  Its Jacobian update runs
     under errstate, so an overflow reaches the finiteness check."""
-    from gaussrde.rde import EXPLOSION_NORM, _inverses, _sum_tail, _with_drift
+    from gaussrde.rde import (EXPLOSION_NORM, _inverses, _sum_tail, _with_drift,
+                              _with_time)
 
     d = vf.d
-    if vf.has_drift:
-        X, vf = spacetime_lift(X), _with_drift(vf)
     da, db = X.segment_increments()
+    if vf.has_drift:
+        (da, db), vf = _with_time(X.grid, da, db), _with_drift(vf)
     (K, n), e = X.level1.shape[:2], vf.e
     Y = np.zeros((K, n, e))
     Y[:, 0] = y0

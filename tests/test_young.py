@@ -12,7 +12,6 @@ from gaussrde import (
     p_variation,
     p_variation_with_partition,
     rho_variation_2d,
-    spacetime_lift,
     uniform_grid,
     young_integral_1d,
     young_integral_2d,
@@ -246,6 +245,15 @@ def random_rough_lift(rng, n, d):
     return lift_piecewise_linear(GridFunction1D(uniform_grid(1.0, n), values))
 
 
+def space_time(X):
+    """Lift of the time-prepended path (t, x) of a piecewise-linear lift X:
+    the driver that a solve with drift steps along."""
+    v = np.concatenate([np.broadcast_to(X.grid.points[:, None], X.level1.shape[:-1] + (1,)),
+                        X.level1], axis=-1)
+    path = GridFunction1D(X.grid, v) if v.ndim == 2 else PathSample(X.grid, v, 0)
+    return lift_piecewise_linear(path)
+
+
 def test_rough_p_variation_matches_bruteforce():
     rng = np.random.default_rng(17)
     for d in (1, 2, 3):
@@ -261,7 +269,7 @@ def test_rough_increment_norms_match_elementwise_norm():
     rng = np.random.default_rng(18)
     for d in (1, 2, 3):
         base = random_rough_lift(rng, 12, d)
-        for X in (base, spacetime_lift(base)):
+        for X in (base, space_time(base)):
             norms = _increment_norms(X)
             n = X.grid.n
             expected = np.array([[nilpotent.norm(*X.increment(i, j)) if i < j else 0.0
@@ -297,7 +305,7 @@ def test_closed_form_norms_match_the_area_formula(d, n, count, seed):
     values = rng.standard_normal((count, n, d)).cumsum(axis=1)
     values -= values[:, :1]
     stack = lift_piecewise_linear(PathSample(uniform_grid(1.0, n), values, seed))
-    for X in (stack, spacetime_lift(stack)):
+    for X in (stack, space_time(stack)):
         A, B = X.level1, X.level2
         a, b = nilpotent.increment(A[:, :, None], B[:, :, None], A[:, None], B[:, None])
         expected = reference_norm(a, b)  # (count, s, t)
@@ -330,7 +338,7 @@ def test_stacked_p_variation_matches_single_path_dp(d, n, count, p, seed):
     values = rng.standard_normal((count, n, d)).cumsum(axis=1)
     values -= values[:, :1]
     stack = lift_piecewise_linear(PathSample(uniform_grid(1.0, n), values, seed))
-    for X in (stack, spacetime_lift(stack)):
+    for X in (stack, space_time(stack)):
         got, partitions = p_variation_with_partition(X, p)
         assert got.shape == (count,) and np.array_equal(p_variation(X, p), got)
         for k in range(count):
