@@ -32,7 +32,7 @@ from .gaussian import (CovarianceModel, brownian_model, bridge_model,
 from .lift import lift_piecewise_linear
 from .malliavin import (DEGENERACY_TAU, malliavin_matrix_2d,
                         malliavin_matrix_parseval, route_residual, spectrum)
-from .rde import by_rows, log_operator_norm, solve_flow_jacobian
+from .rde import NUMERICAL_ERRORS, log_operator_norm, solve_flow_jacobian
 from .young import TimeGrid, uniform_grid
 
 log = logging.getLogger("gaussrde")
@@ -496,6 +496,24 @@ def gaussian_gate(model: CovarianceModel, grid: TimeGrid, times) -> dict:
             for t, it in zip(times, time_indices(grid, times))}
 
 
+def by_rows(fn, take, rows):
+    """fn(take(rows)) for a list of row indices of a stack, in one call; if
+    that fails numerically, each row alone finds the failures and fn runs
+    again on the others, so a failure aborts only its own row.  Returns fn's
+    output on the rows that passed and {row: error} for the others."""
+    try:
+        return fn(take(rows)), {}
+    except NUMERICAL_ERRORS:
+        pass
+    failed = {}
+    for k in rows:
+        try:
+            fn(take([k]))
+        except NUMERICAL_ERRORS as exc:
+            failed[k] = exc
+    return fn(take([k for k in rows if k not in failed])), failed
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> DensityReport:
     """Run the sampled-path pipeline described by the config.
 
@@ -505,12 +523,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     chunks of at most CHUNK: lift, solve, p-variation, then per evaluation
     time one call each for the 2D covariance, its spectrum and the Parseval
     route.  Every per-sample value is independent of the chunking, so the
-    artifacts are too.  Numerical sample failures (explosion, singular
-    matrices, floating-point errors) are logged and skipped; more than 1% of
-    them fails the whole run.  So does a sample whose two covariance routes
-    differ by more than ROUTE_TOL at some time (see `route_residual`).  Any
-    other exception propagates.  Artifacts are written when the config
-    names them (rebased into `out_dir` if given).
+    artifacts are too.  Numerical sample failures (explosion, an eigenvalue
+    solve that does not converge, floating-point errors) are logged and
+    skipped; more than 1% of them fails the whole run.  So does a sample
+    whose two covariance routes differ by more than ROUTE_TOL at some time
+    (see `route_residual`).  Any other exception propagates.  Artifacts are
+    written when the config names them (rebased into `out_dir` if given).
     """
     model = build_model(config)
     vf = build_fields(config)

@@ -1,13 +1,16 @@
 """Malliavin derivative of an RDE solution and its covariance, by two routes.
 
 The derivative D_s Y_t = J_{t<-s} V(Y_s) is formed in one place,
-`_integrand_values`, from the flow's Jacobians and field values; the routes
-and `directional_derivative` only pair it.  Route one pairs each component
-with itself against the rectangle increments of that component's covariance
-kernel (a 2D Young integral).  Route two pairs it with the increments of an
-orthonormal basis of the grid Cameron-Martin space and sums outer products.
-The kernel sample and the basis depend only on the driver law, so the caller
-builds them once per run.  On a fixed grid the two are the same finite sum
+`_integrand_values`, from the flow's step maps and field values; the routes
+and `directional_derivative` only pair it.  The transport J_{t<-s} is the
+product of the step maps I + M_k between s and t, accumulated backward from
+t, so no Jacobian is inverted and an ill-conditioned flow loses no accuracy
+in the derivative.  Route one pairs each component with itself against the
+rectangle increments of that component's covariance kernel (a 2D Young
+integral).  Route two pairs it with the increments of an orthonormal basis
+of the grid Cameron-Martin space and sums outer products.  The kernel sample
+and the basis depend only on the driver law, so the caller builds them once
+per run.  On a fixed grid the two are the same finite sum
 rearranged, so their agreement is a floating-point identity and serves as
 the module's correctness certificate; neither route is ever shortcut through
 the other.
@@ -72,11 +75,18 @@ def _finish(raw: np.ndarray, t: float, method: str, magnitude) -> MalliavinMatri
 
 def _integrand_values(flow: FlowResult, vf: VectorFieldSystem, it: int) -> np.ndarray:
     """The Malliavin derivative of Y_t, t the grid time of index it:
-    Z[..., m, k, :] = D^k_{s_m} Y_t = J_{t<-s_m} V_k(Y_{s_m}), m = 0..it."""
+    Z[..., m, k, :] = D^k_{s_m} Y_t = J_{t<-s_m} V_k(Y_{s_m}), m = 0..it.
+
+    The transports P_m = J_{t<-s_m} = (I + M_{it-1}) ... (I + M_m) are swept
+    back from P_it = I by P_m = P_{m+1} + P_{m+1} M_m."""
     if flow.V.shape[-2:] != (vf.d, vf.e):
         raise ValueError("flow was solved with fields of another shape")
-    Z = (flow.J[..., it, None, :, :] @ flow.J_inv[..., :it + 1, :, :]
-         @ flow.V[..., :it + 1, :, :].swapaxes(-2, -1))
+    P = np.empty(flow.J.shape[:-3] + (it + 1, vf.e, vf.e))
+    P[..., it, :, :] = np.eye(vf.e)
+    for m in range(it - 1, -1, -1):
+        later = P[..., m + 1, :, :]
+        P[..., m, :, :] = later + later @ flow.M[..., m, :, :]
+    Z = P @ flow.V[..., :it + 1, :, :].swapaxes(-2, -1)
     # C order gives each component's (m, e) slice the unit stride BLAS takes
     return np.ascontiguousarray(Z.swapaxes(-2, -1))
 

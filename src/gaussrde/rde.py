@@ -17,9 +17,10 @@ step loop carries only Y: it stores V(y_k) and V'(y_k), and after every
 STEP_BLOCK steps one pass over the block evaluates the Hessians at the
 block's states in one call, forms the linearizations M_k of all its steps as
 stacked matmuls, and advances J_{k+1} = J_k + M_k J_k, one matmul per step.
-Inverses are taken directly at every grid time, in one call on the stacked
-Jacobians after the steps; the adjoint transport equation would re-discretize
-and lose the inverse-consistency guarantee.
+The flow keeps every M_k: the transport from s_m to t_i is the product
+(I + M_{i-1}) ... (I + M_m), which `malliavin` forms backward from t_i.  No
+Jacobian is ever inverted, so an ill-conditioned or singular J leaves the
+derivative as accurate as the step maps themselves.
 
 The solver steps a stack of K driver paths at once, with the sample axis in
 front of every array; one path is the K = 1 case.
@@ -27,12 +28,11 @@ front of every array; one path is the K = 1 case.
 Drift is folded in by adjoining time to the driver's increments (`_with_time`)
 and stepping with the fields (V_0, V_1, ..., V_d); no splitting scheme exists.
 This module holds the solve and the ODE oracle; `malliavin` forms the
-Malliavin derivative J(t) J(s)^{-1} V(Y_s) from the flows they return.
+Malliavin derivative J_{t<-s} V(Y_s) from the flows they return.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -44,10 +44,7 @@ from .lift import RoughPath
 from .nilpotent import GEOMETRIC_TOL
 from .young import GridFunction1D, TimeGrid, p_variation
 
-log = logging.getLogger("gaussrde")
-
 EXPLOSION_NORM = 1e12
-CONDITION_LIMIT = 1e12
 # the Jacobian is advanced a block of at most STEP_BLOCK steps at a time,
 # after the state steps of the block.  Outputs do not depend on it.
 STEP_BLOCK = 16
@@ -67,29 +64,28 @@ NUMERICAL_ERRORS = (ExplosionError, np.linalg.LinAlgError, FloatingPointError)
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Solution paths with their field values and Jacobian flows.
+    """Solution paths with their field values, Jacobians and step maps.
 
     For one driver path Y is (n, e).  For a stack of K paths every array
-    and `pvar` and `max_condition` have the sample axis in front (Y is
-    (K, n, e)), and `sample(k)` is the one-path view of path k.
-    V[..., i, :, :] = V(Y_i) is the (d, e) array of driving fields (drift
-    excluded) at t_i, as the solver evaluated them.  J[..., i, :, :] is the
-    derivative of Y at t_i with respect to y0, always set; J_inv its
-    inverse, taken directly, read only by `malliavin`; max_condition the
-    largest 1-norm condition number of J, ||J||_1 ||J_inv||_1.  pvar holds the driver's p-variation
-    when the caller asked for it (metadata for growth diagnostics).  For a
-    stack, errors[k] is the numerical failure (ExplosionError or
-    LinAlgError) that aborted path k, or None; an aborted path's arrays hold
-    no solution.
+    and `pvar` have the sample axis in front (Y is (K, n, e)), and
+    `sample(k)` is the one-path view of path k.  V[..., i, :, :] = V(Y_i) is
+    the (d, e) array of driving fields (drift excluded) at t_i, as the solver
+    evaluated them.  J[..., i, :, :] is the derivative of Y at t_i with
+    respect to y0, always set.  M[..., k, :, :] is the linearization of step
+    k, so that J_{k+1} = J_k + M_k J_k; `malliavin` transports by products of
+    I + M_k.  pvar holds the driver's p-variation when the caller asked for
+    it (metadata for growth diagnostics).  For a stack, errors[k] is the
+    ExplosionError that aborted path k, or None; an aborted path is frozen
+    at its last values, with M = 0 from the failing step on, and holds no
+    solution.
     """
 
     grid: TimeGrid
     Y: np.ndarray
     V: np.ndarray
     J: np.ndarray
-    J_inv: np.ndarray
+    M: np.ndarray
     pvar: float | np.ndarray | None = None
-    max_condition: float | np.ndarray = 1.0
     errors: tuple = ()
 
     @property
@@ -98,10 +94,8 @@ class FlowResult:
 
     def sample(self, k) -> "FlowResult":
         """View of path k of a stack; for a list k, the stack of those paths."""
-        return replace(self, Y=self.Y[k], V=self.V[k], J=self.J[k],
-                       J_inv=self.J_inv[k],
+        return replace(self, Y=self.Y[k], V=self.V[k], J=self.J[k], M=self.M[k],
                        pvar=None if self.pvar is None else self.pvar[k],
-                       max_condition=self.max_condition[k],
                        errors=tuple(self.errors[i] for i in k)
                        if np.ndim(k) else ())
 
@@ -113,37 +107,6 @@ def _check_geometric(da: np.ndarray, db: np.ndarray) -> None:
             f"driver is not a geometric rough path "
             f"(symmetry residual {worst:.3e} > {GEOMETRIC_TOL:.1e})"
         )
-
-
-def by_rows(fn, take, rows):
-    """fn(take(rows)) for a list of row indices of a stack, in one call; if
-    that fails numerically, each row alone finds the failures and fn runs
-    again on the others, so a failure aborts only its own row.  Returns fn's
-    output on the rows that passed and {row: error} for the others."""
-    try:
-        return fn(take(rows)), {}
-    except NUMERICAL_ERRORS:
-        pass
-    failed = {}
-    for k in rows:
-        try:
-            fn(take([k]))
-        except NUMERICAL_ERRORS as exc:
-            failed[k] = exc
-    return fn(take([k for k in rows if k not in failed])), failed
-
-
-def _inverses(J: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """Inverses of K paths' stacked Jacobians (K, n, e, e), each path's
-    largest 1-norm condition number, and each path's LinAlgError or None."""
-    rows = list(range(len(J)))
-    inv, failed = by_rows(np.linalg.inv, lambda k: J if k == rows else J[k], rows)
-    J_inv = inv  # every row inverted: no second (K, n, e, e) array
-    if failed:
-        J_inv = np.zeros_like(J)
-        J_inv[[k for k in rows if k not in failed]] = inv
-    cond = np.linalg.norm(J, 1, axis=(-2, -1)) * np.linalg.norm(J_inv, 1, axis=(-2, -1))
-    return J_inv, np.maximum(1.0, cond.max(axis=-1)), [failed.get(k) for k in rows]
 
 
 def _sum_tail(products: np.ndarray, keep: int) -> np.ndarray:
@@ -182,14 +145,14 @@ def _with_time(grid: TimeGrid, da: np.ndarray, db: np.ndarray) -> tuple:
 
 def solve_flow_jacobian(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
                         pvar_index: float | None = None) -> FlowResult:
-    """Solve the rough equation jointly with its Jacobian flow and inverses.
+    """Solve the rough equation jointly with its Jacobian flow and step maps.
 
     All paths of X, one path (n, d) or a stack (K, n, d), step together.
     Every step is a handful of array operations over the sample axis, so
     each path's values do not depend on which other paths share the call.
     A path whose state or Jacobian stops being finite, or whose state passes
-    EXPLOSION_NORM, is frozen at its last values and reported in `errors`;
-    so is a path with a singular Jacobian.  A single path raises instead.
+    EXPLOSION_NORM, is frozen at its last values and reported in `errors`.
+    A single path raises instead.
     """
     if vf.d != X.dim:
         raise ValueError(f"fields expect a {vf.d}-dimensional driver, "
@@ -224,6 +187,7 @@ def _steps(grid: TimeGrid, da: np.ndarray, db: np.ndarray, vf, y0) -> FlowResult
     V = np.zeros((K, n, d, e))
     J = np.zeros((K, n, e, e))
     J[:, 0] = np.eye(e)
+    M = np.zeros((K, n - 1, e, e))
     Vp = np.zeros((K, STEP_BLOCK, d, e, e))  # V'(y_k) at the block's steps
     errors = [None] * K
     stopped = np.full(K, n)  # the step at which each path blew up
@@ -252,7 +216,8 @@ def _steps(grid: TimeGrid, da: np.ndarray, db: np.ndarray, vf, y0) -> FlowResult
             Y[:, k + 1] = y
         block = slice(k0, k1)
         bad = _jacobian_block(vf, Y[:, block], V[:, block], Vp[:, :k1 - k0],
-                              da[:, block], db[:, block], J[:, k0:k1 + 1])
+                              da[:, block], db[:, block], M[:, block],
+                              J[:, k0:k1 + 1])
         for row in np.flatnonzero(bad.any(axis=1)):
             k = k0 + int(np.argmax(bad[row]))
             if k < stopped[row]:  # the Jacobian blew up first
@@ -262,14 +227,9 @@ def _steps(grid: TimeGrid, da: np.ndarray, db: np.ndarray, vf, y0) -> FlowResult
                 y[row] = Y[row, k + 1:k1 + 1] = Y[row, k]
                 V[row, k + 1:k1] = V[row, k]
                 J[row, k + 1:k1 + 1] = J[row, k]
+                M[row, k:k1] = 0.0
     V[:, -1] = vf.val(y)
-    J_inv, max_cond, singular = _inverses(J)
-    for k, exc in enumerate(singular):
-        errors[k] = errors[k] or exc
-    for cond, exc in zip(max_cond, errors):
-        if exc is None and cond > CONDITION_LIMIT:
-            log.warning("Jacobian condition number reached %.3e", cond)
-    return FlowResult(grid, Y, V, J, J_inv, None, max_cond, tuple(errors))
+    return FlowResult(grid, Y, V, J, M, None, tuple(errors))
 
 
 def _explosion(what: str, grid: TimeGrid, k: int) -> ExplosionError:
@@ -277,11 +237,12 @@ def _explosion(what: str, grid: TimeGrid, k: int) -> ExplosionError:
     return ExplosionError(f"{what} exploded at t = {t:.6g}", t)
 
 
-def _jacobian_block(vf, y, v, vp, a, b, J) -> np.ndarray:
+def _jacobian_block(vf, y, v, vp, a, b, M, J) -> np.ndarray:
     """Advance J[:, 0] (K, e, e) over a block of B steps into J[:, 1:], in
     place, from the states y (K, B, e), field values v and first derivatives
-    vp that the state steps stored at them and the increments (a, b); flag
-    (K, B) where J stops being finite.
+    vp that the state steps stored at them and the increments (a, b); write
+    the steps' linearizations into M (K, B, e, e) and flag (K, B) where J
+    stops being finite.
 
     The linearization of the step at y with increment (a, b) is
         M = sum_i a^i V_i' + sum_{i,g} W[i, g] V_i''[., g, .]
@@ -297,10 +258,10 @@ def _jacobian_block(vf, y, v, vp, a, b, J) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         W = (bT @ v).reshape(K, B, 1, d * e)
         U = (bT @ vp_flat).reshape(K, B, d * e, e)
-        M = ((a[:, :, None] @ vp_flat
-              + W @ Vpp.transpose(0, 1, 2, 4, 3, 5).reshape(K, B, d * e, e * e)
-              ).reshape(K, B, e, e)
-             + vp.transpose(0, 1, 3, 2, 4).reshape(K, B, e, d * e) @ U)
+        M[...] = ((a[:, :, None] @ vp_flat
+                   + W @ Vpp.transpose(0, 1, 2, 4, 3, 5).reshape(K, B, d * e, e * e)
+                   ).reshape(K, B, e, e)
+                  + vp.transpose(0, 1, 3, 2, 4).reshape(K, B, e, d * e) @ U)
         for s in range(B):
             J[:, s + 1] = J[:, s] + M[:, s] @ J[:, s]
     return ~np.isfinite(J[:, 1:]).all(axis=(-2, -1))
@@ -321,9 +282,11 @@ def solve_ode_reference(driver, vf: VectorFieldSystem, y0: np.ndarray,
     """Classical 4th-order integration of the piecewise-linear controlled ODE.
 
     Between grid points the driver moves at constant rate, so the controlled
-    equation is an ODE with right-hand side sum_i V_i(y) xdot^i + V_0(y); the
-    Jacobian equation dJ = M(y) J rides along in the same Runge-Kutta steps.
-    With enough substeps this is the convergence oracle for the rough scheme.
+    equation is an ODE with right-hand side sum_i V_i(y) xdot^i + V_0(y).
+    Each segment's propagator I + M_k, dPhi = A(y) Phi from Phi = I, rides
+    along in the same Runge-Kutta steps as its deviation M_k from I, and J
+    advances by the solver's recurrence J_{k+1} = J_k + M_k J_k.  With enough
+    substeps this is the convergence oracle for the rough scheme.
     """
     path = _as_single_path(driver)
     if substeps < 1:
@@ -339,41 +302,40 @@ def solve_ode_reference(driver, vf: VectorFieldSystem, y0: np.ndarray,
     n, e = grid.n, vf.e
     Y = np.zeros((n, e))
     J = np.zeros((n, e, e))
+    M = np.zeros((n - 1, e, e))
     Y[0] = y0
     J[0] = np.eye(e)
     y = y0.copy()
-    jac = np.eye(e)
     for k in range(n - 1):
         dt_seg = grid.points[k + 1] - grid.points[k]
         rate = (x[k + 1] - x[k]) / dt_seg
 
-        def rhs(yv, jv):
+        def rhs(yv, mv):
             V = vf.val(yv)
             dy = rate @ V
-            M = np.einsum("i,iab->ab", rate, vf.jac(yv))
+            A = np.einsum("i,iab->ab", rate, vf.jac(yv))
             if vf.has_drift:
                 dy = dy + vf.drift_val(yv)
-                M = M + vf.drift_jac(yv)
-            return dy, M @ jv
+                A = A + vf.drift_jac(yv)
+            return dy, A + A @ mv  # A (I + m)
 
         h = dt_seg / substeps
+        m = np.zeros((e, e))
         for _ in range(substeps):
-            k1y, k1j = rhs(y, jac)
-            k2y, k2j = rhs(y + 0.5 * h * k1y, jac + 0.5 * h * k1j)
-            k3y, k3j = rhs(y + 0.5 * h * k2y, jac + 0.5 * h * k2j)
-            k4y, k4j = rhs(y + h * k3y, jac + h * k3j)
+            k1y, k1m = rhs(y, m)
+            k2y, k2m = rhs(y + 0.5 * h * k1y, m + 0.5 * h * k1m)
+            k3y, k3m = rhs(y + 0.5 * h * k2y, m + 0.5 * h * k2m)
+            k4y, k4m = rhs(y + h * k3y, m + h * k3m)
             y = y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-            jac = jac + (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j)
+            m = m + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
         t_next = float(grid.points[k + 1])
         if not np.all(np.isfinite(y)) or np.linalg.norm(y) > EXPLOSION_NORM:
             raise ExplosionError(f"state exploded at t = {t_next:.6g}", t_next)
         Y[k + 1] = y
-        J[k + 1] = jac
-    J_inv, max_cond, errors = _inverses(J[None])
-    if errors[0] is not None:
-        raise errors[0]
+        M[k] = m
+        J[k + 1] = J[k] + m @ J[k]
     V = np.array([vf.val(y) for y in Y])
-    return FlowResult(grid, Y, V, J, J_inv[0], None, float(max_cond[0]))
+    return FlowResult(grid, Y, V, J, M)
 
 
 def log_operator_norm(J: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,16 @@ def brownian_flow(vf, y0, n=65, seed=70, d=None):
 
 def rel_gap(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def transports(flow, it):
+    """J_{t<-s_m} for m = 0..it of one flow, t the time of index it, one
+    matrix at a time: P_it = I and P_m = P_{m+1} + P_{m+1} M_m."""
+    P = np.zeros((it + 1,) + flow.J.shape[-2:])
+    P[it] = np.eye(flow.J.shape[-1])
+    for m in range(it - 1, -1, -1):
+        P[m] = P[m + 1] + P[m + 1] @ flow.M[m]
+    return P
 
 
 def test_scalar_linear_covariance_telescopes():
@@ -191,12 +202,14 @@ def test_integrand_values_terminal_point():
 
 
 def test_integrand_values_match_per_point_loop(monkeypatch):
-    # reference: the per-point loop that the stacked product replaced; the
-    # values and every pairing built on them must agree with it bit for bit
+    # reference: a per-point loop over the transports formed one matrix at
+    # a time; the values and every pairing built on them must agree with it
+    # bit for bit
     def per_point(flow, vf, it):
         out = np.zeros((it + 1, vf.d, vf.e))
+        P = transports(flow, it)
         for m in range(it + 1):
-            out[m] = (flow.J[it] @ flow.J_inv[m] @ vf.val(flow.Y[m]).T).T
+            out[m] = (P[m] @ vf.val(flow.Y[m]).T).T
         return out
 
     rng = np.random.default_rng(82)
@@ -229,6 +242,34 @@ def test_integrand_values_match_per_point_loop(monkeypatch):
             assert np.array_equal(a, b)
 
 
+def test_derivative_of_an_ill_conditioned_flow_is_the_exact_step_product():
+    # A_1 = 3 [[1, 6], [0, -1]], A_2 = 3 [[0, 1], [-1, 0]] on Brownian drivers
+    # drive cond(J) past 1e10, where J_t J_s^{-1} loses digits to the inverse
+    # (about 3e-5 relative here).  The backward sweep matches the exact
+    # rational product of the flow's own float64 step maps to 1e-12 of each
+    # matrix's largest entry.
+    vf = linear_fields(3.0 * np.array([[[1.0, 6.0], [0.0, -1.0]],
+                                       [[0.0, 1.0], [-1.0, 0.0]]]))
+    grid = uniform_grid(1.0, 65)
+    batch = sample_paths([brownian_model()] * 2, grid, 8, seed=5)
+    flows = solve_flow_jacobian(lift_piecewise_linear(batch), vf, np.array([1.0, 0.5]))
+    assert flows.errors == (None,) * 8
+    assert np.linalg.cond(flows.J).max() > 1e10
+    it = grid.n - 1
+    Z = _integrand_values(flows, vf, it)
+
+    def exact(a):
+        return np.array([[Fraction(x) for x in row] for row in a], dtype=object)
+
+    for k in range(8):
+        P = exact(np.eye(2))
+        for m in range(it, -1, -1):
+            if m < it:
+                P = P + P.dot(exact(flows.M[k, m]))
+            ref = exact(flows.V[k, m]).dot(P.T).astype(float)
+            assert np.abs(Z[k, m] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_routes_agree_with_per_component_models():
     # with different kernels per component, a basis embedded into the wrong
     # component changes the Parseval sum; the matching one agrees with 2D
@@ -249,11 +290,11 @@ def test_routes_agree_with_per_component_models():
 
 
 def transported_stack(flow, vf, it):
-    """The integrand J_t J_s^{-1} V(Y_s) for s < t as the solver module
-    formed it for its directional derivative: (..., e, it * d), column
-    (s, i)."""
-    Z = (flow.J[..., it, None, :, :] @ flow.J_inv[..., :it, :, :]
-         @ flow.V[..., :it, :, :].swapaxes(-2, -1)).swapaxes(-3, -2)
+    """The integrand J_{t<-s} V(Y_s) for s < t laid out as the solver module
+    laid it out for its directional derivative: (..., e, it * d), column
+    (s, i), in C order."""
+    Z = _integrand_values(flow, vf, it)[..., :it, :, :]
+    Z = np.ascontiguousarray(Z.swapaxes(-2, -1)).swapaxes(-3, -2)
     return Z.reshape(Z.shape[:-2] + (it * vf.d,))
 
 
@@ -340,7 +381,7 @@ def test_2d_route_matches_subgrid_young_integral():
         it = flow.grid.index_of(t)
         sub = TimeGrid(flow.grid.points[:it + 1])
         V = np.array([vf.val(y) for y in flow.Y[:it + 1]])
-        Z = flow.J[it] @ flow.J_inv[:it + 1] @ V.transpose(0, 2, 1)
+        Z = transports(flow, it) @ V.transpose(0, 2, 1)
         Z = np.ascontiguousarray(Z.transpose(0, 2, 1))
         sub_kernel = kernel_eval(model, sub)
         raw, young = 0.0, np.zeros((vf.e, vf.e))
@@ -400,9 +441,11 @@ def per_sample_reference(flow, vf, kernel, basis, t):
     """The per-sample formulas the stacked routes replaced, for one path:
     the einsum pairing of the 2D route, the Parseval sum over each
     component's basis with its own einsum, and per-matrix eigvalsh, det and
-    SVD norm.  Returns sigma by both routes, eigenvalues, det, log |J_t|."""
+    SVD norm, with the transport J_t J_s^{-1} (the flows are well
+    conditioned).  Returns sigma by both routes, eigenvalues, det, log |J_t|."""
     it = flow.grid.index_of(t)
-    Z = (flow.J[it] @ flow.J_inv[:it + 1] @ flow.V[:it + 1].transpose(0, 2, 1))
+    Z = (flow.J[it] @ np.linalg.inv(flow.J[:it + 1])
+         @ flow.V[:it + 1].transpose(0, 2, 1))
     Z = Z.transpose(0, 2, 1)
     box = kernel.rectangle_increments()[:it, :it]
     dh = np.diff(basis.functions[:it + 1], axis=0)

@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -120,16 +118,21 @@ def test_rotation_against_matrix_exponential():
 
 
 def test_jacobian_inverse_and_transport_consistency():
+    # the transport by step maps is J_t J_s^{-1}, and two legs compose into
+    # the direct one
     X, grid = brownian_driver(129, 2, seed=60)
     flow = solve_flow_jacobian(X, rotation_fields(), np.array([0.4, -0.3]))
-    for i in range(0, grid.n, 16):
-        res = flow.J[i] @ flow.J_inv[i] - np.eye(2)
-        assert np.max(np.abs(res)) < 1e-8
-    # two-leg transport composes into the direct one
+
+    def transport(s, t):
+        P = np.eye(2)
+        for k in range(s, t):
+            P = P + flow.M[k] @ P
+        return P
+
     t0, t1, t2 = 10, 60, 120
-    direct = flow.J[t2] @ flow.J_inv[t0]
-    legs = (flow.J[t2] @ flow.J_inv[t1]) @ (flow.J[t1] @ flow.J_inv[t0])
-    assert np.allclose(direct, legs, atol=1e-8)
+    direct = transport(t0, t2)
+    assert np.allclose(direct, flow.J[t2] @ np.linalg.inv(flow.J[t0]), atol=1e-12)
+    assert np.allclose(direct, transport(t1, t2) @ transport(t0, t1), atol=1e-12)
 
 
 def test_jacobian_is_derivative_of_discrete_flow():
@@ -155,9 +158,9 @@ def test_jacobian_is_derivative_of_discrete_flow():
     assert np.allclose(flow.J[-1], fd, atol=1e-6)
 
 
-def test_flow_inverses_and_condition_match_per_step_values():
-    """Inverses and the condition number, taken once on the stacked
-    Jacobians, equal the values taken matrix by matrix."""
+def test_flow_step_maps_advance_the_jacobian():
+    """Both solvers keep the step maps that advance their Jacobians:
+    J_{k+1} = J_k + M_k J_k bit for bit."""
     X, grid = brownian_driver(65, 2, seed=61)
     y0 = np.array([0.4, -0.3])
     rng = np.random.default_rng(63)
@@ -167,31 +170,9 @@ def test_flow_inverses_and_condition_match_per_step_values():
         rough = solve_flow_jacobian(X, vf, y0)
         ode = solve_ode_reference(GridFunction1D(grid, X.level1), vf, y0)
         for flow in (rough, ode):
-            np.testing.assert_array_equal(
-                flow.J_inv, [np.linalg.inv(j) for j in flow.J])
-            assert flow.max_condition == max(
-                1.0, *(float(np.linalg.cond(j, 1)) for j in flow.J))
-
-
-def test_inverses_of_a_stack_with_one_singular_path():
-    """The other paths get exactly np.linalg.inv's values; the singular one
-    gets zeros and its LinAlgError."""
-    from gaussrde.rde import _inverses
-
-    J = np.random.default_rng(64).standard_normal((4, 9, 2, 2))
-    J[2, 5] = [[1.0, 2.0], [2.0, 4.0]]
-    with pytest.raises(np.linalg.LinAlgError) as single:
-        np.linalg.inv(J[2])
-    J_inv, max_cond, errors = _inverses(J)
-    others = [0, 1, 3]
-    assert np.array_equal(J_inv[others], np.linalg.inv(J[others]))
-    assert not J_inv[2].any()
-    assert [e is None for e in errors] == [True, True, False, True]
-    assert isinstance(errors[2], np.linalg.LinAlgError)
-    assert str(errors[2]) == str(single.value)
-    assert max_cond.shape == (4,)
-    _, _, clean = _inverses(J[others])
-    assert clean == [None] * 3
+            assert flow.M.shape == (grid.n - 1, 2, 2)
+            for k in range(grid.n - 1):
+                assert np.array_equal(flow.J[k + 1], flow.J[k] + flow.M[k] @ flow.J[k])
 
 
 def test_rde_matches_ode_oracle_on_smooth_path():
@@ -285,7 +266,7 @@ def test_state_overflow_aborts_only_its_path():
     assert flows.errors[0] is None
     alone = solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, values[:1], 1)),
                                 vf, y0, pvar_index=2.5)
-    for name in ("Y", "V", "J", "J_inv", "pvar", "max_condition"):
+    for name in ("Y", "V", "J", "M", "pvar"):
         assert np.array_equal(getattr(flows, name)[0], getattr(alone, name)[0])
     with pytest.raises(ExplosionError, match="state exploded at t = 0.125"):
         solve_flow_jacobian(lift_piecewise_linear(GridFunction1D(grid, values[1])),
@@ -309,13 +290,14 @@ def test_directional_derivative_scalar_linear_is_exact():
 
 
 def test_directional_derivative_matches_per_step_sum():
-    # reference: the per-step left-point sum that the stacked product replaced
+    # reference: the per-step left-point sum that the stacked product
+    # replaced, with the transport J_t J_s^{-1} (the flows are well conditioned)
     def per_step(flow, vf, hv, t):
         it = flow.grid.index_of(t)
         out = np.zeros(vf.e)
         dh = np.diff(hv[:it + 1], axis=0)
         for k in range(it):
-            out += flow.J[it] @ flow.J_inv[k] @ vf.val(flow.Y[k]).T @ dh[k]
+            out += flow.J[it] @ np.linalg.inv(flow.J[k]) @ vf.val(flow.Y[k]).T @ dh[k]
         return out
 
     grid = uniform_grid(1.0, 33)
@@ -478,21 +460,6 @@ def test_pvar_metadata():
     assert plain.pvar is None
 
 
-def test_condition_limit_warns_through_the_package_logger(caplog):
-    # J = diag(e^{15 x}, e^{-15 x}) along x = t: the condition number passes
-    # 1e12 while the state stays at the origin
-    from gaussrde.rde import CONDITION_LIMIT
-
-    grid = uniform_grid(1.0, 65)
-    X = lift_piecewise_linear(GridFunction1D(grid, grid.points))
-    with caplog.at_level(logging.WARNING, logger="gaussrde"):
-        flow = solve_flow_jacobian(X, linear_fields(np.diag([15.0, -15.0])[None]),
-                                   np.zeros(2))
-    assert flow.max_condition > CONDITION_LIMIT
-    assert [r.name for r in caplog.records] == ["gaussrde"]
-    assert "Jacobian condition number reached" in caplog.records[0].getMessage()
-
-
 def test_retraced_driver_returns_to_start():
     """Going out along a path and back along the same trace cancels: the
     terminal state must return to y0 up to the scheme's mesh error."""
@@ -525,8 +492,8 @@ def test_ode_oracle_input_handling():
 
 def reference_solve(X, vf, y0):
     """The per-path step loop that the stacked solver replaced, kept as the
-    reference: Y, V, J, J_inv and max_condition of one path.  Time is adjoined
-    to the increments as the solver does it."""
+    reference: Y, V, J and the step maps M of one path.  Time is adjoined to
+    the increments as the solver does it."""
     from gaussrde.rde import _with_time
 
     da, db = X.segment_increments()
@@ -541,6 +508,7 @@ def reference_solve(X, vf, y0):
             hessian=lambda y: np.concatenate([f.drift_hess(y)[None], f.hess(y)]))
     n, e = X.grid.n, vf.e
     Y, V, J = np.zeros((n, e)), np.zeros((n, vf.d, e)), np.zeros((n, e, e))
+    Ms = np.zeros((n - 1, e, e))
     Y[0], J[0] = y0, np.eye(e)
     y, jac = y0.copy(), np.eye(e)
     for k in range(n - 1):
@@ -553,9 +521,9 @@ def reference_solve(X, vf, y0):
              + np.einsum("ji,iag,jgb->ab", b, Vp, Vp))
         jac = jac + M @ jac
         y = y + step
-        Y[k + 1], J[k + 1] = y, jac
+        Y[k + 1], J[k + 1], Ms[k] = y, jac, M
     V[-1] = vf.val(y)
-    return Y, V[:, -d:], J, np.linalg.inv(J), max(1.0, float(np.linalg.cond(J, 1).max()))
+    return Y, V[:, -d:], J, Ms
 
 
 def assert_relatively_close(got, ref, rel=1e-12):
@@ -577,9 +545,8 @@ def stacked_solver_cases():
             [[np.sin(y[1]), 0.5 * np.cos(y[0])]])), [brownian_model()],
          np.array([0.7, -0.4])),
     ]
-    # moderate coefficients and Brownian drivers keep cond(J) below 1e3: in
-    # an ill-conditioned flow a change of summation order alone moves J_inv
-    # by far more than 1e-12
+    # moderate coefficients and Brownian drivers keep cond(J) below 1e3, so
+    # that J_t J_s^{-1} is a reference for the transport to 1e-12
     for d, e in ((1, 1), (2, 3), (3, 2), (3, 3)):
         vf = polynomial_fields(c0=rng.standard_normal((d, e)) * 0.5,
                                c1=rng.standard_normal((d, e, e)) * 0.2,
@@ -590,6 +557,8 @@ def stacked_solver_cases():
 
 
 def test_stacked_solver_matches_per_path_loop():
+    from gaussrde.malliavin import _integrand_values
+
     grid = uniform_grid(1.0, 33)
     for vf, models, y0 in stacked_solver_cases():
         batch = sample_paths(models, grid, 5, seed=71)
@@ -598,28 +567,31 @@ def test_stacked_solver_matches_per_path_loop():
         assert flows.Y.shape == (5, grid.n, vf.e) and flows.errors == (None,) * 5
         for k in range(5):
             X = lift_piecewise_linear(batch.path(k))
-            Y, V, J, J_inv, cond = reference_solve(X, vf, y0)
-            assert cond < 1e3
+            Y, V, J, M = reference_solve(X, vf, y0)
+            assert np.linalg.cond(J, 1).max() < 1e3
             for got, ref in ((flows.Y[k], Y), (flows.V[k], V), (flows.J[k], J),
-                             (flows.J_inv[k], J_inv)):
+                             (flows.M[k], M)):
                 assert_relatively_close(got, ref)
-            assert abs(flows.max_condition[k] - cond) <= 1e-12 * cond
             # one path is the K = 1 case of the same arithmetic
             one = solve_flow_jacobian(X, vf, y0, pvar_index=2.5)
             view = flows.sample(k)
-            for name in ("Y", "V", "J", "J_inv"):
+            for name in ("Y", "V", "J", "M"):
                 assert np.array_equal(getattr(one, name), getattr(view, name))
-            assert (one.pvar, one.max_condition) == (view.pvar, view.max_condition)
-            assert one.pvar == p_variation(X, 2.5)
+            assert one.pvar == view.pvar == p_variation(X, 2.5)
+            for it in (0, 17, grid.n - 1):
+                Z = _integrand_values(one, vf, it)
+                ref = (J[it] @ np.linalg.inv(J[:it + 1])
+                       @ V[:it + 1].transpose(0, 2, 1)).transpose(0, 2, 1)
+                assert_relatively_close(Z, ref)
 
 
 def stepwise_reference(X, vf, y0):
     """The per-step loop that advanced the Jacobian with the state, one step
-    at a time, kept as the reference for the block pass: Y, V, J, J_inv,
-    max_condition and errors of a stack of paths.  Its Jacobian update runs
-    under errstate, so an overflow reaches the finiteness check."""
-    from gaussrde.rde import (EXPLOSION_NORM, _inverses, _sum_tail, _with_drift,
-                              _with_time)
+    at a time, kept as the reference for the block pass: Y, V, J, M and
+    errors of a stack of paths.  Its Jacobian update runs under errstate, so
+    an overflow reaches the finiteness check; an aborted path has M = 0 from
+    the failing step on."""
+    from gaussrde.rde import EXPLOSION_NORM, _sum_tail, _with_drift, _with_time
 
     d = vf.d
     da, db = X.segment_increments()
@@ -630,6 +602,7 @@ def stepwise_reference(X, vf, y0):
     Y[:, 0] = y0
     V = np.zeros((K, n, vf.d, e))
     J = np.zeros((K, n, e, e))
+    Ms = np.zeros((K, n - 1, e, e))
     errors = [None] * K
     y = Y[:, 0].copy()
     J[:, 0] = jac = np.broadcast_to(np.eye(e), (K, e, e)).copy()
@@ -651,6 +624,7 @@ def stepwise_reference(X, vf, y0):
                          * Vp.transpose(0, 3, 1, 2)[:, None, :, :, None], 3))
         with np.errstate(over="ignore", invalid="ignore"):
             jac = jac + M @ jac
+        Ms[:, k] = M
         y = y + step
         t_next = float(X.grid.points[k + 1])
         with np.errstate(over="ignore"):
@@ -661,20 +635,17 @@ def stepwise_reference(X, vf, y0):
             errors[row] = ExplosionError(f"{what} exploded at t = {t_next:.6g}",
                                          t_next)
             da[row, k + 1:] = db[row, k + 1:] = 0.0
-            y[row], jac[row] = Y[row, k], J[row, k]
+            y[row], jac[row], Ms[row, k] = Y[row, k], J[row, k], 0.0
         Y[:, k + 1], J[:, k + 1] = y, jac
     V[:, -1] = vf.val(y)
-    J_inv, max_cond, singular = _inverses(J)
-    errors = [exc or other for exc, other in zip(errors, singular)]
-    return Y, V[..., -d:, :], J, J_inv, max_cond, errors
+    return Y, V[..., -d:, :], J, Ms, errors
 
 
 def assert_matches_stepwise_reference(flows, X, vf, y0):
-    Y, V, J, J_inv, cond, errors = stepwise_reference(X, vf, y0)
+    Y, V, J, M, errors = stepwise_reference(X, vf, y0)
     assert np.array_equal(flows.Y, Y) and np.array_equal(flows.V, V)
     assert_relatively_close(flows.J, J)
-    assert_relatively_close(flows.J_inv, J_inv)
-    assert np.all(np.abs(flows.max_condition - cond) <= 1e-12 * cond)
+    assert_relatively_close(flows.M, M)
     assert [(type(e), str(e), getattr(e, "time", None)) for e in flows.errors] == [
         (type(e), str(e), getattr(e, "time", None)) for e in errors]
 
@@ -761,15 +732,14 @@ def test_output_is_independent_of_step_block(monkeypatch):
             monkeypatch.setattr(gaussrde.rde, "STEP_BLOCK", block)
             flows.append(solve_flow_jacobian(X, vf, y0, pvar_index=2.5))
         for flow in flows[1:]:
-            for name in ("Y", "V", "J", "J_inv", "pvar", "max_condition"):
+            for name in ("Y", "V", "J", "M", "pvar"):
                 assert np.array_equal(getattr(flow, name), getattr(flows[0], name))
             assert [str(e) for e in flow.errors] == [str(e) for e in flows[0].errors]
 
 
 def rows_without(flows, k):
     keep = [i for i in range(len(flows.errors)) if i != k]
-    return [getattr(flows, name)[keep] for name in ("Y", "V", "J", "J_inv", "pvar",
-                                                    "max_condition")]
+    return [getattr(flows, name)[keep] for name in ("Y", "V", "J", "M", "pvar")]
 
 
 def test_stacked_solver_isolates_an_exploding_path():
@@ -793,24 +763,32 @@ def test_stacked_solver_isolates_an_exploding_path():
         assert np.array_equal(got, ref)
 
 
-def test_stacked_solver_isolates_a_singular_jacobian():
-    # V = 1, V' = 0, V'' = -2: a unit first increment (b = 1/2) sends J to 0
+def test_stacked_solver_solves_through_a_singular_jacobian():
+    # V = 1, V' = 0, V'' = -2: a unit first increment (b = 1/2) sends J to 0.
+    # The derivative takes no inverse, so the path solves like the others
+    # and its transports are the per-point products of the step maps
+    from gaussrde.malliavin import _integrand_values
+
     vf = VectorFieldSystem(e=1, d=1, value=lambda y: np.ones((1, 1)),
                            jacobian=lambda y: np.zeros((1, 1, 1)),
                            hessian=lambda y: np.full((1, 1, 1, 1), -2.0))
     grid = uniform_grid(1.0, 17)
     values = sample_paths([brownian_model()], grid, 3, seed=73).values
     values[1, 1, 0] = 1.0
-    with pytest.raises(np.linalg.LinAlgError) as single:
-        solve_flow_jacobian(lift_piecewise_linear(GridFunction1D(grid, values[1])),
-                            vf, np.zeros(1))
     flows = solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, values, 73)),
                                 vf, np.zeros(1), pvar_index=2.5)
-    error = flows.errors[1]
-    assert isinstance(error, np.linalg.LinAlgError) and str(error) == str(single.value)
-    assert flows.errors[0] is None and flows.errors[2] is None
-    others = solve_flow_jacobian(
-        lift_piecewise_linear(PathSample(grid, values[[0, 2]], 73)), vf, np.zeros(1),
-        pvar_index=2.5)
-    for got, ref in zip(rows_without(flows, 1), rows_without(others, -1)):
-        assert np.array_equal(got, ref)
+    assert flows.errors == (None,) * 3
+    assert flows.M[1, 0, 0, 0] == -1.0 and not flows.J[1, 1:].any()
+    one = solve_flow_jacobian(lift_piecewise_linear(GridFunction1D(grid, values[1])),
+                              vf, np.zeros(1))
+    assert np.array_equal(one.J, flows.J[1]) and np.array_equal(one.M, flows.M[1])
+    for it in (5, grid.n - 1):
+        Z = _integrand_values(flows, vf, it)
+        for k in range(3):
+            for m in range(it + 1):
+                P = np.eye(1)
+                for j in range(it - 1, m - 1, -1):
+                    P = P + P @ flows.M[k, j]
+                assert np.array_equal(Z[k, m], (P @ flows.V[k, m].T).T)
+        # the transport across the first step is 0, and only that one
+        assert not Z[1, 0].any() and Z[1, 1:].all()
