@@ -18,6 +18,7 @@ from gaussrde import (
     sample_paths,
     solve_flow_jacobian,
     solve_ode_reference,
+    transport,
     uniform_grid,
 )
 
@@ -56,8 +57,9 @@ for n in (65, 129, 257):
     gap = np.linalg.norm(rough.final_state - ode.final_state)
     print(f"  n={n:<5d} gap {gap:.3e}")
 
-# The Jacobian returned with the flow is the exact derivative of the
-# discrete map, so a centered difference of the solver matches it.
+# The Jacobian J_T is the product of the flow's step maps, each the exact
+# derivative of one step of the discrete map, so a centered difference of
+# the solver matches it.  `transport(flow, i)[m]` is J_{t_i<-t_m}.
 grid = uniform_grid(1.0, 129)
 batch = sample_paths([brownian_model()] * 2, grid, 1, seed=9)
 X = lift_piecewise_linear(batch.path(0))
@@ -71,7 +73,7 @@ for k in range(2):
     dn = solve_flow_jacobian(X, vf, y0 - da).final_state
     fd[:, k] = (up - dn) / (2 * eps)
 print("\nJacobian vs finite difference of the solver:")
-print(flow.J[-1])
+print(transport(flow, grid.n - 1)[0])
 print(fd)
 
 # expm comparison for the Jacobian of the linear quarter turn above.

@@ -58,6 +58,7 @@ from .rde import (
     ExplosionError,
     solve_ode_reference,
     solve_flow_jacobian,
+    transport,
 )
 from .malliavin import (
     MalliavinMatrix,
@@ -98,7 +99,7 @@ __all__ = [
     "polynomial_fields", "ellipticity_rank",
     # rde
     "FlowResult", "ExplosionError", "solve_ode_reference",
-    "solve_flow_jacobian",
+    "solve_flow_jacobian", "transport",
     # malliavin
     "MalliavinMatrix", "SpectrumResult", "malliavin_matrix_2d",
     "malliavin_matrix_bm_reduction", "malliavin_matrix_parseval",

@@ -32,7 +32,7 @@ from .gaussian import (CovarianceModel, brownian_model, bridge_model,
 from .lift import lift_piecewise_linear
 from .malliavin import (DEGENERACY_TAU, malliavin_matrix_2d,
                         malliavin_matrix_parseval, route_residual, spectrum)
-from .rde import NUMERICAL_ERRORS, log_operator_norm, solve_flow_jacobian
+from .rde import NUMERICAL_ERRORS, log_operator_norm, solve_flow_jacobian, transport
 from .young import TimeGrid, uniform_grid
 
 log = logging.getLogger("gaussrde")
@@ -468,7 +468,8 @@ def evaluate_flows(flows, vf, kernel, basis, indices, tau):
     verdicts share one scale per sample: its largest 2D-route magnitude / e
     over the times.  Returns the 2D-route matrices and their spectra per
     time, each sample's largest route residual over the times, and log |J_t|
-    with the times on the last axis."""
+    (J_t from `transport`) with the times on the last axis.  A transport
+    that is not finite raises ExplosionError."""
     times = flows.grid.points[indices]
     mats = [malliavin_matrix_2d(flows, vf, kernel, t) for t in times]
     scale = np.max([m.magnitude / vf.e for m in mats], axis=0)
@@ -477,7 +478,8 @@ def evaluate_flows(flows, vf, kernel, basis, indices, tau):
     residual = np.max([route_residual(m.sigma, c.sigma,
                                       np.maximum(m.magnitude, c.magnitude))
                        for m, c in zip(mats, checks)], axis=0)
-    return mats, specs, residual, log_operator_norm(flows.J[..., indices, :, :])
+    J = np.stack([transport(flows, it)[..., 0, :, :] for it in indices], axis=-3)
+    return mats, specs, residual, log_operator_norm(J)
 
 
 def check_routes(residuals, samples) -> None:

@@ -1,17 +1,17 @@
 """Malliavin derivative of an RDE solution and its covariance, by two routes.
 
 The derivative D_s Y_t = J_{t<-s} V(Y_s) is formed in one place,
-`_integrand_values`, from the flow's step maps and field values; the routes
-and `directional_derivative` only pair it.  The transport J_{t<-s} is the
-product of the step maps I + M_k between s and t, accumulated backward from
-t, so no Jacobian is inverted and an ill-conditioned flow loses no accuracy
-in the derivative.  Route one pairs each component with itself against the
-rectangle increments of that component's covariance kernel (a 2D Young
-integral).  Route two pairs it with the increments of an orthonormal basis
-of the grid Cameron-Martin space and sums outer products.  The kernel sample
-and the basis depend only on the driver law, so the caller builds them once
-per run.  On a fixed grid the two are the same finite sum
-rearranged, so their agreement is a floating-point identity and serves as
+`_integrand_values`, from `rde.transport` and the flow's field values; the
+routes and `directional_derivative` only pair it.  The transport J_{t<-s}
+is the product of the step maps I + M_k between s and t, accumulated
+backward from t, so no Jacobian is inverted and an ill-conditioned flow
+loses no accuracy in the derivative.  Route one pairs each component with
+itself against the rectangle increments of that component's covariance
+kernel (a 2D Young integral).  Route two pairs it with the increments of an
+orthonormal basis of the grid Cameron-Martin space and sums outer products.
+The kernel sample and the basis depend only on the driver law, so the
+caller builds them once per run.  On a fixed grid the two are the same
+finite sum rearranged, so their agreement is a floating-point identity and serves as
 the module's correctness certificate; neither route is ever shortcut through
 the other.
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .fields import VectorFieldSystem
 from .gaussian import CameronMartinBasis
-from .rde import FlowResult
+from .rde import FlowResult, transport
 from .young import GridFunction1D, GridFunction2D, TimeGrid, same_grid
 
 DEGENERACY_TAU = 1e-10
@@ -75,18 +75,11 @@ def _finish(raw: np.ndarray, t: float, method: str, magnitude) -> MalliavinMatri
 
 def _integrand_values(flow: FlowResult, vf: VectorFieldSystem, it: int) -> np.ndarray:
     """The Malliavin derivative of Y_t, t the grid time of index it:
-    Z[..., m, k, :] = D^k_{s_m} Y_t = J_{t<-s_m} V_k(Y_{s_m}), m = 0..it.
-
-    The transports P_m = J_{t<-s_m} = (I + M_{it-1}) ... (I + M_m) are swept
-    back from P_it = I by P_m = P_{m+1} + P_{m+1} M_m."""
+    Z[..., m, k, :] = D^k_{s_m} Y_t = J_{t<-s_m} V_k(Y_{s_m}), m = 0..it,
+    with the transports J_{t<-s_m} of `transport`."""
     if flow.V.shape[-2:] != (vf.d, vf.e):
         raise ValueError("flow was solved with fields of another shape")
-    P = np.empty(flow.J.shape[:-3] + (it + 1, vf.e, vf.e))
-    P[..., it, :, :] = np.eye(vf.e)
-    for m in range(it - 1, -1, -1):
-        later = P[..., m + 1, :, :]
-        P[..., m, :, :] = later + later @ flow.M[..., m, :, :]
-    Z = P @ flow.V[..., :it + 1, :, :].swapaxes(-2, -1)
+    Z = transport(flow, it) @ flow.V[..., :it + 1, :, :].swapaxes(-2, -1)
     # C order gives each component's (m, e) slice the unit stride BLAS takes
     return np.ascontiguousarray(Z.swapaxes(-2, -1))
 
@@ -231,9 +224,12 @@ def spectrum(sigma, scale: float | np.ndarray,
     evaluation times of one sample, say): a matrix judged against its own
     trace can never be flagged when it is 1x1, which would blind the verdict
     exactly in the pinned-driver case it exists to catch.  A stack
-    (K, e, e) takes one scale per matrix.
+    (K, e, e) takes one scale per matrix.  A matrix that is not finite has
+    no verdict: FloatingPointError.
     """
     mat = sigma.sigma if isinstance(sigma, MalliavinMatrix) else np.asarray(sigma, dtype=float)
+    if not np.isfinite(mat).all():
+        raise FloatingPointError("spectrum of a matrix that is not finite")
     mat = 0.5 * (mat + mat.swapaxes(-2, -1))
     lam = np.linalg.eigvalsh(mat)
     threshold = tau * np.asarray(scale, dtype=float)

@@ -1,4 +1,4 @@
-"""Step-2 solvers for dY = V(Y)dX + V_0(Y)dt with Jacobian transport.
+"""Step-2 solvers for dY = V(Y)dX + V_0(Y)dt and the transport of their flows.
 
 The one-step map over a grid interval with group increment (a, b) is
 
@@ -10,25 +10,24 @@ one attached to the outer integrator dx^i.  The scalar linear equation
 dY = A Y dx pins this convention: its canonical lift has b = a^2/2 and the
 step reproduces the Taylor expansion of exp(A a).
 
-The Jacobian is advanced with the exact linearization of the same one-step
-map, so the discrete J is the derivative of the discrete flow, not a
-separately discretized equation.  J never feeds back into the state, so the
-step loop carries only Y: it stores V(y_k) and V'(y_k), and after every
+The flow keeps the exact linearization M_k of each step of that map, so
+I + M_k is the derivative of step k of the discrete flow, not of a
+separately discretized equation.  M never feeds back into the state, so
+the step loop carries only Y: it stores V(y_k) and V'(y_k), and after every
 STEP_BLOCK steps one pass over the block evaluates the Hessians at the
-block's states in one call, forms the linearizations M_k of all its steps as
-stacked matmuls, and advances J_{k+1} = J_k + M_k J_k, one matmul per step.
-The flow keeps every M_k: the transport from s_m to t_i is the product
-(I + M_{i-1}) ... (I + M_m), which `malliavin` forms backward from t_i.  No
-Jacobian is ever inverted, so an ill-conditioned or singular J leaves the
-derivative as accurate as the step maps themselves.
+block's states in one call and forms the M_k of all its steps as stacked
+matmuls.  `transport` is the one product of step maps: J_{t_i<-s_m} =
+(I + M_{i-1}) ... (I + M_m), swept backward from t_i; J_{t_i} is its m = 0
+term.  No Jacobian is ever inverted, so an ill-conditioned or singular J
+leaves the transport as accurate as the step maps themselves.
 
 The solver steps a stack of K driver paths at once, with the sample axis in
 front of every array; one path is the K = 1 case.
 
 Drift is folded in by adjoining time to the driver's increments (`_with_time`)
 and stepping with the fields (V_0, V_1, ..., V_d); no splitting scheme exists.
-This module holds the solve and the ODE oracle; `malliavin` forms the
-Malliavin derivative J_{t<-s} V(Y_s) from the flows they return.
+This module holds the solve, the transport and the ODE oracle; `malliavin`
+forms the Malliavin derivative J_{t<-s} V(Y_s) from `transport`.
 """
 
 from __future__ import annotations
@@ -45,13 +44,14 @@ from .nilpotent import GEOMETRIC_TOL
 from .young import GridFunction1D, TimeGrid, p_variation
 
 EXPLOSION_NORM = 1e12
-# the Jacobian is advanced a block of at most STEP_BLOCK steps at a time,
+# the step maps are formed a block of at most STEP_BLOCK steps at a time,
 # after the state steps of the block.  Outputs do not depend on it.
 STEP_BLOCK = 16
 
 
 class ExplosionError(RuntimeError):
-    """State grew past the explosion guard; carries the blow-up time."""
+    """A state grew past the explosion guard, or a transport stopped being
+    finite; carries the blow-up (or evaluation) time."""
 
     def __init__(self, message: str, time: float):
         super().__init__(message)
@@ -64,26 +64,24 @@ NUMERICAL_ERRORS = (ExplosionError, np.linalg.LinAlgError, FloatingPointError)
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Solution paths with their field values, Jacobians and step maps.
+    """Solution paths with their field values and step maps.
 
     For one driver path Y is (n, e).  For a stack of K paths every array
     and `pvar` have the sample axis in front (Y is (K, n, e)), and
     `sample(k)` is the one-path view of path k.  V[..., i, :, :] = V(Y_i) is
     the (d, e) array of driving fields (drift excluded) at t_i, as the solver
-    evaluated them.  J[..., i, :, :] is the derivative of Y at t_i with
-    respect to y0, always set.  M[..., k, :, :] is the linearization of step
-    k, so that J_{k+1} = J_k + M_k J_k; `malliavin` transports by products of
-    I + M_k.  pvar holds the driver's p-variation when the caller asked for
-    it (metadata for growth diagnostics).  For a stack, errors[k] is the
-    ExplosionError that aborted path k, or None; an aborted path is frozen
-    at its last values, with M = 0 from the failing step on, and holds no
-    solution.
+    evaluated them.  M[..., k, :, :] is the linearization of step k: I + M_k
+    is the derivative of Y_{k+1} with respect to Y_k, and `transport` forms
+    every J_{t<-s} as a product of them.  pvar holds the driver's
+    p-variation when the caller asked for it (metadata for growth
+    diagnostics).  For a stack, errors[k] is the ExplosionError that aborted
+    path k, or None; an aborted path is frozen at its last values, with
+    M = 0 from the failing step on, and holds no solution.
     """
 
     grid: TimeGrid
     Y: np.ndarray
     V: np.ndarray
-    J: np.ndarray
     M: np.ndarray
     pvar: float | np.ndarray | None = None
     errors: tuple = ()
@@ -94,7 +92,7 @@ class FlowResult:
 
     def sample(self, k) -> "FlowResult":
         """View of path k of a stack; for a list k, the stack of those paths."""
-        return replace(self, Y=self.Y[k], V=self.V[k], J=self.J[k], M=self.M[k],
+        return replace(self, Y=self.Y[k], V=self.V[k], M=self.M[k],
                        pvar=None if self.pvar is None else self.pvar[k],
                        errors=tuple(self.errors[i] for i in k)
                        if np.ndim(k) else ())
@@ -145,14 +143,14 @@ def _with_time(grid: TimeGrid, da: np.ndarray, db: np.ndarray) -> tuple:
 
 def solve_flow_jacobian(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
                         pvar_index: float | None = None) -> FlowResult:
-    """Solve the rough equation jointly with its Jacobian flow and step maps.
+    """Solve the rough equation jointly with its step maps.
 
     All paths of X, one path (n, d) or a stack (K, n, d), step together.
     Every step is a handful of array operations over the sample axis, so
     each path's values do not depend on which other paths share the call.
-    A path whose state or Jacobian stops being finite, or whose state passes
-    EXPLOSION_NORM, is frozen at its last values and reported in `errors`.
-    A single path raises instead.
+    A path whose state stops being finite or passes EXPLOSION_NORM is frozen
+    at its last values and reported in `errors`.  A single path raises
+    instead.  The Jacobian J_{t<-s} of the flow is `transport(flow, it)`.
     """
     if vf.d != X.dim:
         raise ValueError(f"fields expect a {vf.d}-dimensional driver, "
@@ -185,12 +183,9 @@ def _steps(grid: TimeGrid, da: np.ndarray, db: np.ndarray, vf, y0) -> FlowResult
     Y = np.zeros((K, n, e))
     Y[:, 0] = y0
     V = np.zeros((K, n, d, e))
-    J = np.zeros((K, n, e, e))
-    J[:, 0] = np.eye(e)
     M = np.zeros((K, n - 1, e, e))
     Vp = np.zeros((K, STEP_BLOCK, d, e, e))  # V'(y_k) at the block's steps
     errors = [None] * K
-    stopped = np.full(K, n)  # the step at which each path blew up
     y = Y[:, 0].copy()
     for k0 in range(0, n - 1, STEP_BLOCK):
         k1 = min(k0 + STEP_BLOCK, n - 1)
@@ -208,53 +203,35 @@ def _steps(grid: TimeGrid, da: np.ndarray, db: np.ndarray, vf, y0) -> FlowResult
                 blown = ~(np.linalg.norm(y, axis=-1) <= EXPLOSION_NORM)
             for row in np.flatnonzero(blown):
                 # frozen at its last values: with no increment from step k
-                # on, J keeps its value too
-                errors[row] = _explosion("state", grid, k)
-                stopped[row] = k
+                # on, its step maps are 0 from step k on
+                t = float(grid.points[k + 1])
+                errors[row] = ExplosionError(f"state exploded at t = {t:.6g}", t)
                 da[row, k:] = db[row, k:] = 0.0
                 y[row] = Y[row, k]
             Y[:, k + 1] = y
         block = slice(k0, k1)
-        bad = _jacobian_block(vf, Y[:, block], V[:, block], Vp[:, :k1 - k0],
-                              da[:, block], db[:, block], M[:, block],
-                              J[:, k0:k1 + 1])
-        for row in np.flatnonzero(bad.any(axis=1)):
-            k = k0 + int(np.argmax(bad[row]))
-            if k < stopped[row]:  # the Jacobian blew up first
-                errors[row] = _explosion("Jacobian", grid, k)
-                stopped[row] = k
-                da[row, k:] = db[row, k:] = 0.0
-                y[row] = Y[row, k + 1:k1 + 1] = Y[row, k]
-                V[row, k + 1:k1] = V[row, k]
-                J[row, k + 1:k1 + 1] = J[row, k]
-                M[row, k:k1] = 0.0
+        _step_maps(vf, Y[:, block], V[:, block], Vp[:, :k1 - k0],
+                   da[:, block], db[:, block], M[:, block])
     V[:, -1] = vf.val(y)
-    return FlowResult(grid, Y, V, J, M, None, tuple(errors))
+    return FlowResult(grid, Y, V, M, None, tuple(errors))
 
 
-def _explosion(what: str, grid: TimeGrid, k: int) -> ExplosionError:
-    t = float(grid.points[k + 1])
-    return ExplosionError(f"{what} exploded at t = {t:.6g}", t)
-
-
-def _jacobian_block(vf, y, v, vp, a, b, M, J) -> np.ndarray:
-    """Advance J[:, 0] (K, e, e) over a block of B steps into J[:, 1:], in
-    place, from the states y (K, B, e), field values v and first derivatives
-    vp that the state steps stored at them and the increments (a, b); write
-    the steps' linearizations into M (K, B, e, e) and flag (K, B) where J
-    stops being finite.
+def _step_maps(vf, y, v, vp, a, b, M) -> None:
+    """Write into M (K, B, e, e) the linearizations of a block of B steps,
+    from the states y (K, B, e), the field values v and first derivatives vp
+    that the state steps stored at them, and the increments (a, b).
 
     The linearization of the step at y with increment (a, b) is
         M = sum_i a^i V_i' + sum_{i,g} W[i, g] V_i''[., g, .]
               + sum_{i,g} V_i'[., g] U[i, g, .]
     with W = b^T V and U = b^T V' (W[i] = sum_j b[j, i] V_j).  Each term is
-    one stacked matmul over (path, step), and J_{k+1} = J_k + M_k J_k.
+    one stacked matmul over (path, step).
     """
-    (K, B, d), e = a.shape, J.shape[-1]
+    (K, B, d), e = a.shape, M.shape[-1]
     Vpp = vf.hess(y.reshape(K * B, e)).reshape(K, B, d, e, e, e)
     bT = b.swapaxes(-1, -2)
     vp_flat = vp.reshape(K, B, d, e * e)
-    # an overflow here leaves J non-finite, which the caller reports
+    # an overflow here leaves M non-finite, which `transport` reports
     with np.errstate(over="ignore", invalid="ignore"):
         W = (bT @ v).reshape(K, B, 1, d * e)
         U = (bT @ vp_flat).reshape(K, B, d * e, e)
@@ -262,9 +239,30 @@ def _jacobian_block(vf, y, v, vp, a, b, M, J) -> np.ndarray:
                    + W @ Vpp.transpose(0, 1, 2, 4, 3, 5).reshape(K, B, d * e, e * e)
                    ).reshape(K, B, e, e)
                   + vp.transpose(0, 1, 3, 2, 4).reshape(K, B, e, d * e) @ U)
-        for s in range(B):
-            J[:, s + 1] = J[:, s] + M[:, s] @ J[:, s]
-    return ~np.isfinite(J[:, 1:]).all(axis=(-2, -1))
+
+
+def transport(flow: FlowResult, it: int) -> np.ndarray:
+    """The Jacobians of the flow into t, the grid time of index it:
+    P[..., m, :, :] = J_{t<-s_m} = (I + M_{it-1}) ... (I + M_m), m = 0..it,
+    swept back from P_it = I by P_m = P_{m+1} + P_{m+1} M_m.  P[..., 0, :, :]
+    is J_t, the derivative of Y_t with respect to y0.
+
+    Raises ExplosionError, with `time` t, if some path's P is not finite.
+    """
+    e = flow.M.shape[-1]
+    # the step index outermost, so that each sweep step reads and writes
+    # one contiguous (..., e, e) stack
+    P = np.empty((it + 1,) + flow.M.shape[:-3] + (e, e))
+    P[it] = np.eye(e)
+    M = np.moveaxis(flow.M, -3, 0)
+    # an overflow leaves P non-finite, which is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(it - 1, -1, -1):
+            P[m] = P[m + 1] + P[m + 1] @ M[m]
+    if not np.isfinite(P).all():
+        t = float(flow.grid.points[it])
+        raise ExplosionError(f"transport to t = {t:.6g} exploded", t)
+    return np.moveaxis(P, 0, -3)
 
 
 def _as_single_path(driver) -> GridFunction1D:
@@ -284,8 +282,8 @@ def solve_ode_reference(driver, vf: VectorFieldSystem, y0: np.ndarray,
     Between grid points the driver moves at constant rate, so the controlled
     equation is an ODE with right-hand side sum_i V_i(y) xdot^i + V_0(y).
     Each segment's propagator I + M_k, dPhi = A(y) Phi from Phi = I, rides
-    along in the same Runge-Kutta steps as its deviation M_k from I, and J
-    advances by the solver's recurrence J_{k+1} = J_k + M_k J_k.  With enough
+    along in the same Runge-Kutta steps as its deviation M_k from I, so
+    `transport` forms its Jacobians as it does the solver's.  With enough
     substeps this is the convergence oracle for the rough scheme.
     """
     path = _as_single_path(driver)
@@ -301,10 +299,8 @@ def solve_ode_reference(driver, vf: VectorFieldSystem, y0: np.ndarray,
     grid = path.grid
     n, e = grid.n, vf.e
     Y = np.zeros((n, e))
-    J = np.zeros((n, e, e))
     M = np.zeros((n - 1, e, e))
     Y[0] = y0
-    J[0] = np.eye(e)
     y = y0.copy()
     for k in range(n - 1):
         dt_seg = grid.points[k + 1] - grid.points[k]
@@ -333,9 +329,8 @@ def solve_ode_reference(driver, vf: VectorFieldSystem, y0: np.ndarray,
             raise ExplosionError(f"state exploded at t = {t_next:.6g}", t_next)
         Y[k + 1] = y
         M[k] = m
-        J[k + 1] = J[k] + m @ J[k]
     V = np.array([vf.val(y) for y in Y])
-    return FlowResult(grid, Y, V, J, M)
+    return FlowResult(grid, Y, V, M)
 
 
 def log_operator_norm(J: np.ndarray) -> np.ndarray:

@@ -17,7 +17,8 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path),
+    # CI's warning rule, so that a local run fails on a RuntimeWarning too
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONWARNINGS="error::RuntimeWarning",
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,

@@ -379,6 +379,63 @@ def test_run_experiment_aborts_only_the_exploding_sample(tmp_path, monkeypatch, 
         run_experiment(dataclasses.replace(cfg, count=10))
 
 
+SWEEP_CONFIG = """
+[model]
+kernel = brownian
+horizon = 1.0
+n = 65
+d = 1
+
+[fields]
+family = linear
+e = 1
+y0 = 0.0
+matrices = 1.0
+
+[experiment]
+times = 0.5 1.0
+count = 120
+seed = 5
+
+[output]
+csv = samples.csv
+json = summary.json
+"""
+
+
+def with_a_transport_overflow(sample):
+    """sample_paths with the driver of sample 3 replaced by 32 increments
+    of -1, then 32 of +99000.  Along it the step maps of dY = Y dx from
+    y0 = 0 are 1/2, then about 4.9e9: the state stays 0 and J_1 = 2.85e300
+    is finite, but the transport from t = 1/2 to 1 overflows."""
+    def sample_paths(models, grid, n_samples, seed):
+        batch = sample(models, grid, n_samples, seed)
+        steps = np.repeat([-1.0, 99000.0], 32)
+        batch.values[3, :, 0] = np.concatenate([[0.0], np.cumsum(steps)])
+        return batch
+    return sample_paths
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_transport_overflow_aborts_only_its_sample(tmp_path, monkeypatch, caplog):
+    import gaussrde.experiments
+
+    cfg = load_config(write_config(tmp_path, SWEEP_CONFIG))
+    run_experiment(cfg, out_dir=str(tmp_path / "clean"))
+    monkeypatch.setattr(gaussrde.experiments, "sample_paths",
+                        with_a_transport_overflow(gaussrde.experiments.sample_paths))
+    with caplog.at_level(logging.WARNING, logger="gaussrde"):
+        report = run_experiment(cfg, out_dir=str(tmp_path / "overflow"))
+    assert report.aborted == 1 and report.oracle_checked == 119
+    assert caplog.messages == ["sample 3 aborted: transport to t = 1 exploded"]
+    clean = (tmp_path / "clean" / "samples.csv").read_bytes().splitlines()
+    overflow = (tmp_path / "overflow" / "samples.csv").read_bytes().splitlines()
+    assert overflow == [row for row in clean if not row.startswith(b"3,")]
+    failure = "first failure: sample 3: ExplosionError: transport to t = 1 exploded"
+    with pytest.raises(RunError, match=re.escape(failure)):
+        run_experiment(dataclasses.replace(cfg, count=10))
+
+
 def test_a_failure_in_the_stacked_tail_aborts_only_its_sample(tmp_path, monkeypatch,
                                                               caplog):
     """A numerical error raised by the covariance of one sample's chunk is
@@ -752,7 +809,7 @@ def test_loading_a_config_does_not_import_scipy_stats(tmp_path):
     import gaussrde
 
     src = str(Path(gaussrde.__file__).resolve().parents[1])
-    env = {**os.environ,
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     config = write_config(tmp_path, ROTATION_CONFIG)
     code = ("import sys, gaussrde; "
@@ -980,11 +1037,13 @@ def test_cli_malliavin_exits_3_when_the_routes_disagree(tmp_path, monkeypatch, c
 
 
 def test_cli_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
 
     proc = subprocess.run([sys.executable, "-m", "gaussrde.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
     assert proc.returncode == 0
     assert "subcommand" in proc.stdout.lower() or "usage" in proc.stdout.lower()
 

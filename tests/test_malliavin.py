@@ -21,6 +21,7 @@ from gaussrde import (
     sample_paths,
     solve_flow_jacobian,
     spectrum,
+    transport,
     uniform_grid,
     young_integral_2d,
 )
@@ -45,11 +46,21 @@ def rel_gap(a, b):
 def transports(flow, it):
     """J_{t<-s_m} for m = 0..it of one flow, t the time of index it, one
     matrix at a time: P_it = I and P_m = P_{m+1} + P_{m+1} M_m."""
-    P = np.zeros((it + 1,) + flow.J.shape[-2:])
-    P[it] = np.eye(flow.J.shape[-1])
+    P = np.zeros((it + 1,) + flow.M.shape[-2:])
+    P[it] = np.eye(flow.M.shape[-1])
     for m in range(it - 1, -1, -1):
         P[m] = P[m + 1] + P[m + 1] @ flow.M[m]
     return P
+
+
+def forward_jacobians(flow):
+    """J_t at every grid time of one flow by the forward recurrence
+    J_{k+1} = J_k + M_k J_k that `transport` replaced."""
+    J = np.zeros((flow.grid.n,) + flow.M.shape[-2:])
+    J[0] = np.eye(flow.M.shape[-1])
+    for k in range(flow.grid.n - 1):
+        J[k + 1] = J[k] + flow.M[k] @ J[k]
+    return J
 
 
 def test_scalar_linear_covariance_telescopes():
@@ -158,6 +169,18 @@ def test_spectrum_verdicts_and_scale():
     assert np.isclose(res.det, 6.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectrum_of_a_matrix_that_is_not_finite_is_an_error():
+    # no eigenvalue or determinant is a verdict on NaN or inf entries, so
+    # the sample aborts (FloatingPointError is one of NUMERICAL_ERRORS)
+    with pytest.raises(FloatingPointError, match="not finite"):
+        spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0)
+    stack = np.stack([np.eye(2), np.eye(2), np.diag([1.0, np.inf])])
+    with pytest.raises(FloatingPointError, match="not finite"):
+        spectrum(stack, np.ones(3))
+    assert spectrum(stack[:2], np.ones(2)).verdict.tolist() == ["non-degenerate"] * 2
+
+
 def test_spectrum_accepts_matrix_or_result():
     vf = rotation_fields()
     flow, grid = brownian_flow(vf, np.array([1.0, 0.0]), seed=79)
@@ -254,8 +277,8 @@ def test_derivative_of_an_ill_conditioned_flow_is_the_exact_step_product():
     batch = sample_paths([brownian_model()] * 2, grid, 8, seed=5)
     flows = solve_flow_jacobian(lift_piecewise_linear(batch), vf, np.array([1.0, 0.5]))
     assert flows.errors == (None,) * 8
-    assert np.linalg.cond(flows.J).max() > 1e10
     it = grid.n - 1
+    assert np.linalg.cond(transport(flows, it)[:, 0]).max() > 1e10
     Z = _integrand_values(flows, vf, it)
 
     def exact(a):
@@ -441,11 +464,12 @@ def per_sample_reference(flow, vf, kernel, basis, t):
     """The per-sample formulas the stacked routes replaced, for one path:
     the einsum pairing of the 2D route, the Parseval sum over each
     component's basis with its own einsum, and per-matrix eigvalsh, det and
-    SVD norm, with the transport J_t J_s^{-1} (the flows are well
-    conditioned).  Returns sigma by both routes, eigenvalues, det, log |J_t|."""
+    SVD norm, with the transport J_t J_s^{-1} of the forward recurrence (the
+    flows are well conditioned).  Returns sigma by both routes, eigenvalues,
+    det, log |J_t|."""
     it = flow.grid.index_of(t)
-    Z = (flow.J[it] @ np.linalg.inv(flow.J[:it + 1])
-         @ flow.V[:it + 1].transpose(0, 2, 1))
+    J = forward_jacobians(flow)
+    Z = J[it] @ np.linalg.inv(J[:it + 1]) @ flow.V[:it + 1].transpose(0, 2, 1)
     Z = Z.transpose(0, 2, 1)
     box = kernel.rectangle_increments()[:it, :it]
     dh = np.diff(basis.functions[:it + 1], axis=0)
@@ -457,7 +481,7 @@ def per_sample_reference(flow, vf, kernel, basis, t):
         parseval += D @ D.T
     direct = 0.5 * (direct + direct.T)
     return (direct, 0.5 * (parseval + parseval.T), np.linalg.eigvalsh(direct),
-            np.linalg.det(direct), np.log(np.linalg.norm(flow.J[it], ord=2)))
+            np.linalg.det(direct), np.log(np.linalg.norm(J[it], ord=2)))
 
 
 def stacked_case(name, count, seed=88):
@@ -489,7 +513,7 @@ def test_stacked_routes_match_per_sample_formulas(name):
         direct = malliavin_matrix_2d(flows, vf, kernel, t)
         parseval = malliavin_matrix_parseval(flows, vf, basis, t)
         spec = spectrum(direct, scale=direct.trace / vf.e)
-        log_norm = log_operator_norm(flows.J[:, flows.grid.index_of(t)])
+        log_norm = log_operator_norm(transport(flows, flows.grid.index_of(t))[:, 0])
         assert direct.sigma.shape == (7, 2, 2) and spec.verdict.shape == (7,)
         for k in range(7):
             sigma, other, lam, det, ln = per_sample_reference(
@@ -518,7 +542,7 @@ def test_stacked_routes_do_not_depend_on_the_stack(name):
                 spec.eigenvalues, spec.det, spec.verdict,
                 route_residual(direct.sigma, parseval.sigma,
                                np.maximum(direct.magnitude, parseval.magnitude)),
-                log_operator_norm(f.J[..., it, :, :]))
+                log_operator_norm(transport(f, it)[..., 0, :, :]))
 
     for t in (flows.grid.points[13], 1.0):
         full = tail(flows, t)
