@@ -111,13 +111,16 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def time_indices(grid: TimeGrid, times) -> list[int]:
-    """Grid indices of evaluation times, each a grid point in (0, horizon]."""
+    """Grid indices of evaluation times, distinct grid points in (0, horizon]."""
     if not times or any(t <= 0 or t > grid.horizon * (1 + 1e-12) for t in times):
         raise ConfigError("evaluation times must lie in (0, horizon]")
     try:
-        return [grid.index_of(t) for t in times]
+        indices = [grid.index_of(t) for t in times]
     except ValueError as exc:
         raise ConfigError(f"evaluation times must be grid points: {exc}") from exc
+    if len(set(indices)) < len(indices):
+        raise ConfigError("evaluation times must be distinct grid points")
+    return indices
 
 
 def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
@@ -464,16 +467,15 @@ class DensityReport:
 
 def evaluate_flows(flows, vf, kernel, basis, indices, tau):
     """Covariance by both routes and its verdicts for one solved sample or a
-    stack, one call per route and evaluation time (grid indices).  The
-    verdicts share one scale per sample: its largest 2D-route magnitude / e
-    over the times.  Returns the 2D-route matrices and their spectra per
-    time, each sample's largest route residual over the times, and log |J_t|
-    (J_t from `transport`) with the times on the last axis.  A transport
-    that is not finite raises ExplosionError."""
+    stack, one call per route and evaluation time (grid indices).  Each
+    time's verdict is judged against its own 2D-route magnitude / e, so it
+    does not depend on the other times.  Returns the 2D-route matrices and
+    their spectra per time, each sample's largest route residual over the
+    times, and log |J_t| (J_t from `transport`) with the times on the last
+    axis.  A transport that is not finite raises ExplosionError."""
     times = flows.grid.points[indices]
     mats = [malliavin_matrix_2d(flows, vf, kernel, t) for t in times]
-    scale = np.max([m.magnitude / vf.e for m in mats], axis=0)
-    specs = [spectrum(m, tau=tau, scale=scale) for m in mats]
+    specs = [spectrum(m, tau=tau, scale=m.magnitude / vf.e) for m in mats]
     checks = [malliavin_matrix_parseval(flows, vf, basis, t) for t in times]
     residual = np.max([route_residual(m.sigma, c.sigma,
                                       np.maximum(m.magnitude, c.magnitude))

@@ -220,10 +220,10 @@ def spectrum(sigma, scale: float | np.ndarray,
     """Eigendecomposition with a scale-relative degeneracy verdict.
 
     The verdict is "non-degenerate" iff lambda_min > tau * scale.  The scale
-    is the caller's, common to the family of matrices it compares (all
-    evaluation times of one sample, say): a matrix judged against its own
-    trace can never be flagged when it is 1x1, which would blind the verdict
-    exactly in the pinned-driver case it exists to catch.  A stack
+    is the caller's (the pipeline passes the matrix's own 2D-route
+    magnitude / e, a bound on its summed terms): a matrix judged against its
+    own trace can never be flagged when it is 1x1, which would blind the
+    verdict exactly in the pinned-driver case it exists to catch.  A stack
     (K, e, e) takes one scale per matrix.  A matrix that is not finite has
     no verdict: FloatingPointError.
     """

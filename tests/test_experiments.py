@@ -97,6 +97,7 @@ def test_load_config_inline_comments(tmp_path):
     ("y0 = 1.0 0.0", "y0 = 1.0"),
     ("seed = 11", "threads = 0\nseed = 11"),
     ("times = 0.5 1.0", "times = 0.3 1.0"),
+    ("times = 0.5 1.0", "times = 1.0 1.0"),
 ])
 def test_load_config_rejects_bad_values(tmp_path, mutation):
     old, new = mutation
@@ -237,6 +238,9 @@ def test_evaluation_times_are_matched_relative_to_the_horizon():
     with pytest.raises(ConfigError, match="horizon"):
         time_indices(grid, [1e-9 + 5e-13])
     assert time_indices(grid, list(grid.points[1:])) == list(range(1, 1025))
+    # repeats are caught by grid index, so two times that round to one point too
+    with pytest.raises(ConfigError, match="distinct"):
+        time_indices(grid, [5e-10, 5e-10 * (1 + 1e-13)])
 
 
 def test_check_conditions_reports(tmp_path):
@@ -353,6 +357,30 @@ def test_run_experiment_output_is_independent_of_chunk_size(tmp_path, monkeypatc
         assert all(o == outputs[0] for o in outputs[1:]), name
         assert report.aborted == (name == "ramp")
         assert report.oracle_checked == report.count - report.aborted
+
+
+def test_rows_do_not_depend_on_the_other_evaluation_times(tmp_path, capsys):
+    # the flow grows by orders of magnitude from t = 50 to t = 100: judged
+    # against a scale shared by both times, clearly non-degenerate t = 50
+    # rows would read degenerate
+    text = (ROTATION_CONFIG.replace("horizon = 1.0", "horizon = 100.0")
+            .replace("count = 30", "count = 20").replace("seed = 11", "seed = 1"))
+
+    def rows_by_time(times):
+        cfg = write_config(tmp_path, text.replace("times = 0.5 1.0", f"times = {times}"),
+                           name=f"{times}.ini")
+        out = tmp_path / times
+        assert run_experiment(load_config(cfg), out_dir=str(out)).fraction_degenerate == 0.0
+        by_time = {}
+        for row in (out / "samples.csv").read_text().splitlines()[1:]:
+            by_time.setdefault(row.split(",")[1], []).append(row)
+        return cfg, by_time
+
+    cfg, both = rows_by_time("50 100")
+    assert both == {**rows_by_time("50")[1], **rows_by_time("100")[1]}
+    assert cli_main(["malliavin", "--config", cfg, "--index", "4", "--time", "50"]) == 0
+    verdict = next(r for r in both["50"] if r.startswith("4,")).split(",")[-3]
+    assert f"verdict: {verdict} " in capsys.readouterr().out
 
 
 def test_run_experiment_aborts_only_the_exploding_sample(tmp_path, monkeypatch, caplog):
@@ -598,7 +626,7 @@ def test_cli_run_at_the_pin_alone_exits_0(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["oracle_check"]["checked"] == 20
     assert summary["oracle_check"]["max_rel_residual"] < 1e-10
-    # the verdict's common scale bounds the summed terms, not the noise
+    # each time's own scale bounds its summed terms, not the noise
     assert summary["fraction_degenerate"] == 1.0
 
 

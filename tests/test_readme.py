@@ -1,6 +1,6 @@
-"""The README's command-line block against the argument parser, its layout
-table against the package, its CSV header against a run, and the package
-exports against `__all__`."""
+"""The README's command-line block against the argument parser, its config
+example against the loader, its layout table against the package, its CSV
+header against a run, and the package exports against `__all__`."""
 
 import argparse
 import dataclasses
@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import gaussrde
+from gaussrde import load_config
 from gaussrde.cli import _build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,6 +49,16 @@ def test_readme_command_line_matches_the_parser():
     for name, flags in actual.items():
         # every flag, in brackets if and only if it is optional
         assert documented[name] == flags, name
+
+
+def test_readme_config_example_loads(tmp_path):
+    section = README.read_text().split("## Config format", 1)[1]
+    block = section.split("```ini", 1)[1].split("```", 1)[0]
+    path = tmp_path / "example.ini"
+    path.write_text(block)
+    cfg = load_config(str(path))
+    assert (cfg.kernel, cfg.kernel_params, cfg.n, cfg.d) == ("fbm", {"hurst": 0.4}, 65, 2)
+    assert (cfg.family, cfg.e, cfg.times) == ("rotation", 2, (0.5, 1.0))
 
 
 def layout_rows() -> dict:
