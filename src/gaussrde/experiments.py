@@ -179,6 +179,8 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     reference = _parse_reference(exp_sec.get("reference", "none"))
+    if reference is not None and e != 1:
+        raise ConfigError(f"a reference law needs a scalar state (e = 1), got e = {e}")
 
     csv_path = out_sec.get("csv") if out_sec else None
     json_path = out_sec.get("json") if out_sec else None
@@ -420,21 +422,46 @@ def _kde_mass(query_grid, values: np.ndarray) -> float:
     return float(np.trapezoid(values, query_grid))
 
 
+def _normal_pdf(q, mu, sigma):
+    """The N(mu, sigma^2) pdf at q."""
+    z = (np.asarray(q, dtype=float) - mu) / sigma
+    return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2 * math.pi))
+
+
+def _lognormal_pdf(q, mu, sigma):
+    """The normal pdf of log q over q; exactly 0 at q <= 0, where no log is
+    taken."""
+    q = np.asarray(q, dtype=float)
+    pdf = np.zeros_like(q)
+    positive = q > 0
+    pdf[positive] = _normal_pdf(np.log(q[positive]), mu, sigma) / q[positive]
+    return pdf
+
+
+def _ks_normal(samples, mu, sigma) -> float:
+    """Kolmogorov-Smirnov statistic of the samples against N(mu, sigma^2):
+    the largest gap between the normal cdf and the empirical cdf, taken on
+    both sides of each of its jumps."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    m = x.size
+    z = ((x - mu) / sigma).tolist()
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2)) for v in z])
+    return float(max(np.max(np.arange(1, m + 1) / m - cdf), np.max(cdf - np.arange(m) / m)))
+
+
 def _reference_comparison(reference, samples1d, query_grid, kde_values):
-    # imported here: scipy.stats takes a second, and only a reference law needs it
-    from scipy import stats
     name, mu, sigma = reference
     if name == "lognormal":
         if np.any(samples1d <= 0):
             raise RunError("lognormal reference requires positive samples")
         transformed = np.log(samples1d)
-        pdf = stats.lognorm.pdf(query_grid, s=sigma, scale=math.exp(mu))
+        pdf = _lognormal_pdf(query_grid, mu, sigma)
     else:
         transformed = samples1d
-        pdf = stats.norm.pdf(query_grid, loc=mu, scale=sigma)
-    ks = stats.kstest(transformed, "norm", args=(mu, sigma)).statistic
+        pdf = _normal_pdf(query_grid, mu, sigma)
+    ks = _ks_normal(transformed, mu, sigma)
     sup = float(np.max(np.abs(kde_values - pdf)))
-    return float(ks), sup
+    return ks, sup
 
 
 @dataclass
@@ -578,7 +605,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
             "t": np.tile(grid.points[indices], passed.size),
             **{f"y_{a + 1}": Y[..., a].ravel() for a in range(config.e)},
             **{name: np.stack([getattr(s, name) for s in specs], axis=-1).ravel()
-               for name in ("lambda_min", "det", "verdict")},
+               for name in ("lambda_min", "det")},
+            # True where degenerate: the words are formed only for the CSV
+            "verdict": np.stack([s.verdict == "degenerate" for s in specs], axis=-1).ravel(),
             "pvar_driver": np.repeat(flows.pvar[passed], len(indices)),
             "log_norm_J": log_norm.ravel()})
         residuals.append(residual)
@@ -601,7 +630,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     report = DensityReport(
         time=float(config.times[-1]),
         samples=final_Y,
-        fraction_degenerate=float(np.mean(record["verdict"] == "degenerate")),
+        fraction_degenerate=float(np.mean(record["verdict"])),
         lambda_min_quantiles={f"q{q:02d}": float(np.quantile(lam_values, q / 100))
                               for q in (5, 50, 95)},
         aborted=aborted,
@@ -618,7 +647,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
         report.kde_values = values
         report.bandwidth = h
         report.kde_mass = _kde_mass(query, values)
-        if config.reference is not None and config.e == 1:
+        if config.reference is not None:
             report.reference_name = config.reference[0]
             report.ks_distance, report.sup_distance = _reference_comparison(
                 config.reference, final_Y[:, 0], query, values)
@@ -654,7 +683,9 @@ def _write_artifacts(config, report, record, out_dir):
         csv_path = os.path.join(out_dir, os.path.basename(csv_path or "samples.csv"))
         json_path = os.path.join(out_dir, os.path.basename(json_path or "summary.json"))
     if csv_path:
-        write_rows_csv(csv_path, list(record), list(record.values()))
+        columns = {**record, "verdict": np.where(record["verdict"], "degenerate",
+                                                 "non-degenerate")}
+        write_rows_csv(csv_path, list(columns), list(columns.values()))
     if json_path:
         summary = {
             "version": __version__,

@@ -4,6 +4,7 @@ import logging
 import math
 import re
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from gaussrde.cli import main as cli_main
 from gaussrde.experiments import (
     _default_query_grid,
     _kde_mass,
+    _ks_normal,
+    _lognormal_pdf,
+    _normal_pdf,
     _reference_comparison,
     build_fields,
     build_model,
@@ -98,6 +102,7 @@ def test_load_config_inline_comments(tmp_path):
     ("seed = 11", "threads = 0\nseed = 11"),
     ("times = 0.5 1.0", "times = 0.3 1.0"),
     ("times = 0.5 1.0", "times = 1.0 1.0"),
+    ("seed = 11", "seed = 11\nreference = normal 0 1"),  # e = 2
 ])
 def test_load_config_rejects_bad_values(tmp_path, mutation):
     old, new = mutation
@@ -773,6 +778,49 @@ def test_reference_comparison_lognormal():
                               grid, values)
 
 
+def test_reference_comparison_normal():
+    rng = np.random.default_rng(95)
+    samples = 0.4 + 1.3 * rng.standard_normal(5000)
+    h = silverman_bandwidth(samples)
+    grid = _default_query_grid(samples[:, None], h)
+    values = kde_density(samples, grid)
+    ks, sup = _reference_comparison(("normal", 0.4, 1.3), samples, grid, values)
+    assert ks < 0.03
+    assert sup < 0.05
+    assert abs(ks - stats.kstest(samples, "norm", args=(0.4, 1.3)).statistic) < 1e-15
+    assert abs(sup - np.max(np.abs(values - stats.norm.pdf(grid, 0.4, 1.3)))) < 1e-15
+
+
+@pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.5, 1.0), (-1.0, 0.3), (2.0, 2.5)])
+def test_reference_pdfs_match_scipy(mu, sigma):
+    """The closed-form pdfs against scipy.stats, on a grid reaching below 0
+    as the query grid of a lognormal run does: there the lognormal pdf is
+    exactly 0, and no log of a non-positive number is taken."""
+    q = np.concatenate([np.linspace(-3.0, 8.0, 2001), [0.0, -0.0, 5e-324, 1e-300]])
+    eps = np.finfo(float).eps
+    with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        normal = _normal_pdf(q, mu, sigma)
+        lognormal = _lognormal_pdf(q, mu, sigma)
+    expected = stats.norm.pdf(q, loc=mu, scale=sigma)
+    np.testing.assert_allclose(normal, expected, rtol=4 * eps, atol=0)
+    expected = stats.lognorm.pdf(q, s=sigma, scale=math.exp(mu))
+    assert np.all(lognormal[q <= 0] == 0.0)
+    # within a few ulp of the peak, the scale of the sup distance
+    assert np.max(np.abs(lognormal - expected)) <= 8 * eps * expected.max()
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 100, 1000])
+def test_ks_normal_matches_scipy(m):
+    for seed in range(5):
+        rng = np.random.default_rng(1000 * m + seed)
+        for x in (rng.normal(0.3, 1.7, m),
+                  rng.choice([-0.5, 0.3, 2.0], m),  # tied samples
+                  rng.normal(4.0, 1.0, m)):  # far from the reference law
+            expected = stats.kstest(x, "norm", args=(0.3, 1.7)).statistic
+            assert abs(_ks_normal(x, 0.3, 1.7) - expected) <= 4 * np.finfo(float).eps
+
+
 def test_config_hash_tracks_content(tmp_path):
     cfg_a = load_config(write_config(tmp_path, ROTATION_CONFIG, "a.ini"))
     cfg_b = load_config(write_config(tmp_path, ROTATION_CONFIG, "b.ini"))
@@ -827,8 +875,9 @@ def test_write_rows_csv_matches_the_writers_it_replaced(tmp_path, rows, e):
 
 
 def test_loading_a_config_does_not_import_scipy_stats(tmp_path):
-    """scipy.stats takes about a second to import; only a run with a
-    reference law needs it."""
+    """Neither loading a config nor a run with a reference law imports
+    scipy: in a process where any scipy import raises, a lognormal
+    reference run still reports its KS distance."""
     import os
     import subprocess
     import sys
@@ -839,12 +888,16 @@ def test_loading_a_config_does_not_import_scipy_stats(tmp_path):
     src = str(Path(gaussrde.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    config = write_config(tmp_path, ROTATION_CONFIG)
-    code = ("import sys, gaussrde; "
-            f"gaussrde.load_config({config!r}); print('scipy.stats' in sys.modules)")
+    config = write_config(tmp_path, LINEAR_DRIFT_CONFIG.replace(
+        "count = 30", "count = 100\nreference = lognormal 0 1"))
+    code = ("import sys; sys.modules['scipy'] = None; import gaussrde; "
+            f"report = gaussrde.run_experiment(gaussrde.load_config({config!r}), "
+            f"out_dir={str(tmp_path / 'out')!r}); "
+            "print(report.ks_distance is not None, "
+            "[m for m, v in sys.modules.items() if m.startswith('scipy') and v])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "True []"
 
 
 # ---------------------------------------------------------------------------
