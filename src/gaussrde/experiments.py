@@ -605,9 +605,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
             "t": np.tile(grid.points[indices], passed.size),
             **{f"y_{a + 1}": Y[..., a].ravel() for a in range(config.e)},
             **{name: np.stack([getattr(s, name) for s in specs], axis=-1).ravel()
-               for name in ("lambda_min", "det")},
-            # True where degenerate: the words are formed only for the CSV
-            "verdict": np.stack([s.verdict == "degenerate" for s in specs], axis=-1).ravel(),
+               for name in ("lambda_min", "det", "verdict")},
             "pvar_driver": np.repeat(flows.pvar[passed], len(indices)),
             "log_norm_J": log_norm.ravel()})
         residuals.append(residual)
@@ -630,7 +628,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     report = DensityReport(
         time=float(config.times[-1]),
         samples=final_Y,
-        fraction_degenerate=float(np.mean(record["verdict"])),
+        fraction_degenerate=float(np.mean(record["verdict"] == "degenerate")),
         lambda_min_quantiles={f"q{q:02d}": float(np.quantile(lam_values, q / 100))
                               for q in (5, 50, 95)},
         aborted=aborted,
@@ -683,9 +681,7 @@ def _write_artifacts(config, report, record, out_dir):
         csv_path = os.path.join(out_dir, os.path.basename(csv_path or "samples.csv"))
         json_path = os.path.join(out_dir, os.path.basename(json_path or "summary.json"))
     if csv_path:
-        columns = {**record, "verdict": np.where(record["verdict"], "degenerate",
-                                                 "non-degenerate")}
-        write_rows_csv(csv_path, list(columns), list(columns.values()))
+        write_rows_csv(csv_path, list(record), list(record.values()))
     if json_path:
         summary = {
             "version": __version__,
