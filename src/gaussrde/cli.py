@@ -144,10 +144,10 @@ def _cmd_malliavin(args) -> int:
     t = args.time if args.time is not None else config.times[-1]
     path = _single_path(config, model, grid, args.index)
     flow = solve_flow_jacobian(lift_piecewise_linear(path), vf, config.y0)
-    (mat,), (spec,), residual, _ = evaluate_flows(
+    mat, spec, residual, _ = evaluate_flows(
         flow, vf, kernel_eval(model, grid), cameron_martin_basis(model, grid),
-        time_indices(grid, [t]), config.tau)
-    check_routes(residual, [args.index])
+        time_indices(grid, [t])[0], config.tau)
+    check_routes(residual, [args.index], [t])
     print(f"sigma at t = {t} (2d-young route):")
     for row in mat.sigma:
         print("  " + "  ".join(f"{v: .6e}" for v in row))

@@ -173,6 +173,8 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     if count < 1:
         raise ConfigError("count must be >= 1")
     seed = int(exp_sec.get("seed", "0"))
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     allow_degenerate = str(exp_sec.get("allow_degenerate", "false")).strip().lower() in (
         "1", "true", "yes", "on")
     threads = int(exp_sec.get("threads", "1"))
@@ -185,8 +187,8 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     csv_path = out_sec.get("csv") if out_sec else None
     json_path = out_sec.get("json") if out_sec else None
     tau = float(thr_sec.get("tau", str(DEGENERACY_TAU))) if thr_sec else DEGENERACY_TAU
-    if tau <= 0:
-        raise ConfigError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ConfigError("tau must be finite and positive")
 
     raw = {sec: dict(parser[sec]) for sec in parser.sections()}
     cfg = ExperimentConfig(
@@ -467,8 +469,10 @@ def _reference_comparison(reference, samples1d, query_grid, kde_values):
 @dataclass
 class DensityReport:
     """Aggregated outcome of one Monte Carlo run.  `samples` and the KDE
-    are the states at the last evaluation time, `time`; `fraction_degenerate`
-    and `lambda_min_quantiles` pool every (sample, evaluation time) row."""
+    are the states at the last evaluation time, `time`, of the samples with
+    a row there; `fraction_degenerate` and `lambda_min_quantiles` pool every
+    (sample, time) row.  `aborted` counts the samples that lost a row,
+    `oracle_checked` those that kept one."""
 
     time: float
     samples: np.ndarray
@@ -492,33 +496,29 @@ class DensityReport:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_flows(flows, vf, kernel, basis, indices, tau):
-    """Covariance by both routes and its verdicts for one solved sample or a
-    stack, one call per route and evaluation time (grid indices).  Each
-    time's verdict is judged against its own 2D-route magnitude / e, so it
-    does not depend on the other times.  Returns the 2D-route matrices and
-    their spectra per time, each sample's largest route residual over the
-    times, and log |J_t| (J_t from `transport`) with the times on the last
-    axis.  A transport that is not finite raises ExplosionError."""
-    times = flows.grid.points[indices]
-    mats = [malliavin_matrix_2d(flows, vf, kernel, t) for t in times]
-    specs = [spectrum(m, tau=tau, scale=m.magnitude / vf.e) for m in mats]
-    checks = [malliavin_matrix_parseval(flows, vf, basis, t) for t in times]
-    residual = np.max([route_residual(m.sigma, c.sigma,
-                                      np.maximum(m.magnitude, c.magnitude))
-                       for m, c in zip(mats, checks)], axis=0)
-    J = np.stack([transport(flows, it)[..., 0, :, :] for it in indices], axis=-3)
-    return mats, specs, residual, log_operator_norm(J)
+def evaluate_flows(flows, vf, kernel, basis, it, tau):
+    """Covariance by both routes at one evaluation time (grid index `it`) for
+    one solved sample or a stack: the 2D-route matrix, its spectrum (judged
+    against its own magnitude / e), the route residual and log |J_t| (J_t
+    from `transport`, which raises ExplosionError if it is not finite)."""
+    t = flows.grid.points[it]
+    mat = malliavin_matrix_2d(flows, vf, kernel, t)
+    spec = spectrum(mat, tau=tau, scale=mat.magnitude / vf.e)
+    check = malliavin_matrix_parseval(flows, vf, basis, t)
+    residual = route_residual(mat.sigma, check.sigma,
+                              np.maximum(mat.magnitude, check.magnitude))
+    return mat, spec, residual, log_operator_norm(transport(flows, it)[..., 0, :, :])
 
 
-def check_routes(residuals, samples) -> None:
-    """Raise RunError if some sample's two covariance routes differ by more
-    than ROUTE_TOL (a residual from `evaluate_flows` per sample)."""
+def check_routes(residuals, samples, times) -> None:
+    """Raise RunError if the two covariance routes of some (sample, time) row
+    differ by more than ROUTE_TOL (a residual from `evaluate_flows` per row)."""
     residuals = np.atleast_1d(residuals)
     if not residuals.max(initial=0.0) <= ROUTE_TOL:
         worst = int(np.argmax(residuals))
-        raise RunError(f"covariance routes disagree on sample {samples[worst]}: "
-                       f"relative residual {residuals[worst]:.3e} > {ROUTE_TOL:g}")
+        raise RunError(f"covariance routes disagree on sample {samples[worst]} at "
+                       f"t = {times[worst]:g}: relative residual "
+                       f"{residuals[worst]:.3e} > {ROUTE_TOL:g}")
 
 
 def gaussian_gate(model: CovarianceModel, grid: TimeGrid, times) -> dict:
@@ -551,14 +551,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     Unless the config allows a degenerate scenario, the driver model must
     pass the Gaussian non-degeneracy probe at every evaluation time before
     any sampling happens.  Samples go through the whole pipeline in equal
-    chunks of at most CHUNK: lift, solve, p-variation, then per evaluation
-    time one call each for the 2D covariance, its spectrum and the Parseval
-    route.  Every per-sample value is independent of the chunking, so the
-    artifacts are too.  Numerical sample failures (explosion, an eigenvalue
-    solve that does not converge, floating-point errors) are logged and
-    skipped; more than 1% of them fails the whole run.  So does a sample
-    whose two covariance routes differ by more than ROUTE_TOL at some time
-    (see `route_residual`).  Any other exception propagates.  Artifacts are
+    chunks of at most CHUNK: lift, solve, p-variation, then one covariance
+    tail (`evaluate_flows`) per evaluation time; no value depends on the
+    chunking.  A numerical failure (explosion, an eigenvalue solve that does
+    not converge, floating-point errors) drops the rows it happens in: a
+    solver failure all rows of its sample, a tail failure at t only the
+    (sample, t) row.  `aborted` counts the samples that lost a row, each
+    logged once with its first error; more than 1% of them fails the run, as
+    does a row whose two routes differ by more than ROUTE_TOL (see
+    `route_residual`).  Any other exception propagates.  Artifacts are
     written when the config names them (rebased into `out_dir` if given).
     """
     model = build_model(config)
@@ -579,7 +580,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     basis = cameron_martin_basis(model, grid)
     kernel = kernel_eval(model, grid)
 
-    chunks, residuals, failures = [], [], []
+    chunks, failures = [], []
     # equal chunks, so no small tail chunk pays a whole step loop
     size = math.ceil(config.count / math.ceil(config.count / CHUNK))
     for lo in range(0, config.count, size):
@@ -588,27 +589,25 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
                                     pvar_index=pvar_p)
         solved = [i for i, error in enumerate(flows.errors) if error is None]
         every = list(range(len(flows.errors)))
-        # the chunk itself when every path solved: no copy of its arrays
-        (_, specs, residual, log_norm), failed = by_rows(
-            lambda f: evaluate_flows(f, vf, kernel, basis, indices, config.tau),
-            lambda rows: flows if rows == every else flows.sample(rows), solved)
-        for i, error in enumerate(flows.errors):
-            error = error or failed.get(i)
+        errors = flows.errors  # each sample's first error
+        for it in indices:
+            # the chunk itself when every path solved: no copy of its arrays
+            (_, spec, residual, log_norm), failed = by_rows(
+                lambda f: evaluate_flows(f, vf, kernel, basis, it, config.tau),
+                lambda rows: flows if rows == every else flows.sample(rows), solved)
+            errors = [error or failed.get(i) for i, error in enumerate(errors)]
+            # named columns, one row per sample that passed at this time
+            passed = np.array([i for i in solved if i not in failed], dtype=int)
+            chunks.append({
+                "sample_index": lo + passed, "t": np.full(passed.size, grid.points[it]),
+                **{f"y_{a + 1}": flows.Y[passed, it, a] for a in range(config.e)},
+                **{name: getattr(spec, name) for name in ("lambda_min", "det", "verdict")},
+                "pvar_driver": flows.pvar[passed], "log_norm_J": log_norm,
+                "residual": residual})
+        for i, error in enumerate(errors):
             if error is not None:
                 log.warning("sample %d aborted: %s", lo + i, error)
                 failures.append((lo + i, f"{type(error).__name__}: {error}"))
-        # named columns, one row per (sample, time), the samples outermost
-        passed = np.array([i for i in solved if i not in failed], dtype=int)
-        Y = flows.Y[np.ix_(passed, indices)]
-        chunks.append({
-            "sample_index": np.repeat(lo + passed, len(indices)),
-            "t": np.tile(grid.points[indices], passed.size),
-            **{f"y_{a + 1}": Y[..., a].ravel() for a in range(config.e)},
-            **{name: np.stack([getattr(s, name) for s in specs], axis=-1).ravel()
-               for name in ("lambda_min", "det", "verdict")},
-            "pvar_driver": np.repeat(flows.pvar[passed], len(indices)),
-            "log_norm_J": log_norm.ravel()})
-        residuals.append(residual)
         del flows  # the next chunk is solved without this one's arrays alive
 
     aborted = len(failures)
@@ -617,12 +616,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
             f"{aborted} of {config.count} samples aborted (> 1%); first "
             f"failure: sample {failures[0][0]}: {failures[0][1]}"
         )
-    # at least one sample passed, or the run has failed above
-    record = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
-    last = slice(len(indices) - 1, None, len(indices))  # each sample's last time
-    residuals = np.concatenate(residuals)
-    check_routes(residuals, record["sample_index"][last])
+    # the samples outermost again (at least one kept every row, or the run failed)
+    order = np.argsort(np.concatenate([c["sample_index"] for c in chunks]), kind="stable")
+    record = {name: np.concatenate([c[name] for c in chunks])[order] for name in chunks[0]}
+    residuals = record.pop("residual")
+    check_routes(residuals, record["sample_index"], record["t"])
 
+    last = record["t"] == grid.points[indices[-1]]
     final_Y = np.column_stack([record[f"y_{a + 1}"][last] for a in range(config.e)])
     lam_values = record["lambda_min"]
     report = DensityReport(
@@ -634,7 +634,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
         aborted=aborted,
         count=config.count,
         oracle_max_residual=float(residuals.max()),
-        oracle_checked=residuals.size,
+        oracle_checked=np.unique(record["sample_index"]).size,
     )
 
     if config.e <= 2 and final_Y.shape[0] >= 100:

@@ -34,7 +34,6 @@ class CovarianceModel:
     name: str
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     rho: float
-    params: dict
 
     def __call__(self, s, t):
         return self.kernel(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
@@ -42,7 +41,7 @@ class CovarianceModel:
 
 def brownian_model() -> CovarianceModel:
     """Standard Brownian motion, R(s, t) = min(s, t), rho = 1."""
-    return CovarianceModel("brownian", lambda s, t: np.minimum(s, t), 1.0, {})
+    return CovarianceModel("brownian", lambda s, t: np.minimum(s, t), 1.0)
 
 
 def fbm_model(hurst: float) -> CovarianceModel:
@@ -58,7 +57,7 @@ def fbm_model(hurst: float) -> CovarianceModel:
         return 0.5 * (np.abs(t) ** two_h + np.abs(s) ** two_h
                       - np.abs(t - s) ** two_h)
 
-    return CovarianceModel("fbm", kernel, max(1.0, 1.0 / two_h), {"hurst": hurst})
+    return CovarianceModel("fbm", kernel, max(1.0, 1.0 / two_h))
 
 
 def bridge_model(horizon: float) -> CovarianceModel:
@@ -69,12 +68,12 @@ def bridge_model(horizon: float) -> CovarianceModel:
     def kernel(s, t):
         return np.minimum(s, t) - s * t / horizon
 
-    return CovarianceModel("bridge", kernel, 1.0, {"horizon": horizon})
+    return CovarianceModel("bridge", kernel, 1.0)
 
 
 def zero_model() -> CovarianceModel:
     """Deterministic zero driver; degenerate on purpose."""
-    return CovarianceModel("zero", lambda s, t: np.zeros(np.broadcast(s, t).shape), 1.0, {})
+    return CovarianceModel("zero", lambda s, t: np.zeros(np.broadcast(s, t).shape), 1.0)
 
 
 def kernel_eval(model: CovarianceModel, grid: TimeGrid) -> GridFunction2D:

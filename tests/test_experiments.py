@@ -103,6 +103,9 @@ def test_load_config_inline_comments(tmp_path):
     ("times = 0.5 1.0", "times = 0.3 1.0"),
     ("times = 0.5 1.0", "times = 1.0 1.0"),
     ("seed = 11", "seed = 11\nreference = normal 0 1"),  # e = 2
+    ("seed = 11", "seed = -3"),
+    ("seed = 11", "seed = 11\n[thresholds]\ntau = nan"),
+    ("seed = 11", "seed = 11\n[thresholds]\ntau = inf"),
 ])
 def test_load_config_rejects_bad_values(tmp_path, mutation):
     old, new = mutation
@@ -350,7 +353,8 @@ def test_run_experiment_output_is_independent_of_chunk_size(tmp_path, monkeypatc
     for name, text, sampler in (("rotation", ROTATION_CONFIG, sample),
                                 ("drift", LINEAR_DRIFT_CONFIG, sample),
                                 ("bridge", BRIDGE_SCALAR_CONFIG, sample),
-                                ("ramp", ramp, with_a_ramp(sample))):
+                                ("ramp", ramp, with_a_ramp(sample)),
+                                ("overflow", SWEEP_CONFIG, with_a_transport_overflow(sample))):
         cfg = load_config(write_config(tmp_path, text, name=f"{name}.ini"))
         monkeypatch.setattr(gaussrde.experiments, "sample_paths", sampler)
         outputs = []
@@ -360,8 +364,9 @@ def test_run_experiment_output_is_independent_of_chunk_size(tmp_path, monkeypatc
             report = run_experiment(cfg, out_dir=str(out))
             outputs.append([(out / f).read_bytes() for f in ("samples.csv", "summary.json")])
         assert all(o == outputs[0] for o in outputs[1:]), name
-        assert report.aborted == (name == "ramp")
-        assert report.oracle_checked == report.count - report.aborted
+        assert report.aborted == (name in ("ramp", "overflow"))
+        # the overflow costs sample 3 only its t = 1 row
+        assert report.oracle_checked == report.count - (name == "ramp")
 
 
 def test_rows_do_not_depend_on_the_other_evaluation_times(tmp_path, capsys):
@@ -451,19 +456,27 @@ def with_a_transport_overflow(sample):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_transport_overflow_aborts_only_its_sample(tmp_path, monkeypatch, caplog):
+    """The overflow at t = 1 drops only sample 3's t = 1 row: its t = 0.5 row
+    is the one a run at t = 0.5 alone writes, and the other samples keep
+    every row."""
     import gaussrde.experiments
 
     cfg = load_config(write_config(tmp_path, SWEEP_CONFIG))
     run_experiment(cfg, out_dir=str(tmp_path / "clean"))
     monkeypatch.setattr(gaussrde.experiments, "sample_paths",
                         with_a_transport_overflow(gaussrde.experiments.sample_paths))
+    run_experiment(dataclasses.replace(cfg, times=(0.5,)), out_dir=str(tmp_path / "half"))
     with caplog.at_level(logging.WARNING, logger="gaussrde"):
         report = run_experiment(cfg, out_dir=str(tmp_path / "overflow"))
-    assert report.aborted == 1 and report.oracle_checked == 119
+    assert report.aborted == 1 and report.oracle_checked == 120
     assert caplog.messages == ["sample 3 aborted: transport to t = 1 exploded"]
     clean = (tmp_path / "clean" / "samples.csv").read_bytes().splitlines()
+    half = (tmp_path / "half" / "samples.csv").read_bytes().splitlines()
     overflow = (tmp_path / "overflow" / "samples.csv").read_bytes().splitlines()
-    assert overflow == [row for row in clean if not row.startswith(b"3,")]
+    # the header, samples 0-2 with two rows each, then sample 3's one row
+    assert overflow[7:8] == [row for row in half if row.startswith(b"3,")]
+    assert overflow[:7] + overflow[8:] == [row for row in clean if not row.startswith(b"3,")]
+    assert [row for row in overflow if row.split(b",")[1] == b"0.5"] == half[1:]
     failure = "first failure: sample 3: ExplosionError: transport to t = 1 exploded"
     with pytest.raises(RunError, match=re.escape(failure)):
         run_experiment(dataclasses.replace(cfg, count=10))
@@ -503,7 +516,8 @@ def test_a_failure_in_the_stacked_tail_aborts_only_its_sample(tmp_path, monkeypa
                                            (128, [128]), (129, [65, 64])])
 def test_samples_go_in_equal_chunks_of_at_most_CHUNK(tmp_path, monkeypatch, count,
                                                      stacks):
-    """The chunk's own flows reach the covariance when every path solved."""
+    """The chunk's own flows reach the covariance at each evaluation time
+    when every path solved."""
     import gaussrde.experiments
 
     solve, evaluate = gaussrde.experiments.solve_flow_jacobian, gaussrde.experiments.evaluate_flows
@@ -523,7 +537,8 @@ def test_samples_go_in_equal_chunks_of_at_most_CHUNK(tmp_path, monkeypatch, coun
         tmp_path, LINEAR_DRIFT_CONFIG.replace("count = 30", f"count = {count}")))
     run_experiment(cfg, out_dir=str(tmp_path / "out"))
     assert [len(f.Y) for f in solved] == stacks
-    assert all(e is s for e, s in zip(evaluated, solved, strict=True))
+    per_time = [s for s in solved for _ in cfg.times]
+    assert all(e is s for e, s in zip(evaluated, per_time, strict=True))
 
 
 def test_run_experiment_memory_peak(tmp_path):
@@ -1070,6 +1085,11 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     assert cli_main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    cfg = write_config(tmp_path, ROTATION_CONFIG.replace("seed = 11", "seed = -3"))
+    assert cli_main(["run", "--config", cfg]) == 2
+    assert cli_main(["sample", "--config", cfg, "--index", "0",
+                     "--out", str(tmp_path / "path.csv")]) == 2
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_run_failure_exits_3(tmp_path):

@@ -166,8 +166,7 @@ def test_cameron_martin_basis_empty_for_zero_kernel():
 
 
 def test_cameron_martin_rejects_non_covariance():
-    bad = CovarianceModel(name="negated", kernel=lambda s, t: -np.minimum(s, t),
-                          rho=1.0, params={})
+    bad = CovarianceModel(name="negated", kernel=lambda s, t: -np.minimum(s, t), rho=1.0)
     with pytest.raises(ValueError):
         cameron_martin_basis(bad, uniform_grid(1.0, 6))
 
