@@ -84,8 +84,14 @@ class ExperimentConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
+def _number(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ConfigError(f"numbers must be finite, got {text.strip()!r}")
+    return value
+
+
 def _floats(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.replace(",", " ").split()])
+    return np.array([_number(tok) for tok in text.replace(",", " ").split()])
 
 
 def _rows(text: str) -> np.ndarray:
@@ -124,29 +130,38 @@ def time_indices(grid: TimeGrid, times) -> list[int]:
 
 
 def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
-    if not parser.has_section("model"):
-        raise ConfigError("config needs a [model] section")
-    if not parser.has_section("fields"):
-        raise ConfigError("config needs a [fields] section")
-    model_sec = parser["model"]
-    fields_sec = parser["fields"]
-    exp_sec = parser["experiment"] if parser.has_section("experiment") else {}
-    out_sec = parser["output"] if parser.has_section("output") else {}
-    thr_sec = parser["thresholds"] if parser.has_section("thresholds") else {}
+    # every key the grammar reads, by section; any other key is an error
+    grammar = {"model": "kernel hurst pin horizon n d",
+               "fields": "family e y0 omegas shifts vectors matrices offsets "
+                         "drift_matrix drift_offset coeffs radius",
+               "experiment": "times count seed allow_degenerate threads reference",
+               "output": "csv json", "thresholds": "tau"}
+    for section in parser.sections():
+        if section not in grammar:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = sorted(set(parser[section]) - set(grammar[section].split()))
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in [{section}]")
+    for section in ("model", "fields"):
+        if not parser.has_section(section):
+            raise ConfigError(f"config needs a [{section}] section")
+    model_sec, fields_sec = parser["model"], parser["fields"]
+    exp_sec, out_sec, thr_sec = (parser[section] if parser.has_section(section) else {}
+                                 for section in ("experiment", "output", "thresholds"))
 
     kernel = model_sec.get("kernel", "").strip().lower()
     if kernel not in ("brownian", "fbm", "bridge", "zero"):
         raise ConfigError(f"unknown kernel {kernel!r}")
-    horizon = float(model_sec.get("horizon", "1.0"))
+    horizon = _number(model_sec.get("horizon", "1.0"))
     if horizon <= 0:
         raise ConfigError("horizon must be positive")
     kernel_params = {}
     if kernel == "fbm":
         if "hurst" not in model_sec:
             raise ConfigError("fbm kernel needs a hurst key")
-        kernel_params["hurst"] = float(model_sec["hurst"])
+        kernel_params["hurst"] = _number(model_sec["hurst"])
     if kernel == "bridge":
-        kernel_params["pin"] = float(model_sec.get("pin", str(horizon)))
+        kernel_params["pin"] = _number(model_sec.get("pin", str(horizon)))
     n = int(model_sec.get("n", "64"))
     if n < 8:
         raise ConfigError(f"grid size n must be >= 8, got {n}")
@@ -166,8 +181,7 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     field_params = {k: v for k, v in fields_sec.items()
                     if k not in ("family", "e", "y0")}
 
-    times_text = exp_sec.get("times", str(horizon))
-    times = tuple(float(t) for t in times_text.replace(",", " ").split())
+    times = tuple(_floats(exp_sec.get("times", str(horizon))).tolist())
     time_indices(uniform_grid(horizon, n), times)
     count = int(exp_sec.get("count", "1"))
     if count < 1:
@@ -175,8 +189,8 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     seed = int(exp_sec.get("seed", "0"))
     if seed < 0:
         raise ConfigError("seed must be >= 0")
-    allow_degenerate = str(exp_sec.get("allow_degenerate", "false")).strip().lower() in (
-        "1", "true", "yes", "on")
+    # 1/0, true/false, yes/no or on/off; anything else is an error
+    allow_degenerate = parser.getboolean("experiment", "allow_degenerate", fallback=False)
     threads = int(exp_sec.get("threads", "1"))
     if threads < 1:
         raise ConfigError("threads must be >= 1")
@@ -184,11 +198,10 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     if reference is not None and e != 1:
         raise ConfigError(f"a reference law needs a scalar state (e = 1), got e = {e}")
 
-    csv_path = out_sec.get("csv") if out_sec else None
-    json_path = out_sec.get("json") if out_sec else None
-    tau = float(thr_sec.get("tau", str(DEGENERACY_TAU))) if thr_sec else DEGENERACY_TAU
-    if not 0 < tau < math.inf:
-        raise ConfigError("tau must be finite and positive")
+    csv_path, json_path = out_sec.get("csv"), out_sec.get("json")
+    tau = _number(thr_sec.get("tau", str(DEGENERACY_TAU)))
+    if tau <= 0:
+        raise ConfigError("tau must be positive")
 
     raw = {sec: dict(parser[sec]) for sec in parser.sections()}
     cfg = ExperimentConfig(
@@ -213,7 +226,7 @@ def _parse_reference(text: str) -> tuple | None:
         raise ConfigError(f"unknown reference distribution {name!r}")
     if len(toks) != 3:
         raise ConfigError(f"reference {name} needs two parameters (mu sigma)")
-    mu, sigma = float(toks[1]), float(toks[2])
+    mu, sigma = _number(toks[1]), _number(toks[2])
     if sigma <= 0:
         raise ConfigError("reference sigma must be positive")
     return (name, mu, sigma)
@@ -288,10 +301,7 @@ def build_fields(config: ExperimentConfig) -> VectorFieldSystem:
             drift = (A0, b0)
         return linear_fields(A, b, drift)
     # polynomial
-    c0 = np.zeros((d, e))
-    c1 = np.zeros((d, e, e))
-    c2 = np.zeros((d, e, e, e))
-    c3 = np.zeros((d, e, e, e, e))
+    coeffs = [np.zeros((d,) + (e,) * (order + 1)) for order in range(4)]  # c0 .. c3
     if "coeffs" not in p:
         raise ConfigError("polynomial family needs a coeffs key")
     for term in p["coeffs"].replace("\n", ";").split(";"):
@@ -302,7 +312,7 @@ def build_fields(config: ExperimentConfig) -> VectorFieldSystem:
             raise ConfigError(f"bad polynomial term {term!r} (need indices = value)")
         left, _, right = term.partition("=")
         idx = [int(tok) for tok in left.split()]
-        value = float(right)
+        value = _number(right)
         if not 2 <= len(idx) <= 5:
             raise ConfigError(
                 f"polynomial term {term!r}: need field, output and 0-3 state "
@@ -312,10 +322,8 @@ def build_fields(config: ExperimentConfig) -> VectorFieldSystem:
         if not (0 <= fi < d and 0 <= a < e and all(0 <= s < e for s in states)):
             raise ConfigError(f"polynomial term {term!r}: index out of range "
                               f"(indices are 1-based)")
-        target = (c0, c1, c2, c3)[len(states)]
-        target[(fi, a, *states)] += value
-    radius = float(p.get("radius", "5.0"))
-    return polynomial_fields(c0, c1, c2, c3, radius=radius)
+        coeffs[len(states)][(fi, a, *states)] += value
+    return polynomial_fields(*coeffs, radius=_number(p.get("radius", "5.0")))
 
 
 def variation_index(model: CovarianceModel) -> float:
@@ -528,20 +536,25 @@ def gaussian_gate(model: CovarianceModel, grid: TimeGrid, times) -> dict:
 
 
 def by_rows(fn, take, rows):
-    """fn(take(rows)) for a list of row indices of a stack, in one call; if
-    that fails numerically, each row alone finds the failures and fn runs
-    again on the others, so a failure aborts only its own row.  Returns fn's
-    output on the rows that passed and {row: error} for the others."""
+    """fn(take(rows)) for a list of row indices of a stack, in one call.  If
+    that fails numerically, halving finds the failing rows (fn on both halves
+    of each failing set, down to single rows) and fn runs again on the others.
+    Returns fn's output on the rows that passed (on take([]) if none did) and
+    {row: the error fn raises on that row alone}."""
     try:
         return fn(take(rows)), {}
-    except NUMERICAL_ERRORS:
-        pass
-    failed = {}
-    for k in rows:
-        try:
-            fn(take([k]))
-        except NUMERICAL_ERRORS as exc:
-            failed[k] = exc
+    except NUMERICAL_ERRORS as exc:
+        failing, failed = [(rows, exc)], {}
+    while failing:  # sets of rows on which fn failed, with fn's error
+        part, error = failing.pop()
+        if len(part) == 1:
+            failed[part[0]] = error
+            continue
+        for half in (part[:len(part) // 2], part[len(part) // 2:]):
+            try:
+                fn(take(half))
+            except NUMERICAL_ERRORS as exc:
+                failing.append((half, exc))
     return fn(take([k for k in rows if k not in failed])), failed
 
 
@@ -556,11 +569,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     chunking.  A numerical failure (explosion, an eigenvalue solve that does
     not converge, floating-point errors) drops the rows it happens in: a
     solver failure all rows of its sample, a tail failure at t only the
-    (sample, t) row.  `aborted` counts the samples that lost a row, each
-    logged once with its first error; more than 1% of them fails the run, as
-    does a row whose two routes differ by more than ROUTE_TOL (see
-    `route_residual`).  Any other exception propagates.  Artifacts are
-    written when the config names them (rebased into `out_dir` if given).
+    (sample, t) row; `by_rows` finds them.  `aborted` counts the samples
+    that lost a row, each logged once with its first error; the chunk that
+    takes it past 1% of the count fails the run, as does a row whose two
+    routes differ by more than ROUTE_TOL (see `route_residual`).  Any other
+    exception propagates.  Artifacts are written when the config names them
+    (rebased into `out_dir` if given).
     """
     model = build_model(config)
     vf = build_fields(config)
@@ -584,38 +598,38 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     # equal chunks, so no small tail chunk pays a whole step loop
     size = math.ceil(config.count / math.ceil(config.count / CHUNK))
     for lo in range(0, config.count, size):
-        paths = PathSample(grid, batch.values[lo:lo + size], batch.seed)
-        flows = solve_flow_jacobian(lift_piecewise_linear(paths), vf, config.y0,
-                                    pvar_index=pvar_p)
-        solved = [i for i, error in enumerate(flows.errors) if error is None]
-        every = list(range(len(flows.errors)))
-        errors = flows.errors  # each sample's first error
+        paths = batch.values[lo:lo + size]
+        every = list(range(len(paths)))
+        # the chunk itself when nothing failed, here and in the tail: no copy
+        flows, errors = by_rows(
+            lambda v: solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, v)), vf,
+                                          config.y0, pvar_index=pvar_p),
+            lambda rows: paths if rows == every else paths[rows], every)
+        solved = np.array([i for i in every if i not in errors], dtype=int)
+        stack = list(range(solved.size))  # rows of flows
         for it in indices:
-            # the chunk itself when every path solved: no copy of its arrays
             (_, spec, residual, log_norm), failed = by_rows(
                 lambda f: evaluate_flows(f, vf, kernel, basis, it, config.tau),
-                lambda rows: flows if rows == every else flows.sample(rows), solved)
-            errors = [error or failed.get(i) for i, error in enumerate(errors)]
+                lambda rows: flows if rows == stack else flows.sample(rows), stack)
+            for j, error in failed.items():
+                errors.setdefault(int(solved[j]), error)  # each sample's first error
             # named columns, one row per sample that passed at this time
-            passed = np.array([i for i in solved if i not in failed], dtype=int)
+            kept = np.array([j for j in stack if j not in failed], dtype=int)
             chunks.append({
-                "sample_index": lo + passed, "t": np.full(passed.size, grid.points[it]),
-                **{f"y_{a + 1}": flows.Y[passed, it, a] for a in range(config.e)},
+                "sample_index": lo + solved[kept], "t": np.full(kept.size, grid.points[it]),
+                **{f"y_{a + 1}": flows.Y[kept, it, a] for a in range(config.e)},
                 **{name: getattr(spec, name) for name in ("lambda_min", "det", "verdict")},
-                "pvar_driver": flows.pvar[passed], "log_norm_J": log_norm,
+                "pvar_driver": flows.pvar[kept], "log_norm_J": log_norm,
                 "residual": residual})
-        for i, error in enumerate(errors):
-            if error is not None:
-                log.warning("sample %d aborted: %s", lo + i, error)
-                failures.append((lo + i, f"{type(error).__name__}: {error}"))
+        for i in sorted(errors):
+            log.warning("sample %d aborted: %s", lo + i, errors[i])
+            failures.append((lo + i, f"{type(errors[i]).__name__}: {errors[i]}"))
+        if len(failures) > 0.01 * config.count:
+            raise RunError(
+                f"more than 1% of the {config.count} samples aborted; first "
+                f"failure: sample {failures[0][0]}: {failures[0][1]}")
         del flows  # the next chunk is solved without this one's arrays alive
 
-    aborted = len(failures)
-    if aborted > 0.01 * config.count:
-        raise RunError(
-            f"{aborted} of {config.count} samples aborted (> 1%); first "
-            f"failure: sample {failures[0][0]}: {failures[0][1]}"
-        )
     # the samples outermost again (at least one kept every row, or the run failed)
     order = np.argsort(np.concatenate([c["sample_index"] for c in chunks]), kind="stable")
     record = {name: np.concatenate([c[name] for c in chunks])[order] for name in chunks[0]}
@@ -631,7 +645,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
         fraction_degenerate=float(np.mean(record["verdict"] == "degenerate")),
         lambda_min_quantiles={f"q{q:02d}": float(np.quantile(lam_values, q / 100))
                               for q in (5, 50, 95)},
-        aborted=aborted,
+        aborted=len(failures),
         count=config.count,
         oracle_max_residual=float(residuals.max()),
         oracle_checked=np.unique(record["sample_index"]).size,

@@ -98,15 +98,10 @@ class PathSample:
 
     grid: TimeGrid
     values: np.ndarray
-    seed: int
 
     @property
     def n_samples(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[2]
 
     def path(self, k: int) -> GridFunction1D:
         return GridFunction1D(self.grid, self.values[k])
@@ -151,7 +146,7 @@ def sample_paths(models: list[CovarianceModel], grid: TimeGrid, n_samples: int,
         for c in range(d):
             z = rng.standard_normal(n - 1)
             out[k, 1:, c] = factors[c] @ z
-    return PathSample(grid, out, seed)
+    return PathSample(grid, out)
 
 
 # ---------------------------------------------------------------------------

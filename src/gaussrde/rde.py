@@ -32,6 +32,7 @@ forms the Malliavin derivative J_{t<-s} V(Y_s) from `transport`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -74,9 +75,8 @@ class FlowResult:
     is the derivative of Y_{k+1} with respect to Y_k, and `transport` forms
     every J_{t<-s} as a product of them.  pvar holds the driver's
     p-variation when the caller asked for it (metadata for growth
-    diagnostics).  For a stack, errors[k] is the ExplosionError that aborted
-    path k, or None; an aborted path is frozen at its last values, with
-    M = 0 from the failing step on, and holds no solution.
+    diagnostics).  Every path of a flow solved: a path that explodes makes
+    the solve raise for its whole stack.
     """
 
     grid: TimeGrid
@@ -84,7 +84,6 @@ class FlowResult:
     V: np.ndarray
     M: np.ndarray
     pvar: float | np.ndarray | None = None
-    errors: tuple = ()
 
     @property
     def final_state(self) -> np.ndarray:
@@ -93,13 +92,11 @@ class FlowResult:
     def sample(self, k) -> "FlowResult":
         """View of path k of a stack; for a list k, the stack of those paths."""
         return replace(self, Y=self.Y[k], V=self.V[k], M=self.M[k],
-                       pvar=None if self.pvar is None else self.pvar[k],
-                       errors=tuple(self.errors[i] for i in k)
-                       if np.ndim(k) else ())
+                       pvar=None if self.pvar is None else self.pvar[k])
 
 
 def _check_geometric(da: np.ndarray, db: np.ndarray) -> None:
-    worst = float(np.max(nilpotent.residual(da, db)))
+    worst = float(np.max(nilpotent.residual(da, db), initial=0.0))
     if worst > GEOMETRIC_TOL:
         raise ValueError(
             f"driver is not a geometric rough path "
@@ -110,7 +107,8 @@ def _check_geometric(da: np.ndarray, db: np.ndarray) -> None:
 def _sum_tail(products: np.ndarray, keep: int) -> np.ndarray:
     """Sum over all axes after the first `keep`, in one C-ordered pass, so
     that every sample's sum runs in the same order whatever the stack size."""
-    return products.reshape(products.shape[:keep] + (-1,)).sum(axis=-1)
+    tail = math.prod(products.shape[keep:])  # not -1: a stack may be empty
+    return products.reshape(products.shape[:keep] + (tail,)).sum(axis=-1)
 
 
 def _with_drift(vf: VectorFieldSystem) -> SimpleNamespace:
@@ -148,33 +146,31 @@ def solve_flow_jacobian(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
     All paths of X, one path (n, d) or a stack (K, n, d), step together.
     Every step is a handful of array operations over the sample axis, so
     each path's values do not depend on which other paths share the call.
-    A path whose state stops being finite or passes EXPLOSION_NORM is frozen
-    at its last values and reported in `errors`.  A single path raises
-    instead.  The Jacobian J_{t<-s} of the flow is `transport(flow, it)`.
+    The first step at which some path's state stops being finite or passes
+    EXPLOSION_NORM raises ExplosionError for the whole stack: the error a
+    solve of that path alone raises.  The Jacobian J_{t<-s} of the flow is
+    `transport(flow, it)`.
     """
     if vf.d != X.dim:
         raise ValueError(f"fields expect a {vf.d}-dimensional driver, "
                          f"path has dimension {X.dim}")
     y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (vf.e,):
-        raise ValueError(f"y0 must have shape {(vf.e,)}, got {y0.shape}")
+    if y0.shape != (vf.e,) or not np.isfinite(y0).all():
+        raise ValueError(f"y0 must be a finite vector of shape {(vf.e,)}, got {y0!r}")
     one = X.level1.ndim == 2
     if one:
         X = RoughPath(X.grid, X.level1[None], X.level2[None])
 
     da, db = X.segment_increments()
     _check_geometric(da, db)  # adjoining time adds no residual
-    pvar = p_variation(X, pvar_index) if pvar_index is not None else None
     d = vf.d
     if vf.has_drift:
         (da, db), vf = _with_time(X.grid, da, db), _with_drift(vf)
     flow = _steps(X.grid, da, db, vf, y0)
+    del da, db  # freed first: p-variation's temporaries reuse their memory
+    pvar = p_variation(X, pvar_index) if pvar_index is not None else None
     flow = replace(flow, V=flow.V[..., -d:, :], pvar=pvar)  # without the drift's values
-    if not one:
-        return flow
-    if flow.errors[0] is not None:
-        raise flow.errors[0]
-    return flow.sample(0)
+    return flow.sample(0) if one else flow
 
 
 def _steps(grid: TimeGrid, da: np.ndarray, db: np.ndarray, vf, y0) -> FlowResult:
@@ -185,7 +181,6 @@ def _steps(grid: TimeGrid, da: np.ndarray, db: np.ndarray, vf, y0) -> FlowResult
     V = np.zeros((K, n, d, e))
     M = np.zeros((K, n - 1, e, e))
     Vp = np.zeros((K, STEP_BLOCK, d, e, e))  # V'(y_k) at the block's steps
-    errors = [None] * K
     y = Y[:, 0].copy()
     for k0 in range(0, n - 1, STEP_BLOCK):
         k1 = min(k0 + STEP_BLOCK, n - 1)
@@ -194,26 +189,21 @@ def _steps(grid: TimeGrid, da: np.ndarray, db: np.ndarray, vf, y0) -> FlowResult
             V[:, k] = Vk = vf.val(y)
             Vp[:, k - k0] = Vpk = vf.jac(y)
             Vp_ai = Vpk.transpose(0, 2, 1, 3)
-            # an overflow leaves y non-finite or past the guard: reported below
+            # an overflow leaves y non-finite or past the guard: raised below
             with np.errstate(over="ignore", invalid="ignore"):
                 # sum_{j,i,b} b[j, i] V_i'(y)[a, b] V_j(y)[b], axes (K, a, j, i, b)
                 y = y + ((a[:, None, :] @ Vk)[:, 0]
                          + _sum_tail(b[:, None, :, :, None] * Vp_ai[:, :, None]
                                      * Vk[:, None, :, None], 2))
-                blown = ~(np.linalg.norm(y, axis=-1) <= EXPLOSION_NORM)
-            for row in np.flatnonzero(blown):
-                # frozen at its last values: with no increment from step k
-                # on, its step maps are 0 from step k on
-                t = float(grid.points[k + 1])
-                errors[row] = ExplosionError(f"state exploded at t = {t:.6g}", t)
-                da[row, k:] = db[row, k:] = 0.0
-                y[row] = Y[row, k]
+                if not (np.linalg.norm(y, axis=-1) <= EXPLOSION_NORM).all():
+                    t = float(grid.points[k + 1])
+                    raise ExplosionError(f"state exploded at t = {t:.6g}", t)
             Y[:, k + 1] = y
         block = slice(k0, k1)
         _step_maps(vf, Y[:, block], V[:, block], Vp[:, :k1 - k0],
                    da[:, block], db[:, block], M[:, block])
     V[:, -1] = vf.val(y)
-    return FlowResult(grid, Y, V, M, None, tuple(errors))
+    return FlowResult(grid, Y, V, M)
 
 
 def _step_maps(vf, y, v, vp, a, b, M) -> None:

@@ -1,10 +1,13 @@
 import dataclasses
+import functools
+import gc
 import json
 import logging
 import math
 import re
 import textwrap
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from gaussrde.experiments import (
     _reference_comparison,
     build_fields,
     build_model,
+    by_rows,
     check_conditions,
     config_hash,
     silverman_bandwidth,
@@ -106,12 +110,30 @@ def test_load_config_inline_comments(tmp_path):
     ("seed = 11", "seed = -3"),
     ("seed = 11", "seed = 11\n[thresholds]\ntau = nan"),
     ("seed = 11", "seed = 11\n[thresholds]\ntau = inf"),
+    ("count = 30", "coutn = 30"),
+    ("[output]", "[outptu]"),
+    ("seed = 11", "seed = 11\nallow_degenerate = ture"),
+    ("kernel = brownian", "kernel = bridge\npin = nan"),
+    ("horizon = 1.0", "horizon = inf"),
+    ("y0 = 1.0 0.0", "y0 = nan 0.0"),
+    ("omegas = 1.0 0.5", "omegas = 1.0 -inf"),
+    ("times = 0.5 1.0", "times = 0.5 nan"),
+    ("family = rotation", "family = linear\nmatrices = nan 0 0 1 ; 1 0 0 1"),
 ])
 def test_load_config_rejects_bad_values(tmp_path, mutation):
     old, new = mutation
     path = write_config(tmp_path, ROTATION_CONFIG.replace(old, new))
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_load_config_reads_flags_and_threads(tmp_path):
+    for flag, value in (("on", True), ("yes", True), ("1", True), ("off", False),
+                        ("no", False), ("0", False), ("FALSE", False)):
+        text = BRIDGE_SCALAR_CONFIG.replace("allow_degenerate = true",
+                                            f"allow_degenerate = {flag}\nthreads = 2")
+        cfg = load_config(write_config(tmp_path, text))
+        assert cfg.allow_degenerate is value and cfg.threads == 2
 
 
 def test_load_config_missing_file():
@@ -510,6 +532,84 @@ def test_a_failure_in_the_stacked_tail_aborts_only_its_sample(tmp_path, monkeypa
         rows = (tmp_path / f"marked-{chunk}" / "samples.csv").read_text().splitlines()
         full = (tmp_path / "clean" / "samples.csv").read_text().splitlines()
         assert rows == [row for row in full if not row.startswith("3,")]
+
+
+def test_by_rows_finds_the_failing_rows_by_halving():
+    """fn fails on a stack holding a marked row and names every marked row
+    it holds, so each failure found must be the error of its row alone."""
+    calls = []
+
+    def fn(rows):
+        calls.append(list(rows))
+        bad = [k for k in rows if k in marked]
+        if bad:
+            raise ExplosionError(f"rows {bad}", 0.0)
+        return list(rows)
+
+    rows = list(range(128))
+    for marked in ({77}, {5, 100}):
+        calls.clear()
+        out, failed = by_rows(fn, lambda rows: rows, rows)
+        assert out == calls[-1] == [k for k in rows if k not in marked]
+        assert {k: str(error) for k, error in failed.items()} == {
+            k: f"rows {[k]}" for k in marked}
+    # one failure in 128 rows: the first call, two probes on each of 7
+    # levels of halving, and the call on the others
+    marked = {77}
+    calls.clear()
+    by_rows(fn, lambda rows: rows, rows)
+    assert len(calls) <= 2 * 7 + 2
+    marked = set(range(8))
+    calls.clear()
+    out, failed = by_rows(fn, lambda rows: rows, list(range(8)))
+    assert out == calls[-1] == [] and sorted(failed) == list(range(8))
+
+    def broken(rows):
+        raise ValueError("not a numerical failure")
+
+    with pytest.raises(ValueError, match="not a numerical failure"):
+        by_rows(broken, lambda rows: rows, rows)
+
+
+def test_by_rows_keeps_no_reference_to_its_stack():
+    """No reference cycle keeps the stack alive after the call: a run would
+    otherwise hold every chunk's state until a full garbage collection."""
+    class Stack:
+        pass
+
+    stack = Stack()
+    ref = weakref.ref(stack)
+    take = functools.partial(lambda stack, rows: stack, stack)
+    gc.disable()
+    try:
+        by_rows(lambda stack: None, take, [0, 1])
+        del stack, take
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_hopeless_run_stops_at_the_chunk_that_crosses_1_percent(tmp_path,
+                                                                  monkeypatch):
+    import gaussrde.experiments
+
+    text = ROTATION_CONFIG.replace(
+        "family = rotation", "family = linear\nmatrices = 100 0 0 100 ; 0 0 0 0"
+    ).replace("omegas = 1.0 0.5", "").replace("count = 30", "count = 1000")
+    lift = gaussrde.experiments.lift_piecewise_linear
+    lifted = []
+
+    def recording_lift(paths):
+        lifted.append(paths.n_samples)
+        return lift(paths)
+
+    monkeypatch.setattr(gaussrde.experiments, "lift_piecewise_linear", recording_lift)
+    with pytest.raises(RunError, match=re.escape(
+            "more than 1% of the 1000 samples aborted; first failure: sample 0: "
+            "ExplosionError: state exploded at t = ")):
+        run_experiment(load_config(write_config(tmp_path, text)))
+    # the first chunk of 125, then only the halving probes of its samples
+    assert lifted[0] == 125 and max(lifted[1:]) < 125
 
 
 @pytest.mark.parametrize("count, stacks", [(150, [75, 75]), (1000, [125] * 8),
@@ -1090,6 +1190,19 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     assert cli_main(["sample", "--config", cfg, "--index", "0",
                      "--out", str(tmp_path / "path.csv")]) == 2
     assert "config error: seed must be >= 0" in capsys.readouterr().err
+    for old, new, message in (
+            ("count = 30", "coutn = 30", "unknown key 'coutn' in [experiment]"),
+            ("[output]", "[outptu]", "unknown section [outptu]"),
+            ("seed = 11", "seed = 11\nallow_degenerate = ture", "Not a boolean: ture"),
+            ("kernel = brownian", "kernel = bridge\npin = nan",
+             "numbers must be finite, got 'nan'"),
+            ("y0 = 1.0 0.0", "y0 = nan 0.0", "numbers must be finite, got 'nan'"),
+            ("family = rotation", "family = linear\nmatrices = nan 0 0 1 ; 1 0 0 1",
+             "numbers must be finite, got 'nan'")):
+        cfg = write_config(tmp_path, ROTATION_CONFIG.replace(old, new))
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "bad")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
 
 def test_cli_run_failure_exits_3(tmp_path):

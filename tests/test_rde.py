@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from gaussrde import (
     ExplosionError,
+    FlowResult,
     GridFunction1D,
     PathSample,
     RoughPath,
@@ -269,32 +272,40 @@ def test_drift_solve_chains_no_signatures(monkeypatch):
 
     monkeypatch.setattr(gaussrde.lift, "_chain", no_chain)
     flows = solve_flow_jacobian(X, vf, np.array([1.0]), pvar_index=2.5)
-    assert flows.errors == (None,) * 4 and np.all(np.isfinite(flows.Y))
+    assert np.all(np.isfinite(flows.Y))
 
 
-def test_state_overflow_aborts_only_its_path():
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_state_overflow_raises_for_its_stack():
     """V(y) = 1e200 y: the second-order term of the first step overflows on
     a moving driver.  The overflow is caught by the explosion guard, not
-    raised as a RuntimeWarning."""
+    raised as a RuntimeWarning: the stack raises at the first step, as each
+    moving path alone does, and the still path alone solves."""
     grid = uniform_grid(1.0, 9)
     values = sample_paths([brownian_model()], grid, 3, seed=1).values
     values[0] = 0.0
     vf = linear_fields(np.array([[[1e200]]]))
     y0 = np.ones(1)
-    flows = solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, values, 1)),
-                                vf, y0, pvar_index=2.5)
-    for row in (1, 2):
-        error = flows.errors[row]
-        assert isinstance(error, ExplosionError) and error.time == 0.125
-        assert str(error) == "state exploded at t = 0.125"
-    assert flows.errors[0] is None
-    alone = solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, values[:1], 1)),
-                                vf, y0, pvar_index=2.5)
-    for name in ("Y", "V", "M", "pvar"):
-        assert np.array_equal(getattr(flows, name)[0], getattr(alone, name)[0])
-    with pytest.raises(ExplosionError, match="state exploded at t = 0.125"):
-        solve_flow_jacobian(lift_piecewise_linear(GridFunction1D(grid, values[1])),
-                            vf, y0)
+    for stack in (values, values[1:2], values[2:]):
+        with pytest.raises(ExplosionError) as error:
+            solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, stack)), vf, y0,
+                                pvar_index=2.5)
+        assert str(error.value) == "state exploded at t = 0.125"
+        assert error.value.time == 0.125
+    still = solve_flow_jacobian(lift_piecewise_linear(GridFunction1D(grid, values[0])),
+                                vf, y0)
+    assert np.all(still.Y == 1.0)
+
+
+def test_a_non_finite_y0_is_a_value_error():
+    """Bad input is not a numerical failure: no state is stepped."""
+    X = lift_piecewise_linear(sample_paths([brownian_model()], uniform_grid(1.0, 9), 3,
+                                           seed=1))
+    vf = linear_fields(np.array([[[1.0]]]))
+    for y0 in (np.array([np.nan]), np.array([np.inf])):
+        with pytest.raises(ValueError, match="y0 must be a finite vector") as error:
+            solve_flow_jacobian(X, vf, y0)
+        assert not isinstance(error.value, np.linalg.LinAlgError)
 
 
 def test_directional_derivative_scalar_linear_is_exact():
@@ -590,7 +601,7 @@ def test_stacked_solver_matches_per_path_loop():
         batch = sample_paths(models, grid, 5, seed=71)
         flows = solve_flow_jacobian(lift_piecewise_linear(batch), vf, y0,
                                     pvar_index=2.5)
-        assert flows.Y.shape == (5, grid.n, vf.e) and flows.errors == (None,) * 5
+        assert flows.Y.shape == (5, grid.n, vf.e)
         for k in range(5):
             X = lift_piecewise_linear(batch.path(k))
             Y, V, J, M = reference_solve(X, vf, y0)
@@ -615,9 +626,10 @@ def test_stacked_solver_matches_per_path_loop():
 
 def stepwise_reference(X, vf, y0):
     """The per-step loop that formed the step maps with the state, one step
-    at a time, kept as the reference for the block pass: Y, V, M and errors
-    of a stack of paths.  An aborted path has M = 0 from the failing step
-    on."""
+    at a time, kept as the reference for the block pass: Y, V, M and, per
+    path, the ExplosionError of its first step past the guard, or None.  A
+    path past the guard is held at its last state, and its values from there
+    on are not a solution."""
     from gaussrde.rde import EXPLOSION_NORM, _sum_tail, _with_drift, _with_time
 
     d = vf.d
@@ -640,43 +652,62 @@ def stepwise_reference(X, vf, y0):
                 + _sum_tail(b[:, None, :, :, None] * Vp_ai[:, :, None]
                             * Vk[:, None, :, None], 2))
         Vpp = vf.hess(y)
-        M = (_sum_tail(a[:, None, None, :] * Vp.transpose(0, 2, 3, 1), 3)
-             + _sum_tail(b[:, None, None, :, :, None]
-                         * Vpp.transpose(0, 2, 4, 1, 3)[:, :, :, None]
-                         * Vk[:, None, None, :, None, :], 3)
-             + _sum_tail(b[:, None, None, :, :, None]
-                         * Vp_ai[:, :, None, None]
-                         * Vp.transpose(0, 3, 1, 2)[:, None, :, :, None], 3))
-        Ms[:, k] = M
-        y = y + step
-        t_next = float(X.grid.points[k + 1])
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            Ms[:, k] = (_sum_tail(a[:, None, None, :] * Vp.transpose(0, 2, 3, 1), 3)
+                        + _sum_tail(b[:, None, None, :, :, None]
+                                    * Vpp.transpose(0, 2, 4, 1, 3)[:, :, :, None]
+                                    * Vk[:, None, None, :, None, :], 3)
+                        + _sum_tail(b[:, None, None, :, :, None]
+                                    * Vp_ai[:, :, None, None]
+                                    * Vp.transpose(0, 3, 1, 2)[:, None, :, :, None], 3))
+            y = y + step
             blown = ~(np.linalg.norm(y, axis=-1) <= EXPLOSION_NORM)
+        t_next = float(X.grid.points[k + 1])
         for row in np.flatnonzero(blown):
-            errors[row] = ExplosionError(f"state exploded at t = {t_next:.6g}",
-                                         t_next)
-            da[row, k + 1:] = db[row, k + 1:] = 0.0
-            y[row], Ms[row, k] = Y[row, k], 0.0
+            if errors[row] is None:
+                errors[row] = ExplosionError(f"state exploded at t = {t_next:.6g}",
+                                             t_next)
+            y[row] = Y[row, k]
         Y[:, k + 1] = y
     V[:, -1] = vf.val(y)
     return Y, V[..., -d:, :], Ms, errors
 
 
-def assert_matches_stepwise_reference(flows, X, vf, y0):
+def named(error):
+    return type(error), str(error), getattr(error, "time", None)
+
+
+def assert_matches_stepwise_reference(X, vf, y0):
+    """Each path alone solves to the reference's values or raises the error
+    it names; the stack solves to the reference's values when every path
+    does, and otherwise raises the error of its earliest-failing path."""
     Y, V, M, errors = stepwise_reference(X, vf, y0)
-    assert np.array_equal(flows.Y, Y) and np.array_equal(flows.V, V)
-    assert_relatively_close(flows.M, M)
-    assert [(type(e), str(e), getattr(e, "time", None)) for e in flows.errors] == [
-        (type(e), str(e), getattr(e, "time", None)) for e in errors]
+    for k, error in enumerate(errors):
+        path = RoughPath(X.grid, X.level1[k], X.level2[k])
+        if error is None:
+            one = solve_flow_jacobian(path, vf, y0)
+            assert np.array_equal(one.Y, Y[k]) and np.array_equal(one.V, V[k])
+            assert_relatively_close(one.M, M[k])
+        else:
+            with pytest.raises(ExplosionError) as alone:
+                solve_flow_jacobian(path, vf, y0)
+            assert named(alone.value) == named(error)
+    failing = [error for error in errors if error is not None]
+    if not failing:
+        flows = solve_flow_jacobian(X, vf, y0)
+        assert np.array_equal(flows.Y, Y) and np.array_equal(flows.V, V)
+        assert_relatively_close(flows.M, M)
+        return
+    with pytest.raises(ExplosionError) as stack:
+        solve_flow_jacobian(X, vf, y0)
+    assert named(stack.value) == named(min(failing, key=lambda error: error.time))
 
 
 def test_block_pass_matches_the_stepwise_loop():
     grid = uniform_grid(1.0, 33)
     for vf, models, y0 in stacked_solver_cases():
         X = lift_piecewise_linear(sample_paths(models, grid, 5, seed=74))
-        flows = solve_flow_jacobian(X, vf, y0)
-        assert flows.errors == (None,) * 5
-        assert_matches_stepwise_reference(flows, X, vf, y0)
+        assert_matches_stepwise_reference(X, vf, y0)
 
 
 def exploding_fields(gain):
@@ -691,21 +722,21 @@ def exploding_stack():
     grid = uniform_grid(1.0, 65)
     values = sample_paths([brownian_model()], grid, 5, seed=75).values
     values[[1, 3], :, 0] = 640.0 * grid.points
-    return lift_piecewise_linear(PathSample(grid, values, 75))
+    return lift_piecewise_linear(PathSample(grid, values))
 
 
 def test_blow_ups_are_named_as_the_stepwise_loop_names_them():
     """Each ramp step multiplies Y by 1 + 2510 gain.  With gain 2.25e-4 the
     state passes EXPLOSION_NORM at t = 62/64, with 2.3e-4 at t = 61/64 and
-    with 1e-3 at t = 23/64.  Either way the aborted path is frozen at the
-    same values as by the stepwise loop."""
+    with 1e-3 at t = 23/64.  Either way the stack and each ramp alone raise
+    the time the stepwise loop names."""
     X = exploding_stack()
     for gain, time in ((2.25e-4, 0.96875), (2.3e-4, 0.953125), (1e-3, 0.359375)):
         vf = exploding_fields(gain)
-        flows = solve_flow_jacobian(X, vf, np.ones(1))
-        for row in (1, 3):
-            assert str(flows.errors[row]) == f"state exploded at t = {time:.6g}"
-        assert_matches_stepwise_reference(flows, X, vf, np.ones(1))
+        with pytest.raises(ExplosionError,
+                           match=re.escape(f"state exploded at t = {time:.6g}")):
+            solve_flow_jacobian(X, vf, np.ones(1))
+        assert_matches_stepwise_reference(X, vf, np.ones(1))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -720,9 +751,8 @@ def test_transport_overflow_is_named_by_its_evaluation_time():
     values = sample_paths([brownian_model()], grid, 3, seed=76).values
     values[1, :, 0] = 640.0 * grid.points
     y0 = np.array([0.3])
-    flows = solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, values, 76)),
+    flows = solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, values)),
                                 vf, y0, pvar_index=2.5)
-    assert flows.errors == (None,) * 3
     assert np.array_equal(flows.Y[1], np.full((65, 1), 0.3))
     assert np.all(flows.M[1] == 125500.0)
     assert np.isfinite(transport(flows, 60)).all()
@@ -744,7 +774,6 @@ def test_output_is_independent_of_step_block(monkeypatch):
     grid = uniform_grid(1.0, 33)
     cases = [(lift_piecewise_linear(sample_paths(models, grid, 4, seed=77)), vf, y0)
              for vf, models, y0 in stacked_solver_cases()[:3]]
-    cases.append((exploding_stack(), exploding_fields(2.25e-4), np.ones(1)))
     for X, vf, y0 in cases:
         flows = []
         for block in (1, 7, X.grid.n - 1, 4 * X.grid.n):
@@ -753,33 +782,41 @@ def test_output_is_independent_of_step_block(monkeypatch):
         for flow in flows[1:]:
             for name in ("Y", "V", "M", "pvar"):
                 assert np.array_equal(getattr(flow, name), getattr(flows[0], name))
-            assert [str(e) for e in flow.errors] == [str(e) for e in flows[0].errors]
+    X, vf = exploding_stack(), exploding_fields(2.25e-4)
+    for block in (1, 7, X.grid.n - 1, 4 * X.grid.n):
+        monkeypatch.setattr(gaussrde.rde, "STEP_BLOCK", block)
+        with pytest.raises(ExplosionError, match="state exploded at t = 0.96875"):
+            solve_flow_jacobian(X, vf, np.ones(1), pvar_index=2.5)
 
 
-def rows_without(flows, k):
-    keep = [i for i in range(len(flows.errors)) if i != k]
-    return [getattr(flows, name)[keep] for name in ("Y", "V", "M", "pvar")]
-
-
-def test_stacked_solver_isolates_an_exploding_path():
+def test_a_stack_raises_the_error_of_its_earliest_failing_path():
+    """Ramps of slope 40 (path 2) and 30 (path 0) make dY = 5 Y dx explode,
+    path 2 first: the stack raises path 2's own error, and the others solve
+    alone and in a stack as they do without the failing paths."""
     grid = uniform_grid(1.0, 65)
     vf = linear_fields(np.array([[[5.0]]]))
     values = sample_paths([brownian_model()], grid, 4, seed=72).values
     values[2, :, 0] = 40.0 * grid.points
-    with pytest.raises(ExplosionError) as single:
-        solve_flow_jacobian(lift_piecewise_linear(GridFunction1D(grid, values[2])),
-                            vf, np.array([1.0]))
-    flows = solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, values, 72)),
-                                vf, np.array([1.0]), pvar_index=2.5)
-    error = flows.errors[2]
-    assert isinstance(error, ExplosionError)
-    assert str(error) == str(single.value) and error.time == single.value.time
-    assert [e is None for e in flows.errors] == [True, True, False, True]
-    others = solve_flow_jacobian(
-        lift_piecewise_linear(PathSample(grid, values[[0, 1, 3]], 72)),
-        vf, np.array([1.0]), pvar_index=2.5)
-    for got, ref in zip(rows_without(flows, 2), rows_without(others, -1)):
-        assert np.array_equal(got, ref)
+    values[0, :, 0] = 30.0 * grid.points
+    alone = []
+    for k in range(4):
+        X = lift_piecewise_linear(GridFunction1D(grid, values[k]))
+        try:
+            alone.append(solve_flow_jacobian(X, vf, np.array([1.0]), pvar_index=2.5))
+        except ExplosionError as error:
+            alone.append(error)
+    assert [type(a) for a in alone] == [ExplosionError, FlowResult, ExplosionError,
+                                        FlowResult]
+    assert alone[2].time < alone[0].time
+    with pytest.raises(ExplosionError) as stack:
+        solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, values)),
+                            vf, np.array([1.0]), pvar_index=2.5)
+    assert named(stack.value) == named(alone[2])
+    others = solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, values[[1, 3]])),
+                                 vf, np.array([1.0]), pvar_index=2.5)
+    for row, k in enumerate((1, 3)):
+        for name in ("Y", "V", "M", "pvar"):
+            assert np.array_equal(getattr(others, name)[row], getattr(alone[k], name))
 
 
 def test_stacked_solver_solves_through_a_singular_jacobian():
@@ -794,9 +831,8 @@ def test_stacked_solver_solves_through_a_singular_jacobian():
     grid = uniform_grid(1.0, 17)
     values = sample_paths([brownian_model()], grid, 3, seed=73).values
     values[1, 1, 0] = 1.0
-    flows = solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, values, 73)),
+    flows = solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, values)),
                                 vf, np.zeros(1), pvar_index=2.5)
-    assert flows.errors == (None,) * 3
     assert flows.M[1, 0, 0, 0] == -1.0
     assert not any(transport(flows, it)[1, 0].any() for it in range(1, grid.n))
     one = solve_flow_jacobian(lift_piecewise_linear(GridFunction1D(grid, values[1])),

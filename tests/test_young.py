@@ -250,7 +250,7 @@ def space_time(X):
     the driver that a solve with drift steps along."""
     v = np.concatenate([np.broadcast_to(X.grid.points[:, None], X.level1.shape[:-1] + (1,)),
                         X.level1], axis=-1)
-    path = GridFunction1D(X.grid, v) if v.ndim == 2 else PathSample(X.grid, v, 0)
+    path = GridFunction1D(X.grid, v) if v.ndim == 2 else PathSample(X.grid, v)
     return lift_piecewise_linear(path)
 
 
@@ -304,7 +304,7 @@ def test_closed_form_norms_match_the_area_formula(d, n, count, seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((count, n, d)).cumsum(axis=1)
     values -= values[:, :1]
-    stack = lift_piecewise_linear(PathSample(uniform_grid(1.0, n), values, seed))
+    stack = lift_piecewise_linear(PathSample(uniform_grid(1.0, n), values))
     for X in (stack, space_time(stack)):
         A, B = X.level1, X.level2
         a, b = nilpotent.increment(A[:, :, None], B[:, :, None], A[:, None], B[:, None])
@@ -337,7 +337,7 @@ def test_stacked_p_variation_matches_single_path_dp(d, n, count, p, seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((count, n, d)).cumsum(axis=1)
     values -= values[:, :1]
-    stack = lift_piecewise_linear(PathSample(uniform_grid(1.0, n), values, seed))
+    stack = lift_piecewise_linear(PathSample(uniform_grid(1.0, n), values))
     for X in (stack, space_time(stack)):
         got, partitions = p_variation_with_partition(X, p)
         assert got.shape == (count,) and np.array_equal(p_variation(X, p), got)
