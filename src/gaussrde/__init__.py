@@ -42,8 +42,6 @@ from .lift import (
     RoughPath,
     lift_piecewise_linear,
     translate,
-    rough_path_to_csv,
-    rough_path_from_csv,
 )
 from .fields import (
     VectorFieldSystem,
@@ -93,7 +91,6 @@ __all__ = [
     "nondegeneracy_check", "cm_embedding_check",
     # lift
     "RoughPath", "lift_piecewise_linear", "translate",
-    "rough_path_to_csv", "rough_path_from_csv",
     # fields
     "VectorFieldSystem", "linear_fields", "constant_fields", "rotation_fields",
     "polynomial_fields", "ellipticity_rank",

@@ -9,7 +9,6 @@ failure, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -17,9 +16,9 @@ import numpy as np
 from .experiments import (ConfigError, RunError, build_fields, build_model,
                           check_conditions, check_routes, evaluate_flows,
                           load_config, run_experiment, time_indices,
-                          variation_index, write_rows_csv)
+                          variation_index, write_json, write_rows_csv)
 from .gaussian import cameron_martin_basis, kernel_eval, sample_paths
-from .lift import lift_piecewise_linear, rough_path_to_csv
+from .lift import lift_piecewise_linear
 from .rde import ExplosionError, solve_flow_jacobian
 from .young import uniform_grid
 
@@ -122,8 +121,11 @@ def _cmd_sample(args) -> int:
 
 def _cmd_lift(args) -> int:
     config, model, _, grid = _prepare(args)
-    path = _single_path(config, model, grid, args.index)
-    rough_path_to_csv(lift_piecewise_linear(path), args.out)
+    X = lift_piecewise_linear(_single_path(config, model, grid, args.index))
+    d = config.d
+    write_rows_csv(args.out, ["t"] + _names("a", d)
+                   + [name for i in range(d) for name in _names(f"b_{i + 1}", d)],
+                   [grid.points, *X.level1.T, *X.level2.reshape(grid.n, d * d).T])
     print(f"wrote lift of sample {args.index} to {args.out}")
     return 0
 
@@ -156,7 +158,7 @@ def _cmd_malliavin(args) -> int:
     print(f"verdict: {spec.verdict} (tau = {spec.tau:g})")
     print(f"route cross-check residual: {residual:.3e}")
     if args.out:
-        payload = {
+        write_json(args.out, {
             "t": float(t),
             "sigma": mat.sigma.tolist(),
             "eigenvalues": spec.eigenvalues.tolist(),
@@ -165,10 +167,7 @@ def _cmd_malliavin(args) -> int:
             "verdict": spec.verdict,
             "tau": spec.tau,
             "route_residual": residual,
-        }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
         print(f"wrote spectrum report to {args.out}")
     return 0
 

@@ -105,10 +105,9 @@ def load_config(path: str) -> ExperimentConfig:
     [section] headers.  See the repository README for the full grammar.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
     try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
         return _config_from_parser(parser)
     except (configparser.Error, KeyError, ValueError, IndexError) as exc:
         if isinstance(exc, ConfigError):
@@ -129,19 +128,31 @@ def time_indices(grid: TimeGrid, times) -> list[int]:
     return indices
 
 
+# Every key the config grammar reads, by section, plus in [model] and [fields]
+# the keys of the kernel or family named there; any other key is an error.
+_GRAMMAR = {"model": "kernel horizon n d", "fields": "family e y0",
+            "experiment": "times count seed allow_degenerate threads reference",
+            "output": "csv json", "thresholds": "tau"}
+_KIND_KEYS = {"model": ("kernel", {"brownian": "", "fbm": "hurst", "bridge": "pin", "zero": ""}),
+              "fields": ("family", {"linear": "matrices offsets drift_matrix drift_offset",
+                                    "rotation": "omegas shifts", "constant": "vectors",
+                                    "polynomial": "coeffs radius"})}
+
+
 def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
-    # every key the grammar reads, by section; any other key is an error
-    grammar = {"model": "kernel hurst pin horizon n d",
-               "fields": "family e y0 omegas shifts vectors matrices offsets "
-                         "drift_matrix drift_offset coeffs radius",
-               "experiment": "times count seed allow_degenerate threads reference",
-               "output": "csv json", "thresholds": "tau"}
     for section in parser.sections():
-        if section not in grammar:
+        if section not in _GRAMMAR:
             raise ConfigError(f"unknown section [{section}]")
-        unknown = sorted(set(parser[section]) - set(grammar[section].split()))
+        keys, where = _GRAMMAR[section].split(), f"[{section}]"
+        if section in _KIND_KEYS:
+            kind, own = _KIND_KEYS[section]
+            name = parser[section].get(kind, "").strip().lower()
+            if name not in own:
+                raise ConfigError(f"unknown {kind} {name!r}")
+            keys, where = keys + own[name].split(), f"{where} for {kind} {name!r}"
+        unknown = sorted(set(parser[section]) - set(keys))
         if unknown:
-            raise ConfigError(f"unknown key {unknown[0]!r} in [{section}]")
+            raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
     for section in ("model", "fields"):
         if not parser.has_section(section):
             raise ConfigError(f"config needs a [{section}] section")
@@ -149,9 +160,7 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     exp_sec, out_sec, thr_sec = (parser[section] if parser.has_section(section) else {}
                                  for section in ("experiment", "output", "thresholds"))
 
-    kernel = model_sec.get("kernel", "").strip().lower()
-    if kernel not in ("brownian", "fbm", "bridge", "zero"):
-        raise ConfigError(f"unknown kernel {kernel!r}")
+    kernel = model_sec["kernel"].strip().lower()
     horizon = _number(model_sec.get("horizon", "1.0"))
     if horizon <= 0:
         raise ConfigError("horizon must be positive")
@@ -169,9 +178,7 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     if d < 1:
         raise ConfigError("driver dimension d must be >= 1")
 
-    family = fields_sec.get("family", "").strip().lower()
-    if family not in ("linear", "rotation", "polynomial", "constant"):
-        raise ConfigError(f"unknown vector-field family {family!r}")
+    family = fields_sec["family"].strip().lower()
     e = int(fields_sec.get("e", "1"))
     if e < 1:
         raise ConfigError("state dimension e must be >= 1")
@@ -688,6 +695,14 @@ def write_rows_csv(path: str, names, columns) -> None:
         fh.write("\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n")
 
 
+def write_json(path: str, payload) -> None:
+    """JSON file: sorted keys, indent 2 and one trailing newline, so that
+    reruns are byte-identical."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_artifacts(config, report, record, out_dir):
     csv_path, json_path = config.csv_path, config.json_path
     if out_dir is not None:
@@ -697,7 +712,7 @@ def _write_artifacts(config, report, record, out_dir):
     if csv_path:
         write_rows_csv(csv_path, list(record), list(record.values()))
     if json_path:
-        summary = {
+        write_json(json_path, {
             "version": __version__,
             "config_hash": config_hash(config),
             "seed": config.seed,
@@ -719,7 +734,4 @@ def _write_artifacts(config, report, record, out_dir):
                 "ks_distance": report.ks_distance,
                 "sup_distance": report.sup_distance,
             },
-        }
-        with open(json_path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })

@@ -11,7 +11,6 @@ are exact identities on the grid, not discretizations.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,46 +109,3 @@ def translate(X: RoughPath, h: GridFunction1D) -> RoughPath:
     cross = 0.5 * (nilpotent.tensor(da, dh) + nilpotent.tensor(dh, da)
                    + nilpotent.tensor(dh, dh))
     return _chain(X.grid, da + dh, db + cross)
-
-
-# ---------------------------------------------------------------------------
-# CSV round trip
-# ---------------------------------------------------------------------------
-
-def rough_path_to_csv(X: RoughPath, path_or_buf) -> None:
-    """Write one rough path as CSV: t, a_1..a_d, b_11..b_dd (row-major).
-
-    Floats are written with 17 significant digits so a read-back reproduces
-    the path bit for bit.
-    """
-    d = X.dim
-    cols = (["t"] + [f"a_{i + 1}" for i in range(d)]
-            + [f"b_{i + 1}_{j + 1}" for i in range(d) for j in range(d)])
-    table = np.concatenate(
-        [X.grid.points[:, None], X.level1, X.level2.reshape(X.grid.n, d * d)],
-        axis=1,
-    )
-    np.savetxt(path_or_buf, table, delimiter=",", header=",".join(cols),
-               comments="", fmt="%.17g")
-
-
-def rough_path_from_csv(path_or_buf) -> RoughPath:
-    """Read a rough path written by `rough_path_to_csv`."""
-    if hasattr(path_or_buf, "read"):
-        raw = path_or_buf.read()
-    else:
-        with open(path_or_buf) as fh:
-            raw = fh.read()
-    lines = raw.strip().splitlines()
-    header = lines[0].split(",")
-    d = sum(1 for c in header if c.startswith("a_"))
-    expected = 1 + d + d * d
-    if len(header) != expected:
-        raise ValueError(
-            f"malformed rough path CSV: {len(header)} columns, expected {expected}"
-        )
-    table = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",", ndmin=2)
-    grid = TimeGrid(table[:, 0])
-    level1 = table[:, 1:1 + d]
-    level2 = table[:, 1 + d:].reshape(grid.n, d, d)
-    return RoughPath(grid, level1, level2)

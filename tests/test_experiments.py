@@ -22,6 +22,7 @@ from gaussrde import (
     lift_piecewise_linear,
     load_config,
     run_experiment,
+    sample_paths,
     solve_flow_jacobian,
     uniform_grid,
 )
@@ -66,6 +67,30 @@ seed = 11
 csv = samples.csv
 json = summary.json
 """
+
+
+# ROTATION_CONFIG's fields made linear, with a NaN in its matrices
+NAN_MATRICES = ("family = rotation\ne = 2\ny0 = 1.0 0.0\nomegas = 1.0 0.5",
+                "family = linear\ne = 2\ny0 = 1.0 0.0\nmatrices = nan 0 0 1 ; 1 0 0 1")
+# (old, new, the config error's message) for files configparser cannot read
+MALFORMED = [
+    ("n = 17", "n = 17\nn = 33", "option 'n' in section 'model' already exists"),
+    ("seed = 11", "seed = 11\n[experiment]\ncount = 3",
+     "section 'experiment' already exists"),
+    ("[model]", "n = 17\n[model]", "File contains no section headers"),
+    ("seed = 11", "seed = 11\nallow degenerate", "Source contains parsing errors"),
+]
+# (old, new, message) for a key of another kernel or family
+FOREIGN_KEYS = [
+    ("kernel = brownian", "kernel = brownian\nhurst = 0.2",
+     "unknown key 'hurst' in [model] for kernel 'brownian'"),
+    ("kernel = brownian", "kernel = fbm\nhurst = 0.4\npin = 1.0",
+     "unknown key 'pin' in [model] for kernel 'fbm'"),
+    ("omegas = 1.0 0.5", "omegas = 1.0 0.5\nmatrices = 1 0 0 1 ; 1 0 0 1",
+     "unknown key 'matrices' in [fields] for family 'rotation'"),
+    ("omegas = 1.0 0.5", "omegas = 1.0 0.5\nradius = 5",
+     "unknown key 'radius' in [fields] for family 'rotation'"),
+]
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -118,10 +143,12 @@ def test_load_config_inline_comments(tmp_path):
     ("y0 = 1.0 0.0", "y0 = nan 0.0"),
     ("omegas = 1.0 0.5", "omegas = 1.0 -inf"),
     ("times = 0.5 1.0", "times = 0.5 nan"),
-    ("family = rotation", "family = linear\nmatrices = nan 0 0 1 ; 1 0 0 1"),
+    NAN_MATRICES,
+    *MALFORMED,
+    *FOREIGN_KEYS,
 ])
 def test_load_config_rejects_bad_values(tmp_path, mutation):
-    old, new = mutation
+    old, new = mutation[:2]
     path = write_config(tmp_path, ROTATION_CONFIG.replace(old, new))
     with pytest.raises(ConfigError):
         load_config(path)
@@ -1070,10 +1097,16 @@ def test_cli_sample_lift_solve(tmp_path):
     lift_out = tmp_path / "lift.csv"
     assert cli_main(["lift", "--config", cfg, "--out", str(lift_out),
                      "--index", "1"]) == 0
-    from gaussrde import rough_path_from_csv
-
-    X = rough_path_from_csv(str(lift_out))
-    assert X.dim == 2 and X.grid.n == 17
+    lines = lift_out.read_text().splitlines()
+    assert lines[0] == "t,a_1,a_2,b_1_1,b_1_2,b_2_1,b_2_2"
+    # the %.17g table reads back bit for bit as the lift of sample 1
+    config = load_config(cfg)
+    grid = uniform_grid(config.horizon, config.n)
+    X = lift_piecewise_linear(
+        sample_paths([build_model(config)] * 2, grid, 2, config.seed).path(1))
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(table, np.column_stack(
+        [grid.points, X.level1, X.level2.reshape(grid.n, 4)]))
 
     solve_out = tmp_path / "solution.csv"
     assert cli_main(["solve", "--config", cfg, "--out", str(solve_out)]) == 0
@@ -1086,8 +1119,6 @@ def test_cli_sample_lift_solve(tmp_path):
 
 def test_cli_sample_draws_only_the_indexed_path(tmp_path, monkeypatch):
     """`--index 5` writes row 5 of a 6-path batch from one stream."""
-    from gaussrde import sample_paths
-
     cfg = write_config(tmp_path, ROTATION_CONFIG)
     config = load_config(cfg)
     grid = uniform_grid(config.horizon, config.n)
@@ -1197,8 +1228,8 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
             ("kernel = brownian", "kernel = bridge\npin = nan",
              "numbers must be finite, got 'nan'"),
             ("y0 = 1.0 0.0", "y0 = nan 0.0", "numbers must be finite, got 'nan'"),
-            ("family = rotation", "family = linear\nmatrices = nan 0 0 1 ; 1 0 0 1",
-             "numbers must be finite, got 'nan'")):
+            (*NAN_MATRICES, "numbers must be finite, got 'nan'"),
+            *MALFORMED, *FOREIGN_KEYS):
         cfg = write_config(tmp_path, ROTATION_CONFIG.replace(old, new))
         assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "bad")]) == 2
         assert message in capsys.readouterr().err

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -8,8 +6,6 @@ from gaussrde import (
     RoughPath,
     brownian_model,
     lift_piecewise_linear,
-    rough_path_from_csv,
-    rough_path_to_csv,
     sample_paths,
     translate,
     uniform_grid,
@@ -125,26 +121,6 @@ def test_translate_dimension_mismatch():
     h = GridFunction1D(grid, np.zeros((grid.n, 3)))
     with pytest.raises(ValueError):
         translate(X, h)
-
-
-def test_csv_roundtrip_is_exact():
-    X, _ = random_lift(41, n=19, d=3)
-    buf = io.StringIO()
-    rough_path_to_csv(X, buf)
-    buf.seek(0)
-    Y = rough_path_from_csv(buf)
-    assert np.array_equal(X.grid.points, Y.grid.points)
-    assert np.array_equal(X.level1, Y.level1)
-    assert np.array_equal(X.level2, Y.level2)
-
-
-def test_csv_roundtrip_on_file(tmp_path):
-    X, _ = random_lift(42, n=9, d=1)
-    target = tmp_path / "path.csv"
-    rough_path_to_csv(X, target)
-    Y = rough_path_from_csv(target)
-    assert np.array_equal(X.level1, Y.level1)
-    assert np.array_equal(X.level2, Y.level2)
 
 
 def test_rough_path_validation():

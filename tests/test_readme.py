@@ -1,6 +1,7 @@
 """The README's command-line block against the argument parser, its config
-example against the loader, its layout table against the package, its CSV
-header against a run, and the package exports against `__all__`."""
+example and its key lists against the loader, its layout table against the
+package, its CSV header against a run, and the package exports against
+`__all__`."""
 
 import argparse
 import dataclasses
@@ -16,6 +17,7 @@ import pytest
 import gaussrde
 from gaussrde import load_config
 from gaussrde.cli import _build_parser, main
+from gaussrde.experiments import _KIND_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -59,6 +61,27 @@ def test_readme_config_example_loads(tmp_path):
     cfg = load_config(str(path))
     assert (cfg.kernel, cfg.kernel_params, cfg.n, cfg.d) == ("fbm", {"hurst": 0.4}, 65, 2)
     assert (cfg.family, cfg.e, cfg.times) == ("rotation", 2, (0.5, 1.0))
+
+
+def own_keys(section: str) -> dict:
+    """Kernel or family -> the set of its own keys, in the loader's grammar."""
+    return {name: set(keys.split()) for name, keys in _KIND_KEYS[section][1].items()}
+
+
+def test_readme_family_keys_match_the_grammar():
+    section = README.read_text().split("Family-specific keys:", 1)[1].split("\n\n", 2)[1]
+    bullets = re.findall(r"^\* `(\w+)`:(.*?)(?=^\* |\Z)", section, re.M | re.S)
+    documented = {family: set(re.findall(r"`([a-z_]+)`", text)) for family, text in bullets}
+    assert documented == own_keys("fields")
+
+
+def test_readme_kernel_keys_match_the_grammar():
+    section = README.read_text().split("## Config format", 1)[1]
+    block = section.split("```ini", 1)[1].split("```", 1)[0]
+    documented = {}
+    for key, kernel in re.findall(r"^#? *(\w+) =.*# (\w+) only", block, re.M):
+        documented.setdefault(kernel, set()).add(key)
+    assert documented == {kernel: keys for kernel, keys in own_keys("model").items() if keys}
 
 
 def layout_rows() -> dict:
