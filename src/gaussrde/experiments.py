@@ -30,7 +30,7 @@ from .gaussian import (CovarianceModel, brownian_model, bridge_model,
                        cameron_martin_basis, fbm_model, kernel_eval,
                        nondegeneracy_check, PathSample, sample_paths, zero_model)
 from .lift import lift_piecewise_linear
-from .malliavin import (DEGENERACY_TAU, malliavin_matrix_2d,
+from .malliavin import (DEGENERACY_TAU, _integrand_values, malliavin_matrix_2d,
                         malliavin_matrix_parseval, route_residual, spectrum)
 from .rde import NUMERICAL_ERRORS, log_operator_norm, solve_flow_jacobian, transport
 from .young import TimeGrid, uniform_grid
@@ -514,15 +514,18 @@ class DensityReport:
 def evaluate_flows(flows, vf, kernel, basis, it, tau):
     """Covariance by both routes at one evaluation time (grid index `it`) for
     one solved sample or a stack: the 2D-route matrix, its spectrum (judged
-    against its own magnitude / e), the route residual and log |J_t| (J_t
-    from `transport`, which raises ExplosionError if it is not finite)."""
+    against its own magnitude / e), the route residual and log |J_t|.  One
+    `transport` (which raises ExplosionError if it is not finite) gives J_t
+    and the one derivative that both routes pair."""
     t = flows.grid.points[it]
-    mat = malliavin_matrix_2d(flows, vf, kernel, t)
+    P = transport(flows, it)
+    Z = _integrand_values(flows, vf, it, P)
+    mat = malliavin_matrix_2d(flows, vf, kernel, t, Z=Z)
     spec = spectrum(mat, tau=tau, scale=mat.magnitude / vf.e)
-    check = malliavin_matrix_parseval(flows, vf, basis, t)
+    check = malliavin_matrix_parseval(flows, vf, basis, t, Z=Z)
     residual = route_residual(mat.sigma, check.sigma,
                               np.maximum(mat.magnitude, check.magnitude))
-    return mat, spec, residual, log_operator_norm(transport(flows, it)[..., 0, :, :])
+    return mat, spec, residual, log_operator_norm(P[..., 0, :, :])
 
 
 def check_routes(residuals, samples, times) -> None:

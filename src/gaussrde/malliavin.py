@@ -73,13 +73,17 @@ def _finish(raw: np.ndarray, t: float, method: str, magnitude) -> MalliavinMatri
     return MalliavinMatrix(sigma, float(t), method, *_scalars(asym, magnitude))
 
 
-def _integrand_values(flow: FlowResult, vf: VectorFieldSystem, it: int) -> np.ndarray:
+def _integrand_values(flow: FlowResult, vf: VectorFieldSystem, it: int,
+                      P: np.ndarray | None = None) -> np.ndarray:
     """The Malliavin derivative of Y_t, t the grid time of index it:
     Z[..., m, k, :] = D^k_{s_m} Y_t = J_{t<-s_m} V_k(Y_{s_m}), m = 0..it,
-    with the transports J_{t<-s_m} of `transport`."""
+    with the transports P = `transport(flow, it)`, formed here unless the
+    caller has formed them."""
     if flow.V.shape[-2:] != (vf.d, vf.e):
         raise ValueError("flow was solved with fields of another shape")
-    Z = transport(flow, it) @ flow.V[..., :it + 1, :, :].swapaxes(-2, -1)
+    if P is None:
+        P = transport(flow, it)
+    Z = P @ flow.V[..., :it + 1, :, :].swapaxes(-2, -1)
     # C order gives each component's (m, e) slice the unit stride BLAS takes
     return np.ascontiguousarray(Z.swapaxes(-2, -1))
 
@@ -99,18 +103,20 @@ def _check_flow_grid(flow: FlowResult, grid: TimeGrid) -> None:
 
 
 def malliavin_matrix_2d(flow: FlowResult, vf: VectorFieldSystem, kernel,
-                        t: float) -> MalliavinMatrix:
+                        t: float, Z: np.ndarray | None = None) -> MalliavinMatrix:
     """Covariance via the double-integral representation.
 
     sigma_t = sum_k int int Z_k(s) (x) Z_k(s') dR^(k)(s, s') over [0, t]^2,
     evaluated with left-point values against the leading [0, t]^2 block of
     rectangle increments of `kernel`, the covariance sampled on the flow
     grid (`kernel_eval(model, flow.grid)`): one shared by all components or
-    a list with one per component.
+    a list with one per component.  `Z` is the derivative
+    `_integrand_values(flow, vf, it)` when the caller has formed it.
     """
     it = flow.grid.index_of(t)
     kernels = _per_component(kernel, GridFunction2D, vf.d)
-    Z = _integrand_values(flow, vf, it)
+    if Z is None:
+        Z = _integrand_values(flow, vf, it)
     raw = magnitude = 0.0
     for k, Rk in enumerate(kernels):
         _check_flow_grid(flow, Rk.grid)
@@ -141,19 +147,21 @@ def malliavin_matrix_bm_reduction(flow: FlowResult, vf: VectorFieldSystem,
 
 
 def malliavin_matrix_parseval(flow: FlowResult, vf: VectorFieldSystem, basis,
-                              t: float) -> MalliavinMatrix:
+                              t: float, Z: np.ndarray | None = None) -> MalliavinMatrix:
     """Covariance via the basis expansion of the derivative.
 
     sigma_t = sum_{k,n} D_h Y_t (x) D_h Y_t with h the n-th basis path
     embedded into driver component k and zero elsewhere, so that D_h Y_t
     pairs component k of the derivative with the increments of that path.
     `basis` is one CameronMartinBasis shared by all components or a list,
-    one per component.  The derivative is taken once per call; independent
-    of the 2D route.
+    one per component.  The pairing is independent of the 2D route's; `Z`
+    is the derivative `_integrand_values(flow, vf, it)` when the caller has
+    formed it, as for the 2D route.
     """
     bases = _per_component(basis, CameronMartinBasis, vf.d)
     it = flow.grid.index_of(t)
-    Z = _integrand_values(flow, vf, it)
+    if Z is None:
+        Z = _integrand_values(flow, vf, it)
     raw = 0.0
     for k, bk in enumerate(bases):
         _check_flow_grid(flow, bk.grid)

@@ -14,9 +14,9 @@ The flow keeps the exact linearization M_k of each step of that map, so
 I + M_k is the derivative of step k of the discrete flow, not of a
 separately discretized equation.  M never feeds back into the state, so
 the step loop carries only Y: it stores V(y_k) and V'(y_k), and after every
-STEP_BLOCK steps one pass over the block evaluates the Hessians at the
-block's states in one call and forms the M_k of all its steps as stacked
-matmuls.  `transport` is the one product of step maps: J_{t_i<-s_m} =
+STEP_BLOCK steps one vectorised guard checks the block's states and one
+pass over the block evaluates the Hessians at its states in one call and
+forms the M_k of all its steps as stacked matmuls.  `transport` is the one product of step maps: J_{t_i<-s_m} =
 (I + M_{i-1}) ... (I + M_m), swept backward from t_i; J_{t_i} is its m = 0
 term.  No Jacobian is ever inverted, so an ill-conditioned or singular J
 leaves the transport as accurate as the step maps themselves.
@@ -45,8 +45,10 @@ from .nilpotent import GEOMETRIC_TOL
 from .young import GridFunction1D, TimeGrid, p_variation
 
 EXPLOSION_NORM = 1e12
-# the step maps are formed a block of at most STEP_BLOCK steps at a time,
-# after the state steps of the block.  Outputs do not depend on it.
+# The state steps run a block of at most STEP_BLOCK steps at a time, under
+# one np.errstate; one guard then checks the block's states for an explosion
+# (raising the first step's error), and the block's step maps follow.
+# Outputs and errors do not depend on it.
 STEP_BLOCK = 16
 
 
@@ -184,21 +186,24 @@ def _steps(grid: TimeGrid, da: np.ndarray, db: np.ndarray, vf, y0) -> FlowResult
     y = Y[:, 0].copy()
     for k0 in range(0, n - 1, STEP_BLOCK):
         k1 = min(k0 + STEP_BLOCK, n - 1)
-        for k in range(k0, k1):
-            a, b = da[:, k], db[:, k]
-            V[:, k] = Vk = vf.val(y)
-            Vp[:, k - k0] = Vpk = vf.jac(y)
-            Vp_ai = Vpk.transpose(0, 2, 1, 3)
-            # an overflow leaves y non-finite or past the guard: raised below
-            with np.errstate(over="ignore", invalid="ignore"):
+        # an overflow leaves a state non-finite or past the guard: the
+        # block's states are checked together below, before any step map
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(k0, k1):
+                a, b = da[:, k], db[:, k]
+                V[:, k] = Vk = vf.val(y)
+                Vp[:, k - k0] = Vpk = vf.jac(y)
+                Vp_ai = Vpk.transpose(0, 2, 1, 3)
                 # sum_{j,i,b} b[j, i] V_i'(y)[a, b] V_j(y)[b], axes (K, a, j, i, b)
                 y = y + ((a[:, None, :] @ Vk)[:, 0]
                          + _sum_tail(b[:, None, :, :, None] * Vp_ai[:, :, None]
                                      * Vk[:, None, :, None], 2))
-                if not (np.linalg.norm(y, axis=-1) <= EXPLOSION_NORM).all():
-                    t = float(grid.points[k + 1])
-                    raise ExplosionError(f"state exploded at t = {t:.6g}", t)
-            Y[:, k + 1] = y
+                Y[:, k + 1] = y
+            bounded = (np.linalg.norm(Y[:, k0 + 1:k1 + 1], axis=-1)
+                       <= EXPLOSION_NORM).all(axis=0)
+        if not bounded.all():
+            t = float(grid.points[k0 + 1 + int(np.argmin(bounded))])
+            raise ExplosionError(f"state exploded at t = {t:.6g}", t)
         block = slice(k0, k1)
         _step_maps(vf, Y[:, block], V[:, block], Vp[:, :k1 - k0],
                    da[:, block], db[:, block], M[:, block])

@@ -158,52 +158,95 @@ def young_integral_2d(f: GridFunction1D, g: GridFunction1D, R: GridFunction2D):
 # ---------------------------------------------------------------------------
 
 
-def _norm_columns(path):
-    """The increment norms N[..., i] from every grid index i < j to j, as a
-    function of j.
+def _components(path) -> tuple:
+    """Component-first, grid-second copies (a, b) of a path: a[i] is component
+    i as (n, ...) over the stack's axes, b[i, k] likewise for level 2, and b
+    is None for a path without level 2 (a GridFunction1D)."""
+    if hasattr(path, "level2"):  # RoughPath
+        a = np.moveaxis(path.level1, (-2, -1), (1, 0))
+        b = np.moveaxis(path.level2, (-3, -2, -1), (2, 0, 1))
+        return np.ascontiguousarray(a), np.ascontiguousarray(b)
+    values = np.asarray(path.values, dtype=float)
+    return np.ascontiguousarray(values.reshape(path.grid.n, -1).T), None
+
+
+def _norm_columns(a, b):
+    """The increment norms N[i, ...] from every grid index i < j to j, as a
+    function of j, grid axis first.
 
     Vector paths use the Euclidean norm of the increment; rough paths (over
     any leading axes) use the homogeneous norm of the group increment.  Both
-    are `nilpotent.increment_norm` on component-first copies of the path,
-    so a column is a few operations on (..., j) slices.
+    are `nilpotent.increment_norm` on the component-first copies of
+    `_components`, so a column is a few operations on (j, ...) slices.
     """
-    if hasattr(path, "level2"):  # RoughPath
-        a = np.ascontiguousarray(np.moveaxis(path.level1, -1, 0))
-        b = np.ascontiguousarray(np.moveaxis(path.level2, (-2, -1), (0, 1)))
-        return lambda j: nilpotent.increment_norm(a[..., :j], b[..., :j],
-                                                  a[..., j, None], b[..., j, None])
-    values = np.asarray(path.values, dtype=float)
-    a = np.ascontiguousarray(values.reshape(path.grid.n, -1).T)
-    return lambda j: nilpotent.increment_norm(a[..., :j], None, a[..., j, None], None)
+    if b is None:
+        return lambda j: nilpotent.increment_norm(a[:, :j], None, a[:, j, None], None)
+    return lambda j: nilpotent.increment_norm(a[:, :j], b[:, :, :j],
+                                              a[:, j, None], b[:, :, j, None])
 
 
 def _increment_norms(path) -> np.ndarray:
     """All-pairs increment norms N[i, j] for i < j (zero elsewhere)."""
     n = path.grid.n
-    column = _norm_columns(path)
+    column = _norm_columns(*_components(path))
     norms = np.zeros((n, n))
     for j in range(1, n):
         norms[:j, j] = column(j)
     return norms
 
 
+def _turning_points(a: np.ndarray) -> np.ndarray:
+    """Per path of a scalar stack a (1, n, ...), the grid indices i where the
+    path turns (dx_{i-1} dx_i <= 0) and both ends, in order, padded to the
+    longest path with the last index: (m, ...) with m <= n.
+
+    For p >= 1 the supremum over partitions is attained on these points
+    (Butkus & Norvaisa, Lith. Math. J. 2018), and for p > 1 a point inside a
+    monotone run strictly lowers a partition's sum.  A padded column adds a
+    zero increment to the last real one, so its best sum equals that
+    column's exactly.
+    """
+    x = a[0].reshape(a.shape[1], -1)
+    keep = np.ones(x.shape, dtype=bool)
+    dx = np.diff(x, axis=0)
+    keep[1:-1] = dx[:-1] * dx[1:] <= 0
+    path, i = np.nonzero(keep.T)  # path by path, each in grid order
+    rank = np.arange(i.size) - np.searchsorted(path, path)
+    # a path keeps both ends, so m >= 2, also for an empty stack
+    index = np.full((int(rank.max(initial=1)) + 1, x.shape[1]), len(x) - 1)
+    index[rank, path] = i
+    return index.reshape(index.shape[:1] + a.shape[2:])
+
+
 def _candidates(best: np.ndarray, column, j: int, p: float) -> np.ndarray:
     """Sums of p-th powers over the best partitions ending at j via each i < j."""
-    return best[..., :j] + column(j) ** p
+    return best[:j] + column(j) ** p
 
 
-def _pvar_dp(path, p: float) -> np.ndarray:
-    """Sum of p-th powers over the best partition ending at each grid index,
-    over the leading axes of a stack of paths."""
+def _pvar_dp(path, p: float) -> tuple:
+    """Sum of p-th powers over the best partition ending at each DP column,
+    grid axis first over the stack's axes; with the columns' norm function
+    and, for a scalar path, the grid index of each column (None when the
+    columns are the grid).
+
+    For p > 1 scalar paths run on their turning points only.  At p = 1 a
+    point inside a monotone run ties in exact arithmetic, so rounding picks
+    the winning partition and every grid point is kept, as it is for paths
+    of dimension d >= 2.  Each column's maximum reduces over the grid axis
+    for every path of the stack at once.
+    """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    n = path.grid.n
-    lead = path.level1.shape[:-2] if hasattr(path, "level2") else ()
-    column = _norm_columns(path)
-    best = np.zeros(lead + (n,))
-    for j in range(1, n):
-        best[..., j] = np.max(_candidates(best, column, j, p), axis=-1)
-    return best
+    a, b = _components(path)
+    index = None
+    if a.shape[0] == 1 and p > 1:  # no area: the norm is |dx|, level 2 drops out
+        index = _turning_points(a)
+        a, b = np.take_along_axis(a, index[None], axis=1), None
+    column = _norm_columns(a, b)
+    best = np.zeros(a.shape[1:])
+    for j in range(1, best.shape[0]):
+        best[j] = np.max(_candidates(best, column, j, p), axis=0)
+    return best, column, index
 
 
 def _root(best: np.ndarray, p: float):
@@ -219,9 +262,10 @@ def p_variation(path, p: float):
     `path` is a GridFunction1D (Euclidean increment norm) or a RoughPath
     (homogeneous norm of group increments); for a stack of rough paths the
     result is an array over the stack.  Dynamic programming over grid points
-    gives the supremum in O(n^2) increment evaluations.
+    gives the supremum in O(n^2) increment evaluations; a scalar path needs
+    only its turning points.
     """
-    return _root(_pvar_dp(path, p)[..., -1], p)
+    return _root(_pvar_dp(path, p)[0][-1], p)
 
 
 def p_variation_with_partition(path, p: float):
@@ -229,22 +273,24 @@ def p_variation_with_partition(path, p: float):
     for a stack of paths, an array of values and a list of partitions in the
     stack's C order.
 
-    The partition is walked back from the last grid index: before each j
+    The partition is walked back from the last DP column: before each j
     comes the first i < j whose candidate equals best[j], the index an
     argmax in the dynamic program would have taken.
     """
-    best = _pvar_dp(path, p)
-    column = _norm_columns(path)
+    best, column, index = _pvar_dp(path, p)
+    rows = best.reshape(len(best), -1)
     partitions = []
-    for m, row in enumerate(best.reshape(-1, best.shape[-1])):
-        indices = [row.size - 1]
-        while indices[-1] != 0:
-            j = indices[-1]
+    for m in range(rows.shape[1]):
+        columns = [len(best) - 1]
+        while columns[-1] != 0:
+            j = columns[-1]
             # the stack's candidates as the program computed them: exact equality
-            cand = _candidates(best, column, j, p).reshape(-1, j)[m]
-            indices.append(int(np.argmax(cand == row[j])))
-        partitions.append(np.array(indices[::-1], dtype=int))
-    value = _root(best[..., -1], p)
+            cand = _candidates(best, column, j, p).reshape(j, -1)[:, m]
+            columns.append(int(np.argmax(cand == rows[j, m])))
+        columns = np.array(columns[::-1], dtype=int)
+        partitions.append(columns if index is None
+                          else index.reshape(len(best), -1)[columns, m])
+    value = _root(best[-1], p)
     return (value, partitions[0]) if best.ndim == 1 else (value, partitions)
 
 

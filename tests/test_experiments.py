@@ -668,6 +668,28 @@ def test_samples_go_in_equal_chunks_of_at_most_CHUNK(tmp_path, monkeypatch, coun
     assert all(e is s for e, s in zip(evaluated, per_time, strict=True))
 
 
+def test_one_transport_per_chunk_and_evaluation_time(tmp_path, monkeypatch):
+    """Both covariance routes and log |J_t| read one derivative: a run makes
+    one `transport` per (chunk, evaluation time), wherever it is looked up."""
+    import gaussrde.experiments
+    import gaussrde.malliavin
+    import gaussrde.rde
+
+    calls = []
+
+    def counting_transport(flow, it):
+        calls.append((len(flow.Y), it))
+        return gaussrde.rde.transport(flow, it)
+
+    for module in (gaussrde.experiments, gaussrde.malliavin):
+        monkeypatch.setattr(module, "transport", counting_transport)
+    monkeypatch.setattr(gaussrde.experiments, "CHUNK", 7)
+    cfg = load_config(write_config(tmp_path, ROTATION_CONFIG))
+    run_experiment(cfg, out_dir=str(tmp_path / "out"))
+    # 30 samples in chunks of 6, two evaluation times each
+    assert calls == [(6, it) for _ in range(5) for it in (8, 16)]
+
+
 def test_run_experiment_memory_peak(tmp_path):
     """The 1-D KDE sums its kernel a block of query points at a time and the
     covariance reads the chunk's arrays in place, so 1000 samples of a scalar

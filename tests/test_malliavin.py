@@ -552,6 +552,30 @@ def test_stacked_routes_do_not_depend_on_the_stack(name):
             assert np.array_equal(a, b[5])
 
 
+@pytest.mark.parametrize("name", ["rotation-fbm", "linear-drift", "finite-difference"])
+def test_the_covariance_tail_matches_the_routes_called_alone(name):
+    """`evaluate_flows` forms one transport and one derivative per call and
+    hands it to both routes and to log |J_t|: sigma, magnitude, spectrum,
+    residual and log-norm are those of the routes on the flow, bit for bit."""
+    from gaussrde.experiments import evaluate_flows
+
+    flows, vf, kernel, basis = stacked_case(name, 9)
+    for it in (13, flows.grid.n - 1):
+        t = flows.grid.points[it]
+        mat, spec, residual, log_norm = evaluate_flows(flows, vf, kernel, basis, it, 1e-10)
+        direct = malliavin_matrix_2d(flows, vf, kernel, t)
+        alone = spectrum(direct, tau=1e-10, scale=direct.magnitude / vf.e)
+        parseval = malliavin_matrix_parseval(flows, vf, basis, t)
+        assert np.array_equal(mat.sigma, direct.sigma)
+        assert np.array_equal(mat.magnitude, direct.magnitude)
+        for field in ("eigenvalues", "lambda_min", "det", "verdict", "threshold"):
+            assert np.array_equal(getattr(spec, field), getattr(alone, field))
+        assert np.array_equal(residual, route_residual(
+            direct.sigma, parseval.sigma, np.maximum(direct.magnitude, parseval.magnitude)))
+        assert np.array_equal(log_norm,
+                              log_operator_norm(transport(flows, it)[..., 0, :, :]))
+
+
 def test_route_residual_per_matrix_with_a_floor():
     # (K, e, e): one value per matrix; a floor above both norms replaces them
     a = np.array([[[1.0]], [[1e-17]], [[4.0]]])

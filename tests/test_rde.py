@@ -789,6 +789,44 @@ def test_output_is_independent_of_step_block(monkeypatch):
             solve_flow_jacobian(X, vf, np.ones(1), pvar_index=2.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_explosion_inside_a_step_block_raises_its_first_step(monkeypatch):
+    """V(y) = (1e40 y_1, 0): each step of a driver ramp multiplies y_1 by
+    about 5e76.  Path 1 starts its ramp at t_8 and passes the guard at t_9,
+    path 2 starts at t_10.  Inside a block the later steps of path 1 overflow
+    y_1 to inf, and the field then evaluates 0 * inf in its zero entries.
+    The block's states are checked before its step maps, so every block size
+    raises path 1's error at its first step, not a RuntimeWarning."""
+    import gaussrde.rde
+
+    grid = uniform_grid(1.0, 33)
+    values = np.zeros((3, 33, 1))
+    values[1, 8:, 0] = grid.points[8:] - grid.points[8]
+    values[2, 10:, 0] = grid.points[10:] - grid.points[10]
+    vf = linear_fields(np.array([[[1e40, 0.0], [0.0, 0.0]]]))
+    # the stack, and path 2 alone, which explodes two steps later
+    cases = [(lift_piecewise_linear(PathSample(grid, v)), float(grid.points[it]))
+             for v, it in ((values, 9), (values[2:], 11))]
+    for block in (1, 7, grid.n - 1):
+        monkeypatch.setattr(gaussrde.rde, "STEP_BLOCK", block)
+        for X, time in cases:
+            with pytest.raises(ExplosionError) as error:
+                solve_flow_jacobian(X, vf, np.ones(2), pvar_index=2.5)
+            assert str(error.value) == f"state exploded at t = {time:.6g}"
+            assert error.value.time == time
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_field_that_overflows_at_a_finite_state_raises_an_explosion():
+    """V(y) = 1e300 y at y0 = 1e10 overflows in the field itself, inside the
+    guard: the state goes to inf and the solve raises ExplosionError at the
+    first step, which aborts the sample in a run."""
+    X, grid = scalar_ramp(9, 1.0)
+    with pytest.raises(ExplosionError) as error:
+        solve_flow_jacobian(X, linear_fields(np.array([[[1e300]]])), np.array([1e10]))
+    assert error.value.time == grid.points[1]
+
+
 def test_a_stack_raises_the_error_of_its_earliest_failing_path():
     """Ramps of slope 40 (path 2) and 30 (path 0) make dY = 5 Y dx explode,
     path 2 first: the stack raises path 2's own error, and the others solve

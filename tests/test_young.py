@@ -17,8 +17,9 @@ from gaussrde import (
     young_integral_2d,
 )
 from gaussrde import nilpotent
-from gaussrde.young import (_increment_norms, _norm_columns, p_variation_bruteforce,
-                            rho_variation_partition_sum, same_grid)
+from gaussrde.young import (_components, _increment_norms, _norm_columns,
+                            p_variation_bruteforce, rho_variation_partition_sum,
+                            same_grid)
 
 
 def brownian_kernel_sample(grid):
@@ -309,8 +310,9 @@ def test_closed_form_norms_match_the_area_formula(d, n, count, seed):
         A, B = X.level1, X.level2
         a, b = nilpotent.increment(A[:, :, None], B[:, :, None], A[:, None], B[:, None])
         expected = reference_norm(a, b)  # (count, s, t)
-        column = _norm_columns(X)
-        cases = [(column(j), expected[..., :j, j]) for j in range(1, n)]
+        column = _norm_columns(*_components(X))  # grid first: (j, count)
+        cases = [(column(j), np.moveaxis(expected[..., :j, j], -1, 0))
+                 for j in range(1, n)]
         cases.append((nilpotent.norm(a, b), expected))
         for new, ref in cases:
             if X.dim <= 2:
@@ -347,6 +349,74 @@ def test_stacked_p_variation_matches_single_path_dp(d, n, count, p, seed):
             assert got[k] == value == whole_matrix_p_variation(one, p)
             np.testing.assert_array_equal(partitions[k], partition)
             assert np.isclose(value, p_variation_bruteforce(one, p), rtol=1e-10)
+
+
+# increments with flat runs, exact zeros and ties, and arbitrary ones
+SCALAR_STEPS = (st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, -2.0])
+                | st.floats(-4.0, 4.0, allow_subnormal=False))
+
+
+def turning_points(x):
+    """Grid indices of a scalar path where it turns, with both ends."""
+    dx = np.diff(x)
+    return {0, x.size - 1} | {i for i in range(1, x.size - 1) if dx[i - 1] * dx[i] <= 0}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(2, 12), count=st.integers(0, 6),
+       p=st.sampled_from([1.0, 2.2, 2.5, 3.5]))
+def test_scalar_p_variation_on_turning_points_matches_the_whole_grid(data, n, count, p):
+    """A scalar stack runs the DP on each path's turning points, padded to
+    the longest path: its values are the whole-grid DP's bit for bit, and its
+    partitions, mapped back to grid indices, are each path's own."""
+    steps = data.draw(st.lists(st.lists(SCALAR_STEPS, min_size=n - 1, max_size=n - 1),
+                               min_size=count, max_size=count))
+    values = np.zeros((count, n, 1))
+    values[:, 1:, 0] = np.cumsum(np.reshape(steps, (count, n - 1)), axis=1)
+    grid = uniform_grid(1.0, n)
+    X = lift_piecewise_linear(PathSample(grid, values))
+    got, partitions = p_variation_with_partition(X, p)
+    assert got.shape == (count,) and len(partitions) == count
+    assert np.array_equal(p_variation(X, p), got)
+    for k in range(count):
+        one = RoughPath(grid, X.level1[k], X.level2[k])
+        value, partition = p_variation_with_partition(one, p)
+        assert got[k] == value == whole_matrix_p_variation(one, p)
+        assert p_variation(GridFunction1D(grid, values[k, :, 0]), p) == value
+        np.testing.assert_array_equal(partitions[k], partition)
+        assert partition[0] == 0 and partition[-1] == n - 1
+        assert np.all(np.diff(partition) > 0)
+        if p > 1:
+            assert set(partition) <= turning_points(values[k, :, 0])
+        norms = _increment_norms(one)
+        total = sum(norms[i, j] ** p for i, j in zip(partition, partition[1:]))
+        assert np.isclose(total ** (1.0 / p), value, rtol=1e-12)
+        assert np.isclose(value, p_variation_bruteforce(one, p), rtol=1e-10)
+
+
+def test_scalar_p_variation_edge_stacks():
+    """An empty stack (what a chunk whose every path failed passes on), a
+    constant path, n = 2 and paths of different turning counts in one stack."""
+    for n in (2, 9):
+        grid = uniform_grid(1.0, n)
+        empty = lift_piecewise_linear(PathSample(grid, np.zeros((0, n, 1))))
+        value, partitions = p_variation_with_partition(empty, 2.5)
+        assert value.shape == (0,) and partitions == []
+        assert p_variation(empty, 2.5).shape == (0,)
+    grid = uniform_grid(1.0, 9)
+    values = np.zeros((3, 9, 1))
+    values[1, :, 0] = [0, 1, 2, 3, 2, 1, 0, 1.5, 3]  # turns at 3 and 6
+    values[2, :, 0] = [0, 1, 0, 1, 0, 1, 0, 1, 0]  # turns everywhere
+    X = lift_piecewise_linear(PathSample(grid, values))
+    got, partitions = p_variation_with_partition(X, 2.5)
+    assert got[0] == 0.0 and list(partitions[0]) == [0, 8]
+    three = 3.0 ** 2.5
+    assert got[1] == ((three + three) + three) ** (1 / 2.5)
+    assert list(partitions[1]) == [0, 3, 6, 8]
+    assert got[2] == 8.0 ** (1 / 2.5) and list(partitions[2]) == list(range(9))
+    two = lift_piecewise_linear(GridFunction1D(uniform_grid(1.0, 2), np.array([0.0, -3.0])))
+    value, partition = p_variation_with_partition(two, 2.5)
+    assert value == 3.0 and list(partition) == [0, 1]
 
 
 def young_integral_2d_reference(f, g, R):
