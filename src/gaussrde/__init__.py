@@ -33,6 +33,7 @@ from .gaussian import (
     kernel_eval,
     grid_covariance,
     sample_paths,
+    cholesky_factors,
     cameron_martin_basis,
     cm_element_from_coeffs,
     nondegeneracy_check,
@@ -87,7 +88,8 @@ __all__ = [
     # gaussian
     "CovarianceModel", "CameronMartinBasis", "PathSample", "brownian_model",
     "fbm_model", "bridge_model", "zero_model", "kernel_eval", "grid_covariance",
-    "sample_paths", "cameron_martin_basis", "cm_element_from_coeffs",
+    "sample_paths", "cholesky_factors", "cameron_martin_basis",
+    "cm_element_from_coeffs",
     "nondegeneracy_check", "cm_embedding_check",
     # lift
     "RoughPath", "lift_piecewise_linear", "translate",

@@ -27,7 +27,7 @@ from . import __version__
 from .fields import (VectorFieldSystem, constant_fields, ellipticity_rank,
                      linear_fields, polynomial_fields, rotation_fields)
 from .gaussian import (CovarianceModel, brownian_model, bridge_model,
-                       cameron_martin_basis, fbm_model, kernel_eval,
+                       cameron_martin_basis, cholesky_factors, fbm_model, kernel_eval,
                        nondegeneracy_check, PathSample, sample_paths, zero_model)
 from .lift import lift_piecewise_linear
 from .malliavin import (DEGENERACY_TAU, _integrand_values, malliavin_matrix_2d,
@@ -38,13 +38,16 @@ from .young import TimeGrid, uniform_grid
 log = logging.getLogger("gaussrde")
 
 MIN_HURST = 1.0 / 3.0
-# Largest number of samples taken through the pipeline together: a run's
-# samples go in equal chunks of at most CHUNK.  Outputs do not depend on it.
-# A solver step costs mostly fixed overhead, so fewer, larger chunks run
-# faster.  A chunk of 128 at d = e = 2, n = 65 peaks at about 2 MB while it is
-# solved; the row-blocked 1-D KDE and the chunk arrays that the covariance
-# shares instead of copying keep a run's peak memory where 32 had it.
-CHUNK = 128
+# Most floats a chunk of samples holds while it is solved: its lift and its
+# flow's Y, V and M, `sample_floats` per sample.  A run's samples go in equal
+# chunks of at most CHUNK_FLOATS / sample_floats(config); outputs do not
+# depend on it.  A chunk's solver steps, p-variation columns and covariance
+# tails cost mostly fixed overhead, so fewer, larger chunks run faster.  At
+# n = 65 this gives chunks of 250 scalar samples (d = e = 1) or 75 planar ones
+# (d = e = 2), at most 0.79 MB of those arrays.  Sampling each chunk alone and
+# adjoining time one step block at a time keep a scalar run's traced peak
+# near where chunks of 125 had it.
+CHUNK_FLOATS = 98304
 # Query points of a 1-D KDE whose kernel rows are summed together.
 KDE_ROWS = 64
 # Largest relative gap between the two covariance routes a run accepts, per
@@ -568,18 +571,26 @@ def by_rows(fn, take, rows):
     return fn(take([k for k in rows if k not in failed])), failed
 
 
+def sample_floats(config: ExperimentConfig) -> int:
+    """Floats one sample holds in a chunk: its lift, level 1 and level 2 (d +
+    d^2 per grid point), and its flow's Y, V and M (e + d e + e^2)."""
+    d, e = config.d, config.e
+    return config.n * (d + d * d + e + d * e + e * e)
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> DensityReport:
     """Run the sampled-path pipeline described by the config.
 
     Unless the config allows a degenerate scenario, the driver model must
     pass the Gaussian non-degeneracy probe at every evaluation time before
     any sampling happens.  Samples go through the whole pipeline in equal
-    chunks of at most CHUNK: lift, solve, p-variation, then one covariance
-    tail (`evaluate_flows`) per evaluation time; no value depends on the
-    chunking.  A numerical failure (explosion, an eigenvalue solve that does
-    not converge, floating-point errors) drops the rows it happens in: a
-    solver failure all rows of its sample, a tail failure at t only the
-    (sample, t) row; `by_rows` finds them.  `aborted` counts the samples
+    chunks of at most CHUNK_FLOATS / sample_floats(config): sample (with the
+    Cholesky factors taken once per run), lift, solve, p-variation, then one
+    covariance tail (`evaluate_flows`) per evaluation time; no value depends
+    on the chunking.  A numerical failure (explosion, an eigenvalue solve
+    that does not converge, floating-point errors) drops the rows it happens
+    in: a solver failure all rows of its sample, a tail failure at t only
+    the (sample, t) row; `by_rows` finds them.  `aborted` counts the samples
     that lost a row, each logged once with its first error; the chunk that
     takes it past 1% of the count fails the run, as does a row whose two
     routes differ by more than ROUTE_TOL (see `route_residual`).  Any other
@@ -600,15 +611,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
                 )
 
     pvar_p = variation_index(model)
-    batch = sample_paths([model] * config.d, grid, config.count, config.seed)
+    models = [model] * config.d
+    factors = cholesky_factors(models, grid)
     basis = cameron_martin_basis(model, grid)
     kernel = kernel_eval(model, grid)
 
     chunks, failures = [], []
     # equal chunks, so no small tail chunk pays a whole step loop
-    size = math.ceil(config.count / math.ceil(config.count / CHUNK))
+    cap = max(1, CHUNK_FLOATS // sample_floats(config))
+    size = math.ceil(config.count / math.ceil(config.count / cap))
     for lo in range(0, config.count, size):
-        paths = batch.values[lo:lo + size]
+        paths = sample_paths(models, grid, min(size, config.count - lo), config.seed,
+                             first=lo, factors=factors).values
         every = list(range(len(paths)))
         # the chunk itself when nothing failed, here and in the tail: no copy
         flows, errors = by_rows(
@@ -638,7 +652,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
             raise RunError(
                 f"more than 1% of the {config.count} samples aborted; first "
                 f"failure: sample {failures[0][0]}: {failures[0][1]}")
-        del flows  # the next chunk is solved without this one's arrays alive
+        del flows, paths  # the next chunk is sampled without this one's arrays alive
 
     # the samples outermost again (at least one kept every row, or the run failed)
     order = np.argsort(np.concatenate([c["sample_index"] for c in chunks]), kind="stable")

@@ -108,14 +108,12 @@ class PathSample:
 
 
 def sample_paths(models: list[CovarianceModel], grid: TimeGrid, n_samples: int,
-                 seed: int, first: int = 0) -> PathSample:
+                 seed: int, first: int = 0, factors: list | None = None) -> PathSample:
     """Draw exact joint samples of the driver at the grid times.
 
-    Components are independent; each uses the Cholesky factor of its grid
-    covariance.  Only an exactly zero covariance (zero model) samples zeros;
-    a semidefinite matrix (bridge at its pin time) gets a diagonal jitter of
-    1e-12 * trace / n before a retry, with a warning; sampling never silently
-    degrades beyond that.
+    Components are independent; each is its grid covariance's factor from
+    `cholesky_factors` times a standard normal vector.  A caller that draws
+    several batches of one driver passes `factors` taken once.
 
     Streams are counter-based: sample k is drawn from default_rng([seed, k]),
     so any subset of indices can be regenerated independently.  The batch
@@ -123,8 +121,27 @@ def sample_paths(models: list[CovarianceModel], grid: TimeGrid, n_samples: int,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if factors is None:
+        factors = cholesky_factors(models, grid)
     d = len(models)
     n = grid.n
+    out = np.zeros((n_samples, n, d))
+    for k in range(n_samples):
+        rng = np.random.default_rng([seed, first + k])
+        for c in range(d):
+            z = rng.standard_normal(n - 1)
+            out[k, 1:, c] = factors[c] @ z
+    return PathSample(grid, out)
+
+
+def cholesky_factors(models: list[CovarianceModel], grid: TimeGrid) -> list[np.ndarray]:
+    """Per component, the Cholesky factor of its grid covariance.
+
+    Only an exactly zero covariance (zero model) gets a zero factor; a
+    semidefinite matrix (bridge at its pin time) gets a diagonal jitter of
+    1e-12 * trace / n before a retry, with a warning; sampling never silently
+    degrades beyond that.
+    """
     factors = []
     for m in models:
         cov = grid_covariance(m, grid)
@@ -140,13 +157,7 @@ def sample_paths(models: list[CovarianceModel], grid: TimeGrid, n_samples: int,
                 f"adding diagonal jitter {jitter:.3e}"
             )
             factors.append(np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0])))
-    out = np.zeros((n_samples, n, d))
-    for k in range(n_samples):
-        rng = np.random.default_rng([seed, first + k])
-        for c in range(d):
-            z = rng.standard_normal(n - 1)
-            out[k, 1:, c] = factors[c] @ z
-    return PathSample(grid, out)
+    return factors
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,12 @@ def increment_norm(a_s, b_s, a_t, b_t) -> np.ndarray:
     b_s = b_t = None is a path without level 2 (the Euclidean norm of da).
     Each area entry is taken in the order `increment` and `area` take it:
     B_ik = (b_t - b_s)_ik - a_s,i da_k and x_ik = 0.5 ((B_ik - h) - (B_ki - h))
-    with h = 0.5 (da_i da_k), so |area|_F^2 = 2 sum_{i<k} x_ik^2.
+    with h = 0.5 (da_i da_k), so |area|_F^2 = 2 sum_{i<k} x_ik^2.  One
+    component's length is |da| itself, which no square underflows or
+    overflows; for d >= 2 it is sqrt(sum da_i^2), which can.
     """
     da = [a_t[i] - a_s[i] for i in range(len(a_t))]
-    length2 = sum(x * x for x in da)
+    length = np.abs(da[0]) if len(da) == 1 else np.sqrt(sum(x * x for x in da))
     area2 = 0.0
     if b_t is not None:
         for i, k in itertools.combinations(range(len(da)), 2):
@@ -71,7 +73,7 @@ def increment_norm(a_s, b_s, a_t, b_t) -> np.ndarray:
             x = 0.5 * (((b_t[i, k] - b_s[i, k]) - a_s[i] * da[k] - half)
                        - ((b_t[k, i] - b_s[k, i]) - a_s[k] * da[i] - half))
             area2 = area2 + x * x
-    return np.maximum(np.sqrt(length2), np.sqrt(np.sqrt(2.0 * area2)))
+    return np.maximum(length, np.sqrt(np.sqrt(2.0 * area2)))
 
 
 def norm(a, b) -> np.ndarray:

@@ -24,8 +24,9 @@ leaves the transport as accurate as the step maps themselves.
 The solver steps a stack of K driver paths at once, with the sample axis in
 front of every array; one path is the K = 1 case.
 
-Drift is folded in by adjoining time to the driver's increments (`_with_time`)
-and stepping with the fields (V_0, V_1, ..., V_d); no splitting scheme exists.
+Drift is folded in by adjoining time to the driver's increments (`_with_time`,
+one step block at a time) and stepping with the fields (V_0, V_1, ..., V_d);
+no splitting scheme exists.
 This module holds the solve, the transport and the ODE oracle; `malliavin`
 forms the Malliavin derivative J_{t<-s} V(Y_s) from `transport`.
 """
@@ -124,8 +125,9 @@ def _with_drift(vf: VectorFieldSystem) -> SimpleNamespace:
                            hess=join(vf.drift_hess, vf.hess))
 
 
-def _with_time(grid: TimeGrid, da: np.ndarray, db: np.ndarray) -> tuple:
-    """Adjoin running time as component 0 of a stack of segment increments.
+def _with_time(dt: np.ndarray, da: np.ndarray, db: np.ndarray) -> tuple:
+    """Adjoin running time as component 0 of a stack of segment increments
+    (..., m, d), (..., m, d, d), with dt the m segment lengths.
 
     Per segment of length dt with increment (da, db) the augmented increment
     has first level (dt, da) and second level
@@ -134,9 +136,9 @@ def _with_time(grid: TimeGrid, da: np.ndarray, db: np.ndarray) -> tuple:
     the time-time and time-space integrals of the linear interpolant.  The
     result satisfies the same symmetry constraint as (da, db).
     """
-    dt = np.broadcast_to(np.diff(grid.points)[:, None], da.shape[:-1] + (1,))
-    da2 = np.concatenate([dt, da], axis=-1)
-    db2 = 0.5 * nilpotent.tensor(da2, da2)
+    da2 = np.concatenate([np.broadcast_to(dt[:, None], da.shape[:-1] + (1,)), da], axis=-1)
+    db2 = nilpotent.tensor(da2, da2)
+    db2 *= 0.5
     db2[..., 1:, 1:] = db
     return da2, db2
 
@@ -165,19 +167,23 @@ def solve_flow_jacobian(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
 
     da, db = X.segment_increments()
     _check_geometric(da, db)  # adjoining time adds no residual
-    d = vf.d
-    if vf.has_drift:
-        (da, db), vf = _with_time(X.grid, da, db), _with_drift(vf)
-    flow = _steps(X.grid, da, db, vf, y0)
+    d, time = vf.d, vf.has_drift
+    if time:
+        vf = _with_drift(vf)
+    flow = _steps(X.grid, da, db, vf, y0, time)
     del da, db  # freed first: p-variation's temporaries reuse their memory
     pvar = p_variation(X, pvar_index) if pvar_index is not None else None
     flow = replace(flow, V=flow.V[..., -d:, :], pvar=pvar)  # without the drift's values
     return flow.sample(0) if one else flow
 
 
-def _steps(grid: TimeGrid, da: np.ndarray, db: np.ndarray, vf, y0) -> FlowResult:
-    """Step K paths along segment increments da (K, n-1, d), db (K, n-1, d, d)."""
+def _steps(grid: TimeGrid, da: np.ndarray, db: np.ndarray, vf, y0,
+           time: bool) -> FlowResult:
+    """Step K paths along segment increments da (K, n-1, d), db (K, n-1, d, d);
+    with `time`, along their time-adjoined increments, formed a block of
+    steps at a time."""
     K, n, d, e = len(da), grid.n, vf.d, vf.e
+    dt = np.diff(grid.points)
     Y = np.zeros((K, n, e))
     Y[:, 0] = y0
     V = np.zeros((K, n, d, e))
@@ -186,11 +192,15 @@ def _steps(grid: TimeGrid, da: np.ndarray, db: np.ndarray, vf, y0) -> FlowResult
     y = Y[:, 0].copy()
     for k0 in range(0, n - 1, STEP_BLOCK):
         k1 = min(k0 + STEP_BLOCK, n - 1)
+        block = slice(k0, k1)
+        ba, bb = da[:, block], db[:, block]
+        if time:
+            ba, bb = _with_time(dt[block], ba, bb)
         # an overflow leaves a state non-finite or past the guard: the
         # block's states are checked together below, before any step map
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(k0, k1):
-                a, b = da[:, k], db[:, k]
+                a, b = ba[:, k - k0], bb[:, k - k0]
                 V[:, k] = Vk = vf.val(y)
                 Vp[:, k - k0] = Vpk = vf.jac(y)
                 Vp_ai = Vpk.transpose(0, 2, 1, 3)
@@ -204,9 +214,7 @@ def _steps(grid: TimeGrid, da: np.ndarray, db: np.ndarray, vf, y0) -> FlowResult
         if not bounded.all():
             t = float(grid.points[k0 + 1 + int(np.argmin(bounded))])
             raise ExplosionError(f"state exploded at t = {t:.6g}", t)
-        block = slice(k0, k1)
-        _step_maps(vf, Y[:, block], V[:, block], Vp[:, :k1 - k0],
-                   da[:, block], db[:, block], M[:, block])
+        _step_maps(vf, Y[:, block], V[:, block], Vp[:, :k1 - k0], ba, bb, M[:, block])
     V[:, -1] = vf.val(y)
     return FlowResult(grid, Y, V, M)
 

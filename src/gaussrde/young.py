@@ -225,9 +225,9 @@ def _candidates(best: np.ndarray, column, j: int, p: float) -> np.ndarray:
 
 def _pvar_dp(path, p: float) -> tuple:
     """Sum of p-th powers over the best partition ending at each DP column,
-    grid axis first over the stack's axes; with the columns' norm function
-    and, for a scalar path, the grid index of each column (None when the
-    columns are the grid).
+    grid axis first over the stack's axes; with the columns' component-first
+    arrays (a, b) of `_components` and, for a scalar path, the grid index of
+    each column (None when the columns are the grid).
 
     For p > 1 scalar paths run on their turning points only.  At p = 1 a
     point inside a monotone run ties in exact arithmetic, so rounding picks
@@ -246,7 +246,7 @@ def _pvar_dp(path, p: float) -> tuple:
     best = np.zeros(a.shape[1:])
     for j in range(1, best.shape[0]):
         best[j] = np.max(_candidates(best, column, j, p), axis=0)
-    return best, column, index
+    return best, (a, b), index
 
 
 def _root(best: np.ndarray, p: float):
@@ -275,17 +275,21 @@ def p_variation_with_partition(path, p: float):
 
     The partition is walked back from the last DP column: before each j
     comes the first i < j whose candidate equals best[j], the index an
-    argmax in the dynamic program would have taken.
+    argmax in the dynamic program would have taken.  Each path walks back
+    on its own columns, whose entries are the stack's bit for bit.
     """
-    best, column, index = _pvar_dp(path, p)
+    best, (a, b), index = _pvar_dp(path, p)
     rows = best.reshape(len(best), -1)
+    a = a.reshape(a.shape[:2] + (-1,))
+    b = None if b is None else b.reshape(b.shape[:3] + (-1,))
     partitions = []
     for m in range(rows.shape[1]):
+        column = _norm_columns(np.ascontiguousarray(a[..., m]),
+                               None if b is None else np.ascontiguousarray(b[..., m]))
         columns = [len(best) - 1]
         while columns[-1] != 0:
             j = columns[-1]
-            # the stack's candidates as the program computed them: exact equality
-            cand = _candidates(best, column, j, p).reshape(j, -1)[:, m]
+            cand = _candidates(rows[:, m], column, j, p)
             columns.append(int(np.argmax(cand == rows[j, m])))
         columns = np.array(columns[::-1], dtype=int)
         partitions.append(columns if index is None

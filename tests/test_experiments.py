@@ -39,6 +39,7 @@ from gaussrde.experiments import (
     by_rows,
     check_conditions,
     config_hash,
+    sample_floats,
     silverman_bandwidth,
     time_indices,
     variation_index,
@@ -383,14 +384,29 @@ json = summary.json
 """
 
 
+def chunks_of(monkeypatch, cfg, size):
+    """Make `run_experiment` take the samples of cfg in chunks of at most
+    `size`: a float budget of `size` samples."""
+    import gaussrde.experiments
+
+    monkeypatch.setattr(gaussrde.experiments, "CHUNK_FLOATS", size * sample_floats(cfg))
+
+
+def marking_sample_3(sample, mark):
+    """sample_paths with the driver of the run's sample 3, in whichever
+    batch holds it, passed through mark(grid)."""
+    def sample_paths(models, grid, n_samples, seed, first=0, **kwargs):
+        batch = sample(models, grid, n_samples, seed, first, **kwargs)
+        if first <= 3 < first + n_samples:
+            batch.values[3 - first, :, 0] = mark(grid)
+        return batch
+    return sample_paths
+
+
 def with_a_ramp(sample):
     """sample_paths with the driver of sample 3 replaced by a steep ramp,
     along which the linear + drift flow explodes."""
-    def sample_paths(models, grid, n_samples, seed):
-        batch = sample(models, grid, n_samples, seed)
-        batch.values[3, :, 0] = 100.0 * grid.points
-        return batch
-    return sample_paths
+    return marking_sample_3(sample, lambda grid: 100.0 * grid.points)
 
 
 @pytest.mark.filterwarnings("ignore:.*semidefinite:UserWarning")
@@ -408,7 +424,7 @@ def test_run_experiment_output_is_independent_of_chunk_size(tmp_path, monkeypatc
         monkeypatch.setattr(gaussrde.experiments, "sample_paths", sampler)
         outputs = []
         for chunk in (1, 7, cfg.count, 4 * cfg.count):
-            monkeypatch.setattr(gaussrde.experiments, "CHUNK", chunk)
+            chunks_of(monkeypatch, cfg, chunk)
             out = tmp_path / f"{name}-{chunk}"
             report = run_experiment(cfg, out_dir=str(out))
             outputs.append([(out / f).read_bytes() for f in ("samples.csv", "summary.json")])
@@ -416,6 +432,22 @@ def test_run_experiment_output_is_independent_of_chunk_size(tmp_path, monkeypatc
         assert report.aborted == (name in ("ramp", "overflow"))
         # the overflow costs sample 3 only its t = 1 row
         assert report.oracle_checked == report.count - (name == "ramp")
+
+
+def test_the_semidefinite_warning_comes_once_per_run(tmp_path, monkeypatch):
+    """The bridge at its pin has a semidefinite grid covariance: its factor
+    is taken, with the jitter's warning, once per run, however many chunks
+    are sampled with it."""
+    cfg = load_config(write_config(tmp_path, BRIDGE_SCALAR_CONFIG, name="bridge.ini"))
+    for chunk in (1, 7, cfg.count):
+        chunks_of(monkeypatch, cfg, chunk)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(cfg, out_dir=str(tmp_path / f"bridge-{chunk}"))
+        # the trace of min(s, t) - st on the grid is 2.65625
+        assert [str(w.message) for w in caught if "semidefinite" in str(w.message)] == [
+            "grid covariance for 'bridge' is semidefinite; adding diagonal jitter "
+            "1.660e-13"], chunk
 
 
 def test_rows_do_not_depend_on_the_other_evaluation_times(tmp_path, capsys):
@@ -495,12 +527,8 @@ def with_a_transport_overflow(sample):
     of -1, then 32 of +99000.  Along it the step maps of dY = Y dx from
     y0 = 0 are 1/2, then about 4.9e9: the state stays 0 and J_1 = 2.85e300
     is finite, but the transport from t = 1/2 to 1 overflows."""
-    def sample_paths(models, grid, n_samples, seed):
-        batch = sample(models, grid, n_samples, seed)
-        steps = np.repeat([-1.0, 99000.0], 32)
-        batch.values[3, :, 0] = np.concatenate([[0.0], np.cumsum(steps)])
-        return batch
-    return sample_paths
+    steps = np.repeat([-1.0, 99000.0], 32)
+    return marking_sample_3(sample, lambda grid: np.concatenate([[0.0], np.cumsum(steps)]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -549,8 +577,9 @@ def test_a_failure_in_the_stacked_tail_aborts_only_its_sample(tmp_path, monkeypa
         return sigma_2d(flows, *args, **kwargs)
 
     monkeypatch.setattr(gaussrde.experiments, "malliavin_matrix_2d", failing_on_sample_3)
-    for chunk in (7, 32, gaussrde.experiments.CHUNK):
-        monkeypatch.setattr(gaussrde.experiments, "CHUNK", chunk)
+    for chunk in (None, 7, 32):  # None: the default budget, one chunk of 120
+        if chunk is not None:
+            chunks_of(monkeypatch, cfg, chunk)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="gaussrde"):
             report = run_experiment(cfg, out_dir=str(tmp_path / f"marked-{chunk}"))
@@ -635,16 +664,28 @@ def test_a_hopeless_run_stops_at_the_chunk_that_crosses_1_percent(tmp_path,
             "more than 1% of the 1000 samples aborted; first failure: sample 0: "
             "ExplosionError: state exploded at t = ")):
         run_experiment(load_config(write_config(tmp_path, text)))
-    # the first chunk of 125, then only the halving probes of its samples
-    assert lifted[0] == 125 and max(lifted[1:]) < 125
+    # the first chunk of 334 (d = e = 2, n = 17: at most 361 in the budget),
+    # then only the halving probes of its samples
+    assert lifted[0] == 334 and max(lifted[1:]) < 334
 
 
-@pytest.mark.parametrize("count, stacks", [(150, [75, 75]), (1000, [125] * 8),
-                                           (128, [128]), (129, [65, 64])])
-def test_samples_go_in_equal_chunks_of_at_most_CHUNK(tmp_path, monkeypatch, count,
+def at_n_65(text):
+    return text.replace("n = 17", "n = 65")
+
+
+@pytest.mark.parametrize("text, count, stacks", [
+    # the perfbench shapes at n = 65: at most 302 scalar or 94 planar samples
+    pytest.param(at_n_65(ROTATION_CONFIG), 150, [75, 75], id="150-stacks0"),
+    pytest.param(at_n_65(LINEAR_DRIFT_CONFIG), 1000, [250] * 4, id="1000-stacks1"),
+    pytest.param(at_n_65(ROTATION_CONFIG), 94, [94], id="94-stacks5"),
+    pytest.param(at_n_65(ROTATION_CONFIG), 128, [64, 64], id="128-stacks2"),
+    pytest.param(at_n_65(ROTATION_CONFIG), 129, [65, 64], id="129-stacks3"),
+    pytest.param(at_n_65(LINEAR_DRIFT_CONFIG), 1, [1], id="1-stacks4")])
+def test_samples_go_in_equal_chunks_of_at_most_CHUNK(tmp_path, monkeypatch, text, count,
                                                      stacks):
-    """The chunk's own flows reach the covariance at each evaluation time
-    when every path solved."""
+    """Equal chunks of at most CHUNK_FLOATS / sample_floats(config) samples,
+    each sampled alone; the chunk's own flows reach the covariance at each
+    evaluation time when every path solved."""
     import gaussrde.experiments
 
     solve, evaluate = gaussrde.experiments.solve_flow_jacobian, gaussrde.experiments.evaluate_flows
@@ -660,10 +701,17 @@ def test_samples_go_in_equal_chunks_of_at_most_CHUNK(tmp_path, monkeypatch, coun
 
     monkeypatch.setattr(gaussrde.experiments, "solve_flow_jacobian", recording_solve)
     monkeypatch.setattr(gaussrde.experiments, "evaluate_flows", recording_evaluate)
-    cfg = load_config(write_config(
-        tmp_path, LINEAR_DRIFT_CONFIG.replace("count = 30", f"count = {count}")))
+    sample, sampled = gaussrde.experiments.sample_paths, []
+
+    def recording_sample(models, grid, n_samples, seed, first=0, **kwargs):
+        sampled.append((first, n_samples))
+        return sample(models, grid, n_samples, seed, first, **kwargs)
+
+    monkeypatch.setattr(gaussrde.experiments, "sample_paths", recording_sample)
+    cfg = load_config(write_config(tmp_path, text.replace("count = 30", f"count = {count}")))
     run_experiment(cfg, out_dir=str(tmp_path / "out"))
     assert [len(f.Y) for f in solved] == stacks
+    assert sampled == [(sum(stacks[:i]), size) for i, size in enumerate(stacks)]
     per_time = [s for s in solved for _ in cfg.times]
     assert all(e is s for e, s in zip(evaluated, per_time, strict=True))
 
@@ -683,8 +731,8 @@ def test_one_transport_per_chunk_and_evaluation_time(tmp_path, monkeypatch):
 
     for module in (gaussrde.experiments, gaussrde.malliavin):
         monkeypatch.setattr(module, "transport", counting_transport)
-    monkeypatch.setattr(gaussrde.experiments, "CHUNK", 7)
     cfg = load_config(write_config(tmp_path, ROTATION_CONFIG))
+    chunks_of(monkeypatch, cfg, 7)
     run_experiment(cfg, out_dir=str(tmp_path / "out"))
     # 30 samples in chunks of 6, two evaluation times each
     assert calls == [(6, it) for _ in range(5) for it in (8, 16)]

@@ -8,6 +8,7 @@ from gaussrde import (
     bridge_model,
     brownian_model,
     cameron_martin_basis,
+    cholesky_factors,
     cm_element_from_coeffs,
     cm_embedding_check,
     fbm_model,
@@ -107,6 +108,24 @@ def test_sampling_is_deterministic_and_counter_based():
     d = sample_paths(models, grid, n_samples=5, seed=78)
     assert not np.allclose(a.values, d.values)
     assert np.allclose(a.values[:, 0, :], 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:.*semidefinite:UserWarning")
+@pytest.mark.parametrize("model", [brownian_model(), fbm_model(0.4), bridge_model(1.0)],
+                         ids=["brownian", "fbm-0.4", "bridge"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_batches_with_factors_taken_once_are_slices_of_one_batch(model, d):
+    """Batches drawn from `first` on with the factors taken once equal the
+    slices of one whole-count call bit for bit, also for the bridge, whose
+    semidefinite covariance is jittered."""
+    grid = uniform_grid(1.0, 17)
+    models = [model] * d
+    whole = sample_paths(models, grid, 23, seed=5).values
+    factors = cholesky_factors(models, grid)
+    for size in (1, 7, 23):
+        parts = [sample_paths(models, grid, min(size, 23 - lo), 5, first=lo,
+                              factors=factors).values for lo in range(0, 23, size)]
+        assert np.array_equal(np.concatenate(parts), whole)
 
 
 def test_sampling_zero_model():

@@ -141,3 +141,22 @@ def test_chen_split_identity_on_stacks(stacks):
     np.testing.assert_allclose(joined[0], direct[0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(joined[1], direct[1], rtol=0, atol=1e-10)
     assert np.all(residual(*joined) < 1e-10)
+
+
+# every finite double, and a mantissa times 10^k spread over every decade
+EVERY_MAGNITUDE = (st.floats(allow_nan=False, allow_infinity=False)
+                   | st.builds(lambda m, k: m * 10.0 ** k, st.floats(-9.99, 9.99),
+                               st.integers(-320, 307)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=EVERY_MAGNITUDE)
+def test_a_one_component_norm_is_the_absolute_value_at_every_magnitude(x):
+    """|da| itself: sqrt(da^2) is 0 below about 1.5e-154, where the square
+    underflows, and overflows (a RuntimeWarning) above about 1.34e154."""
+    from gaussrde import GridFunction1D, p_variation, uniform_grid
+
+    zero = np.zeros((1, 1))
+    assert nilpotent.increment_norm(zero, None, np.array([[x]]), None)[0] == abs(x)
+    assert norm(np.array([x]), np.zeros((1, 1))) == abs(x)
+    assert p_variation(GridFunction1D(uniform_grid(1.0, 2), np.array([0.0, x])), 1.0) == abs(x)

@@ -231,9 +231,9 @@ def test_with_time_adjoins_the_grid_steps_to_the_increments():
         np.random.default_rng(40).uniform(0.01, 0.1, 24))]))
     X = lift_piecewise_linear(sample_paths([brownian_model()] * 2, grid, 3, seed=40))
     da, db = X.segment_increments()
-    ta, tb = _with_time(grid, da, db)
-    assert ta.shape == (3, 24, 3) and tb.shape == (3, 24, 3, 3)
     dt = np.diff(grid.points)
+    ta, tb = _with_time(dt, da, db)
+    assert ta.shape == (3, 24, 3) and tb.shape == (3, 24, 3, 3)
     assert np.array_equal(ta[..., 0], np.broadcast_to(dt, (3, 24)))
     assert np.array_equal(ta[..., 1:], da) and np.array_equal(tb[..., 1:, 1:], db)
     assert np.array_equal(tb[..., 0, 0], np.broadcast_to(0.5 * dt**2, (3, 24)))
@@ -241,7 +241,10 @@ def test_with_time_adjoins_the_grid_steps_to_the_increments():
     # on the exact increments of a piecewise-linear path
     assert np.array_equal(nilpotent.residual(ta, tb), nilpotent.residual(da, db))
     da = np.diff(X.level1, axis=-2)
-    exact = _with_time(grid, da, 0.5 * nilpotent.tensor(da, da))
+    exact = _with_time(dt, da, 0.5 * nilpotent.tensor(da, da))
+    # a block of segments gets the time of its own segments
+    block = _with_time(dt[5:9], da[:, 5:9], db[:, 5:9])
+    assert all(np.array_equal(part, whole[:, 5:9]) for part, whole in zip(block, (ta, tb)))
     assert np.all(nilpotent.residual(*exact) == 0.0)
 
 
@@ -251,7 +254,7 @@ def test_with_time_of_a_linear_path_has_no_area():
 
     grid = uniform_grid(1.0, 11)
     X = lift_piecewise_linear(GridFunction1D(grid, np.outer(grid.points, [0.7, -1.2])))
-    ta, tb = _with_time(grid, *X.segment_increments())
+    ta, tb = _with_time(np.diff(grid.points), *X.segment_increments())
     a, b = ta[0], tb[0]
     for k in range(1, grid.n - 1):
         a, b = nilpotent.product(a, b, ta[k], tb[k])
@@ -536,7 +539,7 @@ def reference_solve(X, vf, y0):
     da, db = X.segment_increments()
     d = vf.d
     if vf.has_drift:
-        da, db = _with_time(X.grid, da, db)
+        da, db = _with_time(np.diff(X.grid.points), da, db)
         f = vf
         vf = VectorFieldSystem(
             e=f.e, d=f.d + 1,
@@ -635,7 +638,7 @@ def stepwise_reference(X, vf, y0):
     d = vf.d
     da, db = X.segment_increments()
     if vf.has_drift:
-        (da, db), vf = _with_time(X.grid, da, db), _with_drift(vf)
+        (da, db), vf = _with_time(np.diff(X.grid.points), da, db), _with_drift(vf)
     (K, n), e = X.level1.shape[:2], vf.e
     Y = np.zeros((K, n, e))
     Y[:, 0] = y0

@@ -351,6 +351,31 @@ def test_stacked_p_variation_matches_single_path_dp(d, n, count, p, seed):
             assert np.isclose(value, p_variation_bruteforce(one, p), rtol=1e-10)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_stack_walks_back_on_each_path_s_own_columns(monkeypatch, d):
+    """K copies of one path cost K times the norm evaluations of that path,
+    its walk-back included: each path's walk-back evaluates its own columns,
+    not the whole stack's, and finds the single path's partition."""
+    one = random_rough_lift(np.random.default_rng(19), 33, d)
+    norm, evaluated = nilpotent.increment_norm, []
+
+    def counting(*args):
+        out = norm(*args)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(nilpotent, "increment_norm", counting)
+    counts = {}
+    for K in (1, 4, 16):
+        X = RoughPath(one.grid, np.repeat(one.level1[None], K, axis=0),
+                      np.repeat(one.level2[None], K, axis=0))
+        evaluated.clear()
+        _, partitions = p_variation_with_partition(X, 2.5)
+        counts[K] = sum(evaluated)
+        assert all(np.array_equal(part, partitions[0]) for part in partitions)
+    assert counts[4] == 4 * counts[1] and counts[16] == 16 * counts[1]
+
+
 # increments with flat runs, exact zeros and ties, and arbitrary ones
 SCALAR_STEPS = (st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5, -2.0])
                 | st.floats(-4.0, 4.0, allow_subnormal=False))
