@@ -548,26 +548,33 @@ def gaussian_gate(model: CovarianceModel, grid: TimeGrid, times) -> dict:
             for t, it in zip(times, time_indices(grid, times))}
 
 
-def by_rows(fn, take, rows):
+def by_rows(fn, take, rows, limit=math.inf):
     """fn(take(rows)) for a list of row indices of a stack, in one call.  If
-    that fails numerically, halving finds the failing rows (fn on both halves
-    of each failing set, down to single rows) and fn runs again on the others.
-    Returns fn's output on the rows that passed (on take([]) if none did) and
-    {row: the error fn raises on that row alone}."""
+    that fails numerically, halving finds the failing rows (fn on each half
+    of a failing set, the lower half and its failing rows first, down to
+    single rows) and fn runs again on the others.  Returns fn's output on the
+    rows that passed (on take([]) if none did) and {row: the error fn raises
+    on that row alone}.  Once more than `limit` rows have failed the search
+    stops, and the output is None: the lowest limit + 1 failing rows are
+    then the ones returned."""
     try:
         return fn(take(rows)), {}
     except NUMERICAL_ERRORS as exc:
-        failing, failed = [(rows, exc)], {}
-    while failing:  # sets of rows on which fn failed, with fn's error
-        part, error = failing.pop()
-        if len(part) == 1:
-            failed[part[0]] = error
-            continue
-        for half in (part[:len(part) // 2], part[len(part) // 2:]):
+        sets, failed = [(rows, exc)], {}
+    while sets:  # sets of rows still to search, with fn's error if it failed
+        part, error = sets.pop()
+        if error is None:
             try:
-                fn(take(half))
+                fn(take(part))
+                continue
             except NUMERICAL_ERRORS as exc:
-                failing.append((half, exc))
+                error = exc
+        if len(part) > 1:
+            sets += [(part[len(part) // 2:], None), (part[:len(part) // 2], None)]
+            continue
+        failed[part[0]] = error
+        if len(failed) > limit:
+            return None, failed
     return fn(take([k for k in rows if k not in failed])), failed
 
 
@@ -592,7 +599,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     in: a solver failure all rows of its sample, a tail failure at t only
     the (sample, t) row; `by_rows` finds them.  `aborted` counts the samples
     that lost a row, each logged once with its first error; the chunk that
-    takes it past 1% of the count fails the run, as does a row whose two
+    takes it past 1% of the count fails the run (its search for failing
+    samples stops at the first one past 1%), as does a row whose two
     routes differ by more than ROUTE_TOL (see `route_residual`).  Any other
     exception propagates.  Artifacts are written when the config names them
     (rebased into `out_dir` if given).
@@ -625,13 +633,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
                              first=lo, factors=factors).values
         every = list(range(len(paths)))
         # the chunk itself when nothing failed, here and in the tail: no copy
+        # the search for failing samples stops where the run would fail anyway
         flows, errors = by_rows(
             lambda v: solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, v)), vf,
                                           config.y0, pvar_index=pvar_p),
-            lambda rows: paths if rows == every else paths[rows], every)
+            lambda rows: paths if rows == every else paths[rows], every,
+            limit=0.01 * config.count - len(failures))
         solved = np.array([i for i in every if i not in errors], dtype=int)
         stack = list(range(solved.size))  # rows of flows
-        for it in indices:
+        for it in indices if flows is not None else ():
             (_, spec, residual, log_norm), failed = by_rows(
                 lambda f: evaluate_flows(f, vf, kernel, basis, it, config.tau),
                 lambda rows: flows if rows == stack else flows.sample(rows), stack)

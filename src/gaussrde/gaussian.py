@@ -116,21 +116,26 @@ def sample_paths(models: list[CovarianceModel], grid: TimeGrid, n_samples: int,
     several batches of one driver passes `factors` taken once.
 
     Streams are counter-based: sample k is drawn from default_rng([seed, k]),
-    so any subset of indices can be regenerated independently.  The batch
-    holds samples first, ..., first + n_samples - 1.
+    its d components one after another, so any subset of indices can be
+    regenerated independently.  The batch holds samples first, ...,
+    first + n_samples - 1; `streams.standard_normals` hashes their stream
+    keys in one pass and seeds each stream's PCG64 from its words.
     """
+    # numpy.random (about 12 ms to import) loads on the first draw, not
+    # with the package
+    from .streams import standard_normals
+
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if factors is None:
         factors = cholesky_factors(models, grid)
     d = len(models)
     n = grid.n
+    z = standard_normals(seed, first, n_samples, (d, n - 1))
     out = np.zeros((n_samples, n, d))
-    for k in range(n_samples):
-        rng = np.random.default_rng([seed, first + k])
-        for c in range(d):
-            z = rng.standard_normal(n - 1)
-            out[k, 1:, c] = factors[c] @ z
+    for c in range(d):
+        # one matrix-vector product per sample: the bits of factors[c] @ z[k, c]
+        np.matmul(factors[c], z[:, c, :, None], out=out[:, 1:, c, None])
     return PathSample(grid, out)
 
 

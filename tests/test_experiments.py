@@ -17,6 +17,7 @@ from gaussrde import (
     ConfigError,
     ExplosionError,
     GridFunction1D,
+    PathSample,
     RunError,
     kde_density,
     lift_piecewise_linear,
@@ -669,6 +670,39 @@ def test_a_hopeless_run_stops_at_the_chunk_that_crosses_1_percent(tmp_path,
     assert lifted[0] == 334 and max(lifted[1:]) < 334
 
 
+def test_a_run_on_ramps_alone_isolates_only_what_fails_it(tmp_path, monkeypatch, caplog):
+    """Every driver a ramp: the one chunk of 1000 fails, and the halving
+    stops at its 11th failing sample, the first past 1% of the count.  It
+    probes each half of a failing set, so each of those samples costs at
+    most two solves per level of halving (isolating all 1000 would take
+    about two thousand)."""
+    import gaussrde.experiments
+
+    cfg = load_config(write_config(tmp_path, LINEAR_DRIFT_CONFIG.replace(
+        "count = 30", "count = 1000")))
+    solve = gaussrde.experiments.solve_flow_jacobian
+    stacks = []
+
+    def ramps(models, grid, n_samples, seed, first=0, **kwargs):
+        return PathSample(grid, np.broadcast_to(100.0 * grid.points[:, None],
+                                                (n_samples, grid.n, 1)).copy())
+
+    def counting_solve(X, *args, **kwargs):
+        stacks.append(X.level1.shape[0])
+        return solve(X, *args, **kwargs)
+
+    monkeypatch.setattr(gaussrde.experiments, "sample_paths", ramps)
+    monkeypatch.setattr(gaussrde.experiments, "solve_flow_jacobian", counting_solve)
+    with caplog.at_level(logging.WARNING, logger="gaussrde"), pytest.raises(
+            RunError, match=re.escape("more than 1% of the 1000 samples aborted; first "
+                                      "failure: sample 0: ExplosionError: ")):
+        run_experiment(cfg)
+    assert stacks[0] == 1000
+    assert len(stacks) <= 1 + 2 * 11 * math.ceil(math.log2(1000))
+    assert [m.split(" aborted")[0] for m in caplog.messages] == [
+        f"sample {k}" for k in range(11)]
+
+
 def at_n_65(text):
     return text.replace("n = 17", "n = 65")
 
@@ -1112,6 +1146,29 @@ def test_loading_a_config_does_not_import_scipy_stats(tmp_path):
     assert proc.stdout.strip() == "True []"
 
 
+def test_loading_a_config_does_not_import_numpy_random(tmp_path):
+    """numpy.random (about 12 ms to import) waits for the first draw:
+    `import gaussrde` and `load_config` leave it out, and a run brings it in."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import gaussrde
+
+    src = str(Path(gaussrde.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    config = write_config(tmp_path, LINEAR_DRIFT_CONFIG)
+    code = ("import sys; import gaussrde; "
+            f"config = gaussrde.load_config({config!r}); "
+            "loaded = lambda: [m for m in sys.modules if m.startswith('numpy.random')]; "
+            f"print(loaded()); gaussrde.run_experiment(config, out_dir={str(tmp_path)!r}); "
+            "print(bool(loaded()))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.split() == ["[]", "True"]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -1189,21 +1246,23 @@ def test_cli_sample_lift_solve(tmp_path):
 
 def test_cli_sample_draws_only_the_indexed_path(tmp_path, monkeypatch):
     """`--index 5` writes row 5 of a 6-path batch from one stream."""
+    import gaussrde.streams
+
     cfg = write_config(tmp_path, ROTATION_CONFIG)
     config = load_config(cfg)
     grid = uniform_grid(config.horizon, config.n)
     batch = sample_paths([build_model(config)] * config.d, grid, 6, config.seed)
-    streams = []
-    default_rng = np.random.default_rng
+    keys = []
+    stream_states = gaussrde.streams.stream_states
 
-    def counting(*args, **kwargs):
-        streams.append(args)
-        return default_rng(*args, **kwargs)
+    def recording(seed, first, count):
+        keys.extend([seed, first + k] for k in range(count))
+        return stream_states(seed, first, count)
 
-    monkeypatch.setattr(np.random, "default_rng", counting)
+    monkeypatch.setattr(gaussrde.streams, "stream_states", recording)
     out = tmp_path / "driver.csv"
     assert cli_main(["sample", "--config", cfg, "--out", str(out), "--index", "5"]) == 0
-    assert streams == [([config.seed, 5],)]
+    assert keys == [[config.seed, 5]]
     table = np.loadtxt(str(out), delimiter=",", skiprows=1)
     assert np.array_equal(table[:, 0], grid.points)
     assert np.array_equal(table[:, 1:], batch.values[5])

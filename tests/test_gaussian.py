@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaussrde import (
     CovarianceModel,
@@ -20,6 +21,7 @@ from gaussrde import (
     young_integral_2d,
     zero_model,
 )
+from gaussrde.streams import StateWords, stream_states
 
 
 def test_brownian_kernel_is_overlap():
@@ -126,6 +128,70 @@ def test_batches_with_factors_taken_once_are_slices_of_one_batch(model, d):
         parts = [sample_paths(models, grid, min(size, 23 - lo), 5, first=lo,
                               factors=factors).values for lo in range(0, 23, size)]
         assert np.array_equal(np.concatenate(parts), whole)
+
+
+def seed_sequence_states(seed, first, count):
+    """The slow path: one SeedSequence per key."""
+    return np.array([np.random.SeedSequence([seed, first + k]).generate_state(4, np.uint64)
+                     for k in range(count)]).reshape(count, 4)
+
+
+def default_rng_paths(models, grid, n_samples, seed, first=0):
+    """The slow path of `sample_paths`: one default_rng([seed, k]) per
+    sample, its components drawn one after another."""
+    factors = cholesky_factors(models, grid)
+    out = np.zeros((n_samples, grid.n, len(models)))
+    for k in range(n_samples):
+        rng = np.random.default_rng([seed, first + k])
+        for c, factor in enumerate(factors):
+            out[k, 1:, c] = factor @ rng.standard_normal(grid.n - 1)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
+@pytest.mark.parametrize("first", [0, 1, 250, 2**32 - 3, 2**64 - 4])
+def test_stream_states_are_the_seed_sequence_words(seed, first):
+    """One vectorised hash gives each key's SeedSequence words: multi-word
+    seeds (more than 4 entropy words at 2^130 + 7 with a 2-word index), index
+    0, and a run that crosses 2^32, where an index gains a word."""
+    assert np.array_equal(stream_states(seed, first, 7), seed_sequence_states(seed, first, 7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**200), first=st.integers(0, 2**70), count=st.integers(0, 9))
+def test_stream_states_match_seed_sequence_at_any_key(seed, first, count):
+    assert np.array_equal(stream_states(seed, first, count),
+                          seed_sequence_states(seed, first, count))
+
+
+def test_stream_states_reject_negative_keys():
+    for seed, first in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            stream_states(seed, first, 3)
+
+
+def test_state_words_answer_only_the_request_they_hold():
+    """PCG64 asks for 4 uint64 words; any other request is refused rather
+    than answered with the wrong words."""
+    words = StateWords(stream_states(3, 5, 1)[0])
+    assert words.generate_state(4, np.uint64) is words.words
+    for n_words, dtype in ((8, np.uint32), (2, np.uint64), (4, np.uint32)):
+        with pytest.raises(ValueError, match="holds 4 uint64 words"):
+            words.generate_state(n_words, dtype)
+
+
+@pytest.mark.filterwarnings("ignore:.*semidefinite:UserWarning")
+@pytest.mark.parametrize("model", [brownian_model(), fbm_model(0.4), bridge_model(1.0),
+                                   zero_model()], ids=["brownian", "fbm-0.4", "bridge", "zero"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sample_paths_are_the_default_rng_streams(model, d):
+    """Bit for bit the per-sample default_rng([seed, first + k]) loop, for a
+    single sample, from first > 0, and across a stack of 40."""
+    grid = uniform_grid(1.0, 17)
+    for n_samples, first in ((1, 0), (1, 9), (40, 0), (40, 123)):
+        fast = sample_paths([model] * d, grid, n_samples, 5, first=first).values
+        slow = default_rng_paths([model] * d, grid, n_samples, 5, first=first)
+        assert np.array_equal(fast, slow) and np.array_equal(np.signbit(fast), np.signbit(slow))
 
 
 def test_sampling_zero_model():
