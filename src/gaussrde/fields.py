@@ -33,6 +33,12 @@ class VectorFieldSystem:
     `broadcasts` declares that every supplied callable maps a (..., e) stack
     of states to its stacked values (a value that does not depend on the
     state may come back unstacked).
+
+    `affine = (A, c, drift)`, set by `linear_fields` and so by the constant
+    and rotation families, declares V_i(y) = A_i y + c_i and the drift's
+    (A_0, c_0) or None: the solver then calls no field (see `rde`); with
+    `affine = None` it takes its generic path, the reference.  A `replace` of
+    `value` or of the drift on an affine system must replace or clear it too.
     """
 
     e: int
@@ -45,6 +51,7 @@ class VectorFieldSystem:
     drift_hessian: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "custom"
     broadcasts: bool = False
+    affine: tuple | None = None
 
     @property
     def derivative_mode(self) -> str:
@@ -156,11 +163,11 @@ def linear_fields(A: np.ndarray, b: np.ndarray | None = None,
     if b.shape != (d, e):
         raise ValueError(f"b must be {(d, e)}, got {b.shape}")
     zero_hess = np.zeros((d, e, e, e))
-    kw: dict = {}
+    kw: dict = {"affine": (A, b, None)}
     if drift is not None:
         A0 = np.asarray(drift[0], dtype=float)
         b0 = np.asarray(drift[1], dtype=float)
-        kw = dict(drift=lambda y: _apply(A0, y) + b0,
+        kw = dict(affine=(A, b, (A0, b0)), drift=lambda y: _apply(A0, y) + b0,
                   drift_jacobian=lambda y: A0,
                   drift_hessian=lambda y: np.zeros((e, e, e)))
     return VectorFieldSystem(

@@ -12,14 +12,18 @@ step reproduces the Taylor expansion of exp(A a).
 
 The flow keeps the exact linearization M_k of each step of that map, so
 I + M_k is the derivative of step k of the discrete flow, not of a
-separately discretized equation.  M never feeds back into the state, so
-the step loop carries only Y: it stores V(y_k) and V'(y_k), and after every
-STEP_BLOCK steps one vectorised guard checks the block's states and one
-pass over the block evaluates the Hessians at its states in one call and
-forms the M_k of all its steps as stacked matmuls.  `transport` is the one product of step maps: J_{t_i<-s_m} =
-(I + M_{i-1}) ... (I + M_m), swept backward from t_i; J_{t_i} is its m = 0
-term.  No Jacobian is ever inverted, so an ill-conditioned or singular J
-leaves the transport as accurate as the step maps themselves.
+separately discretized equation.  Steps run STEP_BLOCK at a time, and one
+vectorised guard checks each block's states.  On the generic path the step
+loop stores V(y_k) and V'(y_k), and after the guard one Hessian call and
+stacked matmuls form the block's M_k.  Fields with an affine form V_i(y) =
+A_i y + c_i (`VectorFieldSystem.affine`) take the affine path: M_k and the
+step's shift c_k do not depend on the state, so a block forms them from its
+increments, and each step is y <- y + M_k y + c_k, with no field call.  The
+generic path, which every system can take, is the reference.  `transport` is
+the one product of step maps: J_{t_i<-s_m} = (I + M_{i-1}) ... (I + M_m),
+swept backward from t_i; J_{t_i} is its m = 0 term.  No Jacobian is ever
+inverted, so an ill-conditioned or singular J leaves the transport as
+accurate as the step maps themselves.
 
 The solver steps a stack of K driver paths at once, with the sample axis in
 front of every array; one path is the K = 1 case.
@@ -40,7 +44,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import nilpotent
-from .fields import VectorFieldSystem
+from .fields import VectorFieldSystem, _apply
 from .lift import RoughPath
 from .nilpotent import GEOMETRIC_TOL
 from .young import GridFunction1D, TimeGrid, p_variation
@@ -74,7 +78,7 @@ class FlowResult:
     and `pvar` have the sample axis in front (Y is (K, n, e)), and
     `sample(k)` is the one-path view of path k.  V[..., i, :, :] = V(Y_i) is
     the (d, e) array of driving fields (drift excluded) at t_i, as the solver
-    evaluated them.  M[..., k, :, :] is the linearization of step k: I + M_k
+    formed them.  M[..., k, :, :] is the linearization of step k: I + M_k
     is the derivative of Y_{k+1} with respect to Y_k, and `transport` forms
     every J_{t<-s} as a product of them.  pvar holds the driver's
     p-variation when the caller asked for it (metadata for growth
@@ -116,13 +120,16 @@ def _sum_tail(products: np.ndarray, keep: int) -> np.ndarray:
 
 def _with_drift(vf: VectorFieldSystem) -> SimpleNamespace:
     """Field collection (V_0, V_1, ..., V_d) for the time-augmented driver,
-    on (K, e) stacks of states.  Each part is evaluated, and its shape
-    checked, by `vf` itself."""
+    on (K, e) stacks of states, with the drift's rows in front of an affine
+    form.  Each part is evaluated, and its shape checked, by `vf` itself."""
     def join(drift, fields):
         return lambda y: np.concatenate([drift(y)[:, None], fields(y)], axis=1)
+    if (affine := vf.affine) is not None:
+        A, c, (A0, c0) = affine
+        affine = (np.concatenate([A0[None], A]), np.concatenate([c0[None], c]), None)
     return SimpleNamespace(d=vf.d + 1, e=vf.e, val=join(vf.drift_val, vf.val),
                            jac=join(vf.drift_jac, vf.jac),
-                           hess=join(vf.drift_hess, vf.hess))
+                           hess=join(vf.drift_hess, vf.hess), affine=affine)
 
 
 def _with_time(dt: np.ndarray, da: np.ndarray, db: np.ndarray) -> tuple:
@@ -137,8 +144,9 @@ def _with_time(dt: np.ndarray, da: np.ndarray, db: np.ndarray) -> tuple:
     result satisfies the same symmetry constraint as (da, db).
     """
     da2 = np.concatenate([np.broadcast_to(dt[:, None], da.shape[:-1] + (1,)), da], axis=-1)
-    db2 = nilpotent.tensor(da2, da2)
-    db2 *= 0.5
+    db2 = np.empty(da2.shape + da2.shape[-1:])  # half of da2 (x) da2, then db
+    db2[..., 0, 0] = (dt * dt) * 0.5
+    db2[..., 0, 1:] = db2[..., 1:, 0] = (dt[:, None] * da) * 0.5
     db2[..., 1:, 1:] = db
     return da2, db2
 
@@ -167,28 +175,29 @@ def solve_flow_jacobian(X: RoughPath, vf: VectorFieldSystem, y0: np.ndarray,
 
     da, db = X.segment_increments()
     _check_geometric(da, db)  # adjoining time adds no residual
-    d, time = vf.d, vf.has_drift
+    time = vf.has_drift
     if time:
         vf = _with_drift(vf)
     flow = _steps(X.grid, da, db, vf, y0, time)
     del da, db  # freed first: p-variation's temporaries reuse their memory
-    pvar = p_variation(X, pvar_index) if pvar_index is not None else None
-    flow = replace(flow, V=flow.V[..., -d:, :], pvar=pvar)  # without the drift's values
+    if pvar_index is not None:
+        flow = replace(flow, pvar=p_variation(X, pvar_index))
     return flow.sample(0) if one else flow
 
 
 def _steps(grid: TimeGrid, da: np.ndarray, db: np.ndarray, vf, y0,
            time: bool) -> FlowResult:
     """Step K paths along segment increments da (K, n-1, d), db (K, n-1, d, d);
-    with `time`, along their time-adjoined increments, formed a block of
-    steps at a time."""
+    with `time`, along their time-adjoined increments, formed a block at a
+    time, with V_0 the first field, which V leaves out."""
     K, n, d, e = len(da), grid.n, vf.d, vf.e
     dt = np.diff(grid.points)
     Y = np.zeros((K, n, e))
     Y[:, 0] = y0
-    V = np.zeros((K, n, d, e))
     M = np.zeros((K, n - 1, e, e))
-    Vp = np.zeros((K, STEP_BLOCK, d, e, e))  # V'(y_k) at the block's steps
+    V = np.zeros((K, n, d - time, e))
+    if vf.affine is None:  # V(y_k), drift included, and V'(y_k) at a block's steps
+        Vb, Vp = np.zeros((K, STEP_BLOCK, d, e)), np.zeros((K, STEP_BLOCK, d, e, e))
     y = Y[:, 0].copy()
     for k0 in range(0, n - 1, STEP_BLOCK):
         k1 = min(k0 + STEP_BLOCK, n - 1)
@@ -196,27 +205,71 @@ def _steps(grid: TimeGrid, da: np.ndarray, db: np.ndarray, vf, y0,
         ba, bb = da[:, block], db[:, block]
         if time:
             ba, bb = _with_time(dt[block], ba, bb)
-        # an overflow leaves a state non-finite or past the guard: the
-        # block's states are checked together below, before any step map
+        # an overflow leaves a state or a field value non-finite, or a state
+        # past the guard: the block is checked below, before any step map; a
+        # generic step from a non-finite value is itself non-finite
+        finite = True
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(k0, k1):
-                a, b = ba[:, k - k0], bb[:, k - k0]
-                V[:, k] = Vk = vf.val(y)
-                Vp[:, k - k0] = Vpk = vf.jac(y)
-                Vp_ai = Vpk.transpose(0, 2, 1, 3)
-                # sum_{j,i,b} b[j, i] V_i'(y)[a, b] V_j(y)[b], axes (K, a, j, i, b)
-                y = y + ((a[:, None, :] @ Vk)[:, 0]
-                         + _sum_tail(b[:, None, :, :, None] * Vp_ai[:, :, None]
-                                     * Vk[:, None, :, None], 2))
-                Y[:, k + 1] = y
-            bounded = (np.linalg.norm(Y[:, k0 + 1:k1 + 1], axis=-1)
-                       <= EXPLOSION_NORM).all(axis=0)
+            if vf.affine is not None:
+                Vs = _affine_steps(vf.affine, ba, bb, Y[:, k0:k1 + 1], M[:, block])
+                V[:, block] = Vs[time:].transpose(3, 2, 0, 1)
+                finite = np.isfinite(Vs).all(axis=(0, 1, 3))
+            else:
+                for k in range(k0, k1):
+                    a, b = ba[:, k - k0], bb[:, k - k0]
+                    Vb[:, k - k0] = Vk = vf.val(y)
+                    Vp[:, k - k0] = Vpk = vf.jac(y)
+                    Vp_ai = Vpk.transpose(0, 2, 1, 3)
+                    # sum_{j,i,b} b[j, i] V_i'(y)[a, b] V_j(y)[b], axes (K, a, j, i, b)
+                    y = y + ((a[:, None, :] @ Vk)[:, 0]
+                             + _sum_tail(b[:, None, :, :, None] * Vp_ai[:, :, None]
+                                         * Vk[:, None, :, None], 2))
+                    Y[:, k + 1] = y
+            bounded = finite & (np.linalg.norm(Y[:, k0 + 1:k1 + 1], axis=-1)
+                                <= EXPLOSION_NORM).all(axis=0)
         if not bounded.all():
             t = float(grid.points[k0 + 1 + int(np.argmin(bounded))])
             raise ExplosionError(f"state exploded at t = {t:.6g}", t)
-        _step_maps(vf, Y[:, block], V[:, block], Vp[:, :k1 - k0], ba, bb, M[:, block])
-    V[:, -1] = vf.val(y)
+        if vf.affine is None:
+            _step_maps(vf, Y[:, block], Vb[:, :k1 - k0], Vp[:, :k1 - k0], ba, bb, M[:, block])
+            V[:, block] = Vb[:, :k1 - k0, time:]
+    V[:, -1] = (vf.val(y) if vf.affine is None  # else as `linear_fields` forms it
+                else _apply(vf.affine[0], Y[:, -1, None, :]) + vf.affine[1])[:, time:]
     return FlowResult(grid, Y, V, M)
+
+
+def _affine_steps(affine, a, b, Y, M) -> np.ndarray:
+    """Step affine fields V_i(y) = A_i y + c_i over a block of B steps along
+    increments a (K, B, d), b (K, B, d, d): from Y[:, 0] (Y is (K, B + 1, e))
+    write Y[:, 1:] and the step maps M (K, B, e, e); return V at Y[:, :-1] as
+    (d, e, B, K).  At V' = A, V'' = 0 the generic step is y + M_k y + c_k:
+        [M_k | c_k] = sum_i a^i [A_i | c_i] + sum_i A_i U_i,
+        U_i = sum_j b[j, i] [A_j | c_j]   (the generic U = b^T V').
+    b meets A_j before A_i: A_i A_j can overflow where b = 0, and a still
+    path would then step by 0 * inf.  Every sum is a `_dot` over contiguous
+    copies with the samples last, so no row depends on K."""
+    A, c = affine[:2]
+    e = c.shape[1]
+    # [A_j | c_j] with j second: sum_j x[j] [A_j | c_j] is _dot(Ac, x)
+    Ac = np.concatenate([A, c[:, :, None]], axis=-1).transpose(1, 0, 2)[..., None, None]
+    second = sum(_dot(A[i][..., None, None, None], _dot(Ac, np.ascontiguousarray(b[..., i].T)))
+                 for i in range(len(A)))  # summed apart, as in the generic M
+    Mc = _dot(Ac, np.ascontiguousarray(a.T)) + second  # (e, e + 1, B, K)
+    M[...] = Mc[:, :e].transpose(3, 2, 0, 1)
+    y = Y[:, 0].T
+    for k in range(Mc.shape[2]):
+        y = y + _dot(Mc[:, :e, k], y) + Mc[:, e, k]
+        Y[:, k + 1] = y.T
+    return (_dot(A.transpose(0, 2, 1)[..., None, None], np.ascontiguousarray(Y[:, :-1].T))
+            + c[..., None, None])
+
+
+def _dot(P, Q):
+    """sum_g P[:, g] Q[g], term by term: unlike a matmul's, no sum depends on K."""
+    total = P[:, 0] * Q[0]
+    for g in range(1, len(Q)):
+        total += P[:, g] * Q[g]
+    return total
 
 
 def _step_maps(vf, y, v, vp, a, b, M) -> None:

@@ -34,10 +34,10 @@ MODELS = {"brownian": brownian_model(), "fbm-0.35": fbm_model(0.35),
           "bridge-1": bridge_model(1.0)}
 
 
-def solve(model, n, count, seed=3):
+def solve(model, n, count, seed=3, vf=VF):
     grid = uniform_grid(1.0, n)
     X = lift_piecewise_linear(sample_paths([model] * 2, grid, count, seed))
-    return solve_flow_jacobian(X, VF, Y0)
+    return solve_flow_jacobian(X, vf, Y0)
 
 
 def closed_form(flows, model, t):
@@ -75,34 +75,45 @@ def test_both_routes_match_the_closed_form(name, n):
             assert gap(mat.sigma, exact, routes[0].magnitude).max() <= TOL, (mat.method, t)
 
 
-STEP_MAPS = gaussrde.rde._step_maps
+# solver path: (the fields that take it, the function that writes its step maps)
+PATHS = {"generic": (dataclasses.replace(VF, affine=None), "_step_maps"),
+         "affine": (VF, "_affine_steps")}
 
 
-def scaled_step_maps(vf, y, v, vp, a, b, M):
-    """The solver's step maps, every one scaled by 1.05; the states stay."""
-    STEP_MAPS(vf, y, v, vp, a, b, M)
-    M *= 1.05
+def scale_step_maps(monkeypatch, path):
+    """Make the solver's step maps on `path` come out scaled by 1.05, after
+    its states are stepped: the states stay."""
+    maps = getattr(gaussrde.rde, PATHS[path][1])
+
+    def scaled(*args):
+        out = maps(*args)
+        args[-1][...] *= 1.05  # the step maps, M, come last
+        return out
+    monkeypatch.setattr(gaussrde.rde, PATHS[path][1], scaled)
 
 
 def test_the_closed_form_sees_a_fault_the_route_check_cannot(monkeypatch):
-    """Every step map scaled by 1.05: both routes pair the same wrong
-    derivative, so they still agree, while sigma leaves the closed form."""
+    """Every step map scaled by 1.05, on either solver path: both routes pair
+    the same wrong derivative, so they still agree, while sigma leaves the
+    closed form."""
     model = fbm_model(0.4)
-    clean = solve(model, 65, 64)
-    monkeypatch.setattr(gaussrde.rde, "_step_maps", scaled_step_maps)
-    faulty = solve(model, 65, 64)
-    assert np.array_equal(faulty.Y, clean.Y)
-    kernel, basis = kernel_eval(model, faulty.grid), cameron_martin_basis(model, faulty.grid)
-    for t in (0.5, 1.0):
-        exact = closed_form(faulty, model, t)
-        mat = malliavin_matrix_2d(faulty, VF, kernel, t)
-        check = malliavin_matrix_parseval(faulty, VF, basis, t)
-        # every path leaves the closed form, the worst by more than 1e-3
-        gaps = gap(mat.sigma, exact, mat.magnitude)
-        assert gaps.min() > 1e3 * TOL and gaps.max() > 1e-3
-        residual = route_residual(mat.sigma, check.sigma,
-                                  np.maximum(mat.magnitude, check.magnitude))
-        assert residual.max() <= ROUTE_TOL
+    for path, (vf, _) in PATHS.items():
+        clean = solve(model, 65, 64, vf=vf)
+        with monkeypatch.context() as patch:
+            scale_step_maps(patch, path)
+            faulty = solve(model, 65, 64, vf=vf)
+        assert np.array_equal(faulty.Y, clean.Y)
+        kernel, basis = kernel_eval(model, faulty.grid), cameron_martin_basis(model, faulty.grid)
+        for t in (0.5, 1.0):
+            exact = closed_form(faulty, model, t)
+            mat = malliavin_matrix_2d(faulty, VF, kernel, t)
+            check = malliavin_matrix_parseval(faulty, VF, basis, t)
+            # every path leaves the closed form, the worst by more than 1e-3
+            gaps = gap(mat.sigma, exact, mat.magnitude)
+            assert gaps.min() > 1e3 * TOL and gaps.max() > 1e-3, path
+            residual = route_residual(mat.sigma, check.sigma,
+                                      np.maximum(mat.magnitude, check.magnitude))
+            assert residual.max() <= ROUTE_TOL, path
 
 
 def drop(basis, columns):
@@ -220,9 +231,17 @@ def test_a_run_samples_the_lognormal_law(tmp_path):
 
 
 def test_the_rows_of_a_run_see_a_fault_in_the_step_maps(tmp_path, monkeypatch):
-    """With every step map scaled by 1.05 the run still passes its route
-    check (worst residual measured 6.0e-16), but its rows leave the closed
-    form: the worst gap measured 7.1e-2 of the trace."""
-    monkeypatch.setattr(gaussrde.rde, "_step_maps", scaled_step_maps)
-    lambda_gap, det_gap = row_gaps(run_rows(tmp_path))
-    assert max(lambda_gap.max(), det_gap.max()) > 1e-3
+    """With every step map scaled by 1.05, on either solver path, the run
+    still passes its route check (worst residual measured 6.0e-16), but its
+    rows leave the closed form: the worst gap measured 7.1e-2 of the trace."""
+    import gaussrde.experiments
+
+    build = gaussrde.experiments.build_fields
+    for path in PATHS:
+        with monkeypatch.context() as patch:
+            if path == "generic":
+                patch.setattr(gaussrde.experiments, "build_fields",
+                              lambda cfg: dataclasses.replace(build(cfg), affine=None))
+            scale_step_maps(patch, path)
+            lambda_gap, det_gap = row_gaps(run_rows(tmp_path))
+        assert max(lambda_gap.max(), det_gap.max()) > 1e-3, path

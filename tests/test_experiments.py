@@ -793,14 +793,15 @@ def test_run_experiment_memory_peak(tmp_path):
 
 def test_drift_solve_evaluates_fields_once_per_step_and_hessians_once_per_block(
         tmp_path, monkeypatch):
-    """Value and Jacobian of the drift and of the driving fields at every
-    step, their Hessians once per block of steps, and the two values at the
-    final state: checked evaluations whatever the number of paths."""
+    """On the generic path: value and Jacobian of the drift and of the
+    driving fields at every step, their Hessians once per block of steps,
+    and the two values at the final state: checked evaluations whatever the
+    number of paths."""
     import gaussrde.rde
     from gaussrde import VectorFieldSystem, brownian_model, sample_paths
 
     cfg = load_config(write_config(tmp_path, LINEAR_DRIFT_CONFIG))
-    vf = build_fields(cfg)
+    vf = dataclasses.replace(build_fields(cfg), affine=None)
     grid = uniform_grid(cfg.horizon, cfg.n)
     calls = []
     evaluate = VectorFieldSystem._eval

@@ -75,7 +75,8 @@ CONFIGS = {
 
 
 def columns(csv_path):
-    header, *lines = open(csv_path).read().splitlines()
+    with open(csv_path) as fh:
+        header, *lines = fh.read().splitlines()
     cells = list(zip(*(line.split(",") for line in lines)))
     return {name: np.array(column, dtype=float if name != "verdict" else str)
             for name, column in zip(header.split(","), cells)}

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from gaussrde import (
     RoughPath,
     TimeGrid,
     VectorFieldSystem,
+    bridge_model,
     brownian_model,
     constant_fields,
     directional_derivative,
@@ -706,11 +708,73 @@ def assert_matches_stepwise_reference(X, vf, y0):
     assert named(stack.value) == named(min(failing, key=lambda error: error.time))
 
 
+def generic(vf):
+    """vf without its affine form: the solver's generic path, which the
+    stepwise reference loop spells out."""
+    return dataclasses.replace(vf, affine=None)
+
+
 def test_block_pass_matches_the_stepwise_loop():
     grid = uniform_grid(1.0, 33)
     for vf, models, y0 in stacked_solver_cases():
         X = lift_piecewise_linear(sample_paths(models, grid, 5, seed=74))
-        assert_matches_stepwise_reference(X, vf, y0)
+        assert_matches_stepwise_reference(X, generic(vf), y0)
+
+
+AFFINE_FAMILIES = {
+    "linear": linear_fields(np.array([[[1.0]]])),
+    "linear-drift": linear_fields(np.array([[[1.0]]]),
+                                  drift=(np.array([[0.5]]), np.array([0.1]))),
+    "linear-planar-drift": linear_fields(
+        np.array([[[0.3, -0.2], [0.1, 0.4]], [[0.0, 0.5], [-0.5, 0.0]]]),
+        np.array([[0.2, 0.0], [0.0, 0.3]]),
+        drift=(np.array([[-0.1, 0.2], [0.0, -0.3]]), np.array([0.1, 0.2]))),
+    "constant": constant_fields(np.array([[1.0, 0.2], [-0.3, 1.0]])),
+    "rotation": rotation_fields(),
+}
+
+
+@pytest.mark.filterwarnings("ignore:.*semidefinite:UserWarning")
+@pytest.mark.parametrize("family", list(AFFINE_FAMILIES))
+def test_the_affine_path_matches_the_generic_path(family):
+    """For every kernel and stacks of 0, 1 and 7 paths at n = 33, Y and M of
+    the affine path lie within 8 ulps of the largest |Y| and |M| of the
+    generic path (measured: at most 5 for Y, 1 for M), and V is the fields'
+    value at the affine path's own states.  On scalar fields (d = e = 1) M is
+    the generic M bit for bit, with or without drift."""
+    vf = AFFINE_FAMILIES[family]
+    grid = uniform_grid(1.0, 33)
+    y0 = np.linspace(0.7, -0.4, vf.e)
+    for model in (brownian_model(), fbm_model(0.35), fbm_model(0.4), fbm_model(0.75),
+                  bridge_model(1.0)):
+        values = sample_paths([model] * vf.d, grid, 7, seed=78).values
+        for count in (0, 1, 7):
+            X = lift_piecewise_linear(PathSample(grid, values[:count]))
+            flow = solve_flow_jacobian(X, vf, y0)
+            ref = solve_flow_jacobian(X, generic(vf), y0)
+            for name in ("Y", "M"):
+                got, want = getattr(flow, name), getattr(ref, name)
+                ulp = np.spacing(np.max(np.abs(want), initial=0.0))
+                assert np.max(np.abs(got - want), initial=0.0) <= 8 * ulp, name
+            assert np.array_equal(flow.V, vf.val(flow.Y))
+            assert np.array_equal(flow.M, ref.M) or vf.d * vf.e > 1
+
+
+def test_the_affine_path_calls_no_field(monkeypatch):
+    """Affine fields with drift: the steps, the step maps and V come from the
+    affine form, and no field callable is evaluated."""
+    vf = AFFINE_FAMILIES["linear-planar-drift"]
+    grid = uniform_grid(1.0, 33)
+    X = lift_piecewise_linear(sample_paths([brownian_model()] * 2, grid, 5, seed=79))
+    ref = solve_flow_jacobian(X, vf, np.array([0.7, -0.4]))
+
+    def no_call(self, *args, **kwargs):
+        raise AssertionError("a field was evaluated")
+
+    monkeypatch.setattr(VectorFieldSystem, "_eval", no_call)
+    flows = solve_flow_jacobian(X, vf, np.array([0.7, -0.4]), pvar_index=2.5)
+    for name in ("Y", "V", "M"):
+        assert np.array_equal(getattr(flows, name), getattr(ref, name))
 
 
 def exploding_fields(gain):
@@ -822,12 +886,17 @@ def test_an_explosion_inside_a_step_block_raises_its_first_step(monkeypatch):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_field_that_overflows_at_a_finite_state_raises_an_explosion():
     """V(y) = 1e300 y at y0 = 1e10 overflows in the field itself, inside the
-    guard: the state goes to inf and the solve raises ExplosionError at the
-    first step, which aborts the sample in a run."""
-    X, grid = scalar_ramp(9, 1.0)
-    with pytest.raises(ExplosionError) as error:
-        solve_flow_jacobian(X, linear_fields(np.array([[[1e300]]])), np.array([1e10]))
-    assert error.value.time == grid.points[1]
+    guard, and the solve raises ExplosionError at the first step, which
+    aborts the sample in a run.  On a ramp the state goes to inf; on a still
+    driver the generic state goes to 0 * inf, while the affine path, whose
+    step maps are 0, checks the field values themselves."""
+    vf = linear_fields(np.array([[[1e300]]]))
+    for total in (1.0, 0.0):
+        X, grid = scalar_ramp(9, total)
+        for fields in (vf, generic(vf)):
+            with pytest.raises(ExplosionError) as error:
+                solve_flow_jacobian(X, fields, np.array([1e10]))
+            assert error.value.time == grid.points[1]
 
 
 def test_a_stack_raises_the_error_of_its_earliest_failing_path():
