@@ -757,7 +757,8 @@ def test_the_affine_path_matches_the_generic_path(family):
                 ulp = np.spacing(np.max(np.abs(want), initial=0.0))
                 assert np.max(np.abs(got - want), initial=0.0) <= 8 * ulp, name
             assert np.array_equal(flow.V, vf.val(flow.Y))
-            assert np.array_equal(flow.M, ref.M) or vf.d * vf.e > 1
+            if vf.d == vf.e == 1:
+                assert np.array_equal(flow.M, ref.M)
 
 
 def test_the_affine_path_calls_no_field(monkeypatch):
