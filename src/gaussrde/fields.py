@@ -37,8 +37,10 @@ class VectorFieldSystem:
     `affine = (A, c, drift)`, set by `linear_fields` and so by the constant
     and rotation families, declares V_i(y) = A_i y + c_i and the drift's
     (A_0, c_0) or None: the solver then calls no field (see `rde`); with
-    `affine = None` it takes its generic path, the reference.  A `replace` of
-    `value` or of the drift on an affine system must replace or clear it too.
+    `affine = None` it takes its generic path, the reference.  A declared
+    form is checked against `value` and the drift at one fixed state, bit
+    for bit as `linear_fields` forms them, so a `replace` of `value` or of
+    the drift that keeps a stale form raises ValueError.
     """
 
     e: int
@@ -52,6 +54,19 @@ class VectorFieldSystem:
     name: str = "custom"
     broadcasts: bool = False
     affine: tuple | None = None
+
+    def __post_init__(self):
+        if self.affine is None:
+            return
+        A, c, drift = self.affine
+        y = np.sqrt(np.arange(2.0, self.e + 2))  # a fixed probe state
+        if not ((drift is None) == (self.drift is None)
+                and np.array_equal(self.val(y), _apply(A, y[..., None, :]) + c)
+                and (drift is None
+                     or np.array_equal(self.drift_val(y), _apply(drift[0], y) + drift[1]))):
+            raise ValueError("the declared affine form does not match the fields' "
+                             "value or drift; replace `affine` with the new fields' "
+                             "form or clear it (affine=None)")
 
     @property
     def derivative_mode(self) -> str:

@@ -23,7 +23,9 @@ instead, so that each entry is one operation over the leading axes.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -62,18 +64,38 @@ def increment_norm(a_s, b_s, a_t, b_t) -> np.ndarray:
     B_ik = (b_t - b_s)_ik - a_s,i da_k and x_ik = 0.5 ((B_ik - h) - (B_ki - h))
     with h = 0.5 (da_i da_k), so |area|_F^2 = 2 sum_{i<k} x_ik^2.  One
     component's length is |da| itself, which no square underflows or
-    overflows; for d >= 2 it is sqrt(sum da_i^2), which can.
+    overflows, and its area is 0; for d >= 2 it is sqrt(sum da_i^2), which
+    can (`young.p_variation` factors a power of two out of such a path).
+    Sums run from their first term and temporaries are updated in place, so
+    every entry rounds as in the formula written out.
     """
-    da = [a_t[i] - a_s[i] for i in range(len(a_t))]
-    length = np.abs(da[0]) if len(da) == 1 else np.sqrt(sum(x * x for x in da))
-    area2 = 0.0
-    if b_t is not None:
-        for i, k in itertools.combinations(range(len(da)), 2):
-            half = 0.5 * (da[i] * da[k])
-            x = 0.5 * (((b_t[i, k] - b_s[i, k]) - a_s[i] * da[k] - half)
-                       - ((b_t[k, i] - b_s[k, i]) - a_s[k] * da[i] - half))
-            area2 = area2 + x * x
-    return np.maximum(length, np.sqrt(np.sqrt(2.0 * area2)))
+    da = a_t - a_s
+    if len(da) == 1:
+        return np.abs(da[0])
+    length = functools.reduce(operator.iadd, (x * x for x in da))
+    if b_t is None:
+        return np.sqrt(length)
+    area2 = functools.reduce(operator.iadd, (
+        _area_square(a_s, b_s, b_t, da, i, k)
+        for i, k in itertools.combinations(range(len(da)), 2)))
+    area2 *= 2.0
+    return np.maximum(np.sqrt(length), np.sqrt(np.sqrt(area2)))
+
+
+def _area_square(a_s, b_s, b_t, da, i: int, k: int):
+    """x_ik^2 of `increment_norm`, each temporary updated in place."""
+    half = da[i] * da[k]
+    half *= 0.5
+    x = b_t[i, k] - b_s[i, k]
+    x -= a_s[i] * da[k]
+    x -= half
+    y = b_t[k, i] - b_s[k, i]
+    y -= a_s[k] * da[i]
+    y -= half
+    x -= y
+    x *= 0.5
+    x *= x
+    return x
 
 
 def norm(a, b) -> np.ndarray:

@@ -161,18 +161,26 @@ def young_integral_2d(f: GridFunction1D, g: GridFunction1D, R: GridFunction2D):
 def _components(path) -> tuple:
     """Component-first, grid-second copies (a, b) of a path: a[i] is component
     i as (n, ...) over the stack's axes, b[i, k] likewise for level 2, and b
-    is None for a path without level 2 (a GridFunction1D)."""
+    is None for a path without level 2 (a GridFunction1D) and for a path of
+    one component, whose norm is |da|."""
     if hasattr(path, "level2"):  # RoughPath
-        a = np.moveaxis(path.level1, (-2, -1), (1, 0))
-        b = np.moveaxis(path.level2, (-3, -2, -1), (2, 0, 1))
-        return np.ascontiguousarray(a), np.ascontiguousarray(b)
+        a = np.ascontiguousarray(np.moveaxis(path.level1, (-2, -1), (1, 0)))
+        if len(a) == 1:
+            return a, None
+        return a, np.ascontiguousarray(np.moveaxis(path.level2, (-3, -2, -1), (2, 0, 1)))
     values = np.asarray(path.values, dtype=float)
     return np.ascontiguousarray(values.reshape(path.grid.n, -1).T), None
 
 
-def _norm_columns(a, b):
-    """The increment norms N[i, ...] from every grid index i < j to j, as a
-    function of j, grid axis first.
+def _rows(j: int, step: int) -> slice:
+    """The candidates of DP column j: every i < j, or with step 2 the
+    columns j - 1, j - 3, ... of the other type."""
+    return slice((j - 1) % step, j, step)
+
+
+def _norm_columns(a, b, step: int = 1):
+    """The increment norms N[i, ...] from each candidate i of `_rows(j, step)`
+    to j, as a function of j, grid axis first.
 
     Vector paths use the Euclidean norm of the increment; rough paths (over
     any leading axes) use the homogeneous norm of the group increment.  Both
@@ -180,8 +188,9 @@ def _norm_columns(a, b):
     `_components`, so a column is a few operations on (j, ...) slices.
     """
     if b is None:
-        return lambda j: nilpotent.increment_norm(a[:, :j], None, a[:, j, None], None)
-    return lambda j: nilpotent.increment_norm(a[:, :j], b[:, :, :j],
+        return lambda j: nilpotent.increment_norm(a[:, _rows(j, step)], None,
+                                                  a[:, j, None], None)
+    return lambda j: nilpotent.increment_norm(a[:, _rows(j, step)], b[:, :, _rows(j, step)],
                                               a[:, j, None], b[:, :, j, None])
 
 
@@ -195,65 +204,110 @@ def _increment_norms(path) -> np.ndarray:
     return norms
 
 
-def _turning_points(a: np.ndarray) -> np.ndarray:
-    """Per path of a scalar stack a (1, n, ...), the grid indices i where the
-    path turns (dx_{i-1} dx_i <= 0) and both ends, in order, padded to the
-    longest path with the last index: (m, ...) with m <= n.
+def _turning_points(x: np.ndarray) -> np.ndarray:
+    """Mask (K, n) of the turning points of each path of a scalar stack x
+    (K, n): both ends and every point where the path turns, told by the
+    signs of its steps (a product of two steps can underflow to 0 or
+    overflow), a flat run standing as its first point.  The kept points of
+    a path alternate strictly between its maxima and minima.
 
-    For p >= 1 the supremum over partitions is attained on these points
-    (Butkus & Norvaisa, Lith. Math. J. 2018), and for p > 1 a point inside a
-    monotone run strictly lowers a partition's sum.  A padded column adds a
-    zero increment to the last real one, so its best sum equals that
-    column's exactly.
+    For p > 1 the supremum over partitions is attained on them (Butkus &
+    Norvaisa, Lith. Math. J. 2018): a point inside a monotone run strictly
+    lowers a partition's sum, and the points of a flat run have one value,
+    the first being the one a walk back over all of them takes.
     """
-    x = a[0].reshape(a.shape[1], -1)
+    up, flat = x[:, 1:] > x[:, :-1], x[:, 1:] == x[:, :-1]  # the steps' signs
     keep = np.ones(x.shape, dtype=bool)
-    dx = np.diff(x, axis=0)
-    keep[1:-1] = dx[:-1] * dx[1:] <= 0
-    path, i = np.nonzero(keep.T)  # path by path, each in grid order
-    rank = np.arange(i.size) - np.searchsorted(path, path)
-    # a path keeps both ends, so m >= 2, also for an empty stack
-    index = np.full((int(rank.max(initial=1)) + 1, x.shape[1]), len(x) - 1)
-    index[rank, path] = i
-    return index.reshape(index.shape[:1] + a.shape[2:])
+    keep[:, 1:-1] = up[:, :-1] != up[:, 1:]
+    for k in np.flatnonzero(flat.any(axis=1)):  # the paths with flat runs
+        moves = np.flatnonzero(~flat[k])
+        keep[k, 1:-1] = False
+        keep[k, moves[:-1][up[k, moves[:-1]] != up[k, moves[1:]]] + 1] = True
+    return keep
 
 
-def _candidates(best: np.ndarray, column, j: int, p: float) -> np.ndarray:
-    """Sums of p-th powers over the best partitions ending at j via each i < j."""
-    return best[:j] + column(j) ** p
+def _on_turning_points(a: np.ndarray) -> tuple:
+    """A scalar stack a (1, n, ...) on its paths' turning points, grid axis
+    first and padded to the longest path with each path's last value
+    (1, m, ...), m >= 2; with the mask (K, n) of `_turning_points`."""
+    x = a[0].reshape(a.shape[1], -1).T
+    keep = _turning_points(x)
+    count = np.count_nonzero(keep, axis=1)
+    z = np.empty((count.max(initial=2), len(x)))
+    z[:] = x[:, -1]
+    z.T[np.arange(len(z)) < count[:, None]] = np.compress(keep.ravel(), x)  # x[keep], faster
+    return z.reshape((1, len(z)) + a.shape[2:]), keep
+
+
+def _exponents(a: np.ndarray, b, p: float) -> np.ndarray:
+    """Per path, the power of two 2^k that p-variation factors out of it: a
+    scaled by 2^-k and b by 2^-2k, both exact.  The path's size S = max(|a|,
+    |b|^(1/2)) over its entries, S < 2^e, bounds its increment norms, whose
+    q-th powers the DP forms: q = p for one component, max(p, 2) for more
+    (the squares of the length) and max(p, 4) with an area (the squares of
+    its entries).  k = 0 while S^q >= 2^-960 and (2S)^q <= 2^1000, so that
+    no term that shows in a sum leaves the normal range; k = e otherwise."""
+    q = p if len(a) == 1 else max(p, 2.0 if b is None else 4.0)
+    size = np.abs(a).max(axis=(0, 1), initial=0.0)
+    if b is not None:
+        size = np.maximum(size, np.sqrt(np.abs(b).max(axis=(0, 1, 2), initial=0.0)))
+    e = np.frexp(size)[1]
+    return np.where((q * (e - 1) >= -960) & (q * (e + 1) <= 1000), 0, e)
+
+
+def _candidates(best: np.ndarray, column, j: int, p: float, step: int) -> np.ndarray:
+    """Sums of p-th powers over the best partitions ending at j via each
+    candidate i of `_rows(j, step)`."""
+    sums = column(j)
+    np.power(sums, p, out=sums)
+    sums += best[_rows(j, step)]
+    return sums
 
 
 def _pvar_dp(path, p: float) -> tuple:
     """Sum of p-th powers over the best partition ending at each DP column,
     grid axis first over the stack's axes; with the columns' component-first
-    arrays (a, b) of `_components` and, for a scalar path, the grid index of
-    each column (None when the columns are the grid).
+    arrays (a, b) of `_components` and the candidates' step, the mask of a
+    scalar path's turning points (None when the columns are the grid) and
+    the exponents of `_exponents` (the sums are those of a 2^-k path).
 
-    For p > 1 scalar paths run on their turning points only.  At p = 1 a
-    point inside a monotone run ties in exact arithmetic, so rounding picks
-    the winning partition and every grid point is kept, as it is for paths
-    of dimension d >= 2.  Each column's maximum reduces over the grid axis
-    for every path of the stack at once.
+    For p > 1 scalar paths run on their turning points only, and column j
+    takes only the columns j - 1, j - 3, ... of the other type.  A column i
+    of j's type can not win: let k be the lowest minimum strictly between
+    two maxima i < j (the highest maximum between two minima), so z_k <
+    min(z_i, z_j) and fl|z_j - z_i| <= max(fl(z_i - z_k), fl(z_j - z_k)).
+    Rounded subtraction, power and sum are monotone and the best sums
+    nondecreasing, so the candidate through i is at most best[k] or at most
+    the candidate through k: every maximum keeps its exact value.  A padded
+    column repeats its path's last point, so it keeps that column's value.
+    At p = 1 a point inside a monotone run ties in exact arithmetic, so
+    rounding picks the winning partition and every grid point is kept, as
+    it is for paths of dimension d >= 2.  Each column's maximum reduces over
+    the grid axis for every path of the stack at once.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     a, b = _components(path)
-    index = None
-    if a.shape[0] == 1 and p > 1:  # no area: the norm is |dx|, level 2 drops out
-        index = _turning_points(a)
-        a, b = np.take_along_axis(a, index[None], axis=1), None
-    column = _norm_columns(a, b)
+    keep, step = None, 1
+    if a.shape[0] == 1 and p > 1:
+        (a, keep), step = _on_turning_points(a), 2
+    k = _exponents(a, b, p)
+    if k.any():
+        a = np.ldexp(a, -k)
+        b = None if b is None else np.ldexp(b, -2 * k)
+    column = _norm_columns(a, b, step)
     best = np.zeros(a.shape[1:])
     for j in range(1, best.shape[0]):
-        best[j] = np.max(_candidates(best, column, j, p), axis=0)
-    return best, (a, b), index
+        best[j] = np.max(_candidates(best, column, j, p, step), axis=0)
+    return best, (a, b, step), keep, k
 
 
-def _root(best: np.ndarray, p: float):
-    """best ** (1/p) per path, as a scalar power: an array power may differ
-    in the last bit."""
-    roots = [float(v ** (1.0 / p)) for v in best.flat]
-    return roots[0] if best.ndim == 0 else np.reshape(roots, best.shape)
+def _root(best: np.ndarray, p: float, k: np.ndarray):
+    """2^k best ** (1/p) per path, the root a scalar power: an array power
+    may differ in the last bit."""
+    roots = [v ** (1.0 / p) for v in best.ravel().tolist()]
+    roots = np.ldexp(np.reshape(roots, best.shape), k)
+    return float(roots) if best.ndim == 0 else roots
 
 
 def p_variation(path, p: float):
@@ -263,9 +317,12 @@ def p_variation(path, p: float):
     (homogeneous norm of group increments); for a stack of rough paths the
     result is an array over the stack.  Dynamic programming over grid points
     gives the supremum in O(n^2) increment evaluations; a scalar path needs
-    only its turning points.
+    only its turning points, each column half of them.  For p > 2 (every p
+    of `experiments.variation_index`) the value is the whole-grid DP's bit
+    for bit; near p = 1 it can differ in the last bit.
     """
-    return _root(_pvar_dp(path, p)[0][-1], p)
+    best, _, _, k = _pvar_dp(path, p)
+    return _root(best[-1], p, k)
 
 
 def p_variation_with_partition(path, p: float):
@@ -273,28 +330,27 @@ def p_variation_with_partition(path, p: float):
     for a stack of paths, an array of values and a list of partitions in the
     stack's C order.
 
-    The partition is walked back from the last DP column: before each j
-    comes the first i < j whose candidate equals best[j], the index an
-    argmax in the dynamic program would have taken.  Each path walks back
-    on its own columns, whose entries are the stack's bit for bit.
+    The partition is walked back from the path's own last DP column: before
+    each j comes the first candidate i whose sum equals best[j], the index
+    an argmax in the dynamic program would have taken.  Each path walks
+    back on its own columns, whose entries are the stack's bit for bit.
     """
-    best, (a, b), index = _pvar_dp(path, p)
+    best, (a, b, step), keep, k = _pvar_dp(path, p)
     rows = best.reshape(len(best), -1)
     a = a.reshape(a.shape[:2] + (-1,))
     b = None if b is None else b.reshape(b.shape[:3] + (-1,))
     partitions = []
     for m in range(rows.shape[1]):
         column = _norm_columns(np.ascontiguousarray(a[..., m]),
-                               None if b is None else np.ascontiguousarray(b[..., m]))
-        columns = [len(best) - 1]
+                               None if b is None else np.ascontiguousarray(b[..., m]), step)
+        grid = np.arange(len(best)) if keep is None else np.flatnonzero(keep[m])
+        columns = [len(grid) - 1]
         while columns[-1] != 0:
             j = columns[-1]
-            cand = _candidates(rows[:, m], column, j, p)
-            columns.append(int(np.argmax(cand == rows[j, m])))
-        columns = np.array(columns[::-1], dtype=int)
-        partitions.append(columns if index is None
-                          else index.reshape(len(best), -1)[columns, m])
-    value = _root(best[-1], p)
+            cand = _candidates(rows[:, m], column, j, p, step)
+            columns.append(_rows(j, step).start + step * int(np.argmax(cand == rows[j, m])))
+        partitions.append(grid[columns[::-1]])
+    value = _root(best[-1], p, k)
     return (value, partitions[0]) if best.ndim == 1 else (value, partitions)
 
 

@@ -122,6 +122,14 @@ def drop(basis, columns):
                                eigenvalues=basis.eigenvalues[columns])
 
 
+def shift_box(kernel):
+    """A kernel sample whose rectangle increments are kernel's shifted one
+    grid step along s (row i is row i + 1, the last row 0): the 2D route
+    then pairs Z(s_i) with the cells of s_(i+1).  A symmetric kernel has a
+    symmetric box, so a transposed one would inject nothing."""
+    return GridFunction2D(kernel.grid, np.vstack([kernel.values[1:], kernel.values[-1:]]))
+
+
 # fault: (the route check catches it, the closed form catches it, the fault as a
 # map of (flows, kernel sample, basis)).  A scaled input is scaled by 1.05; the
 # basis is ordered by eigenvalue, largest first.
@@ -135,6 +143,7 @@ FAULTS = {
         f, k, dataclasses.replace(b, functions=1.05 * b.functions))),
     "basis_without_smallest": (True, False, lambda f, k, b: (f, k, drop(b, slice(-1)))),
     "basis_without_largest": (True, False, lambda f, k, b: (f, k, drop(b, slice(1, None)))),
+    "pairing_shifted": (True, True, lambda f, k, b: (f, shift_box(k), b)),
 }
 
 
@@ -145,8 +154,10 @@ def test_which_check_catches_which_fault(fault):
     clean (5.7e-16, 6.8e-16); M (6.2e-16, 3.7e-2); V (5.0e-16, 2.5e-2);
     kernel (1.3e-2, 1.3e-2); basis (2.8e-2, 6.8e-16); basis without its
     smallest element (6.1e-8, 6.8e-16), without its largest (2.1e-1,
-    6.8e-16).  The route check sees only the kernel and the basis, since both
-    routes pair one derivative; the closed form sees M, V and the kernel."""
+    6.8e-16); the 2D route pairing Z with its box shifted one grid step
+    (6.6e-3, 6.6e-3).  The route check sees only the kernel, the basis and
+    one route's pairing, since both routes pair one derivative; the closed
+    form sees M, V, the kernel and the pairing."""
     route_catches, closed_form_catches, inject = FAULTS[fault]
     model = fbm_model(0.4)
     flows = solve(model, 65, 64)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -236,3 +238,32 @@ def test_rotation_and_constant_families_match_their_closures(d):
             for name in ("val", "jac", "hess"):
                 a, b = getattr(new, name)(y), getattr(ref, name)(y)
                 assert a.shape == b.shape and np.array_equal(a, b), name
+
+
+def test_a_declared_affine_form_is_checked_against_the_fields():
+    """A replace that keeps a stale affine form raises ValueError: new values
+    (the solver would step the old fields), a drift added to a system
+    without an affine drift, a drift removed from one with it and a new
+    drift.  Every affine family, with and without drift, still constructs,
+    and clearing the form along with new fields works."""
+    A = np.ones((1, 1, 1))
+    vf = linear_fields(A)
+    with_drift = linear_fields(A, drift=(np.full((1, 1), 0.5), np.array([0.1])))
+    stale = [lambda: replace(vf, value=lambda y: 2.0 * y[..., None, :]),
+             lambda: replace(vf, drift=lambda y: y),
+             lambda: replace(with_drift, drift=None),
+             lambda: replace(with_drift, drift=lambda y: 0.5 * y)]
+    for make in stale:
+        with pytest.raises(ValueError, match="replace `affine`"):
+            make()
+    planar = linear_fields(np.array([[[0.3, -0.2], [0.1, 0.4]], [[0.0, 0.5], [-0.5, 0.0]]]),
+                           np.array([[0.2, 0.0], [0.0, 0.3]]),
+                           drift=(np.array([[-0.1, 0.2], [0.0, -0.3]]), np.array([0.1, 0.2])))
+    families = [vf, with_drift, planar, constant_fields(np.array([[1.0, 0.2], [-0.3, 1.0]])),
+                rotation_fields(), rotation_fields((2.0, -1.0, 0.5), np.ones((3, 2)))]
+    for family in families:
+        assert family.affine is not None and replace(family, name="renamed").affine is not None
+        y = np.linspace(0.7, -0.4, family.e)
+        doubled = replace(family, value=lambda y, f=family: 2.0 * f.value(y), affine=None)
+        assert doubled.affine is None
+        assert np.array_equal(doubled.val(y), 2.0 * family.val(y))

@@ -448,7 +448,7 @@ def test_routes_read_field_values_from_flow():
     def unavailable(y):
         raise AssertionError("fields evaluated after the solve")
 
-    blind = dataclasses.replace(vf, value=unavailable)
+    blind = dataclasses.replace(vf, value=unavailable, affine=None)
     basis = cameron_martin_basis(brownian_model(), grid)
     for t in (0.5, 1.0):
         direct = malliavin_matrix_2d(flow, blind,

@@ -8,16 +8,19 @@ from gaussrde import (
     PathSample,
     RoughPath,
     TimeGrid,
+    brownian_model,
+    fbm_model,
     lift_piecewise_linear,
     p_variation,
     p_variation_with_partition,
     rho_variation_2d,
+    sample_paths,
     uniform_grid,
     young_integral_1d,
     young_integral_2d,
 )
 from gaussrde import nilpotent
-from gaussrde.young import (_components, _increment_norms, _norm_columns,
+from gaussrde.young import (_components, _exponents, _increment_norms, _norm_columns,
                             p_variation_bruteforce, rho_variation_partition_sum,
                             same_grid)
 
@@ -322,14 +325,18 @@ def test_closed_form_norms_match_the_area_formula(d, n, count, seed):
 
 
 def whole_matrix_p_variation(X, p):
-    """The all-pairs norm matrix and DP that the column-wise one replaced."""
-    A, B = X.level1, X.level2
+    """The all-pairs norm matrix and DP that the column-wise one replaced, on
+    X with p_variation's power of two 2^k factored out (`_exponents`: k = 0
+    for a path whose norms' powers stay in the normal range, where the DP
+    of the path itself would underflow or overflow otherwise)."""
+    k = int(_exponents(*_components(X), p))
+    A, B = np.ldexp(X.level1, -k), np.ldexp(X.level2, -2 * k)
     a, b = nilpotent.increment(A[:, None], B[:, None], A[None], B[None])
     powed = np.triu(nilpotent.norm(a, b), 1) ** p
     best = np.zeros(X.grid.n)
     for j in range(1, X.grid.n):
         best[j] = np.max(best[:j] + powed[:j, j])
-    return float(best[-1] ** (1.0 / p))
+    return float(np.ldexp(best[-1] ** (1.0 / p), k))
 
 
 @settings(max_examples=40, deadline=None)
@@ -349,6 +356,61 @@ def test_stacked_p_variation_matches_single_path_dp(d, n, count, p, seed):
             assert got[k] == value == whole_matrix_p_variation(one, p)
             np.testing.assert_array_equal(partitions[k], partition)
             assert np.isclose(value, p_variation_bruteforce(one, p), rtol=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore:.*semidefinite:UserWarning")
+@pytest.mark.parametrize("n", [65, 257])
+@pytest.mark.parametrize("model, d, count, p", [(brownian_model(), 1, 250, 2.5),
+                                                (fbm_model(0.4), 2, 75, 2.75)])
+def test_p_variation_at_the_workloads_shapes_is_the_whole_grid_dp(model, d, count, p, n):
+    """A stack of the benchmark workloads' chunk shape (scalar Brownian
+    paths; planar fBm(0.4) paths) has, path by path, the whole-grid DP's
+    p-variation bit for bit."""
+    X = lift_piecewise_linear(sample_paths([model] * d, uniform_grid(1.0, n), count, seed=21))
+    got = p_variation(X, p)
+    assert got.shape == (count,)
+    for k in range(count):
+        assert got[k] == whole_matrix_p_variation(RoughPath(X.grid, X.level1[k], X.level2[k]), p)
+
+
+def test_p_variation_factors_out_a_power_of_two():
+    """p_variation(x 2^k) is within 2 ulp of 2^k p_variation(x) for every k
+    from -1000 to 1000 (while the dilation is finite and exact, for a rough
+    path's level 2 too): neither |dx|^p nor the squares of a norm underflow
+    or overflow, for d = 1 and 2.  At p = 2 and 4 the root of 2^(kp) s is
+    2^k times the root of s; at other p the root's exponent fl(1/p) makes it
+    drift with k (about 0.28 ulp per unit of k at p = 2.5) on paths that
+    keep their bits."""
+    rng = np.random.default_rng(22)
+    grid = uniform_grid(1.0, 12)
+    values = np.cumsum(rng.standard_normal((12, 2)), axis=0)
+    values -= values[0]
+    rough = lift_piecewise_linear(GridFunction1D(grid, values))
+    for p in (2.0, 4.0):
+        for x in (values[:, 0], values):
+            ref = p_variation(GridFunction1D(grid, x), p)
+            for k in range(-1000, 1001):
+                got = p_variation(GridFunction1D(grid, np.ldexp(x, k)), p)
+                np.testing.assert_array_max_ulp(got, np.ldexp(ref, k), maxulp=2)
+        ref = p_variation(rough, p)
+        for k in range(-1000, 1001):
+            with np.errstate(over="ignore"):
+                level2 = np.ldexp(rough.level2, 2 * k)
+            if np.array_equal(np.ldexp(level2, -2 * k), rough.level2):
+                got = p_variation(RoughPath(grid, np.ldexp(rough.level1, k), level2), p)
+                np.testing.assert_array_max_ulp(got, np.ldexp(ref, k), maxulp=2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_p_variation_of_tiny_and_huge_steps():
+    """Steps whose p-th powers underflow or whose products overflow: the
+    power of two factored out keeps them, and the turns are told by signs."""
+    tiny = GridFunction1D(uniform_grid(1.0, 4), np.array([0.0, 1e-200, 2e-200, 1e-200]))
+    value, partition = p_variation_with_partition(tiny, 2.5)
+    assert list(partition) == [0, 2, 3]
+    assert value == pytest.approx(1e-200 * (2.0 ** 2.5 + 1.0) ** (1 / 2.5), rel=1e-15)
+    huge = GridFunction1D(uniform_grid(1.0, 3), np.array([0.0, 1e160, 2e160]))
+    assert p_variation(huge, 2.5) == pytest.approx(2e160, rel=1e-15)
 
 
 @pytest.mark.parametrize("d", [1, 2])
