@@ -280,12 +280,12 @@ def _pvar_dp(path, p: float) -> tuple:
 
     For p > 1 scalar paths run on their turning points only, and column j
     takes only the columns j - 1, j - 3, ... of the other type.  A column i
-    of j's type can not win: let k be the lowest minimum strictly between
-    two maxima i < j (the highest maximum between two minima), so z_k <
-    min(z_i, z_j) and fl|z_j - z_i| <= max(fl(z_i - z_k), fl(z_j - z_k)).
+    of j's type can not win: let c be the lowest minimum strictly between
+    two maxima i < j (the highest maximum between two minima), so z_c <
+    min(z_i, z_j) and fl|z_j - z_i| <= max(fl(z_i - z_c), fl(z_j - z_c)).
     Rounded subtraction, power and sum are monotone and the best sums
-    nondecreasing, so the candidate through i is at most best[k] or at most
-    the candidate through k: every maximum keeps its exact value.  A padded
+    nondecreasing, so the candidate through i is at most best[c] or at most
+    the candidate through c: every maximum keeps its exact value.  A padded
     column repeats its path's last point, so it keeps that column's value.
     At p = 1 a point inside a monotone run ties in exact arithmetic, so
     rounding picks the winning partition and every grid point is kept, as
@@ -326,7 +326,9 @@ def p_variation(path, p: float):
     gives the supremum in O(n^2) increment evaluations; a scalar path needs
     only its turning points, each column half of them.  For p > 2 (every p
     of `experiments.variation_index`) the value is the whole-grid DP's bit
-    for bit; near p = 1 it can differ in the last bit.
+    for bit, on the path with the power of two of `_exponents` factored out
+    (none for a path whose powers stay in range); near p = 1 it can differ
+    in the last bit.
     """
     best, _, _, k = _pvar_dp(path, p)
     return _root(best[-1], p, k)
