@@ -243,11 +243,12 @@ def _on_turning_points(a: np.ndarray) -> tuple:
 def _exponents(a: np.ndarray, b, p: float) -> np.ndarray:
     """Per path, the power of two 2^k that p-variation factors out of it: a
     scaled by 2^-k and b by 2^-2k, both exact.  The path's size S = max(|a|,
-    |b|^(1/2)) over its entries, S < 2^e, bounds its increment norms, whose
-    q-th powers the DP forms: q = p for one component, max(p, 2) for more
-    (the squares of the length) and max(p, 4) with an area (the squares of
-    its entries).  k = 0 while S^q >= 2^-960 and (2S)^q <= 2^1000, so that
-    no term that shows in a sum leaves the normal range; k = e otherwise."""
+    |b|^(1/2)) over its entries, in [2^(e-1), 2^e), bounds its increment
+    norms, whose q-th powers the DP forms: q = p for one component, max(p,
+    2) for more (the squares of the length) and max(p, 4) with an area (the
+    squares of its entries).  k = 0 while that binade keeps S^q >= 2^-960
+    and (2S)^q <= 2^1000, so that no term that shows in a sum leaves the
+    normal range; k = e otherwise."""
     q = p if len(a) == 1 else max(p, 2.0 if b is None else 4.0)
     size = _largest(a, (0, 1))
     if b is not None:

@@ -365,8 +365,9 @@ def test_stacked_p_variation_matches_single_path_dp(d, n, count, p, seed):
 def test_p_variation_at_the_workloads_shapes_is_the_whole_grid_dp(model, d, count, p, n):
     """A stack of the benchmark workloads' chunk shape (scalar Brownian
     paths; planar fBm(0.4) paths) has, path by path, the whole-grid DP's
-    p-variation bit for bit."""
+    p-variation bit for bit, with no power of two factored out."""
     X = lift_piecewise_linear(sample_paths([model] * d, uniform_grid(1.0, n), count, seed=21))
+    assert not _exponents(*_components(X), p).any()
     got = p_variation(X, p)
     assert got.shape == (count,)
     for k in range(count):
