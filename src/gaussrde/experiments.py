@@ -602,7 +602,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     pass the Gaussian non-degeneracy probe at every evaluation time before
     any sampling happens.  Samples go through the whole pipeline in equal
     chunks of at most CHUNK_FLOATS / sample_floats(config): sample (with the
-    Cholesky factors taken once per run), lift, solve, p-variation, then one
+    one Cholesky factor taken once per run), lift, solve, p-variation, then one
     covariance tail (`evaluate_flows`) per evaluation time; no value depends
     on the chunking.  A numerical failure (explosion, an eigenvalue solve
     that does not converge, floating-point errors) drops the rows it happens
@@ -630,7 +630,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
 
     pvar_p = variation_index(model)
     models = [model] * config.d
-    factors = cholesky_factors(models, grid)
+    factors = cholesky_factors([model], grid) * config.d
     basis = cameron_martin_basis(model, grid)
     kernel = kernel_eval(model, grid)
 

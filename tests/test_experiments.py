@@ -475,6 +475,20 @@ def test_rows_do_not_depend_on_the_other_evaluation_times(tmp_path, capsys):
     assert f"verdict: {verdict} " in capsys.readouterr().out
 
 
+def test_a_long_horizon_run_keeps_its_lifts_geometric(tmp_path):
+    # at horizon 1e7 a lift's level 2 reaches about 1e7, and differencing it
+    # leaves symmetry residuals above 1e-9 that are rounding alone: each path
+    # is judged relative to its size, so the run loses no sample
+    text = (ROTATION_CONFIG.replace("horizon = 1.0\nn = 17", "horizon = 1e7\nn = 65")
+            .replace("omegas = 1.0 0.5", "omegas = 1e-7 1e-7")
+            .replace("times = 0.5 1.0", "times = 1e7").replace("count = 30", "count = 20"))
+    cfg = write_config(tmp_path, text)
+    assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["aborted"] == 0
+    assert summary["oracle_check"]["max_rel_residual"] < 1e-10
+
+
 def test_run_experiment_aborts_only_the_exploding_sample(tmp_path, monkeypatch, caplog):
     import gaussrde.experiments
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import re
 
 import numpy as np
@@ -485,6 +486,60 @@ def test_non_geometric_driver_is_named_by_its_residual():
         with pytest.raises(ValueError, match=r"not a geometric rough path "
                                              r"\(symmetry residual 2\.000e-09 > 1\.0e-09\)"):
             solve_flow_jacobian(RoughPath(X.grid, X.level1, b), vf, np.zeros(2))
+
+
+def test_geometricity_is_judged_relative_to_the_path_size():
+    # differencing a large lift's level 2 rounds its segments' symmetric
+    # parts by far more than 1e-9; each path is judged against
+    # GEOMETRIC_TOL times its largest |level 2| entry over the block
+    grid = uniform_grid(1.0, 65)
+    values = sample_paths([brownian_model()] * 2, grid, 1, seed=3).values[0]
+    X = lift_piecewise_linear(GridFunction1D(grid, 1e4 * values))
+    assert nilpotent.residual(*X.segment_increments()).max() > nilpotent.GEOMETRIC_TOL
+    vf = rotation_fields((1e-4, 1e-4))
+    assert np.isfinite(solve_flow_jacobian(X, vf, np.zeros(2)).Y).all()
+    # the scale is per path: a unit-size path that breaks the constraint by
+    # 2e-9 is rejected beside a huge geometric one, with its own threshold
+    small, _ = smooth_driver(65)
+    b = small.level2.copy()
+    b[40, 0, 0] += 2e-9
+    stack = RoughPath(grid, np.stack([X.level1, small.level1]), np.stack([X.level2, b]))
+    with pytest.raises(ValueError, match=r"\(symmetry residual 2\.000e-09 > 1\.0e-09\)"):
+        solve_flow_jacobian(stack, vf, np.zeros(2))
+
+
+def test_the_blocks_are_checked_in_order_before_they_are_stepped():
+    # the ramp explodes at t = 13/64, in the first step block: a bad point
+    # in that block is named before the block is stepped, one in a later
+    # block is never reached
+    X, grid = scalar_ramp(65, 40.0)
+    vf = linear_fields(np.array([[[5.0]]]))
+    for point, error in ((5, ValueError), (40, ExplosionError)):
+        b = X.level2.copy()
+        b[point, 0, 0] += 1e-6
+        with pytest.raises(error):
+            solve_flow_jacobian(RoughPath(grid, X.level1, b), vf, np.array([1.0]))
+
+
+def test_each_step_block_forms_its_increments_once(monkeypatch):
+    import gaussrde.rde
+
+    calls = []
+    segment_increments = RoughPath.segment_increments
+
+    def counted(self, *args):
+        calls.append(args)
+        return segment_increments(self, *args)
+
+    monkeypatch.setattr(RoughPath, "segment_increments", counted)
+    X, _ = smooth_driver(40)
+    drift = linear_fields(np.stack([ROT, np.eye(2)]), drift=(ROT, np.ones(2)))
+    for block in (16, 7):
+        monkeypatch.setattr(gaussrde.rde, "STEP_BLOCK", block)
+        for vf in (rotation_fields(), drift, generic(rotation_fields()), generic(drift)):
+            calls.clear()
+            solve_flow_jacobian(X, vf, np.zeros(2))
+            assert len(calls) == math.ceil(39 / block)
 
 
 def test_dimension_guards():
