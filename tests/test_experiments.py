@@ -1079,6 +1079,27 @@ def test_reference_comparison_normal():
     assert abs(sup - np.max(np.abs(values - stats.norm.pdf(grid, 0.4, 1.3)))) < 1e-15
 
 
+def test_a_run_kde_stays_in_its_measured_band_against_the_exact_law(tmp_path):
+    """Accuracy baseline of the run's own KDE (Silverman bandwidth) against
+    the exact law of the scalar benchmark shape, lognormal(0.5, 1): the sup
+    gap over the exact peak 1/sqrt(2 pi) measured 0.436-0.495 at count 1000
+    and 0.378-0.411 at count 4000 (seeds 0-2), falling with count on every
+    seed.  The band records that estimate; a better bandwidth moves it down."""
+    config = LINEAR_DRIFT_CONFIG.replace("n = 17", "n = 65").replace(
+        "times = 0.5 1.0", "times = 1.0\nreference = lognormal 0.5 1")
+    peak = 1 / math.sqrt(2 * math.pi)
+    bands = {1000: (0.43, 0.51), 4000: (0.37, 0.42)}
+    for seed in range(3):
+        gaps = []
+        for count, (lo, hi) in bands.items():
+            cfg = load_config(write_config(tmp_path, config.replace(
+                "count = 30", f"count = {count}").replace("seed = 7", f"seed = {seed}")))
+            report = run_experiment(cfg, out_dir=str(tmp_path / "out"))
+            gaps.append(report.sup_distance / peak)
+            assert lo < gaps[-1] < hi, (seed, count, gaps[-1])
+        assert gaps[1] < gaps[0], seed
+
+
 @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.5, 1.0), (-1.0, 0.3), (2.0, 2.5)])
 def test_reference_pdfs_match_scipy(mu, sigma):
     """The closed-form pdfs against scipy.stats, on a grid reaching below 0
