@@ -46,12 +46,10 @@ MIN_HURST = 1.0 / 3.0
 # tails cost mostly fixed overhead, so fewer, larger chunks run faster.  At
 # n = 65 this gives chunks of 500 scalar samples (d = e = 1) or 150 planar ones
 # (d = e = 2), at most 1.6 MB of those arrays.  Sampling each chunk alone,
-# forming the solver's increments one step block at a time, the 1-D KDE's one
-# buffer and the one-pass CSV writer pay for most of that memory: a scalar
-# run's peak RSS stays within 1% of where chunks of 250 had it.
+# forming the solver's increments one step block at a time, the binned 1-D KDE
+# and the one-pass CSV writer pay for most of that memory: a scalar run's peak
+# RSS stays within 1% of where chunks of 250 had it.
 CHUNK_FLOATS = 196608
-# Query points of a 1-D KDE whose kernel rows are summed together.
-KDE_ROWS = 64
 # Largest relative gap between the two covariance routes a run accepts, per
 # sample and evaluation time (see malliavin.route_residual).
 ROUTE_TOL = 1e-10
@@ -396,12 +394,22 @@ def silverman_bandwidth(samples: np.ndarray) -> np.ndarray:
 
 
 def kde_density(samples: np.ndarray, query_grid) -> np.ndarray:
-    """Gaussian-kernel density estimate on a query grid.
+    """Gaussian-kernel density estimate with the Silverman bandwidth on a
+    query grid.
 
     State dimension 1: `query_grid` is an array of points, the result has
-    the same shape.  Dimension 2: `query_grid` is a pair of axis arrays and
-    the result is the density on their product grid.  Higher dimensions are
-    rejected; report raw samples instead.
+    the same shape.  The estimate is evaluated binned (Silverman, Algorithm
+    AS 176, 1982; Wand & Jones, Kernel Smoothing, 1995, ch. 3): the samples
+    are spread by linear binning onto a uniform grid spanning them and the
+    queries, at spacing at most h/64 (a power of two between 2^12 and 2^16
+    points; coarser only past 2^16), the bin weights are smoothed by one
+    zero-padded FFT convolution with the kernel, and the queries read that by
+    linear interpolation.  Against the direct sum over samples it was off by
+    at most 2.1e-5 of the estimate's peak on the scalar benchmark's runs and
+    4.2e-5 on normal, lognormal, t(2) and Cauchy samples.  Dimension 2:
+    `query_grid` is a pair of axis arrays and the result is the density on
+    their product grid, summed directly.  Higher dimensions are rejected;
+    report raw samples instead.
     """
     samples = _columns(samples)
     n, e = samples.shape
@@ -411,28 +419,53 @@ def kde_density(samples: np.ndarray, query_grid) -> np.ndarray:
         raise ValueError(f"need at least 100 samples for a density, got {n}")
     h = silverman_bandwidth(samples)
     norm = math.prod([n, *h]) * (2 * math.pi) ** (e / 2)
+    if e == 1:
+        q = np.asarray(query_grid, dtype=float)
+        return _binned_kde_sums(samples[:, 0], q, h[0]) / norm
 
-    def kernel(q, j, out=None):
-        """(queries, n) kernel matrix of one axis, its steps taken in place
-        (in `out` if given)."""
-        z = np.subtract(np.asarray(q, dtype=float)[:, None], samples[:, j], out=out)
+    def kernel(q, j):
+        """(queries, n) kernel matrix of one axis."""
+        z = np.subtract(np.asarray(q, dtype=float)[:, None], samples[:, j])
         z /= h[j]
         np.square(z, out=z)
         z *= -0.5
         return np.exp(z, out=z)
 
-    if e == 2:
-        # the 2D density is the product of the two axes' kernel matrices
-        return kernel(query_grid[0], 0) @ kernel(query_grid[1], 1).T / norm
-    # row sums, KDE_ROWS query points at a time, each block in one buffer: no
-    # (queries, n) matrix and no temporaries
-    q = np.asarray(query_grid, dtype=float)
-    sums = np.empty(q.size)
-    block = np.empty((min(KDE_ROWS, q.size), n))
-    for lo in range(0, q.size, KDE_ROWS):
-        rows = q[lo:lo + KDE_ROWS]
-        kernel(rows, 0, block[:rows.size]).sum(axis=1, out=sums[lo:lo + rows.size])
-    return sums / norm
+    # the 2D density is the product of the two axes' kernel matrices
+    return kernel(query_grid[0], 0) @ kernel(query_grid[1], 1).T / norm
+
+
+def _binned_kde_sums(x: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
+    """sum_i exp(-(q - x_i)^2 / 2h^2) at each query, from the linearly
+    binned samples convolved with the kernel on a grid of spacing at most
+    h/64; clipped at 0, where the transform's rounding would dip below."""
+    from numpy import fft  # about 5 ms to import, paid by the first KDE only
+
+    lo = min(x.min(), q.min())
+    width = max(max(x.max(), q.max()) - lo, h)
+    bins = 4096
+    while bins < 65536 and width > (bins - 1) * h / 64:
+        bins *= 2
+    step = width / (bins - 1)
+    # linear binning: a sample at t bins splits its unit weight between bins
+    # floor(t) and floor(t) + 1 in proportion to its distance from each
+    t = np.subtract(x, lo)
+    t /= step
+    np.clip(t, 0, bins - 1, out=t)
+    left = np.minimum(t.astype(np.intp), bins - 2)
+    t -= left
+    weights = np.bincount(left + 1, weights=t, minlength=bins)
+    np.subtract(1.0, t, out=t)
+    weights += np.bincount(left, weights=t, minlength=bins)
+    # the kernel at bin offsets out to 9 h, where it is below 3e-18 of its
+    # peak, convolved zero-padded to the full length: nothing wraps around
+    reach = min(bins - 1, math.ceil(9 * h / step))
+    size = 1 << (bins + 2 * reach - 1).bit_length()
+    z = np.arange(-reach, reach + 1) * (step / h)
+    kernel = np.exp(-0.5 * z * z)
+    smooth = fft.irfft(fft.rfft(weights, size) * fft.rfft(kernel, size), size)
+    sums = np.interp(q, lo + step * np.arange(bins), smooth[reach:reach + bins])
+    return np.maximum(sums, 0.0, out=sums)
 
 
 def _default_query_grid(samples: np.ndarray, h: np.ndarray):

@@ -791,10 +791,9 @@ def test_one_transport_per_chunk_and_evaluation_time(tmp_path, monkeypatch):
 
 
 def test_run_experiment_memory_peak(tmp_path):
-    """The 1-D KDE sums its kernel a block of query points at a time and the
-    covariance reads the chunk's arrays in place, so 1000 samples of a scalar
-    run stay below 4 MB of traced allocations (one 512 x 1000 kernel matrix
-    alone is 4.1 MB)."""
+    """The 1-D KDE is binned and the covariance reads the chunk's arrays in
+    place, so 1000 samples of a scalar run stay below 4 MB of traced
+    allocations (one 512 x 1000 kernel matrix alone is 4.1 MB)."""
     import tracemalloc
 
     cfg = load_config(write_config(
@@ -1004,44 +1003,62 @@ def test_kde_density_2d_matches_the_row_loop(n):
 
 
 def kde_density_1d_reference(samples, query):
-    """The one-matrix 1-D estimate that the row blocks replaced."""
+    """The direct 1-D estimate, one kernel value per (query, sample), that
+    the binned evaluation replaced."""
     h = silverman_bandwidth(samples)
     K = np.exp(-0.5 * ((query[:, None] - samples) / h[0]) ** 2)
     return K.sum(axis=1) / (math.prod([samples.size, *h]) * (2 * math.pi) ** 0.5)
 
 
+def assert_binned_kde_matches_the_one_matrix_formula(x):
+    """Within 1e-4 of the direct sum's peak on the whole query grid and on
+    subsets of it, and non-negative."""
+    query = _default_query_grid(x[:, None], silverman_bandwidth(x))
+    peak = kde_density_1d_reference(x, query).max()
+    for q in (query, query[:7], query[100:400:3]):
+        values = kde_density(x, q)
+        assert values.shape == q.shape and values.min() >= 0.0
+        assert np.max(np.abs(values - kde_density_1d_reference(x, q))) < 1e-4 * peak
+
+
 @pytest.mark.parametrize("n", [100, 1000, 1001])
 def test_kde_density_1d_matches_the_one_matrix_formula(n):
-    from gaussrde.experiments import KDE_ROWS
-
+    """The binned 1-D KDE of lognormal samples against the direct sum
+    (largest gap measured 2.7e-5 of its peak)."""
     rng = np.random.default_rng(96 + n)
-    x = np.exp(rng.standard_normal(n))
-    query = _default_query_grid(x[:, None], silverman_bandwidth(x))
-    for q in (query, query[:3 * KDE_ROWS + 5], query[:7]):
-        assert np.array_equal(kde_density(x, q), kde_density_1d_reference(x, q))
+    assert_binned_kde_matches_the_one_matrix_formula(np.exp(rng.standard_normal(n)))
 
 
-def test_kde_density_1d_holds_one_block_of_kernel_rows():
-    """The 1-D KDE of 1000 samples takes every block of KDE_ROWS query
-    points through one (KDE_ROWS, count) buffer: its traced peak is that
-    block, the output and numpy's iterator buffers for the broadcast
-    subtraction (2 x 64 KB), with no temporary per step, which would make it
-    at least two blocks."""
+@pytest.mark.parametrize("law", ["normal", "t2", "cauchy"])
+def test_kde_density_1d_matches_the_one_matrix_formula_on_other_laws(law):
+    """The same bound on 3000 normal and 1000 t(2) and Cauchy samples, whose
+    tails stretch the binning grid (largest gap measured 4.2e-5, Cauchy)."""
+    rng = np.random.default_rng(97)
+    x = {"normal": lambda: 0.4 + 1.3 * rng.standard_normal(3000),
+         "t2": lambda: rng.standard_t(2, 1000),
+         "cauchy": lambda: rng.standard_cauchy(1000)}[law]()
+    assert_binned_kde_matches_the_one_matrix_formula(x)
+
+
+def test_kde_density_1d_memory_does_not_grow_by_a_kernel_matrix():
+    """The binned 1-D KDE holds its bins and a few arrays of one float per
+    sample: going from 1000 to 20 000 samples raises its traced peak by at
+    most six such arrays (0.9 MB), where a (queries, count) matrix would
+    add 78 MB and one (64, count) block of kernel rows 9.7 MB."""
     import tracemalloc
 
-    from gaussrde.experiments import KDE_ROWS
-
-    x = np.exp(np.random.default_rng(97).standard_normal(1000))
-    query = _default_query_grid(x[:, None], silverman_bandwidth(x))
-    kde_density(x, query)
-    tracemalloc.start()
-    try:
+    def peak(count):
+        x = np.exp(np.random.default_rng(97).standard_normal(count))
+        query = _default_query_grid(x[:, None], silverman_bandwidth(x))
         kde_density(x, query)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    block = KDE_ROWS * x.size * 8
-    assert block < peak < 1.5 * block
+        tracemalloc.start()
+        try:
+            kde_density(x, query)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20000) - peak(1000) < 6 * 8 * (20000 - 1000)
 
 
 def test_kde_density_guards():
@@ -1210,8 +1227,9 @@ def test_loading_a_config_does_not_import_scipy_stats(tmp_path):
 
 
 def test_loading_a_config_does_not_import_numpy_random(tmp_path):
-    """numpy.random (about 12 ms to import) waits for the first draw:
-    `import gaussrde` and `load_config` leave it out, and a run brings it in."""
+    """numpy.random (about 12 ms to import) waits for the first draw and
+    numpy.fft (about 5 ms) for the first 1-D KDE: `import gaussrde` and
+    `load_config` leave both out, and a run brings numpy.random in."""
     import os
     import subprocess
     import sys
@@ -1224,7 +1242,8 @@ def test_loading_a_config_does_not_import_numpy_random(tmp_path):
     config = write_config(tmp_path, LINEAR_DRIFT_CONFIG)
     code = ("import sys; import gaussrde; "
             f"config = gaussrde.load_config({config!r}); "
-            "loaded = lambda: [m for m in sys.modules if m.startswith('numpy.random')]; "
+            "loaded = lambda: [m for m in sys.modules "
+            "if m.startswith(('numpy.random', 'numpy.fft'))]; "
             f"print(loaded()); gaussrde.run_experiment(config, out_dir={str(tmp_path)!r}); "
             "print(bool(loaded()))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
