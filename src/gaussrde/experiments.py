@@ -439,7 +439,7 @@ def _binned_kde_sums(x: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
     """sum_i exp(-(q - x_i)^2 / 2h^2) at each query, from the linearly
     binned samples convolved with the kernel on a grid of spacing at most
     h/64; clipped at 0, where the transform's rounding would dip below."""
-    from numpy import fft  # about 5 ms to import, paid by the first KDE only
+    from numpy import fft  # a few ms to import: only a run with a 1-D KDE pays it
 
     lo = min(x.min(), q.min())
     width = max(max(x.max(), q.max()) - lo, h)
@@ -448,7 +448,7 @@ def _binned_kde_sums(x: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
         bins *= 2
     step = width / (bins - 1)
     # linear binning: a sample at t bins splits its unit weight between bins
-    # floor(t) and floor(t) + 1 in proportion to its distance from each
+    # floor(t) and floor(t) + 1, each taking 1 - its distance to it
     t = np.subtract(x, lo)
     t /= step
     np.clip(t, 0, bins - 1, out=t)
