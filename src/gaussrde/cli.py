@@ -146,27 +146,25 @@ def _cmd_malliavin(args) -> int:
     t = args.time if args.time is not None else config.times[-1]
     path = _single_path(config, model, grid, args.index)
     flow = solve_flow_jacobian(lift_piecewise_linear(path), vf, config.y0)
-    mat, spec, residual, _ = evaluate_flows(
+    mat, spec, row = evaluate_flows(
         flow, vf, kernel_eval(model, grid), cameron_martin_basis(model, grid),
         time_indices(grid, [t])[0], config.tau)
-    check_routes(residual, [args.index], [t])
+    check_routes(row["residual"], [args.index], [t])
     print(f"sigma at t = {t} (2d-young route):")
-    for row in mat.sigma:
-        print("  " + "  ".join(f"{v: .6e}" for v in row))
+    for line in mat.sigma:
+        print("  " + "  ".join(f"{v: .6e}" for v in line))
     print(f"eigenvalues: {np.array2string(spec.eigenvalues, precision=6)}")
-    print(f"lambda_min: {spec.lambda_min:.6e}  det: {spec.det:.6e}")
-    print(f"verdict: {spec.verdict} (tau = {spec.tau:g})")
-    print(f"route cross-check residual: {residual:.3e}")
+    print(f"lambda_min: {row['lambda_min']:.6e}  det: {row['det']:.6e}")
+    print(f"verdict: {row['verdict']} (tau = {spec.tau:g})")
+    print(f"route cross-check residual: {row['residual']:.3e}")
     if args.out:
         write_json(args.out, {
             "t": float(t),
             "sigma": mat.sigma.tolist(),
             "eigenvalues": spec.eigenvalues.tolist(),
-            "lambda_min": spec.lambda_min,
-            "det": spec.det,
-            "verdict": spec.verdict,
+            **{name: row[name] for name in ("lambda_min", "det", "verdict")},
             "tau": spec.tau,
-            "route_residual": residual,
+            "route_residual": row["residual"],
         })
         print(f"wrote spectrum report to {args.out}")
     return 0

@@ -529,11 +529,10 @@ def _reference_comparison(reference, samples1d, query_grid, kde_values):
 
 @dataclass
 class DensityReport:
-    """Aggregated outcome of one Monte Carlo run.  `samples` and the KDE
-    are the states at the last evaluation time, `time`, of the samples with
-    a row there; `fraction_degenerate` and `lambda_min_quantiles` pool every
-    (sample, time) row.  `aborted` counts the samples that lost a row,
-    `oracle_checked` those that kept one."""
+    """Aggregated outcome of one Monte Carlo run: `samples` and the KDE are
+    the states of the rows at the last evaluation time, `time`; `aborted`
+    counts the samples that lost a row; the degenerate fraction, lambda_min
+    quantiles and route check are `summarise_rows` of every row, pooled."""
 
     time: float
     samples: np.ndarray
@@ -560,18 +559,35 @@ class DensityReport:
 def evaluate_flows(flows, vf, kernel, basis, it, tau):
     """Covariance by both routes at one evaluation time (grid index `it`) for
     one solved sample or a stack: the 2D-route matrix, its spectrum (judged
-    against its own magnitude / e), the route residual and log |J_t|.  One
-    `transport` (which raises ExplosionError if it is not finite) gives J_t
-    and the one derivative that both routes pair."""
+    against its own magnitude / e) and the row: named per-row values, the
+    CSV's columns in order (Y_t, lambda_min, det, verdict, pvar_driver, log
+    |J_t|), then the route residual.  One `transport` (which raises
+    ExplosionError if it is not finite) gives J_t and the derivative both
+    routes pair."""
     t = flows.grid.points[it]
     P = transport(flows, it)
     Z = _integrand_values(flows, vf, it, P)
     mat = malliavin_matrix_2d(flows, vf, kernel, t, Z=Z)
     spec = spectrum(mat, tau=tau, scale=mat.magnitude / vf.e)
     check = malliavin_matrix_parseval(flows, vf, basis, t, Z=Z)
-    residual = route_residual(mat.sigma, check.sigma,
-                              np.maximum(mat.magnitude, check.magnitude))
-    return mat, spec, residual, log_operator_norm(P[..., 0, :, :])
+    # copies of Y_t, so that a record does not keep its chunk's flow alive
+    return mat, spec, {
+        **{f"y_{a + 1}": flows.Y[..., it, a].copy() for a in range(vf.e)},
+        **{name: getattr(spec, name) for name in ("lambda_min", "det", "verdict")},
+        "pvar_driver": flows.pvar, "log_norm_J": log_operator_norm(P[..., 0, :, :]),
+        "residual": route_residual(mat.sigma, check.sigma,
+                                   np.maximum(mat.magnitude, check.magnitude))}
+
+
+def summarise_rows(record, rows) -> dict:
+    """Summary of the record's `rows` (a mask or an index): the degenerate
+    fraction, lambda_min's quantiles, the samples checked, the worst residual."""
+    lam = record["lambda_min"][rows]
+    return {"fraction_degenerate": float(np.mean(record["verdict"][rows] == "degenerate")),
+            "lambda_min_quantiles": {f"q{q:02d}": float(np.quantile(lam, q / 100))
+                                     for q in (5, 50, 95)},
+            "oracle_checked": np.unique(record["sample_index"][rows]).size,
+            "oracle_max_residual": float(record["residual"][rows].max())}
 
 
 def check_routes(residuals, samples, times) -> None:
@@ -685,19 +701,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
         solved = np.array([i for i in every if i not in errors], dtype=int)
         stack = list(range(solved.size))  # rows of flows
         for it in indices if flows is not None else ():
-            (_, spec, residual, log_norm), failed = by_rows(
+            (_, _, row), failed = by_rows(
                 lambda f: evaluate_flows(f, vf, kernel, basis, it, config.tau),
                 lambda rows: flows if rows == stack else flows.sample(rows), stack)
             for j, error in failed.items():
                 errors.setdefault(int(solved[j]), error)  # each sample's first error
-            # named columns, one row per sample that passed at this time
-            kept = np.array([j for j in stack if j not in failed], dtype=int)
-            chunks.append({
-                "sample_index": lo + solved[kept], "t": np.full(kept.size, grid.points[it]),
-                **{f"y_{a + 1}": flows.Y[kept, it, a] for a in range(config.e)},
-                **{name: getattr(spec, name) for name in ("lambda_min", "det", "verdict")},
-                "pvar_driver": flows.pvar[kept], "log_norm_J": log_norm,
-                "residual": residual})
+            kept = lo + np.delete(solved, list(failed))  # the samples that passed at t
+            chunks.append({"sample_index": kept, "t": np.full(kept.size, grid.points[it]), **row})
         for i in sorted(errors):
             log.warning("sample %d aborted: %s", lo + i, errors[i])
             failures.append((lo + i, f"{type(errors[i]).__name__}: {errors[i]}"))
@@ -710,23 +720,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     # the samples outermost again (at least one kept every row, or the run failed)
     order = np.argsort(np.concatenate([c["sample_index"] for c in chunks]), kind="stable")
     record = {name: np.concatenate([c[name] for c in chunks])[order] for name in chunks[0]}
-    residuals = record.pop("residual")
-    check_routes(residuals, record["sample_index"], record["t"])
-
+    check_routes(record["residual"], record["sample_index"], record["t"])
     last = record["t"] == grid.points[indices[-1]]
     final_Y = np.column_stack([record[f"y_{a + 1}"][last] for a in range(config.e)])
-    lam_values = record["lambda_min"]
-    report = DensityReport(
-        time=float(config.times[-1]),
-        samples=final_Y,
-        fraction_degenerate=float(np.mean(record["verdict"] == "degenerate")),
-        lambda_min_quantiles={f"q{q:02d}": float(np.quantile(lam_values, q / 100))
-                              for q in (5, 50, 95)},
-        aborted=len(failures),
-        count=config.count,
-        oracle_max_residual=float(residuals.max()),
-        oracle_checked=np.unique(record["sample_index"]).size,
-    )
+    report = DensityReport(time=float(config.times[-1]), samples=final_Y, aborted=len(failures),
+                           count=config.count, **summarise_rows(record, slice(None)))
+    del record["residual"]  # the route check's input, not a CSV column
 
     if config.e <= 2 and final_Y.shape[0] >= 100:
         h = silverman_bandwidth(final_Y)

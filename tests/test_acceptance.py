@@ -43,6 +43,7 @@ from gaussrde import (
     young_integral_2d,
 )
 from gaussrde.nilpotent import increment, product, residual
+from test_experiments import read_rows
 
 
 def _report(num, label, ok, detail):
@@ -378,8 +379,8 @@ def test_criterion_08_density_dichotomy(tmp_path):
     path = tmp_path / "flat.ini"
     path.write_text(textwrap.dedent(flat))
     report = run_experiment(load_config(str(path)), out_dir=str(tmp_path))
-    rows = (tmp_path / "flat.csv").read_text().strip().split("\n")[1:]
-    dets = np.array([float(r.split(",")[5]) for r in rows])
+    rows = read_rows(tmp_path / "flat.csv")
+    dets = np.array([float(r["det"]) for r in rows])
     flat_ok = (report.fraction_degenerate == 1.0 and len(rows) == 1000
                and np.all(np.abs(dets) <= 1e-12))
     details.append(f"constant fields: {report.fraction_degenerate:.4f} "
@@ -414,9 +415,9 @@ def test_criterion_08_density_dichotomy(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run_experiment(load_config(str(path)), out_dir=str(tmp_path))
-    rows = (tmp_path / "bridge.csv").read_text().strip().split("\n")[1:]
-    at_pin = [r.split(",")[5] for r in rows if float(r.split(",")[1]) == 1.0]
-    before = [r.split(",")[5] for r in rows if float(r.split(",")[1]) == 0.5]
+    rows = read_rows(tmp_path / "bridge.csv")
+    at_pin = [r["verdict"] for r in rows if float(r["t"]) == 1.0]
+    before = [r["verdict"] for r in rows if float(r["t"]) == 0.5]
     bridge_ok = (len(at_pin) == 200 and all(v == "degenerate" for v in at_pin)
                  and all(v == "non-degenerate" for v in before))
     details.append(f"bridge: {sum(v == 'degenerate' for v in at_pin)}/200 "

@@ -163,8 +163,8 @@ def test_which_check_catches_which_fault(fault):
     flows = solve(model, 65, 64)
     flows, kernel, basis = inject(flows, kernel_eval(model, flows.grid),
                                   cameron_martin_basis(model, flows.grid))
-    mat, _, residual, _ = evaluate_flows(flows, VF, kernel, basis, flows.grid.n - 1, 1e-10)
-    assert (residual.max() > ROUTE_TOL) == route_catches
+    mat, _, row = evaluate_flows(flows, VF, kernel, basis, flows.grid.n - 1, 1e-10)
+    assert (row["residual"].max() > ROUTE_TOL) == route_catches
     worst = gap(mat.sigma, closed_form(flows, model, 1.0), mat.magnitude).max()
     if closed_form_catches:
         assert worst > 1e-3
@@ -256,3 +256,55 @@ def test_the_rows_of_a_run_see_a_fault_in_the_step_maps(tmp_path, monkeypatch):
             scale_step_maps(patch, path)
             lambda_gap, det_gap = row_gaps(run_rows(tmp_path))
         assert max(lambda_gap.max(), det_gap.max()) > 1e-3, path
+
+
+BRIDGE_CONFIG = """
+[model]
+kernel = bridge
+pin = 1.0
+n = 65
+d = 2
+
+[fields]
+family = linear
+e = 2
+y0 = 1 1
+matrices = 1 0 0 0.3 ; -0.4 0 0 0.8
+
+[experiment]
+times = 0.5 1.0
+count = 200
+seed = 0
+allow_degenerate = true
+
+[output]
+json = summary.json
+"""
+
+
+@pytest.mark.filterwarnings("ignore:.*semidefinite:UserWarning")
+def test_the_summary_of_each_time_finds_the_bridge_degenerate_at_its_pin_alone(
+        tmp_path, monkeypatch):
+    """A bridge pinned at 1 has X_1 = 0, so by the closed form sigma_1 = 0
+    while sigma_0.5 is not.  The summary of each time's rows says so: every
+    row degenerate at t = 1 and none at t = 0.5, as measured at seed 0.
+    summary.json's `fraction_degenerate` still pools both times into 0.5."""
+    import json
+
+    import gaussrde.experiments
+
+    summarise, records = gaussrde.experiments.summarise_rows, []
+
+    def recording(record, rows):
+        records.append(dict(record))
+        return summarise(record, rows)
+
+    monkeypatch.setattr(gaussrde.experiments, "summarise_rows", recording)
+    path = tmp_path / "bridge.ini"
+    path.write_text(BRIDGE_CONFIG)
+    run_experiment(load_config(str(path)), out_dir=str(tmp_path))
+    [record] = records
+    per_time = {t: summarise(record, record["t"] == t) for t in (0.5, 1.0)}
+    assert {t: s["fraction_degenerate"] for t, s in per_time.items()} == {0.5: 0.0, 1.0: 1.0}
+    assert all(s["oracle_checked"] == 200 for s in per_time.values())
+    assert json.loads((tmp_path / "summary.json").read_text())["fraction_degenerate"] == 0.5

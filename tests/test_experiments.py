@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import functools
 import gc
@@ -99,6 +100,12 @@ def write_config(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(text))
     return str(path)
+
+
+def read_rows(path):
+    """A run's samples.csv as one dict per row, keyed by the header's names."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_load_config_full(tmp_path):
@@ -464,15 +471,22 @@ def test_rows_do_not_depend_on_the_other_evaluation_times(tmp_path, capsys):
         out = tmp_path / times
         assert run_experiment(load_config(cfg), out_dir=str(out)).fraction_degenerate == 0.0
         by_time = {}
-        for row in (out / "samples.csv").read_text().splitlines()[1:]:
-            by_time.setdefault(row.split(",")[1], []).append(row)
+        for row in read_rows(out / "samples.csv"):
+            by_time.setdefault(row["t"], []).append(row)
         return cfg, by_time
 
     cfg, both = rows_by_time("50 100")
     assert both == {**rows_by_time("50")[1], **rows_by_time("100")[1]}
-    assert cli_main(["malliavin", "--config", cfg, "--index", "4", "--time", "50"]) == 0
-    verdict = next(r for r in both["50"] if r.startswith("4,")).split(",")[-3]
-    assert f"verdict: {verdict} " in capsys.readouterr().out
+    # `gaussrde malliavin` on the one sample gives the run's row, bit for bit
+    out = tmp_path / "malliavin.json"
+    assert cli_main(["malliavin", "--config", cfg, "--index", "4", "--time", "50",
+                     "--out", str(out)]) == 0
+    row = next(r for r in both["50"] if r["sample_index"] == "4")
+    assert f"verdict: {row['verdict']} " in capsys.readouterr().out
+    single = json.loads(out.read_text())
+    assert single["verdict"] == row["verdict"]
+    for name in ("lambda_min", "det"):
+        assert single[name] == float(row[name]), name
 
 
 def test_a_long_horizon_run_keeps_its_lifts_geometric(tmp_path):
@@ -790,6 +804,30 @@ def test_one_transport_per_chunk_and_evaluation_time(tmp_path, monkeypatch):
     assert calls == [(6, it) for _ in range(5) for it in (8, 16)]
 
 
+def test_a_column_of_the_row_record_reaches_the_csv_last(tmp_path, monkeypatch):
+    """The CSV writes `evaluate_flows`' named columns as they come: a column
+    added there alone is the table's last, on every row, in sample order
+    across chunks."""
+    import gaussrde.experiments
+
+    evaluate = gaussrde.experiments.evaluate_flows
+
+    def probing(*args, **kwargs):
+        mat, spec, row = evaluate(*args, **kwargs)
+        return mat, spec, {**row, "probe": -row["lambda_min"]}
+
+    monkeypatch.setattr(gaussrde.experiments, "evaluate_flows", probing)
+    cfg = load_config(write_config(tmp_path, ROTATION_CONFIG))
+    chunks_of(monkeypatch, cfg, 7)
+    run_experiment(cfg, out_dir=str(tmp_path / "out"))
+    header = (tmp_path / "out" / "samples.csv").read_text().splitlines()[0]
+    assert header == ("sample_index,t,y_1,y_2,lambda_min,det,verdict,"
+                      "pvar_driver,log_norm_J,probe")
+    rows = read_rows(tmp_path / "out" / "samples.csv")
+    assert [int(r["sample_index"]) for r in rows] == [i for i in range(30) for _ in range(2)]
+    assert all(float(r["probe"]) == -float(r["lambda_min"]) for r in rows)
+
+
 def test_run_experiment_memory_peak(tmp_path):
     """The 1-D KDE is binned and the covariance reads the chunk's arrays in
     place, so 1000 samples of a scalar run stay below 4 MB of traced
@@ -878,11 +916,8 @@ def test_run_experiment_bridge_dichotomy(tmp_path):
     # gap against the magnitude of the summed terms, so no false alarm
     assert report.oracle_checked == 20
     assert report.oracle_max_residual < 1e-10
-    rows = (tmp_path / "out" / "samples.csv").read_text().strip().split("\n")[1:]
-    for row in rows:
-        cells = row.split(",")
-        t, verdict = float(cells[1]), cells[5]
-        assert verdict == ("degenerate" if t == 1.0 else "non-degenerate")
+    for row in read_rows(tmp_path / "out" / "samples.csv"):
+        assert row["verdict"] == ("degenerate" if float(row["t"]) == 1.0 else "non-degenerate")
 
 
 def test_cli_run_at_the_pin_alone_exits_0(tmp_path):

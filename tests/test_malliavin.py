@@ -556,13 +556,14 @@ def test_stacked_routes_do_not_depend_on_the_stack(name):
 def test_the_covariance_tail_matches_the_routes_called_alone(name):
     """`evaluate_flows` forms one transport and one derivative per call and
     hands it to both routes and to log |J_t|: sigma, magnitude, spectrum,
-    residual and log-norm are those of the routes on the flow, bit for bit."""
+    residual and log-norm are those of the routes on the flow, bit for bit,
+    and the row names its values in CSV order."""
     from gaussrde.experiments import evaluate_flows
 
     flows, vf, kernel, basis = stacked_case(name, 9)
     for it in (13, flows.grid.n - 1):
         t = flows.grid.points[it]
-        mat, spec, residual, log_norm = evaluate_flows(flows, vf, kernel, basis, it, 1e-10)
+        mat, spec, row = evaluate_flows(flows, vf, kernel, basis, it, 1e-10)
         direct = malliavin_matrix_2d(flows, vf, kernel, t)
         alone = spectrum(direct, tau=1e-10, scale=direct.magnitude / vf.e)
         parseval = malliavin_matrix_parseval(flows, vf, basis, t)
@@ -570,10 +571,16 @@ def test_the_covariance_tail_matches_the_routes_called_alone(name):
         assert np.array_equal(mat.magnitude, direct.magnitude)
         for field in ("eigenvalues", "lambda_min", "det", "verdict", "threshold"):
             assert np.array_equal(getattr(spec, field), getattr(alone, field))
-        assert np.array_equal(residual, route_residual(
+        for field in ("lambda_min", "det", "verdict"):
+            assert np.array_equal(row[field], getattr(alone, field))
+        assert np.array_equal(row["residual"], route_residual(
             direct.sigma, parseval.sigma, np.maximum(direct.magnitude, parseval.magnitude)))
-        assert np.array_equal(log_norm,
+        assert np.array_equal(row["log_norm_J"],
                               log_operator_norm(transport(flows, it)[..., 0, :, :]))
+        assert list(row) == [f"y_{a + 1}" for a in range(vf.e)] + [
+            "lambda_min", "det", "verdict", "pvar_driver", "log_norm_J", "residual"]
+        for a in range(vf.e):
+            assert np.array_equal(row[f"y_{a + 1}"], flows.Y[:, it, a])
 
 
 def test_route_residual_per_matrix_with_a_floor():

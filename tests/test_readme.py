@@ -119,6 +119,17 @@ def test_readme_layout_names_resolve():
                 assert resolves(mod, name), f"{module}: {name}"
 
 
+def test_readme_constants_resolve():
+    # every backticked ALL-CAPS name (two or more characters: `M` and `Y` are
+    # symbols) is a constant of some gaussrde module, so a deleted one cannot
+    # linger in the prose
+    package = Path(gaussrde.__file__).parent
+    modules = [importlib.import_module(f"gaussrde.{m.name}")
+               for m in pkgutil.iter_modules([str(package)])]
+    names = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", README.read_text()))
+    assert names and sorted(n for n in names if not any(hasattr(m, n) for m in modules)) == []
+
+
 def test_package_exports_match_all():
     # every listed name resolves and every public attribute but a submodule
     # is listed, so an export deleted from one list cannot linger in the other
