@@ -3,8 +3,9 @@
 Walks through the nilpotent group algebra: products, inverses, the Chen
 identity for concatenated increments, the signed-area reading of the
 second level, and how the homogeneous norm scales under dilation.  An
-element is a pair (level1, level2) of arrays; the same functions take
-stacks of elements along leading axes.
+element is a pair (level1, level2) of arrays, (d,) and (d, d); the same
+functions take stacks of elements along trailing axes, components first:
+(d, ...) and (d, d, ...).
 """
 
 import numpy as np
@@ -61,9 +62,11 @@ print("norm of dilation: ", norm(*dilated))
 print("ratio (expect lam):", norm(*dilated) / norm(*g))
 
 # Lifted sample paths stay geometric at every increment; one call covers
-# the increments from time 0 to every grid point.
+# the increments from time 0 to every grid point, with the lift's levels
+# (n, d) and (n, d, d) read components first.
 walk = np.cumsum(rng.standard_normal((64, 3)), axis=0) * 0.1
 walk -= walk[0]
 Y = lift_piecewise_linear(GridFunction1D(TimeGrid(np.linspace(0, 1, 64)), walk))
-worst = residual(Y.level1[1:], Y.level2[1:]).max()
+a, b = np.moveaxis(Y.level1, 0, -1), np.moveaxis(Y.level2, 0, -1)
+worst = residual(a[:, 1:], b[:, :, 1:]).max()
 print("\nworst geometricity residual along a lifted walk:", worst)

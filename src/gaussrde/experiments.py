@@ -504,11 +504,13 @@ def _lognormal_pdf(q, mu, sigma):
 def _ks_normal(samples, mu, sigma) -> float:
     """Kolmogorov-Smirnov statistic of the samples against N(mu, sigma^2):
     the largest gap between the normal cdf and the empirical cdf, taken on
-    both sides of each of its jumps."""
+    both sides of each of its jumps.  The cdf is 0.5 erfc(-z / sqrt(2)), with
+    z and the argument in numpy and one `math.erfc` per sample (numpy has no
+    erf): the bits of the scalar formula."""
     x = np.sort(np.asarray(samples, dtype=float))
     m = x.size
-    z = ((x - mu) / sigma).tolist()
-    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2)) for v in z])
+    w = -((x - mu) / sigma) / math.sqrt(2)
+    cdf = 0.5 * np.fromiter(map(math.erfc, w.tolist()), float, count=m)
     return float(max(np.max(np.arange(1, m + 1) / m - cdf), np.max(cdf - np.arange(m) / m)))
 
 

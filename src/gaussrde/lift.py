@@ -11,11 +11,13 @@ are exact identities on the grid, not discretizations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nilpotent
+from .nilpotent import _component_first, _sample_first
 from .young import GridFunction1D, TimeGrid, same_grid
 
 
@@ -24,7 +26,12 @@ class RoughPath:
     """Grid path in the step-2 group, stored as signatures from time 0.
 
     Leading axes, if any, index a stack of paths on one grid: level 1
-    (K, n, d) and level 2 (K, n, d, d).
+    (K, n, d) and level 2 (K, n, d, d).  Both are views of component-first
+    arrays (d, n, K) and (d, d, n, K), the layout of `nilpotent`'s array
+    form, so that the component-first views consumers take
+    (`nilpotent._component_first`) are contiguous and copy nothing.  A lift
+    allocates that layout; arrays a caller passes in any other layout are
+    copied into it once.
     """
 
     grid: TimeGrid
@@ -41,6 +48,7 @@ class RoughPath:
             raise ValueError(f"level2 must be {a.shape + a.shape[-1:]}, got {b.shape}")
         if np.any(a[..., 0, :] != 0.0) or np.any(b[..., 0, :, :] != 0.0):
             raise ValueError("a rough path starts at the group identity")
+        a, b = _sample_first(*map(np.ascontiguousarray, _component_first(a, b)))
         object.__setattr__(self, "level1", a)
         object.__setattr__(self, "level2", b)
 
@@ -49,32 +57,37 @@ class RoughPath:
         return self.level1.shape[-1]
 
     def increment(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Group increment (level1, level2) between grid indices i <= j."""
-        a, b = self.level1, self.level2
-        return nilpotent.increment(a[..., i, :], b[..., i, :, :],
-                                   a[..., j, :], b[..., j, :, :])
+        """Group increment (level1, level2) between grid indices i <= j,
+        component-first: (d, ...) and (d, d, ...)."""
+        a, b = _component_first(self.level1, self.level2)
+        return nilpotent.increment(a[:, i], b[:, :, i], a[:, j], b[:, :, j])
 
     def segment_increments(self, lo: int = 0, hi: int | None = None) -> tuple:
         """Group increments of the segments lo, ..., hi - 1 (all n - 1 by
-        default; hi past the last is the last), shapes (..., m, d) and
-        (..., m, d, d).  Each segment's values are the same whichever of
-        them a call takes."""
+        default; hi past the last is the last), component-first: shapes
+        (d, m, ...) and (d, d, m, ...), contiguous.  Each segment's values
+        are the same whichever of them a call takes."""
         hi = self.grid.n - 1 if hi is None else min(hi, self.grid.n - 1)
-        a, b = self.level1, self.level2
-        return nilpotent.increment(a[..., lo:hi, :], b[..., lo:hi, :, :],
-                                   a[..., lo + 1:hi + 1, :], b[..., lo + 1:hi + 1, :, :])
+        a, b = _component_first(self.level1, self.level2)
+        return nilpotent.increment(a[:, lo:hi], b[:, :, lo:hi],
+                                   a[:, lo + 1:hi + 1], b[:, :, lo + 1:hi + 1])
 
 
-def _chain(grid: TimeGrid, da: np.ndarray, db: np.ndarray) -> RoughPath:
-    """Assemble signatures from per-segment increments via the group product;
-    db, a temporary of the caller's, is overwritten."""
-    lead, d = da.shape[:-2], da.shape[-1]
-    a = np.zeros(lead + (grid.n, d))
-    b = np.zeros(lead + (grid.n, d, d))
-    np.cumsum(da, axis=-2, out=a[..., 1:, :])
-    db += nilpotent.tensor(a[..., :-1, :], da)
-    np.cumsum(db, axis=-3, out=b[..., 1:, :, :])
-    return RoughPath(grid, a, b)
+def _chain(grid: TimeGrid, da: np.ndarray, b: np.ndarray) -> RoughPath:
+    """Assemble signatures from per-segment increments via the group product.
+
+    da (d, n - 1, ...) is level 1 of the segments; b (d, d, n, ...), zero at
+    grid point 0, holds level 2 of segment m at m + 1 and becomes the
+    path's level 2 in place.  The Chen cross term a_m (x) da_m is added one
+    entry at a time, so that no temporary is larger than one (n - 1, ...)
+    slab."""
+    a = np.zeros((len(da), grid.n) + da.shape[2:])
+    np.cumsum(da, axis=1, out=a[:, 1:])
+    db = b[:, :, 1:]
+    for i, k in itertools.product(range(len(da)), repeat=2):
+        db[i, k] += a[i, :-1] * da[k]
+    np.cumsum(db, axis=2, out=db)
+    return RoughPath(grid, *_sample_first(a, b))
 
 
 def lift_piecewise_linear(path) -> RoughPath:
@@ -88,10 +101,11 @@ def lift_piecewise_linear(path) -> RoughPath:
     x = np.asarray(path.values, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    da = np.diff(x, axis=-2)
-    db = nilpotent.tensor(da, da)
+    da = np.diff(np.ascontiguousarray(np.moveaxis(x, (-2, -1), (1, 0))), axis=1)
+    b = np.zeros((len(da), len(da), path.grid.n) + da.shape[2:])
+    db = np.multiply(da[:, None], da[None, :], out=b[:, :, 1:])
     db *= 0.5
-    return _chain(path.grid, da, db)
+    return _chain(path.grid, da, b)
 
 
 def translate(X: RoughPath, h: GridFunction1D) -> RoughPath:
@@ -112,7 +126,9 @@ def translate(X: RoughPath, h: GridFunction1D) -> RoughPath:
             f"direction has {hv.shape[1]} components, path has {X.dim}"
         )
     da, db = X.segment_increments()
-    dh = np.diff(hv, axis=0)
+    dh = np.diff(hv, axis=0).T.reshape(da.shape[:2] + (1,) * (da.ndim - 2))
     cross = 0.5 * (nilpotent.tensor(da, dh) + nilpotent.tensor(dh, da)
                    + nilpotent.tensor(dh, dh))
-    return _chain(X.grid, da + dh, db + cross)
+    b = np.zeros(db.shape[:2] + (X.grid.n,) + db.shape[3:])
+    np.add(db, cross, out=b[:, :, 1:])
+    return _chain(X.grid, da + dh, b)

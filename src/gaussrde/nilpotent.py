@@ -12,13 +12,15 @@ Orientation convention used throughout the package:
 so the group product of (a1, b1) and (a2, b2) accumulates the cross term
 ``a1 (x) a2``.
 
-The formulas are written once, in array form over leading axes (level 1
-(..., d), level 2 (..., d, d)): one call covers an element, the segments of a
-path or all pairs of its grid points.  With no leading axes a call is one
-element: the identity is a pair of zero arrays, the inverse of (a, b) is
-``increment(a, b, 0, 0)``, and `area`, `norm` and `residual` give its log
-coordinate and its scalars.  `increment_norm` takes component-first arrays
-instead, so that each entry is one operation over the leading axes.
+The formulas are written once, in array form over trailing axes: level 1
+is (d, ...) and level 2 (d, d, ...), components first, so that each entry
+is one contiguous operation over the stack (a path's grid and its samples,
+all pairs of its grid points).  Operands broadcast as numpy aligns their
+trailing axes, so one element meets a stack of m as a[:, None] and
+b[:, :, None].  With no trailing axes a call is one element,
+(d,) and (d, d): the identity is a pair of zero arrays, the inverse of
+(a, b) is ``increment(a, b, 0, 0)``, and `area`, `norm` and `residual` give
+its log coordinate and its scalars.
 """
 
 from __future__ import annotations
@@ -33,8 +35,19 @@ GEOMETRIC_TOL = 1e-9
 
 
 def tensor(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Outer product over the last axis: (..., d), (..., d) -> (..., d, d)."""
-    return x[..., :, None] * y[..., None, :]
+    """Outer product over the first axis: (d, ...), (d, ...) -> (d, d, ...)."""
+    return x[:, None] * y[None, :]
+
+
+def _component_first(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Views (d, n, ...) and (d, d, n, ...) of a path's levels (..., n, d) and
+    (..., n, d, d): components first, grid second, samples last."""
+    return np.moveaxis(a, (-2, -1), (1, 0)), np.moveaxis(b, (-3, -2, -1), (2, 0, 1))
+
+
+def _sample_first(a: np.ndarray, b: np.ndarray) -> tuple:
+    """The inverse of `_component_first`."""
+    return np.moveaxis(a, (1, 0), (-2, -1)), np.moveaxis(b, (2, 0, 1), (-3, -2, -1))
 
 
 def product(a1, b1, a2, b2) -> tuple[np.ndarray, np.ndarray]:
@@ -51,7 +64,7 @@ def increment(a_s, b_s, a_t, b_t) -> tuple[np.ndarray, np.ndarray]:
 def area(a, b) -> np.ndarray:
     """Signed area Anti(b - a (x) a / 2); the log coordinate of level 2."""
     rest = b - 0.5 * tensor(a, a)
-    return 0.5 * (rest - np.swapaxes(rest, -1, -2))
+    return 0.5 * (rest - np.swapaxes(rest, 0, 1))
 
 
 def increment_norm(a_s, b_s, a_t, b_t) -> np.ndarray:
@@ -67,7 +80,10 @@ def increment_norm(a_s, b_s, a_t, b_t) -> np.ndarray:
     overflows, and its area is 0; for d >= 2 it is sqrt(sum da_i^2), which
     can (`young.p_variation` factors a power of two out of such a path).
     Sums run from their first term and temporaries are updated in place, so
-    every entry rounds as in the formula written out.
+    every entry rounds as in the formula written out.  The norm takes one
+    root, sqrt(max(|da|^2, |area|_F)), for max(|da|, |area|_F^(1/2)): a
+    correctly rounded sqrt is monotone, so the root of the larger argument
+    is the larger of the two roots, bit for bit.
     """
     da = a_t - a_s
     if len(da) == 1:
@@ -79,7 +95,7 @@ def increment_norm(a_s, b_s, a_t, b_t) -> np.ndarray:
         _area_square(a_s, b_s, b_t, da, i, k)
         for i, k in itertools.combinations(range(len(da)), 2)))
     area2 *= 2.0
-    return np.maximum(np.sqrt(length), np.sqrt(np.sqrt(area2)))
+    return np.sqrt(np.maximum(length, np.sqrt(area2)))
 
 
 def _area_square(a_s, b_s, b_t, da, i: int, k: int):
@@ -104,7 +120,6 @@ def norm(a, b) -> np.ndarray:
     size it is 2^k times the norm of the element dilated by 2^-k, with k of
     `exponents` for the fourth powers of an area's entries; k = 0 in range,
     and for one component, whose norm is |a|."""
-    a, b = np.moveaxis(a, -1, 0), np.moveaxis(b, (-2, -1), (0, 1))
     k = exponents(a, b, 4.0, 1) if len(a) > 1 else 0
     a, b = np.ldexp(a, -k), np.ldexp(b, -2 * k)
     return np.ldexp(increment_norm(np.zeros_like(a), np.zeros_like(b), a, b), k)
@@ -133,5 +148,5 @@ def _largest(x: np.ndarray, axes: tuple) -> np.ndarray:
 
 def residual(a, b) -> np.ndarray:
     """Max |entry| of Sym(b) - a (x) a / 2, shape (...); ~0 exactly on paths."""
-    sym = 0.5 * (b + np.swapaxes(b, -1, -2))
-    return np.max(np.abs(sym - 0.5 * tensor(a, a)), axis=(-2, -1), initial=0.0)
+    sym = 0.5 * (b + np.swapaxes(b, 0, 1))
+    return np.max(np.abs(sym - 0.5 * tensor(a, a)), axis=(0, 1), initial=0.0)

@@ -27,7 +27,10 @@ inverted, so an ill-conditioned or singular J leaves the transport as
 accurate as the step maps themselves.
 
 The solver steps a stack of K driver paths at once, with the sample axis in
-front of every array; one path is the K = 1 case.
+front of every array it returns; one path is the K = 1 case.  A block's
+increments come component-first, (d, B, K) and (d, d, B, K), as the lift
+stores them: the affine path sums their contiguous (B, K) slabs, and the
+generic path steps along C-ordered sample-first copies.
 
 Drift is folded in by adjoining time to the driver's increments (`_with_time`,
 one step block at a time) and stepping with the fields (V_0, V_1, ..., V_d);
@@ -46,7 +49,7 @@ import numpy as np
 
 from .fields import VectorFieldSystem, _apply
 from .lift import RoughPath
-from .nilpotent import GEOMETRIC_TOL, _largest, residual
+from .nilpotent import GEOMETRIC_TOL, _largest, _sample_first, residual
 from .young import GridFunction1D, TimeGrid, p_variation
 
 EXPLOSION_NORM = 1e12
@@ -125,7 +128,7 @@ def _with_drift(vf: VectorFieldSystem) -> SimpleNamespace:
 
 def _with_time(dt: np.ndarray, da: np.ndarray, db: np.ndarray) -> tuple:
     """Adjoin running time as component 0 of a stack of segment increments
-    (..., m, d), (..., m, d, d), with dt the m segment lengths.
+    (d, m, ...), (d, d, m, ...), with dt the m segment lengths.
 
     Per segment of length dt with increment (da, db) the augmented increment
     has first level (dt, da) and second level
@@ -134,11 +137,13 @@ def _with_time(dt: np.ndarray, da: np.ndarray, db: np.ndarray) -> tuple:
     the time-time and time-space integrals of the linear interpolant.  The
     result satisfies the same symmetry constraint as (da, db).
     """
-    da2 = np.concatenate([np.broadcast_to(dt[:, None], da.shape[:-1] + (1,)), da], axis=-1)
-    db2 = np.empty(da2.shape + da2.shape[-1:])  # half of da2 (x) da2, then db
-    db2[..., 0, 0] = (dt * dt) * 0.5
-    db2[..., 0, 1:] = db2[..., 1:, 0] = (dt[:, None] * da) * 0.5
-    db2[..., 1:, 1:] = db
+    dt = dt.reshape(dt.shape + (1,) * (da.ndim - 2))
+    da2 = np.empty((len(da) + 1,) + da.shape[1:])
+    da2[0], da2[1:] = dt, da
+    db2 = np.empty(da2.shape[:1] + da2.shape)  # half of da2 (x) da2, then db
+    db2[0, 0] = (dt * dt) * 0.5
+    db2[0, 1:] = db2[1:, 0] = (dt * da) * 0.5
+    db2[1:, 1:] = db
     return da2, db2
 
 
@@ -193,12 +198,12 @@ def _steps(X: RoughPath, vf, y0, time: bool) -> FlowResult:
     for k0 in range(0, n - 1, STEP_BLOCK):
         k1 = min(k0 + STEP_BLOCK, n - 1)
         block = slice(k0, k1)
-        ba, bb = X.segment_increments(k0, k1)
+        ba, bb = X.segment_increments(k0, k1)  # (d, B, K), (d, d, B, K)
         # a lift's residual is the rounding of differencing its level 2, so each
         # path's is judged against its size there, but only past GEOMETRIC_TOL:
         # the per-path reductions cost more than the residual; time adds none
         if residual(ba, bb).max(initial=0.0) > GEOMETRIC_TOL:
-            worst = residual(ba, bb).max(axis=1)
+            worst = residual(ba, bb).max(axis=0)
             tol = GEOMETRIC_TOL * np.maximum(1.0, _largest(X.level2[:, k0:k1 + 1], (1, 2, 3)))
             if (worst > tol).any():
                 j = int(np.argmax(worst / tol))
@@ -215,7 +220,8 @@ def _steps(X: RoughPath, vf, y0, time: bool) -> FlowResult:
                 Vs = _affine_steps(vf.affine, ba, bb, Y[:, k0:k1 + 1], M[:, block])
                 V[:, block] = Vs[time:].transpose(3, 2, 0, 1)
                 finite = np.isfinite(Vs).all(axis=(0, 1, 3))
-            else:
+            else:  # sample-first C-ordered copies, the matmuls' operands
+                ba, bb = map(np.ascontiguousarray, _sample_first(ba, bb))
                 for k in range(k0, k1):
                     a, b = ba[:, k - k0], bb[:, k - k0]
                     Vb[:, k - k0] = Vk = vf.val(y)
@@ -241,21 +247,21 @@ def _steps(X: RoughPath, vf, y0, time: bool) -> FlowResult:
 
 def _affine_steps(affine, a, b, Y, M) -> np.ndarray:
     """Step affine fields V_i(y) = A_i y + c_i over a block of B steps along
-    increments a (K, B, d), b (K, B, d, d): from Y[:, 0] (Y is (K, B + 1, e))
+    increments a (d, B, K), b (d, d, B, K): from Y[:, 0] (Y is (K, B + 1, e))
     write Y[:, 1:] and the step maps M (K, B, e, e); return V at Y[:, :-1] as
     (d, e, B, K).  At V' = A, V'' = 0 the generic step is y + M_k y + c_k:
         [M_k | c_k] = sum_i a^i [A_i | c_i] + sum_i A_i U_i,
         U_i = sum_j b[j, i] [A_j | c_j]   (the generic U = b^T V').
     b meets A_j before A_i: A_i A_j can overflow where b = 0, and a still
     path would then step by 0 * inf.  Every sum is a `_dot` over contiguous
-    copies with the samples last, so no row depends on K."""
+    slabs with the samples last, so no row depends on K."""
     A, c = affine[:2]
     e = c.shape[1]
     # [A_j | c_j] with j second: sum_j x[j] [A_j | c_j] is _dot(Ac, x)
     Ac = np.concatenate([A, c[:, :, None]], axis=-1).transpose(1, 0, 2)[..., None, None]
-    second = sum(_dot(A[i][..., None, None, None], _dot(Ac, np.ascontiguousarray(b[..., i].T)))
+    second = sum(_dot(A[i][..., None, None, None], _dot(Ac, b[:, i]))
                  for i in range(len(A)))  # summed apart, as in the generic M
-    Mc = _dot(Ac, np.ascontiguousarray(a.T)) + second  # (e, e + 1, B, K)
+    Mc = _dot(Ac, a) + second  # (e, e + 1, B, K)
     M[...] = Mc[:, :e].transpose(3, 2, 0, 1)
     y = Y[:, 0].T
     for k in range(Mc.shape[2]):

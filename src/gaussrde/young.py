@@ -159,15 +159,14 @@ def young_integral_2d(f: GridFunction1D, g: GridFunction1D, R: GridFunction2D):
 
 
 def _components(path) -> tuple:
-    """Component-first, grid-second copies (a, b) of a path: a[i] is component
+    """Component-first, grid-second arrays (a, b) of a path: a[i] is component
     i as (n, ...) over the stack's axes, b[i, k] likewise for level 2, and b
     is None for a path without level 2 (a GridFunction1D) and for a path of
-    one component, whose norm is |da|."""
+    one component, whose norm is |da|.  For a RoughPath they are views of
+    the arrays it stores, contiguous; a GridFunction1D's are a copy."""
     if hasattr(path, "level2"):  # RoughPath
-        a = np.ascontiguousarray(np.moveaxis(path.level1, (-2, -1), (1, 0)))
-        if len(a) == 1:
-            return a, None
-        return a, np.ascontiguousarray(np.moveaxis(path.level2, (-3, -2, -1), (2, 0, 1)))
+        a, b = nilpotent._component_first(path.level1, path.level2)
+        return a, None if len(a) == 1 else b
     values = np.asarray(path.values, dtype=float)
     return np.ascontiguousarray(values.reshape(path.grid.n, -1).T), None
 
@@ -184,7 +183,7 @@ def _norm_columns(a, b, step: int = 1):
 
     Vector paths use the Euclidean norm of the increment; rough paths (over
     any leading axes) use the homogeneous norm of the group increment.  Both
-    are `nilpotent.increment_norm` on the component-first copies of
+    are `nilpotent.increment_norm` on the component-first arrays of
     `_components`, so a column is a few operations on (j, ...) slices.
     """
     if b is None:

@@ -1182,6 +1182,24 @@ def test_ks_normal_matches_scipy(m):
             assert abs(_ks_normal(x, 0.3, 1.7) - expected) <= 4 * np.finfo(float).eps
 
 
+def test_ks_normal_is_the_per_sample_formula_bit_for_bit():
+    """The vectorised cdf against the per-sample comprehension it replaced:
+    the same statistic, bit for bit, on draws near and far from the law."""
+    def per_sample(samples, mu, sigma):
+        x = np.sort(np.asarray(samples, dtype=float))
+        m = x.size
+        cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2)) for v in ((x - mu) / sigma).tolist()])
+        return float(max(np.max(np.arange(1, m + 1) / m - cdf), np.max(cdf - np.arange(m) / m)))
+
+    rng = np.random.default_rng(1176)
+    for m in (1, 2, 1000):
+        for _ in range(20):
+            mu, sigma = rng.normal(0.0, 2.0), rng.uniform(0.1, 3.0)
+            for x in (rng.normal(mu, sigma, m), rng.lognormal(0.5, 1.0, m),
+                      rng.normal(mu + 40.0 * sigma, sigma, m)):  # cdf 0 or 1
+                assert _ks_normal(x, mu, sigma) == per_sample(x, mu, sigma)
+
+
 def test_config_hash_tracks_content(tmp_path):
     cfg_a = load_config(write_config(tmp_path, ROTATION_CONFIG, "a.ini"))
     cfg_b = load_config(write_config(tmp_path, ROTATION_CONFIG, "b.ini"))

@@ -96,23 +96,25 @@ finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def geometric_stacks(draw, count=1):
-    """`count` stacks of k geometric elements of dimension d, as (a, b) pairs."""
+    """`count` stacks of k geometric elements of dimension d, as (a, b) pairs,
+    component-first: (d, k) and (d, d, k)."""
     d = draw(st.integers(1, 3))
     k = draw(st.integers(1, 6))
     out = []
     for _ in range(count):
-        a = draw(hnp.arrays(float, (k, d), elements=finite))
-        s = draw(hnp.arrays(float, (k, d, d), elements=finite))
-        out.append((a, 0.5 * nilpotent.tensor(a, a) + 0.5 * (s - np.swapaxes(s, 1, 2))))
+        a = draw(hnp.arrays(float, (d, k), elements=finite))
+        s = draw(hnp.arrays(float, (d, d, k), elements=finite))
+        out.append((a, 0.5 * nilpotent.tensor(a, a) + 0.5 * (s - np.swapaxes(s, 0, 1))))
     return out
 
 
 def per_element(fn, *stacks):
-    """`fn` called once per element of the stacks, results stacked again."""
-    out = [fn(*(x[i] for x in stacks)) for i in range(stacks[0].shape[0])]
+    """`fn` called once per element of the stacks, results stacked again
+    along the last axis."""
+    out = [fn(*(x[..., i] for x in stacks)) for i in range(stacks[0].shape[-1])]
     if isinstance(out[0], tuple):
-        return tuple(np.array(part) for part in zip(*out))
-    return np.array(out)
+        return tuple(np.stack(part, axis=-1) for part in zip(*out))
+    return np.stack(out, axis=-1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,7 +132,7 @@ def test_array_area_norm_residual_match_elementwise(stacks):
     (a, b), = stacks
     for fn in (area, norm, residual):
         np.testing.assert_array_equal(fn(a, b), per_element(fn, a, b))
-    assert all(np.ndim(fn(a[0], b[0])) == 0 for fn in (norm, residual))
+    assert all(np.ndim(fn(a[..., 0], b[..., 0])) == 0 for fn in (norm, residual))
 
 
 @settings(max_examples=60, deadline=None)

@@ -237,18 +237,18 @@ def test_with_time_adjoins_the_grid_steps_to_the_increments():
     da, db = X.segment_increments()
     dt = np.diff(grid.points)
     ta, tb = _with_time(dt, da, db)
-    assert ta.shape == (3, 24, 3) and tb.shape == (3, 24, 3, 3)
-    assert np.array_equal(ta[..., 0], np.broadcast_to(dt, (3, 24)))
-    assert np.array_equal(ta[..., 1:], da) and np.array_equal(tb[..., 1:, 1:], db)
-    assert np.array_equal(tb[..., 0, 0], np.broadcast_to(0.5 * dt**2, (3, 24)))
+    assert ta.shape == (3, 24, 3) and tb.shape == (3, 3, 24, 3)
+    assert np.array_equal(ta[0], np.broadcast_to(dt[:, None], (24, 3)))
+    assert np.array_equal(ta[1:], da) and np.array_equal(tb[1:, 1:], db)
+    assert np.array_equal(tb[0, 0], np.broadcast_to(0.5 * dt[:, None]**2, (24, 3)))
     # the time entries match exactly: the residual is the driver's own, and 0
     # on the exact increments of a piecewise-linear path
     assert np.array_equal(nilpotent.residual(ta, tb), nilpotent.residual(da, db))
-    da = np.diff(X.level1, axis=-2)
+    da = np.diff(X.level1, axis=-2).T  # component-first (d, 24, K)
     exact = _with_time(dt, da, 0.5 * nilpotent.tensor(da, da))
     # a block of segments gets the time of its own segments
-    block = _with_time(dt[5:9], da[:, 5:9], db[:, 5:9])
-    assert all(np.array_equal(part, whole[:, 5:9]) for part, whole in zip(block, (ta, tb)))
+    block = _with_time(dt[5:9], da[..., 5:9, :], db[..., 5:9, :])
+    assert all(np.array_equal(part, whole[..., 5:9, :]) for part, whole in zip(block, (ta, tb)))
     assert np.all(nilpotent.residual(*exact) == 0.0)
 
 
@@ -259,9 +259,9 @@ def test_with_time_of_a_linear_path_has_no_area():
     grid = uniform_grid(1.0, 11)
     X = lift_piecewise_linear(GridFunction1D(grid, np.outer(grid.points, [0.7, -1.2])))
     ta, tb = _with_time(np.diff(grid.points), *X.segment_increments())
-    a, b = ta[0], tb[0]
+    a, b = ta[..., 0], tb[..., 0]
     for k in range(1, grid.n - 1):
-        a, b = nilpotent.product(a, b, ta[k], tb[k])
+        a, b = nilpotent.product(a, b, ta[..., k], tb[..., k])
     assert np.allclose(a, [1.0, 0.7, -1.2], atol=1e-15)
     assert np.allclose(nilpotent.area(a, b), 0.0, atol=1e-15)
 
@@ -613,7 +613,7 @@ def reference_solve(X, vf, y0):
     Y[0], J[0] = y0, np.eye(e)
     y, jac = y0.copy(), np.eye(e)
     for k in range(n - 1):
-        a, b = da[k], db[k]
+        a, b = da[..., k], db[..., k]
         V[k] = Vk = vf.val(y)
         Vp, Vpp = vf.jac(y), vf.hess(y)
         step = a @ Vk + np.einsum("ji,iab,jb->a", b, Vp, Vk)
@@ -700,6 +700,7 @@ def stepwise_reference(X, vf, y0):
     da, db = X.segment_increments()
     if vf.has_drift:
         (da, db), vf = _with_time(np.diff(X.grid.points), da, db), _with_drift(vf)
+    da, db = da.T, db.transpose(3, 2, 0, 1)  # sample-first (K, n - 1, ...)
     (K, n), e = X.level1.shape[:2], vf.e
     Y = np.zeros((K, n, e))
     Y[:, 0] = y0

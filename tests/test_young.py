@@ -297,8 +297,8 @@ def test_increment_norms_of_the_unit_square_loop():
 def reference_norm(a, b):
     """The increment -> area -> summed-squares norm that the closed form replaced."""
     ar = nilpotent.area(a, b)
-    return np.maximum(np.sqrt((a * a).sum(axis=-1)),
-                      np.sqrt(np.sqrt((ar * ar).sum(axis=(-2, -1)))))
+    return np.maximum(np.sqrt((a * a).sum(axis=0)),
+                      np.sqrt(np.sqrt((ar * ar).sum(axis=(0, 1)))))
 
 
 @settings(max_examples=40, deadline=None)
@@ -310,12 +310,11 @@ def test_closed_form_norms_match_the_area_formula(d, n, count, seed):
     values -= values[:, :1]
     stack = lift_piecewise_linear(PathSample(uniform_grid(1.0, n), values))
     for X in (stack, space_time(stack)):
-        A, B = X.level1, X.level2
-        a, b = nilpotent.increment(A[:, :, None], B[:, :, None], A[:, None], B[:, None])
-        expected = reference_norm(a, b)  # (count, s, t)
+        A, B = X.level1.T, X.level2.transpose(2, 3, 1, 0)  # (d, n, count), (d, d, n, count)
+        a, b = nilpotent.increment(A[:, :, None], B[:, :, :, None], A[:, None], B[:, :, None])
+        expected = reference_norm(a, b)  # (s, t, count)
         column = _norm_columns(*_components(X))  # grid first: (j, count)
-        cases = [(column(j), np.moveaxis(expected[..., :j, j], -1, 0))
-                 for j in range(1, n)]
+        cases = [(column(j), expected[:j, j]) for j in range(1, n)]
         cases.append((nilpotent.norm(a, b), expected))
         for new, ref in cases:
             if X.dim <= 2:
@@ -330,8 +329,8 @@ def whole_matrix_p_variation(X, p):
     for a path whose norms' powers stay in the normal range, where the DP
     of the path itself would underflow or overflow otherwise)."""
     k = int(_exponents(*_components(X), p))
-    A, B = np.ldexp(X.level1, -k), np.ldexp(X.level2, -2 * k)
-    a, b = nilpotent.increment(A[:, None], B[:, None], A[None], B[None])
+    A, B = np.ldexp(X.level1.T, -k), np.ldexp(X.level2.transpose(1, 2, 0), -2 * k)
+    a, b = nilpotent.increment(A[:, :, None], B[:, :, :, None], A[:, None], B[:, :, None])
     powed = np.triu(nilpotent.norm(a, b), 1) ** p
     best = np.zeros(X.grid.n)
     for j in range(1, X.grid.n):
