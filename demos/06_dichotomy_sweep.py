@@ -47,11 +47,11 @@ def sweep(name, text):
     config = load_config(str(path))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = run_experiment(config)
-    quants = {k: "%.2e" % v for k, v in report.lambda_min_quantiles.items()}
-    print(f"{name:<12} degenerate fraction {report.fraction_degenerate:.3f}   "
+        summary = run_experiment(config).summary
+    quants = {k: "%.2e" % v for k, v in summary["lambda_min_quantiles"].items()}
+    print(f"{name:<12} degenerate fraction {summary['fraction_degenerate']:.3f}   "
           f"lambda_min quantiles {quants}")
-    return report
+    return summary
 
 
 print("elliptic rotation system, 200 samples, t in {0.5, 1.0}:")

@@ -81,18 +81,23 @@ def _names(prefix: str, count: int) -> list[str]:
     return [f"{prefix}_{i + 1}" for i in range(count)]
 
 
+def _print_reference(summary) -> None:
+    if summary["reference"] is not None:
+        print(f"KS distance to {summary['reference']['name']} reference: "
+              f"{summary['reference']['ks_distance']:.4f}")
+
+
 def _cmd_run(args) -> int:
-    report = run_experiment(load_config(args.config), out_dir=args.out)
-    print(f"samples: {report.count}  aborted: {report.aborted}")
-    print(f"fraction degenerate: {report.fraction_degenerate:.4f}")
-    if report.oracle_checked:
-        print(f"route cross-check on {report.oracle_checked} samples: "
-              f"max relative residual {report.oracle_max_residual:.3e}")
-    if report.kde_mass is not None:
-        print(f"kde mass: {report.kde_mass:.6f}")
-    if report.ks_distance is not None:
-        print(f"KS distance to {report.reference_name} reference: "
-              f"{report.ks_distance:.4f}")
+    summary = run_experiment(load_config(args.config), out_dir=args.out).summary
+    oracle = summary["oracle_check"]
+    print(f"samples: {summary['count']}  aborted: {summary['aborted']}")
+    print(f"fraction degenerate: {summary['fraction_degenerate']:.4f}")
+    if oracle["checked"]:
+        print(f"route cross-check on {oracle['checked']} samples: "
+              f"max relative residual {oracle['max_rel_residual']:.3e}")
+    if summary["kde"] is not None:
+        print(f"kde mass: {summary['kde']['mass']:.6f}")
+    _print_reference(summary)
     return 0
 
 
@@ -181,12 +186,11 @@ def _cmd_density(args) -> int:
                            report.samples.T)
             print(f"wrote raw samples to {args.out}")
         return 0
-    print(f"density at t = {report.time}: bandwidth "
-          f"{np.array2string(report.bandwidth, precision=4)}, "
-          f"mass {report.kde_mass:.6f}")
-    if report.ks_distance is not None:
-        print(f"KS distance to {report.reference_name} reference: "
-              f"{report.ks_distance:.4f}")
+    kde = report.summary["kde"]
+    print(f"density at t = {config.times[-1]}: bandwidth "
+          f"{np.array2string(np.array(kde['bandwidth']), precision=4)}, "
+          f"mass {kde['mass']:.6f}")
+    _print_reference(report.summary)
     if args.out:
         # one row per query point, the first axis outermost
         axes = report.query_grid

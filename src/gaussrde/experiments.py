@@ -209,6 +209,10 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigError(f"a reference law needs a scalar state (e = 1), got e = {e}")
 
     csv_path, json_path = out_sec.get("csv"), out_sec.get("json")
+    name = os.path.basename(csv_path or "")
+    if name and name == os.path.basename(json_path or ""):
+        raise ConfigError(f"[output] csv and json share the file name {name!r}, so a run "
+                          f"into an output directory would write both to one file")
     tau = _number(thr_sec.get("tau", str(DEGENERACY_TAU)))
     if tau <= 0:
         raise ConfigError("tau must be positive")
@@ -531,26 +535,18 @@ def _reference_comparison(reference, samples1d, query_grid, kde_values):
 
 @dataclass
 class DensityReport:
-    """Aggregated outcome of one Monte Carlo run: `samples` and the KDE are
-    the states of the rows at the last evaluation time, `time`; `aborted`
-    counts the samples that lost a row; the degenerate fraction, lambda_min
-    quantiles and route check are `summarise_rows` of every row, pooled."""
+    """Outcome of one Monte Carlo run: `summary` is summary.json's payload,
+    `samples` the states of the rows at the last evaluation time, and
+    `query_grid` and `kde_values` their density estimate (None without one)."""
 
-    time: float
+    summary: dict
     samples: np.ndarray
-    fraction_degenerate: float
-    lambda_min_quantiles: dict
-    aborted: int
-    count: int
     query_grid: object = None
     kde_values: np.ndarray | None = None
-    bandwidth: np.ndarray | None = None
-    kde_mass: float | None = None
-    reference_name: str | None = None
-    ks_distance: float | None = None
-    sup_distance: float | None = None
-    oracle_max_residual: float | None = None
-    oracle_checked: int = 0
+
+    @property
+    def aborted(self) -> int:
+        return self.summary["aborted"]
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +578,15 @@ def evaluate_flows(flows, vf, kernel, basis, it, tau):
 
 
 def summarise_rows(record, rows) -> dict:
-    """Summary of the record's `rows` (a mask or an index): the degenerate
-    fraction, lambda_min's quantiles, the samples checked, the worst residual."""
+    """Summary of the record's `rows` (a mask or an index) in summary.json's
+    keys: the degenerate fraction, lambda_min's quantiles and `oracle_check`,
+    the samples checked and the worst residual."""
     lam = record["lambda_min"][rows]
     return {"fraction_degenerate": float(np.mean(record["verdict"][rows] == "degenerate")),
             "lambda_min_quantiles": {f"q{q:02d}": float(np.quantile(lam, q / 100))
                                      for q in (5, 50, 95)},
-            "oracle_checked": np.unique(record["sample_index"][rows]).size,
-            "oracle_max_residual": float(record["residual"][rows].max())}
+            "oracle_check": {"checked": np.unique(record["sample_index"][rows]).size,
+                             "max_rel_residual": float(record["residual"][rows].max())}}
 
 
 def check_routes(residuals, samples, times) -> None:
@@ -663,8 +660,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     takes it past 1% of the count fails the run (its search for failing
     samples stops at the first one past 1%), as does a row whose two
     routes differ by more than ROUTE_TOL (see `route_residual`).  Any other
-    exception propagates.  Artifacts are written when the config names them
-    (rebased into `out_dir` if given).
+    exception propagates.  The report's `summary` is summary.json's payload,
+    built here alone.  Without `out_dir` each artifact is written where the
+    config names it, if it does; with `out_dir` both are written there, under
+    the basenames of the config's paths or as samples.csv and summary.json.
     """
     model = build_model(config)
     vf = build_fields(config)
@@ -725,25 +724,22 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     check_routes(record["residual"], record["sample_index"], record["t"])
     last = record["t"] == grid.points[indices[-1]]
     final_Y = np.column_stack([record[f"y_{a + 1}"][last] for a in range(config.e)])
-    report = DensityReport(time=float(config.times[-1]), samples=final_Y, aborted=len(failures),
-                           count=config.count, **summarise_rows(record, slice(None)))
-    del record["residual"]  # the route check's input, not a CSV column
-
+    query = values = kde = reference = None
     if config.e <= 2 and final_Y.shape[0] >= 100:
         h = silverman_bandwidth(final_Y)
         query = _default_query_grid(final_Y, h)
         values = kde_density(final_Y, query)
-        report.query_grid = query
-        report.kde_values = values
-        report.bandwidth = h
-        report.kde_mass = _kde_mass(query, values)
+        kde = {"bandwidth": h.tolist(), "mass": _kde_mass(query, values)}
         if config.reference is not None:
-            report.reference_name = config.reference[0]
-            report.ks_distance, report.sup_distance = _reference_comparison(
-                config.reference, final_Y[:, 0], query, values)
-
-    _write_artifacts(config, report, record, out_dir)
-    return report
+            ks, sup = _reference_comparison(config.reference, final_Y[:, 0], query, values)
+            reference = {"name": config.reference[0], "ks_distance": ks, "sup_distance": sup}
+    summary = {"version": __version__, "config_hash": config_hash(config),
+               "seed": config.seed, "config": config.raw, "count": config.count,
+               "aborted": len(failures), **summarise_rows(record, slice(None)),
+               "kde": kde, "reference": reference}
+    del record["residual"]  # the route check's input, not a CSV column
+    _write_artifacts(config, summary, record, out_dir)
+    return DensityReport(summary, final_Y, query, values)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +772,7 @@ def write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _write_artifacts(config, report, record, out_dir):
+def _write_artifacts(config, summary, record, out_dir):
     csv_path, json_path = config.csv_path, config.json_path
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -785,26 +781,4 @@ def _write_artifacts(config, report, record, out_dir):
     if csv_path:
         write_rows_csv(csv_path, list(record), list(record.values()))
     if json_path:
-        write_json(json_path, {
-            "version": __version__,
-            "config_hash": config_hash(config),
-            "seed": config.seed,
-            "config": config.raw,
-            "count": config.count,
-            "aborted": report.aborted,
-            "fraction_degenerate": report.fraction_degenerate,
-            "lambda_min_quantiles": report.lambda_min_quantiles,
-            "oracle_check": {
-                "checked": report.oracle_checked,
-                "max_rel_residual": report.oracle_max_residual,
-            },
-            "kde": None if report.kde_mass is None else {
-                "bandwidth": [float(b) for b in report.bandwidth],
-                "mass": report.kde_mass,
-            },
-            "reference": None if report.reference_name is None else {
-                "name": report.reference_name,
-                "ks_distance": report.ks_distance,
-                "sup_distance": report.sup_distance,
-            },
-        })
+        write_json(json_path, summary)

@@ -347,11 +347,11 @@ def test_criterion_08_density_dichotomy(tmp_path):
             text = text.replace(f"kernel = {kernel}", f"kernel = {kernel}\n{extra}")
         path = tmp_path / f"elliptic_{i}.ini"
         path.write_text(textwrap.dedent(text))
-        report = run_experiment(load_config(str(path)))
+        summary = run_experiment(load_config(str(path))).summary
         label = kernel + (f"({extra.split('=')[1].strip()})" if extra else "")
-        details.append(f"{label}: {report.fraction_degenerate:.4f} degenerate "
-                       f"of {report.count}")
-        if report.aborted != 0 or report.fraction_degenerate != 0.0:
+        details.append(f"{label}: {summary['fraction_degenerate']:.4f} degenerate "
+                       f"of {summary['count']}")
+        if summary["aborted"] != 0 or summary["fraction_degenerate"] != 0.0:
             ok = False
 
     # non-spanning constant fields: every sample degenerate with det ~ 0
@@ -378,12 +378,12 @@ def test_criterion_08_density_dichotomy(tmp_path):
     """
     path = tmp_path / "flat.ini"
     path.write_text(textwrap.dedent(flat))
-    report = run_experiment(load_config(str(path)), out_dir=str(tmp_path))
+    summary = run_experiment(load_config(str(path)), out_dir=str(tmp_path)).summary
     rows = read_rows(tmp_path / "flat.csv")
     dets = np.array([float(r["det"]) for r in rows])
-    flat_ok = (report.fraction_degenerate == 1.0 and len(rows) == 1000
+    flat_ok = (summary["fraction_degenerate"] == 1.0 and len(rows) == 1000
                and np.all(np.abs(dets) <= 1e-12))
-    details.append(f"constant fields: {report.fraction_degenerate:.4f} "
+    details.append(f"constant fields: {summary['fraction_degenerate']:.4f} "
                    f"degenerate, max |det| {np.max(np.abs(dets)):.2e}")
     ok = ok and flat_ok
 
@@ -451,12 +451,12 @@ def test_criterion_09_density_sanity(tmp_path):
     """
     path = tmp_path / "density.ini"
     path.write_text(textwrap.dedent(text))
-    report = run_experiment(load_config(str(path)))
-    mass_err = abs(report.kde_mass - 1.0)
-    ok = (report.ks_distance < 0.05 and mass_err <= 1e-3
-          and report.fraction_degenerate == 0.0)
+    summary = run_experiment(load_config(str(path))).summary
+    mass_err = abs(summary["kde"]["mass"] - 1.0)
+    ks = summary["reference"]["ks_distance"]
+    ok = ks < 0.05 and mass_err <= 1e-3 and summary["fraction_degenerate"] == 0.0
     _report(9, "density sanity", ok,
-            f"KS distance {report.ks_distance:.4f} (tol 0.05) at 10^4 samples, "
+            f"KS distance {ks:.4f} (tol 0.05) at 10^4 samples, "
             f"KDE mass error {mass_err:.2e} (tol 1e-3), {_elapsed(t0)}")
 
 

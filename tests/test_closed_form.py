@@ -306,5 +306,5 @@ def test_the_summary_of_each_time_finds_the_bridge_degenerate_at_its_pin_alone(
     [record] = records
     per_time = {t: summarise(record, record["t"] == t) for t in (0.5, 1.0)}
     assert {t: s["fraction_degenerate"] for t, s in per_time.items()} == {0.5: 0.0, 1.0: 1.0}
-    assert all(s["oracle_checked"] == 200 for s in per_time.values())
+    assert all(s["oracle_check"]["checked"] == 200 for s in per_time.values())
     assert json.loads((tmp_path / "summary.json").read_text())["fraction_degenerate"] == 0.5

@@ -83,10 +83,10 @@ def run(tmp_path, kernel, n, y0, count):
 
 def test_a_start_at_a_zero_of_the_field_is_degenerate_on_every_path(tmp_path):
     report, rows = run(tmp_path, "fbm-0.4", 65, 0.0, 50)
-    assert report.aborted == 0 and len(rows) == 50
+    assert report.summary["aborted"] == 0 and len(rows) == 50
     assert all(float(r["y_1"]) == 0.0 and float(r["lambda_min"]) == 0.0 for r in rows)
     assert all(r["verdict"] == "degenerate" for r in rows)
-    assert report.fraction_degenerate == 1.0
+    assert report.summary["fraction_degenerate"] == 1.0
 
 
 @pytest.mark.parametrize("kernel", list(KERNELS))
@@ -97,7 +97,7 @@ def test_the_run_follows_the_flow_of_the_driver(tmp_path, kernel):
     model, rms = KERNELS[kernel][1], {}
     for n in (65, 257):
         report, rows = run(tmp_path, kernel, n, 0.3, 200)
-        assert report.aborted == 0 and report.fraction_degenerate == 0.0
+        assert report.summary["aborted"] == 0 and report.summary["fraction_degenerate"] == 0.0
         Y = np.array([float(r["y_1"]) for r in rows])
         X1 = sample_paths([model], uniform_grid(1.0, n), 200, 0).values[:, -1, 0]
         error = np.abs(Y / flow(0.3, X1) - 1.0)

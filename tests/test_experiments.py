@@ -333,10 +333,11 @@ def test_check_conditions_reports(tmp_path):
 def test_run_experiment_basic(tmp_path):
     cfg = load_config(write_config(tmp_path, ROTATION_CONFIG))
     report = run_experiment(cfg, out_dir=str(tmp_path / "out"))
-    assert report.count == 30 and report.aborted == 0
-    assert report.fraction_degenerate == 0.0
-    assert report.oracle_checked == report.count - report.aborted
-    assert report.oracle_max_residual < 1e-10
+    summary = report.summary
+    assert summary["count"] == 30 and summary["aborted"] == 0
+    assert summary["fraction_degenerate"] == 0.0
+    assert summary["oracle_check"]["checked"] == 30
+    assert summary["oracle_check"]["max_rel_residual"] < 1e-10
     assert report.samples.shape == (30, 2)
 
     csv_path = tmp_path / "out" / "samples.csv"
@@ -365,6 +366,52 @@ def test_run_experiment_is_deterministic(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, name
+
+
+@pytest.mark.parametrize("csv_path, json_path", [("out.txt", "out.txt"), ("a/x", "b/x")])
+def test_a_csv_and_json_of_one_file_name_are_a_config_error(tmp_path, csv_path, json_path):
+    """An output directory keeps only the basenames of the two paths, so the
+    JSON would overwrite the CSV."""
+    text = ROTATION_CONFIG.replace("csv = samples.csv", f"csv = {csv_path}").replace(
+        "json = summary.json", f"json = {json_path}")
+    with pytest.raises(ConfigError, match="csv and json share the file name"):
+        load_config(write_config(tmp_path, text))
+
+
+def test_a_key_summarise_rows_adds_reaches_the_report_and_summary_json(tmp_path, monkeypatch):
+    """`run_experiment` builds summary.json's payload once, around the
+    pooled `summarise_rows`: a key that function adds is in `report.summary`
+    and in the file as it is, with no other change."""
+    import gaussrde.experiments
+
+    summarise = gaussrde.experiments.summarise_rows
+
+    def with_a_probe(record, rows):
+        return {**summarise(record, rows), "probe": {"rows": int(record["t"][rows].size)}}
+
+    monkeypatch.setattr(gaussrde.experiments, "summarise_rows", with_a_probe)
+    report = run_experiment(load_config(write_config(tmp_path, ROTATION_CONFIG)),
+                            out_dir=str(tmp_path / "out"))
+    written = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert report.summary["probe"] == {"rows": 60}
+    assert written == report.summary
+
+
+def test_each_number_gaussrde_run_prints_is_the_one_in_summary_json(tmp_path, capsys):
+    text = LINEAR_DRIFT_CONFIG.replace("count = 30", "count = 120\nreference = lognormal 0.5 1")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    values = [summary["count"], summary["aborted"], summary["fraction_degenerate"],
+              summary["oracle_check"]["checked"], summary["oracle_check"]["max_rel_residual"],
+              summary["kde"]["mass"], summary["reference"]["ks_distance"]]
+    printed = re.findall(r"\d+(?:\.\d+)?(?:e[+-]\d+)?", capsys.readouterr().out)
+    assert len(printed) == len(values)
+    for text, value in zip(printed, values):
+        # the value rounded to the digits printed
+        places = len(text.split("e")[0].partition(".")[2])
+        spec = f".{places}e" if "e" in text else f".{places}f" if places else "d"
+        assert format(value, spec) == text
 
 
 LINEAR_DRIFT_CONFIG = """
@@ -439,7 +486,7 @@ def test_run_experiment_output_is_independent_of_chunk_size(tmp_path, monkeypatc
         assert all(o == outputs[0] for o in outputs[1:]), name
         assert report.aborted == (name in ("ramp", "overflow"))
         # the overflow costs sample 3 only its t = 1 row
-        assert report.oracle_checked == report.count - (name == "ramp")
+        assert report.summary["oracle_check"]["checked"] == cfg.count - (name == "ramp")
 
 
 def test_the_semidefinite_warning_comes_once_per_run(tmp_path, monkeypatch):
@@ -469,7 +516,8 @@ def test_rows_do_not_depend_on_the_other_evaluation_times(tmp_path, capsys):
         cfg = write_config(tmp_path, text.replace("times = 0.5 1.0", f"times = {times}"),
                            name=f"{times}.ini")
         out = tmp_path / times
-        assert run_experiment(load_config(cfg), out_dir=str(out)).fraction_degenerate == 0.0
+        summary = run_experiment(load_config(cfg), out_dir=str(out)).summary
+        assert summary["fraction_degenerate"] == 0.0
         by_time = {}
         for row in read_rows(out / "samples.csv"):
             by_time.setdefault(row["t"], []).append(row)
@@ -517,7 +565,7 @@ def test_run_experiment_aborts_only_the_exploding_sample(tmp_path, monkeypatch, 
                         with_a_ramp(gaussrde.experiments.sample_paths))
     with caplog.at_level(logging.WARNING, logger="gaussrde"):
         report = run_experiment(cfg, out_dir=str(tmp_path / "ramp"))
-    assert report.aborted == 1
+    assert report.summary["aborted"] == 1
     assert caplog.messages == [f"sample 3 aborted: {single.value}"]
     clean = (tmp_path / "clean" / "samples.csv").read_text().splitlines()
     ramp = (tmp_path / "ramp" / "samples.csv").read_text().splitlines()
@@ -574,7 +622,7 @@ def test_a_transport_overflow_aborts_only_its_sample(tmp_path, monkeypatch, capl
     run_experiment(dataclasses.replace(cfg, times=(0.5,)), out_dir=str(tmp_path / "half"))
     with caplog.at_level(logging.WARNING, logger="gaussrde"):
         report = run_experiment(cfg, out_dir=str(tmp_path / "overflow"))
-    assert report.aborted == 1 and report.oracle_checked == 120
+    assert report.summary["aborted"] == 1 and report.summary["oracle_check"]["checked"] == 120
     assert caplog.messages == ["sample 3 aborted: transport to t = 1 exploded"]
     clean = (tmp_path / "clean" / "samples.csv").read_bytes().splitlines()
     half = (tmp_path / "half" / "samples.csv").read_bytes().splitlines()
@@ -612,7 +660,8 @@ def test_a_failure_in_the_stacked_tail_aborts_only_its_sample(tmp_path, monkeypa
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="gaussrde"):
             report = run_experiment(cfg, out_dir=str(tmp_path / f"marked-{chunk}"))
-        assert report.aborted == 1 and report.oracle_checked == 119
+        assert report.summary["aborted"] == 1
+        assert report.summary["oracle_check"]["checked"] == 119
         assert caplog.messages == ["sample 3 aborted: marked sample"]
         rows = (tmp_path / f"marked-{chunk}" / "samples.csv").read_text().splitlines()
         full = (tmp_path / "clean" / "samples.csv").read_text().splitlines()
@@ -910,12 +959,13 @@ def test_run_experiment_bridge_dichotomy(tmp_path):
     cfg = load_config(write_config(tmp_path, BRIDGE_SCALAR_CONFIG))
     with pytest.warns(UserWarning, match="semidefinite"):
         report = run_experiment(cfg, out_dir=str(tmp_path / "out"))
-    assert report.aborted == 0
-    assert report.fraction_degenerate == pytest.approx(0.5)
+    summary = report.summary
+    assert summary["aborted"] == 0
+    assert summary["fraction_degenerate"] == pytest.approx(0.5)
     # at the pin both routes give rounding noise; the route check judges the
     # gap against the magnitude of the summed terms, so no false alarm
-    assert report.oracle_checked == 20
-    assert report.oracle_max_residual < 1e-10
+    assert summary["oracle_check"]["checked"] == 20
+    assert summary["oracle_check"]["max_rel_residual"] < 1e-10
     for row in read_rows(tmp_path / "out" / "samples.csv"):
         assert row["verdict"] == ("degenerate" if float(row["t"]) == 1.0 else "non-degenerate")
 
@@ -967,7 +1017,7 @@ def test_run_experiment_zero_driver_fully_degenerate(tmp_path):
     allow_degenerate = true
     """
     report = run_experiment(load_config(write_config(tmp_path, text)))
-    assert report.fraction_degenerate == 1.0
+    assert report.summary["fraction_degenerate"] == 1.0
     assert np.allclose(report.samples, 0.5)
 
 
@@ -1147,7 +1197,7 @@ def test_a_run_kde_stays_in_its_measured_band_against_the_exact_law(tmp_path):
             cfg = load_config(write_config(tmp_path, config.replace(
                 "count = 30", f"count = {count}").replace("seed = 7", f"seed = {seed}")))
             report = run_experiment(cfg, out_dir=str(tmp_path / "out"))
-            gaps.append(report.sup_distance / peak)
+            gaps.append(report.summary["reference"]["sup_distance"] / peak)
             assert lo < gaps[-1] < hi, (seed, count, gaps[-1])
         assert gaps[1] < gaps[0], seed
 
@@ -1272,7 +1322,7 @@ def test_loading_a_config_does_not_import_scipy_stats(tmp_path):
     code = ("import sys; sys.modules['scipy'] = None; import gaussrde; "
             f"report = gaussrde.run_experiment(gaussrde.load_config({config!r}), "
             f"out_dir={str(tmp_path / 'out')!r}); "
-            "print(report.ks_distance is not None, "
+            "print(report.summary['reference'] is not None, "
             "[m for m, v in sys.modules.items() if m.startswith('scipy') and v])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
@@ -1584,7 +1634,7 @@ def test_run_experiment_samples_the_kernel_once(tmp_path, monkeypatch):
     monkeypatch.setattr(gaussrde.experiments, "kernel_eval", counting)
     cfg = load_config(write_config(tmp_path, ROTATION_CONFIG))
     report = run_experiment(cfg, out_dir=str(tmp_path / "out"))
-    assert report.count == 30 and report.oracle_checked == report.count - report.aborted
+    assert report.summary["oracle_check"]["checked"] == 30
     assert len(calls) == 1
 
 
@@ -1633,5 +1683,5 @@ def test_run_experiment_takes_the_kernel_double_difference_once(tmp_path, monkey
     text = ROTATION_CONFIG.replace("seed = 11", "seed = 11\nallow_degenerate = true")
     report = run_experiment(load_config(write_config(tmp_path, text)),
                             out_dir=str(tmp_path / "out"))
-    assert report.count == 30 and report.oracle_checked == report.count - report.aborted
+    assert report.summary["oracle_check"]["checked"] == 30
     assert shapes == [(17, 17)]

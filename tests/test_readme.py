@@ -1,6 +1,6 @@
 """The README's command-line block against the argument parser, its config
 example and its key lists against the loader, its layout table against the
-package, its CSV header against a run, and the package exports against
+package, its CSV header and summary keys against a run, and the package exports against
 `__all__`."""
 
 import argparse
@@ -8,6 +8,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -160,7 +161,8 @@ d = 1
 {fields}
 
 [experiment]
-count = 2
+count = {count}
+reference = {reference}
 """
 
 
@@ -173,7 +175,32 @@ def test_readme_csv_header_is_what_run_writes(tmp_path, e, fields):
     header = section.split("```", 2)[1].strip()
     expanded = header.replace("y_1..y_e", ",".join(f"y_{a + 1}" for a in range(e)))
     config = tmp_path / "run.ini"
-    config.write_text(RUN_CONFIG.format(fields=fields))
+    config.write_text(RUN_CONFIG.format(fields=fields, count=2, reference="none"))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     written = (tmp_path / "out" / "samples.csv").read_text().splitlines()[0]
     assert written == expanded
+
+
+def key_tree(value):
+    """Nested dicts as {key: subtree}; any other value is None."""
+    return {k: key_tree(v) for k, v in value.items()} if isinstance(value, dict) else None
+
+
+@pytest.mark.parametrize("fields, reference", [
+    ("family = linear\ne = 1\ny0 = 1.0\nmatrices = 1.0", "lognormal 0 1"),
+    ("family = rotation\ne = 2\ny0 = 1.0 0.0", "none"),
+], ids=["e1-with-reference", "e2-without"])
+def test_readme_summary_keys_are_what_run_writes(tmp_path, fields, reference):
+    section = README.read_text().split("## Artifacts", 1)[1]
+    documented = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    config = tmp_path / "run.ini"
+    config.write_text(RUN_CONFIG.format(fields=fields, count=100, reference=reference))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    written = json.loads((tmp_path / "out" / "summary.json").read_text())
+    # the config's sections and keys are the file's own
+    assert sorted(written.pop("config")) == ["experiment", "fields", "model"]
+    del documented["config"]
+    expected = key_tree(documented)
+    if reference == "none":
+        expected["reference"] = None
+    assert key_tree(written) == expected
