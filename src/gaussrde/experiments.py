@@ -67,12 +67,10 @@ class RunError(RuntimeError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     kernel: str
-    kernel_params: dict
     horizon: float
     n: int
     d: int
     family: str
-    field_params: dict
     e: int
     y0: np.ndarray
     times: tuple
@@ -167,13 +165,6 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     horizon = _number(model_sec.get("horizon", "1.0"))
     if horizon <= 0:
         raise ConfigError("horizon must be positive")
-    kernel_params = {}
-    if kernel == "fbm":
-        if "hurst" not in model_sec:
-            raise ConfigError("fbm kernel needs a hurst key")
-        kernel_params["hurst"] = _number(model_sec["hurst"])
-    if kernel == "bridge":
-        kernel_params["pin"] = _number(model_sec.get("pin", str(horizon)))
     n = int(model_sec.get("n", "64"))
     if n < 8:
         raise ConfigError(f"grid size n must be >= 8, got {n}")
@@ -188,8 +179,6 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     y0 = _floats(fields_sec.get("y0", " ".join(["0"] * e)))
     if y0.size != e:
         raise ConfigError(f"y0 needs {e} components, got {y0.size}")
-    field_params = {k: v for k, v in fields_sec.items()
-                    if k not in ("family", "e", "y0")}
 
     times = tuple(_floats(exp_sec.get("times", str(horizon))).tolist())
     time_indices(uniform_grid(horizon, n), times)
@@ -208,24 +197,18 @@ def _config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     if reference is not None and e != 1:
         raise ConfigError(f"a reference law needs a scalar state (e = 1), got e = {e}")
 
-    csv_path, json_path = out_sec.get("csv"), out_sec.get("json")
-    name = os.path.basename(csv_path or "")
-    if name and name == os.path.basename(json_path or ""):
-        raise ConfigError(f"[output] csv and json share the file name {name!r}, so a run "
-                          f"into an output directory would write both to one file")
     tau = _number(thr_sec.get("tau", str(DEGENERACY_TAU)))
     if tau <= 0:
         raise ConfigError("tau must be positive")
 
     raw = {sec: dict(parser[sec]) for sec in parser.sections()}
     cfg = ExperimentConfig(
-        kernel=kernel, kernel_params=kernel_params, horizon=horizon, n=n, d=d,
-        family=family, field_params=field_params, e=e, y0=y0, times=times,
-        count=count, seed=seed, allow_degenerate=allow_degenerate,
-        threads=threads, reference=reference, csv_path=csv_path,
-        json_path=json_path, tau=tau, raw=raw,
+        kernel=kernel, horizon=horizon, n=n, d=d, family=family, e=e, y0=y0,
+        times=times, count=count, seed=seed, allow_degenerate=allow_degenerate,
+        threads=threads, reference=reference, csv_path=out_sec.get("csv"),
+        json_path=out_sec.get("json"), tau=tau, raw=raw,
     )
-    # Fail fast on unresolvable names/parameters.
+    # the kernel's and the family's own keys are read there, so fail fast on them
     build_model(cfg)
     build_fields(cfg)
     return cfg
@@ -247,11 +230,15 @@ def _parse_reference(text: str) -> tuple | None:
 
 
 def build_model(config: ExperimentConfig) -> CovarianceModel:
-    """Covariance model shared by all driver components."""
+    """Covariance model shared by all driver components; fbm's hurst and
+    bridge's pin (the horizon if not given) are read from [model] here alone."""
+    p = config.raw["model"]
     if config.kernel == "brownian":
         return brownian_model()
     if config.kernel == "fbm":
-        hurst = config.kernel_params["hurst"]
+        if "hurst" not in p:
+            raise ConfigError("fbm kernel needs a hurst key")
+        hurst = _number(p["hurst"])
         if not 0 < hurst < 1:
             raise ConfigError(f"hurst must lie in (0, 1), got {hurst}")
         if hurst <= MIN_HURST:
@@ -263,7 +250,7 @@ def build_model(config: ExperimentConfig) -> CovarianceModel:
             )
         return fbm_model(hurst)
     if config.kernel == "bridge":
-        pin = config.kernel_params["pin"]
+        pin = _number(p["pin"]) if "pin" in p else config.horizon
         if pin < config.horizon:
             raise ConfigError(
                 f"bridge pin {pin} lies before the horizon {config.horizon}: past "
@@ -274,8 +261,8 @@ def build_model(config: ExperimentConfig) -> CovarianceModel:
 
 
 def build_fields(config: ExperimentConfig) -> VectorFieldSystem:
-    """Vector-field system named by the config's [fields] section."""
-    p = config.field_params
+    """Vector-field system named by the config's [fields] section and its keys."""
+    p = config.raw["fields"]
     d, e = config.d, config.e
     if config.family == "rotation":
         if e != 2:
@@ -661,10 +648,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     samples stops at the first one past 1%), as does a row whose two
     routes differ by more than ROUTE_TOL (see `route_residual`).  Any other
     exception propagates.  The report's `summary` is summary.json's payload,
-    built here alone.  Without `out_dir` each artifact is written where the
-    config names it, if it does; with `out_dir` both are written there, under
-    the basenames of the config's paths or as samples.csv and summary.json.
+    built here alone.  The artifacts go where `artifact_paths`, called before
+    the gate, puts them; each is written at the end, its directory made then.
     """
+    csv_path, json_path = artifact_paths(config, out_dir)
     model = build_model(config)
     vf = build_fields(config)
     grid = uniform_grid(config.horizon, config.n)
@@ -738,13 +725,29 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
                "aborted": len(failures), **summarise_rows(record, slice(None)),
                "kde": kde, "reference": reference}
     del record["residual"]  # the route check's input, not a CSV column
-    _write_artifacts(config, summary, record, out_dir)
+    if csv_path:
+        write_rows_csv(csv_path, list(record), list(record.values()))
+    if json_path:
+        write_json(json_path, summary)
     return DensityReport(summary, final_Y, query, values)
 
 
 # ---------------------------------------------------------------------------
 # Artifacts
 # ---------------------------------------------------------------------------
+
+
+def artifact_paths(config: ExperimentConfig, out_dir: str | None = None) -> tuple:
+    """The (CSV, JSON) paths a run writes, falsy for one it does not: the
+    config's, or their basenames (samples.csv and summary.json if it names
+    none) inside `out_dir`.  ConfigError if the two are one file."""
+    paths = (config.csv_path, config.json_path)
+    if out_dir is not None:
+        paths = tuple(os.path.join(out_dir, os.path.basename(path or default))
+                      for path, default in zip(paths, ("samples.csv", "summary.json")))
+    if all(paths) and os.path.abspath(paths[0]) == os.path.abspath(paths[1]):
+        raise ConfigError(f"[output] csv and json resolve to one file, {paths[0]!r}")
+    return paths
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -760,6 +763,7 @@ def write_rows_csv(path: str, names, columns) -> None:
     row = ",".join("%s" if c.dtype.kind in "US" else "%.17g" for c in columns) + "\n"
     cells = itertools.chain.from_iterable(zip(*(c.tolist() for c in columns)))
     body = (row * len(columns[0])) % tuple(cells)
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n" + body)
 
@@ -767,18 +771,7 @@ def write_rows_csv(path: str, names, columns) -> None:
 def write_json(path: str, payload) -> None:
     """JSON file: sorted keys, indent 2 and one trailing newline, so that
     reruns are byte-identical."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_artifacts(config, summary, record, out_dir):
-    csv_path, json_path = config.csv_path, config.json_path
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, os.path.basename(csv_path or "samples.csv"))
-        json_path = os.path.join(out_dir, os.path.basename(json_path or "summary.json"))
-    if csv_path:
-        write_rows_csv(csv_path, list(record), list(record.values()))
-    if json_path:
-        write_json(json_path, summary)

@@ -72,9 +72,18 @@ json = summary.json
 """
 
 
+# ROTATION_CONFIG's [fields] lines
+ROTATION_FIELDS = "family = rotation\ne = 2\ny0 = 1.0 0.0\nomegas = 1.0 0.5"
+
+
+def planar(family, *lines):
+    """(old, new) that makes ROTATION_CONFIG's fields a planar `family` with
+    its own `lines`."""
+    return ROTATION_FIELDS, "\n".join([f"family = {family}", "e = 2", "y0 = 1.0 0.0", *lines])
+
+
 # ROTATION_CONFIG's fields made linear, with a NaN in its matrices
-NAN_MATRICES = ("family = rotation\ne = 2\ny0 = 1.0 0.0\nomegas = 1.0 0.5",
-                "family = linear\ne = 2\ny0 = 1.0 0.0\nmatrices = nan 0 0 1 ; 1 0 0 1")
+NAN_MATRICES = planar("linear", "matrices = nan 0 0 1 ; 1 0 0 1")
 # (old, new, the config error's message) for files configparser cannot read
 MALFORMED = [
     ("n = 17", "n = 17\nn = 33", "option 'n' in section 'model' already exists"),
@@ -130,36 +139,62 @@ def test_load_config_inline_comments(tmp_path):
 
 
 @pytest.mark.parametrize("mutation", [
-    ("kernel = brownian", "kernel = pink_noise"),
-    ("family = rotation", "family = quadratic"),
-    ("n = 17", "n = 4"),
-    ("count = 30", "count = 0"),
-    ("times = 0.5 1.0", "times = 0.0 1.0"),
-    ("times = 0.5 1.0", "times = 1.5"),
-    ("y0 = 1.0 0.0", "y0 = 1.0"),
-    ("seed = 11", "threads = 0\nseed = 11"),
-    ("times = 0.5 1.0", "times = 0.3 1.0"),
-    ("times = 0.5 1.0", "times = 1.0 1.0"),
-    ("seed = 11", "seed = 11\nreference = normal 0 1"),  # e = 2
-    ("seed = 11", "seed = -3"),
-    ("seed = 11", "seed = 11\n[thresholds]\ntau = nan"),
-    ("seed = 11", "seed = 11\n[thresholds]\ntau = inf"),
-    ("count = 30", "coutn = 30"),
-    ("[output]", "[outptu]"),
-    ("seed = 11", "seed = 11\nallow_degenerate = ture"),
-    ("kernel = brownian", "kernel = bridge\npin = nan"),
-    ("horizon = 1.0", "horizon = inf"),
-    ("y0 = 1.0 0.0", "y0 = nan 0.0"),
-    ("omegas = 1.0 0.5", "omegas = 1.0 -inf"),
-    ("times = 0.5 1.0", "times = 0.5 nan"),
-    NAN_MATRICES,
+    ("kernel = brownian", "kernel = pink_noise", "unknown kernel 'pink_noise'"),
+    ("family = rotation", "family = quadratic", "unknown family 'quadratic'"),
+    ("n = 17", "n = 4", "grid size n must be >= 8, got 4"),
+    ("count = 30", "count = 0", "count must be >= 1"),
+    ("times = 0.5 1.0", "times = 0.0 1.0", "evaluation times must lie in (0, horizon]"),
+    ("times = 0.5 1.0", "times = 1.5", "evaluation times must lie in (0, horizon]"),
+    ("y0 = 1.0 0.0", "y0 = 1.0", "y0 needs 2 components, got 1"),
+    ("seed = 11", "threads = 0\nseed = 11", "threads must be >= 1"),
+    ("times = 0.5 1.0", "times = 0.3 1.0",
+     "evaluation times must be grid points: time 0.3 is not a grid point"),
+    ("times = 0.5 1.0", "times = 1.0 1.0", "evaluation times must be distinct grid points"),
+    ("seed = 11", "seed = 11\nreference = normal 0 1",  # e = 2
+     "a reference law needs a scalar state (e = 1), got e = 2"),
+    ("seed = 11", "seed = -3", "seed must be >= 0"),
+    ("seed = 11", "seed = 11\n[thresholds]\ntau = nan", "numbers must be finite, got 'nan'"),
+    ("seed = 11", "seed = 11\n[thresholds]\ntau = inf", "numbers must be finite, got 'inf'"),
+    ("count = 30", "coutn = 30", "unknown key 'coutn' in [experiment]"),
+    ("[output]", "[outptu]", "unknown section [outptu]"),
+    ("seed = 11", "seed = 11\nallow_degenerate = ture", "Not a boolean: ture"),
+    ("kernel = brownian", "kernel = bridge\npin = nan", "numbers must be finite, got 'nan'"),
+    ("horizon = 1.0", "horizon = inf", "numbers must be finite, got 'inf'"),
+    ("y0 = 1.0 0.0", "y0 = nan 0.0", "numbers must be finite, got 'nan'"),
+    ("omegas = 1.0 0.5", "omegas = 1.0 -inf", "numbers must be finite, got '-inf'"),
+    ("times = 0.5 1.0", "times = 0.5 nan", "numbers must be finite, got 'nan'"),
+    (*NAN_MATRICES, "numbers must be finite, got 'nan'"),
     *MALFORMED,
     *FOREIGN_KEYS,
+    # each error the cases above do not reach
+    ("horizon = 1.0", "horizon = 0", "horizon must be positive"),
+    ("d = 2", "d = 0", "driver dimension d must be >= 1"),
+    ("e = 2", "e = 0", "state dimension e must be >= 1"),
+    ("seed = 11", "seed = 11\n[thresholds]\ntau = 0", "tau must be positive"),
+    ("seed = 11", "seed = 11\nreference = cauchy 0 1",
+     "unknown reference distribution 'cauchy'"),
+    ("seed = 11", "seed = 11\nreference = normal 0",
+     "reference normal needs two parameters (mu sigma)"),
+    ("seed = 11", "seed = 11\nreference = normal 0 0", "reference sigma must be positive"),
+    ("kernel = brownian", "kernel = fbm\nhurst = 1.5", "hurst must lie in (0, 1), got 1.5"),
+    ("e = 2\ny0 = 1.0 0.0", "e = 1\ny0 = 1.0", "rotation family is planar; set e = 2"),
+    ("omegas = 1.0 0.5", "omegas = 1.0", "omegas needs 2 entries, got 1"),
+    (*planar("constant"), "constant family needs a vectors key"),
+    (*planar("constant", "vectors = 1 0"), "vectors must give 2 rows of 2 entries"),
+    (*planar("linear"), "linear family needs a matrices key"),
+    (*planar("linear", "matrices = 1 0 0 1"),
+     "matrices must give 2 rows of 4 entries (row-major)"),
+    (*planar("linear", "matrices = 1 0 0 1 ; 1 0 0 1", "offsets = 1 0"),
+     "offsets must give 2 rows of 2 entries"),
+    (*planar("linear", "matrices = 1 0 0 1 ; 1 0 0 1", "drift_offset = 1"),
+     "drift_offset needs 2 entries"),
+    (*planar("polynomial"), "polynomial family needs a coeffs key"),
 ])
 def test_load_config_rejects_bad_values(tmp_path, mutation):
-    old, new = mutation[:2]
+    """Each (old, new) edit of ROTATION_CONFIG raises its own message."""
+    old, new, message = mutation
     path = write_config(tmp_path, ROTATION_CONFIG.replace(old, new))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(path)
 
 
@@ -368,14 +403,43 @@ def test_run_experiment_is_deterministic(tmp_path):
         assert a == b, name
 
 
-@pytest.mark.parametrize("csv_path, json_path", [("out.txt", "out.txt"), ("a/x", "b/x")])
-def test_a_csv_and_json_of_one_file_name_are_a_config_error(tmp_path, csv_path, json_path):
-    """An output directory keeps only the basenames of the two paths, so the
-    JSON would overwrite the CSV."""
-    text = ROTATION_CONFIG.replace("csv = samples.csv", f"csv = {csv_path}").replace(
-        "json = summary.json", f"json = {json_path}")
-    with pytest.raises(ConfigError, match="csv and json share the file name"):
-        load_config(write_config(tmp_path, text))
+@pytest.mark.parametrize("output, args", [
+    pytest.param("csv = out.txt\njson = out.txt", [], id="out.txt-out.txt"),
+    pytest.param("csv = a/x\njson = b/x", ["--out", "out"], id="a/x-b/x"),
+    pytest.param("csv = summary.json", ["--out", "out"], id="csv-summary.json"),
+    pytest.param("json = samples.csv", ["--out", "out"], id="json-samples.csv"),
+])
+def test_a_run_whose_two_artifacts_are_one_file_exits_2_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, output, args):
+    """`run` resolves its two paths before any sample is drawn: with `--out`
+    each is its basename there, or samples.csv and summary.json if unnamed."""
+    import gaussrde.experiments
+
+    def no_sampling(*_, **__):
+        raise AssertionError("a sample was drawn")
+
+    text = ROTATION_CONFIG.replace("csv = samples.csv\njson = summary.json", output)
+    cfg = write_config(tmp_path, text)
+    monkeypatch.setattr(gaussrde.experiments, "sample_paths", no_sampling)
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["run", "--config", cfg, *args]) == 2
+    assert "config error: [output] csv and json resolve to one file" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.ini"]
+
+
+def test_a_run_makes_the_directory_of_each_artifact(tmp_path, monkeypatch):
+    """Without `--out` the config's paths, of one basename, are written as
+    they are, each into a new subdirectory; `check` writes nothing and
+    passes the config."""
+    text = ROTATION_CONFIG.replace("csv = samples.csv\njson = summary.json",
+                                   "csv = a/x\njson = b/c/x")
+    cfg = write_config(tmp_path, text)
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["check", "--config", cfg]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.ini"]
+    assert cli_main(["run", "--config", cfg]) == 0
+    assert len(read_rows(tmp_path / "a" / "x")) == 30 * 2
+    assert json.loads((tmp_path / "b" / "c" / "x").read_text())["count"] == 30
 
 
 def test_a_key_summarise_rows_adds_reaches_the_report_and_summary_json(tmp_path, monkeypatch):
@@ -1401,7 +1465,7 @@ def test_cli_run_writes_artifacts(tmp_path, capsys):
 
 def test_cli_sample_lift_solve(tmp_path):
     cfg = write_config(tmp_path, ROTATION_CONFIG)
-    sample_out = tmp_path / "driver.csv"
+    sample_out = tmp_path / "new" / "driver.csv"  # its directory is made
     assert cli_main(["sample", "--config", cfg, "--out", str(sample_out)]) == 0
     header = sample_out.read_text().split("\n", 1)[0]
     assert header == "t,x_1,x_2"
@@ -1451,6 +1515,14 @@ def test_cli_sample_draws_only_the_indexed_path(tmp_path, monkeypatch):
     table = np.loadtxt(str(out), delimiter=",", skiprows=1)
     assert np.array_equal(table[:, 0], grid.points)
     assert np.array_equal(table[:, 1:], batch.values[5])
+
+
+def test_cli_sample_refuses_a_negative_index(tmp_path, capsys):
+    out = tmp_path / "driver.csv"
+    assert cli_main(["sample", "--config", write_config(tmp_path, ROTATION_CONFIG),
+                     "--out", str(out), "--index", "-1"]) == 2
+    assert "config error: --index must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_malliavin_report(tmp_path, capsys):

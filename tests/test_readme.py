@@ -18,7 +18,7 @@ import pytest
 import gaussrde
 from gaussrde import load_config
 from gaussrde.cli import _build_parser, main
-from gaussrde.experiments import _KIND_KEYS
+from gaussrde.experiments import _KIND_KEYS, build_model
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -60,7 +60,8 @@ def test_readme_config_example_loads(tmp_path):
     path = tmp_path / "example.ini"
     path.write_text(block)
     cfg = load_config(str(path))
-    assert (cfg.kernel, cfg.kernel_params, cfg.n, cfg.d) == ("fbm", {"hurst": 0.4}, 65, 2)
+    # fbm(0.4): rho = 1 / (2 hurst)
+    assert (cfg.kernel, build_model(cfg).rho, cfg.n, cfg.d) == ("fbm", 1.25, 65, 2)
     assert (cfg.family, cfg.e, cfg.times) == ("rotation", 2, (0.5, 1.0))
 
 
