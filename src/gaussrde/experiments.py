@@ -33,7 +33,7 @@ from .gaussian import (CovarianceModel, brownian_model, bridge_model,
 from .lift import lift_piecewise_linear
 from .malliavin import (DEGENERACY_TAU, _integrand_values, malliavin_matrix_2d,
                         malliavin_matrix_parseval, route_residual, spectrum)
-from .rde import NUMERICAL_ERRORS, log_operator_norm, solve_flow_jacobian, transport
+from .rde import NUMERICAL_ERRORS, FlowResult, log_operator_norm, solve_flow_jacobian, transport
 from .young import TimeGrid, uniform_grid
 
 log = logging.getLogger("gaussrde")
@@ -117,7 +117,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def time_indices(grid: TimeGrid, times) -> list[int]:
-    """Grid indices of evaluation times, distinct grid points in (0, horizon]."""
+    """Grid indices of evaluation times, increasing grid points in (0, horizon]."""
     if not times or any(t <= 0 or t > grid.horizon * (1 + 1e-12) for t in times):
         raise ConfigError("evaluation times must lie in (0, horizon]")
     try:
@@ -126,6 +126,8 @@ def time_indices(grid: TimeGrid, times) -> list[int]:
         raise ConfigError(f"evaluation times must be grid points: {exc}") from exc
     if len(set(indices)) < len(indices):
         raise ConfigError("evaluation times must be distinct grid points")
+    if indices != sorted(indices):
+        raise ConfigError("evaluation times must be increasing")
     return indices
 
 
@@ -593,34 +595,34 @@ def gaussian_gate(model: CovarianceModel, grid: TimeGrid, times) -> dict:
             for t, it in zip(times, time_indices(grid, times))}
 
 
-def by_rows(fn, take, rows, limit=math.inf):
-    """fn(take(rows)) for a list of row indices of a stack, in one call.  If
-    that fails numerically, halving finds the failing rows (fn on each half
-    of a failing set, the lower half and its failing rows first, down to
-    single rows) and fn runs again on the others.  Returns fn's output on the
-    rows that passed (on take([]) if none did) and {row: the error fn raises
-    on that row alone}.  Once more than `limit` rows have failed the search
-    stops, and the output is None: the lowest limit + 1 failing rows are
-    then the ones returned."""
+def by_rows(fn, stack, take, rows, limit=math.inf):
+    """fn(stack), for a stack whose positions carry the labels `rows`.  If
+    that fails numerically, halving finds the failing positions (fn on
+    take(stack, positions) for each half of a failing set, lower half first,
+    down to single ones) and fn runs once more on the others.  Returns fn's
+    output on the rows that passed (on take(stack, []) if none did), their
+    labels and {label: the error fn raises on that row alone}.  Once more
+    than `limit` rows have failed the search stops, and the output is None:
+    the lowest limit + 1 failing rows are then the ones returned."""
     try:
-        return fn(take(rows)), {}
+        return fn(stack), rows, {}
     except NUMERICAL_ERRORS as exc:
-        sets, failed = [(rows, exc)], {}
-    while sets:  # sets of rows still to search, with fn's error if it failed
+        sets, failed = [(list(range(len(rows))), exc)], {}
+    while sets and len(failed) <= limit:  # positions still to search, with fn's error
         part, error = sets.pop()
         if error is None:
             try:
-                fn(take(part))
+                fn(take(stack, part))
                 continue
             except NUMERICAL_ERRORS as exc:
                 error = exc
         if len(part) > 1:
             sets += [(part[len(part) // 2:], None), (part[:len(part) // 2], None)]
-            continue
-        failed[part[0]] = error
-        if len(failed) > limit:
-            return None, failed
-    return fn(take([k for k in rows if k not in failed])), failed
+        else:
+            failed[part[0]] = error
+    kept = [k for k in range(len(rows)) if k not in failed]
+    out = fn(take(stack, kept)) if len(failed) <= limit else None
+    return out, [rows[k] for k in kept], {rows[k]: error for k, error in failed.items()}
 
 
 def sample_floats(config: ExperimentConfig) -> int:
@@ -642,10 +644,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     on the chunking.  A numerical failure (explosion, an eigenvalue solve
     that does not converge, floating-point errors) drops the rows it happens
     in: a solver failure all rows of its sample, a tail failure at t only
-    the (sample, t) row; `by_rows` finds them.  `aborted` counts the samples
-    that lost a row, each logged once with its first error; the chunk that
-    takes it past 1% of the count fails the run (its search for failing
-    samples stops at the first one past 1%), as does a row whose two
+    the (sample, t) row; `by_rows` finds them, in sample positions in the
+    chunk (each time's search takes the solve's kept ones).  `aborted` counts
+    the samples that lost a row, each logged once with its first error; the
+    chunk that takes it past 1% of the count fails the run (its search for
+    failing samples stops at the first one past 1%), as does a row whose two
     routes differ by more than ROUTE_TOL (see `route_residual`).  Any other
     exception propagates.  The report's `summary` is summary.json's payload,
     built here alone.  The artifacts go where `artifact_paths`, called before
@@ -678,23 +681,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     for lo in range(0, config.count, size):
         paths = sample_paths(models, grid, min(size, config.count - lo), config.seed,
                              first=lo, factors=factors).values
-        every = list(range(len(paths)))
-        # the chunk itself when nothing failed, here and in the tail: no copy
         # the search for failing samples stops where the run would fail anyway
-        flows, errors = by_rows(
+        flows, solved, errors = by_rows(
             lambda v: solve_flow_jacobian(lift_piecewise_linear(PathSample(grid, v)), vf,
                                           config.y0, pvar_index=pvar_p),
-            lambda rows: paths if rows == every else paths[rows], every,
+            paths, lambda v, rows: v[rows], range(len(paths)),
             limit=0.01 * config.count - len(failures))
-        solved = np.array([i for i in every if i not in errors], dtype=int)
-        stack = list(range(solved.size))  # rows of flows
         for it in indices if flows is not None else ():
-            (_, _, row), failed = by_rows(
+            (_, _, row), kept, failed = by_rows(
                 lambda f: evaluate_flows(f, vf, kernel, basis, it, config.tau),
-                lambda rows: flows if rows == stack else flows.sample(rows), stack)
-            for j, error in failed.items():
-                errors.setdefault(int(solved[j]), error)  # each sample's first error
-            kept = lo + np.delete(solved, list(failed))  # the samples that passed at t
+                flows, FlowResult.sample, solved)
+            for i, error in failed.items():
+                errors.setdefault(i, error)  # each sample's first error
+            kept = lo + np.array(kept, dtype=int)  # the samples that passed at t
             chunks.append({"sample_index": kept, "t": np.full(kept.size, grid.points[it]), **row})
         for i in sorted(errors):
             log.warning("sample %d aborted: %s", lo + i, errors[i])

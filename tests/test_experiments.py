@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import functools
 import gc
 import json
 import logging
@@ -150,6 +149,7 @@ def test_load_config_inline_comments(tmp_path):
     ("times = 0.5 1.0", "times = 0.3 1.0",
      "evaluation times must be grid points: time 0.3 is not a grid point"),
     ("times = 0.5 1.0", "times = 1.0 1.0", "evaluation times must be distinct grid points"),
+    ("times = 0.5 1.0", "times = 1.0 0.5", "evaluation times must be increasing"),
     ("seed = 11", "seed = 11\nreference = normal 0 1",  # e = 2
      "a reference law needs a scalar state (e = 1), got e = 2"),
     ("seed = 11", "seed = -3", "seed must be >= 0"),
@@ -734,7 +734,8 @@ def test_a_failure_in_the_stacked_tail_aborts_only_its_sample(tmp_path, monkeypa
 
 def test_by_rows_finds_the_failing_rows_by_halving():
     """fn fails on a stack holding a marked row and names every marked row
-    it holds, so each failure found must be the error of its row alone."""
+    it holds, so each failure found must be the error of its row alone.  The
+    stack is its own labels, and the search answers in them."""
     calls = []
 
     def fn(rows):
@@ -744,29 +745,33 @@ def test_by_rows_finds_the_failing_rows_by_halving():
             raise ExplosionError(f"rows {bad}", 0.0)
         return list(rows)
 
-    rows = list(range(128))
-    for marked in ({77}, {5, 100}):
-        calls.clear()
-        out, failed = by_rows(fn, lambda rows: rows, rows)
-        assert out == calls[-1] == [k for k in rows if k not in marked]
-        assert {k: str(error) for k, error in failed.items()} == {
-            k: f"rows {[k]}" for k in marked}
+    def take(stack, positions):
+        return [stack[k] for k in positions]
+
+    # labels 0 .. 127, and 128 labels with gaps, out of order
+    for rows in (list(range(128)), [(37 * k) % 401 + 1000 for k in range(128)]):
+        for marked in ({rows[77]}, {rows[5], rows[100]}):
+            calls.clear()
+            out, kept, failed = by_rows(fn, rows, take, rows)
+            assert out == kept == calls[-1] == [k for k in rows if k not in marked]
+            assert {k: str(error) for k, error in failed.items()} == {
+                k: f"rows {[k]}" for k in marked}
     # one failure in 128 rows: the first call, two probes on each of 7
     # levels of halving, and the call on the others
-    marked = {77}
+    rows, marked = list(range(128)), {77}
     calls.clear()
-    by_rows(fn, lambda rows: rows, rows)
+    by_rows(fn, rows, take, rows)
     assert len(calls) <= 2 * 7 + 2
     marked = set(range(8))
     calls.clear()
-    out, failed = by_rows(fn, lambda rows: rows, list(range(8)))
-    assert out == calls[-1] == [] and sorted(failed) == list(range(8))
+    out, kept, failed = by_rows(fn, list(range(8)), take, list(range(8)))
+    assert out == kept == calls[-1] == [] and sorted(failed) == list(range(8))
 
     def broken(rows):
         raise ValueError("not a numerical failure")
 
     with pytest.raises(ValueError, match="not a numerical failure"):
-        by_rows(broken, lambda rows: rows, rows)
+        by_rows(broken, rows, take, rows)
 
 
 def test_by_rows_keeps_no_reference_to_its_stack():
@@ -777,11 +782,10 @@ def test_by_rows_keeps_no_reference_to_its_stack():
 
     stack = Stack()
     ref = weakref.ref(stack)
-    take = functools.partial(lambda stack, rows: stack, stack)
     gc.disable()
     try:
-        by_rows(lambda stack: None, take, [0, 1])
-        del stack, take
+        by_rows(lambda stack: None, stack, lambda stack, positions: stack, [0, 1])
+        del stack
         assert ref() is None
     finally:
         gc.enable()
@@ -1692,8 +1696,11 @@ def test_run_experiment_propagates_programming_errors(tmp_path, monkeypatch):
         run_experiment(cfg)
 
 
-def test_run_experiment_samples_the_kernel_once(tmp_path, monkeypatch):
-    """The kernel sample depends only on the driver law: one per run."""
+def test_run_experiment_samples_the_routes_kernel_once(tmp_path, monkeypatch):
+    """`run_experiment` itself samples the kernel once, for the covariance
+    routes of every chunk and evaluation time.  This counts only its own
+    `kernel_eval`: the Gaussian layer samples the kernel again inside
+    `cholesky_factors`, `cameron_martin_basis` and each time's gate."""
     import gaussrde.experiments
 
     calls = []

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -254,6 +255,26 @@ def test_cameron_martin_rejects_non_covariance():
     bad = CovarianceModel(name="negated", kernel=lambda s, t: -np.minimum(s, t), rho=1.0)
     with pytest.raises(ValueError):
         cameron_martin_basis(bad, uniform_grid(1.0, 6))
+
+
+# (s - t)^2 vanishes on the diagonal, so its grid matrix has a positive and a
+# materially negative eigenvalue
+SQUARED_GAP = CovarianceModel(name="squared gap", kernel=lambda s, t: (s - t) ** 2, rho=1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bridge_model(0.0), "bridge horizon must be positive, got 0.0"),
+    (lambda: sample_paths([brownian_model()], uniform_grid(1.0, 8), 0, seed=0),
+     "n_samples must be >= 1"),
+    (lambda: cameron_martin_basis(SQUARED_GAP, uniform_grid(1.0, 6)),
+     "kernel 'squared gap' is not positive semidefinite (eigenvalue -"),
+    (lambda: cm_element_from_coeffs(cameron_martin_basis(brownian_model(),
+                                                         uniform_grid(1.0, 6)), np.zeros(3)),
+     "expected 5 coefficients, got shape (3,)"),
+], ids=["bridge-horizon", "no-samples", "negative-eigenvalue", "coefficient-shape"])
+def test_gaussian_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_cm_element_norm_roundtrip():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,21 @@ def test_translate_dimension_mismatch():
     h = GridFunction1D(grid, np.zeros((grid.n, 3)))
     with pytest.raises(ValueError):
         translate(X, h)
+
+
+def test_translate_checks_its_direction():
+    X, grid = random_lift(39, d=2)
+    with pytest.raises(ValueError, match="translation direction must live on the path's grid"):
+        translate(X, GridFunction1D(uniform_grid(2.0, grid.n), np.zeros((grid.n, 2))))
+    # a 1-D direction is one component
+    with pytest.raises(ValueError, match=re.escape("direction has 1 components, path has 2")):
+        translate(X, GridFunction1D(grid, np.zeros(grid.n)))
+    # and on a one-component path it is the (n, 1) direction
+    X, grid = random_lift(40, d=1)
+    h = np.linspace(0.0, 1.0, grid.n)
+    flat, column = (translate(X, GridFunction1D(grid, v)) for v in (h, h[:, None]))
+    assert np.array_equal(flat.level1, column.level1)
+    assert np.array_equal(flat.level2, column.level2)
 
 
 def test_rough_path_validation():

@@ -213,6 +213,9 @@ def test_input_guards():
             malliavin_matrix_2d(flow, vf, wrong, 1.0)
         with pytest.raises(ValueError, match="grid does not match"):
             malliavin_matrix_2d(flow, vf, [kernel, wrong], 1.0)
+    # a 1-D direction is one component, and the driver has two
+    with pytest.raises(ValueError, match="direction has 1 components, driver has 2"):
+        malliavin.directional_derivative(flow, vf, GridFunction1D(grid, np.zeros(17)), 1.0)
 
 
 def test_integrand_values_terminal_point():

@@ -591,6 +591,24 @@ def test_ode_oracle_input_handling():
         solve_ode_reference(np.zeros(17), vf, np.array([1.0]))
 
 
+def test_ode_oracle_checks_its_driver():
+    grid = uniform_grid(1.0, 17)
+    vf = linear_fields(np.array([[[0.5]]]))
+    ramp = 2.0 * grid.points
+    # a 1-D path is one component
+    flat, column = (solve_ode_reference(GridFunction1D(grid, x), vf, np.array([1.0]))
+                    for x in (ramp, ramp[:, None]))
+    assert np.array_equal(flat.Y, column.Y) and np.array_equal(flat.M, column.M)
+    with pytest.raises(ValueError, match="fields expect a 1-dimensional driver, "
+                                         "path has 2 components"):
+        solve_ode_reference(GridFunction1D(grid, np.zeros((17, 2))), vf, np.array([1.0]))
+    # y' = 100 y along a ramp: one RK4 step of 1/16 multiplies y by about 131,
+    # so the sixth passes EXPLOSION_NORM
+    with pytest.raises(ExplosionError, match=re.escape("state exploded at t = 0.375")):
+        solve_ode_reference(GridFunction1D(grid, grid.points),
+                            linear_fields(np.array([[[100.0]]])), np.array([1.0]))
+
+
 def reference_solve(X, vf, y0):
     """The per-path step loop that the stacked solver replaced, kept as the
     reference: Y, V, J and the step maps M of one path.  Time is adjoined to

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,6 +186,34 @@ def test_p_variation_partition_is_consistent():
         for i, j in zip(partition[:-1], partition[1:])
     )
     assert np.isclose(recomputed ** (1.0 / p), value, rtol=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GridFunction1D(uniform_grid(1.0, 8), np.zeros(7)),
+     "got 7 values for a grid of 8 points"),
+    (lambda: GridFunction2D(uniform_grid(1.0, 8), np.zeros((8, 7))),
+     "value matrix (8, 7) inconsistent with a grid of 8 points"),
+    (lambda: young_integral_1d(GridFunction1D(uniform_grid(1.0, 8), np.ones((8, 2))),
+                               GridFunction1D(uniform_grid(1.0, 8), np.ones((8, 3)))),
+     "vector-valued f and g must have matching width"),
+    (lambda: young_integral_2d(GridFunction1D(uniform_grid(1.0, 8), np.ones(8)),
+                               GridFunction1D(uniform_grid(1.0, 8), np.ones(8)),
+                               brownian_kernel_sample(uniform_grid(2.0, 8))),
+     "f and g must be sampled on R.grid"),
+    (lambda: p_variation_bruteforce(GridFunction1D(uniform_grid(1.0, 4), np.zeros(4)), 0.5),
+     "p must be >= 1, got 0.5"),
+], ids=["values-1d", "values-2d", "young-1d-width", "young-2d-grid", "bruteforce-p"])
+def test_grid_function_and_integral_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_young_integral_of_a_scalar_against_a_vector():
+    grid = uniform_grid(1.0, 8)
+    f = GridFunction1D(grid, np.linspace(0.0, 1.0, 8))
+    g = GridFunction1D(grid, np.column_stack([grid.points, grid.points ** 2]))
+    expected = [np.dot(f.values[:-1], np.diff(g.values[:, j])) for j in range(2)]
+    assert np.allclose(young_integral_1d(f, g), expected, rtol=1e-14)
 
 
 def test_p_variation_rejects_bad_exponent():
