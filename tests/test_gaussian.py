@@ -77,6 +77,8 @@ def test_bridge_kernel_pins_endpoint():
         assert np.isclose(m(t, t), t * (horizon - t) / horizon, atol=1e-12)
     assert np.isclose(m(horizon, horizon), 0.0)
     assert np.isclose(m(0.7, horizon), 0.0)
+    with pytest.raises(ValueError, match="bridge horizon must be positive, got 0.0"):
+        bridge_model(0.0)
 
 
 def test_grid_covariance_shape_and_psd():
@@ -199,6 +201,8 @@ def test_sampling_zero_model():
     grid = uniform_grid(1.0, 8)
     s = sample_paths([zero_model()], grid, n_samples=4, seed=0)
     assert np.allclose(s.values, 0.0)
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        sample_paths([zero_model()], grid, n_samples=0, seed=0)
 
 
 def test_sampling_a_small_driver_keeps_its_spread():
@@ -255,26 +259,12 @@ def test_cameron_martin_rejects_non_covariance():
     bad = CovarianceModel(name="negated", kernel=lambda s, t: -np.minimum(s, t), rho=1.0)
     with pytest.raises(ValueError):
         cameron_martin_basis(bad, uniform_grid(1.0, 6))
-
-
-# (s - t)^2 vanishes on the diagonal, so its grid matrix has a positive and a
-# materially negative eigenvalue
-SQUARED_GAP = CovarianceModel(name="squared gap", kernel=lambda s, t: (s - t) ** 2, rho=1.0)
-
-
-@pytest.mark.parametrize("call, message", [
-    (lambda: bridge_model(0.0), "bridge horizon must be positive, got 0.0"),
-    (lambda: sample_paths([brownian_model()], uniform_grid(1.0, 8), 0, seed=0),
-     "n_samples must be >= 1"),
-    (lambda: cameron_martin_basis(SQUARED_GAP, uniform_grid(1.0, 6)),
-     "kernel 'squared gap' is not positive semidefinite (eigenvalue -"),
-    (lambda: cm_element_from_coeffs(cameron_martin_basis(brownian_model(),
-                                                         uniform_grid(1.0, 6)), np.zeros(3)),
-     "expected 5 coefficients, got shape (3,)"),
-], ids=["bridge-horizon", "no-samples", "negative-eigenvalue", "coefficient-shape"])
-def test_gaussian_inputs_are_checked(call, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        call()
+    # (s - t)^2 vanishes on the diagonal, so its grid matrix has a positive and
+    # a materially negative eigenvalue
+    gap = CovarianceModel(name="squared gap", kernel=lambda s, t: (s - t) ** 2, rho=1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            "kernel 'squared gap' is not positive semidefinite (eigenvalue -")):
+        cameron_martin_basis(gap, uniform_grid(1.0, 6))
 
 
 def test_cm_element_norm_roundtrip():
@@ -287,6 +277,9 @@ def test_cm_element_norm_roundtrip():
         h = cm_element_from_coeffs(basis, coeffs)
         report = cm_embedding_check(model, grid, h)
         assert np.isclose(report["h_norm"], np.linalg.norm(coeffs), rtol=1e-8)
+    with pytest.raises(ValueError, match=re.escape(
+            f"expected {basis.size} coefficients, got shape (3,)")):
+        cm_element_from_coeffs(basis, np.zeros(3))
 
 
 def test_variance_functional_nonnegative_and_quadratic():

@@ -123,10 +123,6 @@ def test_translate_dimension_mismatch():
     h = GridFunction1D(grid, np.zeros((grid.n, 3)))
     with pytest.raises(ValueError):
         translate(X, h)
-
-
-def test_translate_checks_its_direction():
-    X, grid = random_lift(39, d=2)
     with pytest.raises(ValueError, match="translation direction must live on the path's grid"):
         translate(X, GridFunction1D(uniform_grid(2.0, grid.n), np.zeros((grid.n, 2))))
     # a 1-D direction is one component

@@ -589,11 +589,6 @@ def test_ode_oracle_input_handling():
         solve_ode_reference(single, vf, np.array([1.0]), substeps=0)
     with pytest.raises(TypeError):
         solve_ode_reference(np.zeros(17), vf, np.array([1.0]))
-
-
-def test_ode_oracle_checks_its_driver():
-    grid = uniform_grid(1.0, 17)
-    vf = linear_fields(np.array([[[0.5]]]))
     ramp = 2.0 * grid.points
     # a 1-D path is one component
     flat, column = (solve_ode_reference(GridFunction1D(grid, x), vf, np.array([1.0]))

@@ -46,6 +46,11 @@ def test_time_grid_validation():
     assert g.index_of(0.5) == 2
     with pytest.raises(ValueError):
         g.index_of(0.3)
+    with pytest.raises(ValueError, match="got 8 values for a grid of 9 points"):
+        GridFunction1D(g, np.zeros(8))
+    with pytest.raises(ValueError, match=re.escape(
+            "value matrix (9, 8) inconsistent with a grid of 9 points")):
+        GridFunction2D(g, np.zeros((9, 8)))
 
 
 def test_grid_point_tolerance_is_relative_to_the_horizon():
@@ -97,6 +102,11 @@ def test_integral_linearity_and_shapes():
         for k in range(3)
     )
     assert np.isclose(paired, manual)
+    # scalar integrand against vector integrator gives a vector
+    vec = young_integral_1d(f1, gv)
+    assert vec.shape == (3,)
+    for k in range(3):
+        assert np.isclose(vec[k], young_integral_1d(f1, GridFunction1D(grid, gv.values[:, k])))
 
 
 def test_integral_grid_mismatch():
@@ -104,6 +114,11 @@ def test_integral_grid_mismatch():
     g = GridFunction1D(uniform_grid(2.0, 8), np.ones(8))
     with pytest.raises(ValueError):
         young_integral_1d(f, g)
+    with pytest.raises(ValueError, match="f and g must be sampled on R.grid"):
+        young_integral_2d(f, f, brownian_kernel_sample(g.grid))
+    with pytest.raises(ValueError, match="vector-valued f and g must have matching width"):
+        young_integral_1d(GridFunction1D(f.grid, np.ones((8, 2))),
+                          GridFunction1D(f.grid, np.ones((8, 3))))
 
 
 def test_rectangle_increments_additivity():
@@ -188,34 +203,6 @@ def test_p_variation_partition_is_consistent():
     assert np.isclose(recomputed ** (1.0 / p), value, rtol=1e-12)
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: GridFunction1D(uniform_grid(1.0, 8), np.zeros(7)),
-     "got 7 values for a grid of 8 points"),
-    (lambda: GridFunction2D(uniform_grid(1.0, 8), np.zeros((8, 7))),
-     "value matrix (8, 7) inconsistent with a grid of 8 points"),
-    (lambda: young_integral_1d(GridFunction1D(uniform_grid(1.0, 8), np.ones((8, 2))),
-                               GridFunction1D(uniform_grid(1.0, 8), np.ones((8, 3)))),
-     "vector-valued f and g must have matching width"),
-    (lambda: young_integral_2d(GridFunction1D(uniform_grid(1.0, 8), np.ones(8)),
-                               GridFunction1D(uniform_grid(1.0, 8), np.ones(8)),
-                               brownian_kernel_sample(uniform_grid(2.0, 8))),
-     "f and g must be sampled on R.grid"),
-    (lambda: p_variation_bruteforce(GridFunction1D(uniform_grid(1.0, 4), np.zeros(4)), 0.5),
-     "p must be >= 1, got 0.5"),
-], ids=["values-1d", "values-2d", "young-1d-width", "young-2d-grid", "bruteforce-p"])
-def test_grid_function_and_integral_inputs_are_checked(call, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        call()
-
-
-def test_young_integral_of_a_scalar_against_a_vector():
-    grid = uniform_grid(1.0, 8)
-    f = GridFunction1D(grid, np.linspace(0.0, 1.0, 8))
-    g = GridFunction1D(grid, np.column_stack([grid.points, grid.points ** 2]))
-    expected = [np.dot(f.values[:-1], np.diff(g.values[:, j])) for j in range(2)]
-    assert np.allclose(young_integral_1d(f, g), expected, rtol=1e-14)
-
-
 def test_p_variation_rejects_bad_exponent():
     path = GridFunction1D(uniform_grid(1.0, 4), np.zeros(4))
     with pytest.raises(ValueError):
@@ -226,6 +213,8 @@ def test_bruteforce_size_guard():
     path = GridFunction1D(uniform_grid(1.0, 15), np.zeros(15))
     with pytest.raises(ValueError):
         p_variation_bruteforce(path, 2.0)
+    with pytest.raises(ValueError, match="p must be >= 1, got 0.5"):
+        p_variation_bruteforce(GridFunction1D(uniform_grid(1.0, 4), np.zeros(4)), 0.5)
 
 
 def test_rho_variation_overlap_kernel_exact():
