@@ -2,20 +2,20 @@
 
 Samples the built-in covariance models, rebuilds the grid covariance
 from the eigen-basis, and checks the variation embedding that controls
-how Cameron-Martin perturbations enter rough integrals.
+how Cameron-Martin perturbations enter rough integrals.  Each model's
+kernel is sampled on the grid once; the basis, the embedding check and
+the non-degeneracy check all read that one sample.
 """
 
 import numpy as np
 
 from gaussrde import (
-    TimeGrid,
     brownian_model,
     bridge_model,
     cameron_martin_basis,
     cm_element_from_coeffs,
     cm_embedding_check,
     fbm_model,
-    grid_covariance,
     kernel_eval,
     nondegeneracy_check,
     sample_paths,
@@ -30,6 +30,7 @@ models = {
     "fbm H=0.75": fbm_model(0.75),
     "bridge": bridge_model(1.0),
 }
+kernels = {name: kernel_eval(model, grid) for name, model in models.items()}
 
 print("model          rho    var(X_1)   increment var on [0.5, 0.75]")
 for name, model in models.items():
@@ -44,11 +45,11 @@ big = sample_paths([brownian_model()] * 2, grid, 5, seed=42)
 small = sample_paths([brownian_model()] * 2, grid, 3, seed=42)
 print("\nbatch prefix property:", np.array_equal(big.values[:3], small.values))
 
-# The scaled eigenvector basis reconstructs the grid covariance exactly.
-model = fbm_model(0.75)
-basis = cameron_martin_basis(model, grid)
+# The scaled eigenvector basis reconstructs the grid covariance, the
+# kernel sample after time 0, exactly.
+basis = cameron_martin_basis(kernels["fbm H=0.75"])
 F = np.stack([basis.element(n).values for n in range(basis.size)])
-C = grid_covariance(model, grid)
+C = kernels["fbm H=0.75"].values[1:, 1:]
 print("basis size:", basis.size)
 print("covariance reconstruction error:",
       np.max(np.abs(F[:, 1:].T @ F[:, 1:] - C)))
@@ -59,29 +60,28 @@ rng = np.random.default_rng(3)
 print("\nembedding margins (rhs / lhs), 5 random elements per model:")
 for name in ("brownian", "fbm H=0.40", "fbm H=0.75"):
     margins = []
-    b = cameron_martin_basis(models[name], grid)
+    b = cameron_martin_basis(kernels[name])
     for _ in range(5):
         c = rng.standard_normal(b.size)
         h = cm_element_from_coeffs(b, c)
-        rep = cm_embedding_check(models[name], grid, h, h_norm_sq=float(c @ c))
+        rep = cm_embedding_check(kernels[name], h, h_norm_sq=float(c @ c))
         margins.append(rep["rhs"] / rep["lhs"])
     print(f"  {name:<12} min {min(margins):.3f}  max {max(margins):.3f}")
 
 # Degeneracy scan over the increment covariance.  The bridge kernel pins
 # the path at the horizon, so on the full grid some weighting of the
-# increments has zero variance; restricted to the first half it is fine.
+# increments has zero variance; on [0, 0.5], the leading block of the same
+# sample, it is fine.
 print()
-for name, model in models.items():
-    rep = nondegeneracy_check(model, grid)
+for name, kernel in kernels.items():
+    rep = nondegeneracy_check(kernel, grid.horizon)
     print(f"{name:<14} full grid "
           f"{'DEGENERATE' if rep['degenerate'] else 'ok':<12} "
           f"min eig {rep['min_eigenvalue']:.3e}")
 
-half = TimeGrid(grid.points[:33])
-rep = nondegeneracy_check(bridge_model(1.0), half)
+rep = nondegeneracy_check(kernels["bridge"], 0.5)
 print(f"{'bridge':<14} up to 0.5 "
       f"{'DEGENERATE' if rep['degenerate'] else 'ok':<12} "
       f"min eig {rep['min_eigenvalue']:.3e}")
 
-R = kernel_eval(bridge_model(1.0), grid)
-print("bridge kernel at the pin R(1,1):", R.values[-1, -1])
+print("bridge kernel at the pin R(1,1):", kernels["bridge"].values[-1, -1])

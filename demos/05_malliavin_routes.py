@@ -15,6 +15,7 @@ from gaussrde import (
     brownian_model,
     bridge_model,
     cameron_martin_basis,
+    cholesky_factors,
     constant_fields,
     fbm_model,
     kernel_eval,
@@ -34,11 +35,15 @@ grid = uniform_grid(1.0, 65)
 vf = rotation_fields()
 y0 = np.array([0.8, -0.3])
 
+# The kernel sampled on the grid once feeds the driver's Cholesky factors,
+# the Cameron-Martin basis and the 2D route.
 for model, name in ((brownian_model(), "brownian"), (fbm_model(0.4), "fbm 0.4")):
-    basis = cameron_martin_basis(model, grid)
-    batch = sample_paths([model] * 2, grid, 1, seed=21)
+    kernel = kernel_eval(model, grid)
+    basis = cameron_martin_basis(kernel)
+    batch = sample_paths([model] * 2, grid, 1, seed=21,
+                         factors=cholesky_factors([kernel]) * 2)
     flow = solve_flow_jacobian(lift_piecewise_linear(batch.path(0)), vf, y0)
-    direct = malliavin_matrix_2d(flow, vf, kernel_eval(model, grid), 1.0)
+    direct = malliavin_matrix_2d(flow, vf, kernel, 1.0)
     pars = malliavin_matrix_parseval(flow, vf, basis, 1.0)
     gap = np.linalg.norm(pars.sigma - direct.sigma) / np.linalg.norm(direct.sigma)
     lam_min = np.linalg.eigvalsh(direct.sigma)[0]
@@ -61,11 +66,11 @@ for stride in (8, 2):
 # Non-spanning fields produce a rank-deficient matrix regardless of the
 # driver: one constant direction can only ever spread mass along itself.
 vf_flat = constant_fields(np.array([[1.0, 0.0]]))
-batch = sample_paths([brownian_model()], grid, 1, seed=23)
+kernel = kernel_eval(brownian_model(), grid)
+batch = sample_paths([kernel.model], grid, 1, seed=23, factors=cholesky_factors([kernel]))
 flow = solve_flow_jacobian(lift_piecewise_linear(batch.path(0)), vf_flat,
                            np.zeros(2))
-m = malliavin_matrix_2d(flow, vf_flat, kernel_eval(brownian_model(), grid),
-                       1.0)
+m = malliavin_matrix_2d(flow, vf_flat, kernel, 1.0)
 print("\nconstant non-spanning fields:")
 print(m.sigma)
 spec = spectrum(m, scale=1.0)
@@ -74,10 +79,11 @@ print("verdict:", spec.verdict, " det:", spec.det)
 # The pinned bridge collapses the matrix exactly at the pin time while
 # staying full-rank before it.
 vf1 = linear_fields(np.array([[[0.4]]]))
-batch = sample_paths([bridge_model(1.0)], grid, 1, seed=24)
+bridge_kernel = kernel_eval(bridge_model(1.0), grid)
+batch = sample_paths([bridge_kernel.model], grid, 1, seed=24,
+                     factors=cholesky_factors([bridge_kernel]))
 flow = solve_flow_jacobian(lift_piecewise_linear(batch.path(0)), vf1,
                            np.array([1.0]))
-bridge_kernel = kernel_eval(bridge_model(1.0), grid)
 for t in (0.5, 1.0):
     m = malliavin_matrix_2d(flow, vf1, bridge_kernel, t)
     print(f"bridge t={t}: sigma={m.sigma[0, 0]:.4e}  "

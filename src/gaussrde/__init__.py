@@ -25,13 +25,13 @@ from .young import (
 from .gaussian import (
     CovarianceModel,
     CameronMartinBasis,
+    KernelSample,
     PathSample,
     brownian_model,
     fbm_model,
     bridge_model,
     zero_model,
     kernel_eval,
-    grid_covariance,
     sample_paths,
     cholesky_factors,
     cameron_martin_basis,
@@ -86,8 +86,8 @@ __all__ = [
     "young_integral_1d", "young_integral_2d", "p_variation",
     "p_variation_with_partition", "rho_variation_2d", "RhoVariationResult",
     # gaussian
-    "CovarianceModel", "CameronMartinBasis", "PathSample", "brownian_model",
-    "fbm_model", "bridge_model", "zero_model", "kernel_eval", "grid_covariance",
+    "CovarianceModel", "CameronMartinBasis", "KernelSample", "PathSample",
+    "brownian_model", "fbm_model", "bridge_model", "zero_model", "kernel_eval",
     "sample_paths", "cholesky_factors", "cameron_martin_basis",
     "cm_element_from_coeffs",
     "nondegeneracy_check", "cm_embedding_check",

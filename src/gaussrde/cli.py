@@ -17,7 +17,7 @@ from .experiments import (ConfigError, RunError, build_fields, build_model,
                           check_conditions, check_routes, evaluate_flows,
                           load_config, run_experiment, time_indices,
                           variation_index, write_json, write_rows_csv)
-from .gaussian import cameron_martin_basis, kernel_eval, sample_paths
+from .gaussian import cameron_martin_basis, cholesky_factors, kernel_eval, sample_paths
 from .lift import lift_piecewise_linear
 from .rde import ExplosionError, solve_flow_jacobian
 from .young import uniform_grid
@@ -71,10 +71,11 @@ def _prepare(args):
     return config, model, vf, grid
 
 
-def _single_path(config, model, grid, index):
+def _single_path(config, kernel, index):
     if index < 0:
         raise ConfigError("--index must be >= 0")
-    return sample_paths([model] * config.d, grid, 1, config.seed, first=index).path(0)
+    return sample_paths([kernel.model] * config.d, kernel.grid, 1, config.seed, first=index,
+                        factors=cholesky_factors([kernel]) * config.d).path(0)
 
 
 def _names(prefix: str, count: int) -> list[str]:
@@ -117,7 +118,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_sample(args) -> int:
     config, model, _, grid = _prepare(args)
-    path = _single_path(config, model, grid, args.index)
+    path = _single_path(config, kernel_eval(model, grid), args.index)
     write_rows_csv(args.out, ["t"] + _names("x", config.d),
                    [grid.points, *path.values.T])
     print(f"wrote driver sample {args.index} to {args.out}")
@@ -126,7 +127,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_lift(args) -> int:
     config, model, _, grid = _prepare(args)
-    X = lift_piecewise_linear(_single_path(config, model, grid, args.index))
+    X = lift_piecewise_linear(_single_path(config, kernel_eval(model, grid), args.index))
     d = config.d
     write_rows_csv(args.out, ["t"] + _names("a", d)
                    + [name for i in range(d) for name in _names(f"b_{i + 1}", d)],
@@ -137,7 +138,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_solve(args) -> int:
     config, model, vf, grid = _prepare(args)
-    path = _single_path(config, model, grid, args.index)
+    path = _single_path(config, kernel_eval(model, grid), args.index)
     flow = solve_flow_jacobian(lift_piecewise_linear(path), vf, config.y0,
                                pvar_index=variation_index(model))
     write_rows_csv(args.out, ["t"] + _names("y", config.e), [grid.points, *flow.Y.T])
@@ -149,11 +150,11 @@ def _cmd_solve(args) -> int:
 def _cmd_malliavin(args) -> int:
     config, model, vf, grid = _prepare(args)
     t = args.time if args.time is not None else config.times[-1]
-    path = _single_path(config, model, grid, args.index)
+    kernel = kernel_eval(model, grid)
+    path = _single_path(config, kernel, args.index)
     flow = solve_flow_jacobian(lift_piecewise_linear(path), vf, config.y0)
-    mat, spec, row = evaluate_flows(
-        flow, vf, kernel_eval(model, grid), cameron_martin_basis(model, grid),
-        time_indices(grid, [t])[0], config.tau)
+    mat, spec, row = evaluate_flows(flow, vf, kernel, cameron_martin_basis(kernel),
+                                    time_indices(grid, [t])[0], config.tau)
     check_routes(row["residual"], [args.index], [t])
     print(f"sigma at t = {t} (2d-young route):")
     for line in mat.sigma:

@@ -352,9 +352,9 @@ def check_conditions(config: ExperimentConfig) -> dict:
     """
     model = build_model(config)
     vf = build_fields(config)
-    grid = uniform_grid(config.horizon, config.n)
     rank = ellipticity_rank(vf, config.y0)
-    per_time = gaussian_gate(model, grid, config.times)
+    kernel = kernel_eval(model, uniform_grid(config.horizon, config.n))
+    per_time = {t: nondegeneracy_check(kernel, t) for t in config.times}
     gaussian_nondeg = not any(rep["degenerate"] for rep in per_time.values())
     return {
         "ellipticity": bool(rank == config.e),
@@ -589,12 +589,6 @@ def check_routes(residuals, samples, times) -> None:
                        f"{residuals[worst]:.3e} > {ROUTE_TOL:g}")
 
 
-def gaussian_gate(model: CovarianceModel, grid: TimeGrid, times) -> dict:
-    """Gaussian non-degeneracy report per evaluation time, on [0, t]."""
-    return {t: nondegeneracy_check(model, TimeGrid(grid.points[:it + 1]))
-            for t, it in zip(times, time_indices(grid, times))}
-
-
 def by_rows(fn, stack, take, rows, limit=math.inf):
     """fn(stack), for a stack whose positions carry the labels `rows`.  If
     that fails numerically, halving finds the failing positions (fn on
@@ -635,16 +629,17 @@ def sample_floats(config: ExperimentConfig) -> int:
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> DensityReport:
     """Run the sampled-path pipeline described by the config.
 
-    Unless the config allows a degenerate scenario, the driver model must
-    pass the Gaussian non-degeneracy probe at every evaluation time before
-    any sampling happens.  Samples go through the whole pipeline in equal
-    chunks of at most CHUNK_FLOATS / sample_floats(config): sample (with the
-    one Cholesky factor taken once per run), lift, solve, p-variation, then one
-    covariance tail (`evaluate_flows`) per evaluation time; no value depends
-    on the chunking.  A numerical failure (explosion, an eigenvalue solve
-    that does not converge, floating-point errors) drops the rows it happens
-    in: a solver failure all rows of its sample, a tail failure at t only
-    the (sample, t) row; `by_rows` finds them, in sample positions in the
+    The kernel is sampled once; the gate, the Cholesky factor, the
+    Cameron-Martin basis and the 2D route all read that sample.  Unless the
+    config allows a degenerate scenario, the driver model must pass the
+    Gaussian non-degeneracy probe at every evaluation time before any path is
+    drawn.  Samples go through the whole pipeline in equal chunks of at most
+    CHUNK_FLOATS / sample_floats(config): sample, lift, solve, p-variation,
+    then one covariance tail (`evaluate_flows`) per evaluation time; no value
+    depends on the chunking.  A numerical failure (explosion, an eigenvalue
+    solve that does not converge, floating-point errors) drops the rows it
+    happens in: a solver failure all rows of its sample, a tail failure at t
+    only the (sample, t) row; `by_rows` finds them, in sample positions in the
     chunk (each time's search takes the solve's kept ones).  `aborted` counts
     the samples that lost a row, each logged once with its first error; the
     chunk that takes it past 1% of the count fails the run (its search for
@@ -659,10 +654,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
     vf = build_fields(config)
     grid = uniform_grid(config.horizon, config.n)
     indices = time_indices(grid, config.times)
+    kernel = kernel_eval(model, grid)
 
     if not config.allow_degenerate:
-        for t, rep in gaussian_gate(model, grid, config.times).items():
-            if rep["degenerate"]:
+        for t in config.times:
+            if nondegeneracy_check(kernel, t)["degenerate"]:
                 raise ConfigError(
                     f"driver model {model.name!r} is degenerate on [0, {t}]; "
                     f"set allow_degenerate = true to study this on purpose"
@@ -670,9 +666,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
 
     pvar_p = variation_index(model)
     models = [model] * config.d
-    factors = cholesky_factors([model], grid) * config.d
-    basis = cameron_martin_basis(model, grid)
-    kernel = kernel_eval(model, grid)
+    factors = cholesky_factors([kernel]) * config.d
+    basis = cameron_martin_basis(kernel)
 
     chunks, failures = [], []
     # equal chunks, so no small tail chunk pays a whole step loop
@@ -739,13 +734,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Dens
 def artifact_paths(config: ExperimentConfig, out_dir: str | None = None) -> tuple:
     """The (CSV, JSON) paths a run writes, falsy for one it does not: the
     config's, or their basenames (samples.csv and summary.json if it names
-    none) inside `out_dir`.  ConfigError if the two are one file."""
+    none) inside `out_dir`.  ConfigError if the two are one file, or if one
+    names a directory (an existing one, or a path that ends in a separator)."""
     paths = (config.csv_path, config.json_path)
     if out_dir is not None:
         paths = tuple(os.path.join(out_dir, os.path.basename(path or default))
                       for path, default in zip(paths, ("samples.csv", "summary.json")))
     if all(paths) and os.path.abspath(paths[0]) == os.path.abspath(paths[1]):
         raise ConfigError(f"[output] csv and json resolve to one file, {paths[0]!r}")
+    for name, path in zip(("csv", "json"), paths):
+        if path and (not os.path.basename(path) or os.path.isdir(path)):
+            raise ConfigError(f"[output] {name} names a directory, {path!r}")
     return paths
 
 

@@ -76,20 +76,19 @@ def zero_model() -> CovarianceModel:
     return CovarianceModel("zero", lambda s, t: np.zeros(np.broadcast(s, t).shape), 1.0)
 
 
-def kernel_eval(model: CovarianceModel, grid: TimeGrid) -> GridFunction2D:
-    """Sample R on grid x grid: the one kernel sample the covariance routes,
-    the rho-variation estimate and the grid covariance all read."""
+@dataclass(frozen=True)
+class KernelSample(GridFunction2D):
+    """R sampled on grid x grid, with the model it samples (its name and rho)."""
+
+    model: CovarianceModel
+
+
+def kernel_eval(model: CovarianceModel, grid: TimeGrid) -> KernelSample:
+    """Sample R on grid x grid: the one kernel sample the covariance routes
+    and everything in this module read.  Its [1:, 1:] block is the covariance
+    of the path values after time 0 (where the value is identically 0)."""
     S, T = np.meshgrid(grid.points, grid.points, indexing="ij")
-    return GridFunction2D(grid, model(S, T))
-
-
-def grid_covariance(model: CovarianceModel, grid: TimeGrid) -> np.ndarray:
-    """Covariance matrix of the path values at the interior + final times.
-
-    The value at time 0 is identically 0 and is excluded, so the matrix has
-    shape (n-1, n-1) for an n-point grid.
-    """
-    return kernel_eval(model, grid).values[1:, 1:]
+    return KernelSample(grid, model(S, T), model)
 
 
 @dataclass(frozen=True)
@@ -112,8 +111,8 @@ def sample_paths(models: list[CovarianceModel], grid: TimeGrid, n_samples: int,
     """Draw exact joint samples of the driver at the grid times.
 
     Components are independent; each is its grid covariance's factor from
-    `cholesky_factors` times a standard normal vector.  A caller that draws
-    several batches of one driver passes `factors` taken once.
+    `cholesky_factors` times a standard normal vector, from one kernel sample
+    per distinct model, or `factors` a caller took once for several batches.
 
     Streams are counter-based: sample k is drawn from default_rng([seed, k]),
     its d components one after another, so any subset of indices can be
@@ -128,7 +127,8 @@ def sample_paths(models: list[CovarianceModel], grid: TimeGrid, n_samples: int,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if factors is None:
-        factors = cholesky_factors(models, grid)
+        each = {m: cholesky_factors([kernel_eval(m, grid)])[0] for m in dict.fromkeys(models)}
+        factors = [each[m] for m in models]
     d = len(models)
     n = grid.n
     z = standard_normals(seed, first, n_samples, (d, n - 1))
@@ -139,8 +139,8 @@ def sample_paths(models: list[CovarianceModel], grid: TimeGrid, n_samples: int,
     return PathSample(grid, out)
 
 
-def cholesky_factors(models: list[CovarianceModel], grid: TimeGrid) -> list[np.ndarray]:
-    """Per component, the Cholesky factor of its grid covariance.
+def cholesky_factors(kernels: list[KernelSample]) -> list[np.ndarray]:
+    """Per kernel sample, the Cholesky factor of its grid covariance.
 
     Only an exactly zero covariance (zero model) gets a zero factor; a
     semidefinite matrix (bridge at its pin time) gets a diagonal jitter of
@@ -148,8 +148,8 @@ def cholesky_factors(models: list[CovarianceModel], grid: TimeGrid) -> list[np.n
     degrades beyond that.
     """
     factors = []
-    for m in models:
-        cov = grid_covariance(m, grid)
+    for kernel in kernels:
+        cov = kernel.values[1:, 1:]
         if not cov.any():
             factors.append(np.zeros_like(cov))
             continue
@@ -158,7 +158,7 @@ def cholesky_factors(models: list[CovarianceModel], grid: TimeGrid) -> list[np.n
         except np.linalg.LinAlgError:
             jitter = 1e-12 * np.trace(cov) / cov.shape[0]
             warnings.warn(
-                f"grid covariance for {m.name!r} is semidefinite; "
+                f"grid covariance for {kernel.model.name!r} is semidefinite; "
                 f"adding diagonal jitter {jitter:.3e}"
             )
             factors.append(np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0])))
@@ -191,7 +191,7 @@ class CameronMartinBasis:
         return GridFunction1D(self.grid, self.functions[:, n])
 
 
-def cameron_martin_basis(model: CovarianceModel, grid: TimeGrid) -> CameronMartinBasis:
+def cameron_martin_basis(kernel: KernelSample) -> CameronMartinBasis:
     """Eigenbasis of the grid covariance, scaled to be H-orthonormal.
 
     Eigenvalues below 1e-12 times the largest are discarded (they are
@@ -199,16 +199,16 @@ def cameron_martin_basis(model: CovarianceModel, grid: TimeGrid) -> CameronMarti
     empty basis.  Materially negative eigenvalues mean the input was not a
     covariance and raise.
     """
-    cov = grid_covariance(model, grid)
-    lam, vec = np.linalg.eigh(cov)
+    grid, name = kernel.grid, kernel.model.name
+    lam, vec = np.linalg.eigh(kernel.values[1:, 1:])
     top = float(lam[-1]) if lam.size else 0.0
     if top <= 0.0:
         if np.any(lam < -abs(top) - 1e-12):
-            raise ValueError(f"kernel {model.name!r} is not positive semidefinite")
+            raise ValueError(f"kernel {name!r} is not positive semidefinite")
         return CameronMartinBasis(grid, np.zeros((grid.n, 0)), np.zeros(0))
     if lam[0] < -EIGENVALUE_CUTOFF * top:
         raise ValueError(
-            f"kernel {model.name!r} is not positive semidefinite "
+            f"kernel {name!r} is not positive semidefinite "
             f"(eigenvalue {lam[0]:.3e})"
         )
     keep = lam > EIGENVALUE_CUTOFF * top
@@ -226,16 +226,16 @@ def cm_element_from_coeffs(basis: CameronMartinBasis, coeffs: np.ndarray) -> Gri
     return GridFunction1D(basis.grid, basis.functions @ c)
 
 
-def nondegeneracy_check(model: CovarianceModel, grid: TimeGrid) -> dict:
-    """Decide whether a nonzero increment weighting can have zero variance.
-
-    The verdict reads the exact extreme eigenvalues of the increment
-    covariance on the grid: a pinned or zero kernel shows a zero direction,
-    an eigenvalue at most EIGENVALUE_CUTOFF times the largest.  The verdict is
-    relative, so a small horizon does not make a driver degenerate.
-    """
-    R = kernel_eval(model, grid)
-    box = R.rectangle_increments()
+def nondegeneracy_check(kernel: KernelSample, t: float) -> dict:
+    """Decide whether a nonzero weighting of the increments on [0, t], a grid
+    time, can have zero variance, from the exact extreme
+    eigenvalues of their covariance: the leading [0, t]^2 block of the
+    kernel's rectangle increments, which the 2D route pairs.  A pinned or zero
+    kernel shows a zero direction, an eigenvalue at most EIGENVALUE_CUTOFF
+    times the largest; the verdict is relative, so a small horizon does not
+    make a driver degenerate."""
+    it = kernel.grid.index_of(t)
+    box = kernel.rectangle_increments()[:it, :it]
     box = 0.5 * (box + box.T)
     lam = np.linalg.eigvalsh(box)
     scale = max(float(lam[-1]), 0.0)
@@ -247,7 +247,7 @@ def nondegeneracy_check(model: CovarianceModel, grid: TimeGrid) -> dict:
     }
 
 
-def cm_embedding_check(model: CovarianceModel, grid: TimeGrid, h: GridFunction1D,
+def cm_embedding_check(kernel: KernelSample, h: GridFunction1D,
                        h_norm_sq: float | None = None) -> dict:
     """Check |h|_{rho-var} <= sqrt(<h,h>_H) * sqrt(|R|_{rho-var}) on the grid.
 
@@ -259,18 +259,17 @@ def cm_embedding_check(model: CovarianceModel, grid: TimeGrid, h: GridFunction1D
 
     `h_norm_sq` is the Cameron-Martin norm squared when the caller knows it
     (for basis combinations it is just |coeffs|^2); otherwise it is recovered
-    by projecting h onto the grid covariance.
+    by projecting h onto the grid covariance.  The kernel's model gives rho.
     """
-    rho = model.rho
+    rho = kernel.model.rho
     lhs, partition = p_variation_with_partition(h, rho)
-    R = kernel_eval(model, grid)
-    if grid.n <= 14:
-        rvar = rho_variation_2d(R, rho, mode="exact")
+    if kernel.grid.n <= 14:
+        rvar = rho_variation_2d(kernel, rho, mode="exact")
     else:
-        rvar = rho_variation_2d(R, rho, mode="diagonal-refinement",
+        rvar = rho_variation_2d(kernel, rho, mode="diagonal-refinement",
                                 extra_partitions=[partition])
     if h_norm_sq is None:
-        cov = grid_covariance(model, grid)
+        cov = kernel.values[1:, 1:]
         target = np.asarray(h.values, dtype=float)[1:]
         coeff, *_ = np.linalg.lstsq(cov, target, rcond=None)
         if not np.allclose(cov @ coeff, target, rtol=1e-8, atol=1e-10):
@@ -280,7 +279,7 @@ def cm_embedding_check(model: CovarianceModel, grid: TimeGrid, h: GridFunction1D
     # Direct per-partition comparison: on the lhs-optimal partition the bound
     # holds with the partition sum of R, independent of how rvar was estimated.
     partition_rhs = np.sqrt(h_norm_sq) * (
-        rho_variation_partition_sum(R, rho, partition) ** (0.5 / rho)
+        rho_variation_partition_sum(kernel, rho, partition) ** (0.5 / rho)
     )
     return {
         "lhs": float(lhs),

@@ -131,12 +131,12 @@ def test_criterion_03_cameron_martin_embedding():
     checked = 0
     min_margin = np.inf
     for model, count in zip(models, counts):
-        basis = cameron_martin_basis(model, grid)
+        kernel = kernel_eval(model, grid)
+        basis = cameron_martin_basis(kernel)
         for _ in range(count):
             coeffs = rng.standard_normal(basis.size)
             h = cm_element_from_coeffs(basis, coeffs)
-            rep = cm_embedding_check(model, grid, h,
-                                     h_norm_sq=float(coeffs @ coeffs))
+            rep = cm_embedding_check(kernel, h, h_norm_sq=float(coeffs @ coeffs))
             checked += 1
             sound = rep["holds"] and rep["lhs"] <= rep["partition_rhs"] * (1 + 1e-12)
             if not sound:
@@ -154,8 +154,8 @@ def test_criterion_04_parseval_identity():
     grid = uniform_grid(1.0, 128)
     worst = 0.0
     for model in (brownian_model(), fbm_model(0.4)):
-        basis = cameron_martin_basis(model, grid)
         R = kernel_eval(model, grid)
+        basis = cameron_martin_basis(R)
         for _ in range(50):
             f = GridFunction1D(grid, rng.standard_normal(128))
             g = GridFunction1D(grid, rng.standard_normal(128))
@@ -273,8 +273,8 @@ def test_criterion_07_malliavin_route_equivalence():
     ]
     worst = 0.0
     for _, vf, model, y0 in systems:
-        basis = cameron_martin_basis(model, grid)
         kernel = kernel_eval(model, grid)
+        basis = cameron_martin_basis(kernel)
         for k in range(10):
             batch = sample_paths([model] * vf.d, grid, 1, seed=3000 + k)
             flow = solve_flow_jacobian(lift_piecewise_linear(batch.path(0)),

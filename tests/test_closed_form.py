@@ -64,7 +64,8 @@ def test_both_routes_match_the_closed_form(name, n):
     model = MODELS[name]
     flows = solve(model, n, 24 if n > 100 else 64)
     grid = flows.grid
-    kernel, basis = kernel_eval(model, grid), cameron_martin_basis(model, grid)
+    kernel = kernel_eval(model, grid)
+    basis = cameron_martin_basis(kernel)
     for t in (0.5, 1.0):
         exact = closed_form(flows, model, t)
         assert np.all(np.linalg.norm(exact, axis=(-2, -1)) > 0) == (name != "bridge-1"
@@ -105,7 +106,8 @@ def test_the_closed_form_sees_a_fault_the_route_check_cannot(monkeypatch):
             scale_step_maps(patch, path)
             faulty = solve(model, 65, 64, vf=vf)
         assert np.array_equal(faulty.Y, clean.Y)
-        kernel, basis = kernel_eval(model, faulty.grid), cameron_martin_basis(model, faulty.grid)
+        kernel = kernel_eval(model, faulty.grid)
+        basis = cameron_martin_basis(kernel)
         for t in (0.5, 1.0):
             exact = closed_form(faulty, model, t)
             mat = malliavin_matrix_2d(faulty, VF, kernel, t)
@@ -163,8 +165,8 @@ def test_which_check_catches_which_fault(fault):
     route_catches, closed_form_catches, inject = FAULTS[fault]
     model = fbm_model(0.4)
     flows = solve(model, 65, 64)
-    flows, kernel, basis = inject(flows, kernel_eval(model, flows.grid),
-                                  cameron_martin_basis(model, flows.grid))
+    kernel = kernel_eval(model, flows.grid)
+    flows, kernel, basis = inject(flows, kernel, cameron_martin_basis(kernel))
     mat, _, row = evaluate_flows(flows, VF, kernel, basis, flows.grid.n - 1, 1e-10)
     assert (row["residual"].max() > ROUTE_TOL) == route_catches
     worst = gap(mat.sigma, closed_form(flows, model, 1.0), mat.magnitude).max()

@@ -181,7 +181,8 @@ def test_decoupled_planar_fields_follow_the_flow_on_each_coordinate(tmp_path, ke
     vf = build_fields(cfg)
     flows = solve_flow_jacobian(lift_piecewise_linear(sample_paths([model] * 2, grid, 200, 0)),
                                 vf, cfg.y0)
-    mat, _, _ = evaluate_flows(flows, vf, kernel_eval(model, grid),
-                               cameron_martin_basis(model, grid), grid.n - 1, cfg.tau)
+    kernel = kernel_eval(model, grid)
+    mat, _, _ = evaluate_flows(flows, vf, kernel, cameron_martin_basis(kernel), grid.n - 1,
+                               cfg.tau)
     assert np.all(mat.sigma[:, 0, 1] == 0.0) and np.all(mat.sigma[:, 1, 0] == 0.0)
     assert np.all(np.diagonal(mat.sigma, axis1=1, axis2=2) > 0.0)

@@ -4,6 +4,7 @@ import gc
 import json
 import logging
 import math
+import os
 import re
 import textwrap
 import warnings
@@ -403,16 +404,30 @@ def test_run_experiment_is_deterministic(tmp_path):
         assert a == b, name
 
 
-@pytest.mark.parametrize("output, args", [
-    pytest.param("csv = out.txt\njson = out.txt", [], id="out.txt-out.txt"),
-    pytest.param("csv = a/x\njson = b/x", ["--out", "out"], id="a/x-b/x"),
-    pytest.param("csv = summary.json", ["--out", "out"], id="csv-summary.json"),
-    pytest.param("json = samples.csv", ["--out", "out"], id="json-samples.csv"),
+ONE_FILE = "csv and json resolve to one file"
+
+
+@pytest.mark.parametrize("output, args, made, error", [
+    pytest.param("csv = out.txt\njson = out.txt", [], None, ONE_FILE, id="out.txt-out.txt"),
+    pytest.param("csv = a/x\njson = b/x", ["--out", "out"], None, ONE_FILE, id="a/x-b/x"),
+    pytest.param("csv = summary.json", ["--out", "out"], None, ONE_FILE, id="csv-summary.json"),
+    pytest.param("json = samples.csv", ["--out", "out"], None, ONE_FILE, id="json-samples.csv"),
+    pytest.param("csv = results/", [], None, "csv names a directory, 'results/'",
+                 id="csv-results/"),
+    pytest.param("csv = results/", ["--out", "out"], None,
+                 f"csv names a directory, {os.path.join('out', '')!r}", id="csv-results/-out"),
+    pytest.param("json = results", [], "results", "json names a directory, 'results'",
+                 id="json-existing-directory"),
+    pytest.param("csv = x", ["--out", "out"], "out/x",
+                 f"csv names a directory, {os.path.join('out', 'x')!r}",
+                 id="csv-existing-directory-out"),
 ])
 def test_a_run_whose_two_artifacts_are_one_file_exits_2_and_writes_nothing(
-        tmp_path, monkeypatch, capsys, output, args):
+        tmp_path, monkeypatch, capsys, output, args, made, error):
     """`run` resolves its two paths before any sample is drawn: with `--out`
-    each is its basename there, or samples.csv and summary.json if unnamed."""
+    each is its basename there, or samples.csv and summary.json if unnamed.
+    Two paths that are one file, or a path that names a directory (made
+    before the run, or ending in a separator), are config errors."""
     import gaussrde.experiments
 
     def no_sampling(*_, **__):
@@ -420,11 +435,14 @@ def test_a_run_whose_two_artifacts_are_one_file_exits_2_and_writes_nothing(
 
     text = ROTATION_CONFIG.replace("csv = samples.csv\njson = summary.json", output)
     cfg = write_config(tmp_path, text)
+    if made:
+        (tmp_path / made).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
     monkeypatch.setattr(gaussrde.experiments, "sample_paths", no_sampling)
     monkeypatch.chdir(tmp_path)
     assert cli_main(["run", "--config", cfg, *args]) == 2
-    assert "config error: [output] csv and json resolve to one file" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["exp.ini"]
+    assert f"config error: [output] {error}" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_a_run_makes_the_directory_of_each_artifact(tmp_path, monkeypatch):
@@ -1697,24 +1715,34 @@ def test_run_experiment_propagates_programming_errors(tmp_path, monkeypatch):
 
 
 def test_run_experiment_samples_the_routes_kernel_once(tmp_path, monkeypatch):
-    """`run_experiment` itself samples the kernel once, for the covariance
-    routes of every chunk and evaluation time.  This counts only its own
-    `kernel_eval`: the Gaussian layer samples the kernel again inside
-    `cholesky_factors`, `cameron_martin_basis` and each time's gate."""
+    """A run samples the kernel once, for the gate, the Cholesky factors, the
+    Cameron-Martin basis and the covariance routes of every chunk and time;
+    `check_conditions` samples it once for the gate at every time.  Both the
+    experiments' `kernel_eval` and the Gaussian layer's are counted."""
     import gaussrde.experiments
+    import gaussrde.gaussian
 
     calls = []
-    sample_kernel = gaussrde.experiments.kernel_eval
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return sample_kernel(*args, **kwargs)
+    def counting(module):
+        sample_kernel = module.kernel_eval
 
-    monkeypatch.setattr(gaussrde.experiments, "kernel_eval", counting)
-    cfg = load_config(write_config(tmp_path, ROTATION_CONFIG))
-    report = run_experiment(cfg, out_dir=str(tmp_path / "out"))
-    assert report.summary["oracle_check"]["checked"] == 30
-    assert len(calls) == 1
+        def kernel_eval(*args, **kwargs):
+            calls.append(args)
+            return sample_kernel(*args, **kwargs)
+        monkeypatch.setattr(module, "kernel_eval", kernel_eval)
+
+    counting(gaussrde.experiments)
+    counting(gaussrde.gaussian)
+    for text in (ROTATION_CONFIG, LINEAR_DRIFT_CONFIG):
+        cfg = load_config(write_config(tmp_path, text))
+        calls.clear()
+        report = run_experiment(cfg, out_dir=str(tmp_path / "out"))
+        assert report.summary["oracle_check"]["checked"] > 0
+        assert len(calls) == 1
+        calls.clear()
+        check_conditions(cfg)
+        assert len(calls) == 1
 
 
 def test_check_and_run_share_the_gaussian_gate(tmp_path, monkeypatch):
@@ -1724,9 +1752,9 @@ def test_check_and_run_share_the_gaussian_gate(tmp_path, monkeypatch):
     seen = []
     check = gaussrde.experiments.nondegeneracy_check
 
-    def recording(model, grid):
-        rep = check(model, grid)
-        seen.append((grid.horizon, rep["degenerate"]))
+    def recording(kernel, t):
+        rep = check(kernel, t)
+        seen.append((t, rep["degenerate"]))
         return rep
 
     monkeypatch.setattr(gaussrde.experiments, "nondegeneracy_check", recording)
@@ -1748,7 +1776,9 @@ def test_check_and_run_share_the_gaussian_gate(tmp_path, monkeypatch):
 
 
 def test_run_experiment_takes_the_kernel_double_difference_once(tmp_path, monkeypatch):
-    """Every sample and time pairs with one rectangle-increment array."""
+    """Every sample and time pairs with one rectangle-increment array, whose
+    leading blocks are also the gate's on each [0, t]; a run with the gate
+    off takes the same one array."""
     import gaussrde.young
 
     shapes = []
@@ -1759,8 +1789,10 @@ def test_run_experiment_takes_the_kernel_double_difference_once(tmp_path, monkey
         return double_difference(values)
 
     monkeypatch.setattr(gaussrde.young, "_double_difference", counting)
-    text = ROTATION_CONFIG.replace("seed = 11", "seed = 11\nallow_degenerate = true")
-    report = run_experiment(load_config(write_config(tmp_path, text)),
-                            out_dir=str(tmp_path / "out"))
-    assert report.summary["oracle_check"]["checked"] == 30
-    assert shapes == [(17, 17)]
+    for text in (ROTATION_CONFIG,
+                 ROTATION_CONFIG.replace("seed = 11", "seed = 11\nallow_degenerate = true")):
+        shapes.clear()
+        report = run_experiment(load_config(write_config(tmp_path, text)),
+                                out_dir=str(tmp_path / "out"))
+        assert report.summary["oracle_check"]["checked"] == 30
+        assert shapes == [(17, 17)]

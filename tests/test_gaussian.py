@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gaussrde import (
     CovarianceModel,
+    TimeGrid,
     bridge_model,
     brownian_model,
     cameron_martin_basis,
@@ -14,7 +15,6 @@ from gaussrde import (
     cm_element_from_coeffs,
     cm_embedding_check,
     fbm_model,
-    grid_covariance,
     kernel_eval,
     nondegeneracy_check,
     sample_paths,
@@ -81,11 +81,15 @@ def test_bridge_kernel_pins_endpoint():
         bridge_model(0.0)
 
 
-def test_grid_covariance_shape_and_psd():
+def test_kernel_sample_covariance_shape_and_psd():
+    """The kernel sample records its model, and its block after time 0 is
+    the covariance of the path values there."""
     grid = uniform_grid(1.0, 20)
     for model in (brownian_model(), fbm_model(0.4), fbm_model(0.75),
                   bridge_model(1.0)):
-        cov = grid_covariance(model, grid)
+        kernel = kernel_eval(model, grid)
+        assert kernel.model is model and kernel.grid is grid
+        cov = kernel.values[1:, 1:]
         assert cov.shape == (19, 19)
         assert np.allclose(cov, cov.T, atol=1e-12)
         lam = np.linalg.eigvalsh(cov)
@@ -126,7 +130,7 @@ def test_batches_with_factors_taken_once_are_slices_of_one_batch(model, d):
     grid = uniform_grid(1.0, 17)
     models = [model] * d
     whole = sample_paths(models, grid, 23, seed=5).values
-    factors = cholesky_factors(models, grid)
+    factors = cholesky_factors([kernel_eval(m, grid) for m in models])
     for size in (1, 7, 23):
         parts = [sample_paths(models, grid, min(size, 23 - lo), 5, first=lo,
                               factors=factors).values for lo in range(0, 23, size)]
@@ -142,7 +146,7 @@ def seed_sequence_states(seed, first, count):
 def default_rng_paths(models, grid, n_samples, seed, first=0):
     """The slow path of `sample_paths`: one default_rng([seed, k]) per
     sample, its components drawn one after another."""
-    factors = cholesky_factors(models, grid)
+    factors = cholesky_factors([kernel_eval(m, grid) for m in models])
     out = np.zeros((n_samples, grid.n, len(models)))
     for k in range(n_samples):
         rng = np.random.default_rng([seed, first + k])
@@ -241,9 +245,10 @@ def test_sampling_empirical_moments():
 def test_cameron_martin_basis_reconstructs_kernel():
     grid = uniform_grid(1.0, 24)
     for model in (brownian_model(), fbm_model(0.4)):
-        basis = cameron_martin_basis(model, grid)
+        kernel = kernel_eval(model, grid)
+        basis = cameron_martin_basis(kernel)
         assert basis.size == 23
-        cov = grid_covariance(model, grid)
+        cov = kernel.values[1:, 1:]
         rebuilt = basis.functions[1:] @ basis.functions[1:].T
         assert np.allclose(rebuilt, cov, atol=1e-10)
         assert np.allclose(basis.functions[0], 0.0)
@@ -251,31 +256,31 @@ def test_cameron_martin_basis_reconstructs_kernel():
 
 
 def test_cameron_martin_basis_empty_for_zero_kernel():
-    basis = cameron_martin_basis(zero_model(), uniform_grid(1.0, 8))
+    basis = cameron_martin_basis(kernel_eval(zero_model(), uniform_grid(1.0, 8)))
     assert basis.size == 0
 
 
 def test_cameron_martin_rejects_non_covariance():
     bad = CovarianceModel(name="negated", kernel=lambda s, t: -np.minimum(s, t), rho=1.0)
     with pytest.raises(ValueError):
-        cameron_martin_basis(bad, uniform_grid(1.0, 6))
+        cameron_martin_basis(kernel_eval(bad, uniform_grid(1.0, 6)))
     # (s - t)^2 vanishes on the diagonal, so its grid matrix has a positive and
     # a materially negative eigenvalue
     gap = CovarianceModel(name="squared gap", kernel=lambda s, t: (s - t) ** 2, rho=1.0)
     with pytest.raises(ValueError, match=re.escape(
             "kernel 'squared gap' is not positive semidefinite (eigenvalue -")):
-        cameron_martin_basis(gap, uniform_grid(1.0, 6))
+        cameron_martin_basis(kernel_eval(gap, uniform_grid(1.0, 6)))
 
 
 def test_cm_element_norm_roundtrip():
     grid = uniform_grid(1.0, 20)
-    model = brownian_model()
-    basis = cameron_martin_basis(model, grid)
+    kernel = kernel_eval(brownian_model(), grid)
+    basis = cameron_martin_basis(kernel)
     rng = np.random.default_rng(23)
     for _ in range(5):
         coeffs = rng.standard_normal(basis.size)
         h = cm_element_from_coeffs(basis, coeffs)
-        report = cm_embedding_check(model, grid, h)
+        report = cm_embedding_check(kernel, h)
         assert np.isclose(report["h_norm"], np.linalg.norm(coeffs), rtol=1e-8)
     with pytest.raises(ValueError, match=re.escape(
             f"expected {basis.size} coefficients, got shape (3,)")):
@@ -297,16 +302,23 @@ def test_variance_functional_nonnegative_and_quadratic():
             assert np.isclose(v, w.values[:-1] @ box @ w.values[:-1], rtol=1e-10)
 
 
+def degenerate(model, grid, t=None):
+    """The gate's verdict on [0, t], the whole grid by default."""
+    t = grid.horizon if t is None else t
+    return nondegeneracy_check(kernel_eval(model, grid), t)["degenerate"]
+
+
 def test_nondegeneracy_check_flags_models():
     grid = uniform_grid(1.0, 16)
-    assert not nondegeneracy_check(brownian_model(), grid)["degenerate"]
-    assert not nondegeneracy_check(fbm_model(0.4), grid)["degenerate"]
-    assert nondegeneracy_check(zero_model(), grid)["degenerate"]
+    assert not degenerate(brownian_model(), grid)
+    assert not degenerate(fbm_model(0.4), grid)
+    assert degenerate(zero_model(), grid)
     # bridge pinned at the horizon is degenerate on the full window
-    assert nondegeneracy_check(bridge_model(1.0), grid)["degenerate"]
-    # but fine when observed strictly before the pin
-    half = uniform_grid(0.5, 16)
-    assert not nondegeneracy_check(bridge_model(1.0), half)["degenerate"]
+    assert degenerate(bridge_model(1.0), grid)
+    # but fine when observed strictly before the pin, on its own grid or
+    # on the leading block of a longer one
+    assert not degenerate(bridge_model(1.0), uniform_grid(0.5, 16))
+    assert not degenerate(bridge_model(1.0), uniform_grid(1.0, 17), 0.5)
 
 
 def test_nondegeneracy_verdict_is_relative_to_the_horizon():
@@ -314,34 +326,32 @@ def test_nondegeneracy_verdict_is_relative_to_the_horizon():
     # zero model and a bridge observed up to its pin stay degenerate
     for horizon in (1.0, 1e-6, 1e-11):
         grid = uniform_grid(horizon, 65)
-        assert not nondegeneracy_check(brownian_model(), grid)["degenerate"], horizon
-        assert nondegeneracy_check(zero_model(), grid)["degenerate"], horizon
-        assert nondegeneracy_check(bridge_model(horizon), grid)["degenerate"], horizon
+        assert not degenerate(brownian_model(), grid), horizon
+        assert degenerate(zero_model(), grid), horizon
+        assert degenerate(bridge_model(horizon), grid), horizon
 
 
 def test_embedding_check_holds_for_basis_elements():
     rng = np.random.default_rng(25)
     for model in (brownian_model(), fbm_model(0.4), fbm_model(0.75)):
-        grid = uniform_grid(1.0, 48)
-        basis = cameron_martin_basis(model, grid)
+        kernel = kernel_eval(model, uniform_grid(1.0, 48))
+        basis = cameron_martin_basis(kernel)
         for _ in range(10):
             coeffs = rng.standard_normal(basis.size)
             h = cm_element_from_coeffs(basis, coeffs)
-            report = cm_embedding_check(
-                model, grid, h, h_norm_sq=float(coeffs @ coeffs))
+            report = cm_embedding_check(kernel, h, h_norm_sq=float(coeffs @ coeffs))
             assert report["holds"], report
             assert report["lhs"] <= report["partition_rhs"] * (1 + 1e-12) + 1e-15
             assert report["kernel_variation_is_lower_bound"]
 
 
 def test_embedding_check_exact_mode_small_grid():
-    grid = uniform_grid(1.0, 12)
-    model = fbm_model(0.4)
-    basis = cameron_martin_basis(model, grid)
+    kernel = kernel_eval(fbm_model(0.4), uniform_grid(1.0, 12))
+    basis = cameron_martin_basis(kernel)
     rng = np.random.default_rng(26)
     coeffs = rng.standard_normal(basis.size)
     h = cm_element_from_coeffs(basis, coeffs)
-    report = cm_embedding_check(model, grid, h)
+    report = cm_embedding_check(kernel, h)
     assert report["holds"]
     assert not report["kernel_variation_is_lower_bound"]
 
@@ -355,4 +365,21 @@ def test_embedding_check_rejects_foreign_path():
 
     h = GridFunction1D(grid, np.linspace(0.0, 1.0, 10))
     with pytest.raises(ValueError):
-        cm_embedding_check(model, grid, h)
+        cm_embedding_check(kernel_eval(model, grid), h)
+
+
+@pytest.mark.parametrize("horizon", [1.0, 2.5])
+@pytest.mark.parametrize("n, stride", [(33, 1), (65, 1), (257, 8)])
+def test_the_gate_on_each_time_reads_the_one_kernel_sample(n, stride, horizon):
+    """The gate on [0, t], read from the leading block of the whole grid's
+    kernel sample, is the check on the sub-grid's own sample bit for bit:
+    extreme eigenvalues and verdict, at every time (every 8th at n = 257)."""
+    grid = uniform_grid(horizon, n)
+    for model in (brownian_model(), fbm_model(0.35), fbm_model(0.4), fbm_model(0.75),
+                  bridge_model(horizon), bridge_model(1.5 * horizon), zero_model()):
+        kernel = kernel_eval(model, grid)
+        for it in range(1, n, stride):
+            t = grid.points[it]
+            reference = nondegeneracy_check(kernel_eval(model, TimeGrid(grid.points[:it + 1])), t)
+            # repr round-trips a float, so equal reprs are equal bits (and signs of 0)
+            assert repr(nondegeneracy_check(kernel, t)) == repr(reference), (model.name, t)

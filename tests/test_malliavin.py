@@ -97,8 +97,8 @@ def test_routes_agree_to_rounding():
         grid = uniform_grid(1.0, 49)
         batch = sample_paths([model] * vf.d, grid, 1, seed=72)
         flow = solve_flow_jacobian(lift_piecewise_linear(batch.path(0)), vf, y0)
-        basis = cameron_martin_basis(model, grid)
         kernel = kernel_eval(model, grid)
+        basis = cameron_martin_basis(kernel)
         for t in (1.0, grid.points[24]):
             direct = malliavin_matrix_2d(flow, vf, kernel, t)
             parseval = malliavin_matrix_parseval(flow, vf, basis, t)
@@ -200,7 +200,7 @@ def test_input_guards():
     with pytest.raises(ValueError, match="need 2 component"):
         _per_component([kernel], GridFunction2D, 2)
     coarse = uniform_grid(1.0, 9)
-    other = cameron_martin_basis(brownian_model(), coarse)
+    other = cameron_martin_basis(kernel_eval(brownian_model(), coarse))
     with pytest.raises(ValueError, match="grid does not match"):
         malliavin_matrix_parseval(flow, vf, other, 1.0)
     with pytest.raises(ValueError, match="need 2 component"):
@@ -250,7 +250,7 @@ def test_integrand_values_match_per_point_loop(monkeypatch):
             assert np.array_equal(_integrand_values(flow, vf, it),
                                   per_point(flow, vf, it))
         kernel = kernel_eval(fbm_model(0.4), grid)
-        basis = cameron_martin_basis(fbm_model(0.4), grid)
+        basis = cameron_martin_basis(kernel)
         h = GridFunction1D(grid, basis.functions[:, None, :].repeat(vf.d, axis=1))
 
         def routes():
@@ -304,8 +304,8 @@ def test_routes_agree_with_per_component_models():
     batch = sample_paths(models, grid, 1, seed=84)
     flow = solve_flow_jacobian(lift_piecewise_linear(batch.path(0)), vf,
                                np.array([0.8, -0.3]))
-    bases = [cameron_martin_basis(m, grid) for m in models]
     kernels = [kernel_eval(m, grid) for m in models]
+    bases = [cameron_martin_basis(k) for k in kernels]
     for t in (1.0, grid.points[24]):
         direct = malliavin_matrix_2d(flow, vf, kernels, t)
         matched = malliavin_matrix_parseval(flow, vf, bases, t)
@@ -368,7 +368,7 @@ def test_parseval_route_matches_zero_padded_directions():
     # one derivative paired per component gives the padded pairing's sigma
     # bit for bit, for one flow and for a stack
     for vf, models, flows, grid in one_derivative_cases():
-        bases = [cameron_martin_basis(m, grid) for m in models]
+        bases = [cameron_martin_basis(kernel_eval(m, grid)) for m in models]
         for t in (grid.points[13], 1.0):
             for flow in (flows, flows.sample(2)):
                 got = malliavin_matrix_parseval(flow, vf, bases, t).sigma
@@ -452,10 +452,10 @@ def test_routes_read_field_values_from_flow():
         raise AssertionError("fields evaluated after the solve")
 
     blind = dataclasses.replace(vf, value=unavailable, affine=None)
-    basis = cameron_martin_basis(brownian_model(), grid)
+    kernel = kernel_eval(brownian_model(), grid)
+    basis = cameron_martin_basis(kernel)
     for t in (0.5, 1.0):
-        direct = malliavin_matrix_2d(flow, blind,
-                                     kernel_eval(brownian_model(), grid), t)
+        direct = malliavin_matrix_2d(flow, blind, kernel, t)
         parseval = malliavin_matrix_parseval(flow, blind, basis, t)
         malliavin_matrix_bm_reduction(flow, blind, t)
         assert rel_gap(parseval.sigma, direct.sigma) < 1e-10
@@ -503,7 +503,8 @@ def stacked_case(name, count, seed=88):
     grid = uniform_grid(1.0, 33)
     batch = sample_paths([model] * vf.d, grid, count, seed)
     flows = solve_flow_jacobian(lift_piecewise_linear(batch), vf, y0)
-    return flows, vf, kernel_eval(model, grid), cameron_martin_basis(model, grid)
+    kernel = kernel_eval(model, grid)
+    return flows, vf, kernel, cameron_martin_basis(kernel)
 
 
 @pytest.mark.parametrize("name", ["rotation-fbm", "linear-drift", "finite-difference"])
